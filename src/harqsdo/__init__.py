@@ -28,7 +28,6 @@ from .sdo import (
     CdfModel,
     OptimizerReport,
     StepUnderflowError,
-    SearchSpaceError,
     std_normal_ccdf,
     std_normal_ccdf_prime,
     sdo_step,

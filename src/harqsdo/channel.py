@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .codes import CodeParams, MomentPair, decode_success_curve
+from .codes import CodeParams, MomentPair, _integral, decode_success_curve
 
 __all__ = [
     "Schedule",
@@ -37,7 +37,7 @@ class Schedule:
     boundaries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        b = tuple(int(x) for x in self.boundaries)
+        b = tuple(_integral("boundary", x) for x in self.boundaries)
         object.__setattr__(self, "boundaries", b)
         if not b:
             raise ValueError("schedule needs at least one boundary")
@@ -125,8 +125,9 @@ def _ack_at(t: int, ps: np.ndarray, epsilon: float) -> float:
     logw = gammaln(t + 1) - gammaln(r + 1) - gammaln(e + 1)
     logw = logw + r * math.log1p(-epsilon) + e * math.log(epsilon)
     w = np.exp(logw)
-    # verbatim form: 1 - sum_e P_f(k, n, t - e) P_{R_t}(t - e)
-    return float(1.0 - np.dot(1.0 - ps[: t + 1], w))
+    # verbatim form: 1 - sum_e P_f(k, n, t - e) P_{R_t}(t - e); it cancels
+    # to a few ulps below 0 when eps is near 1, hence the clamp
+    return max(0.0, float(1.0 - np.dot(1.0 - ps[: t + 1], w)))
 
 
 def ack_prob(params: CodeParams, t: int) -> float:

@@ -28,7 +28,7 @@ from .codes import (
     overhead_moment,
 )
 from .channel import Schedule, ack_curve, round_length_law
-from .sdo import CdfModel, SearchSpaceError, exhaustive_search, optimize
+from .sdo import CdfModel, OptimizerReport, exhaustive_search, optimize
 from .simulate import estimate
 
 __all__ = ["RunConfig", "main", "run_validate"]
@@ -136,32 +136,26 @@ def _methods(model: str) -> list[str]:
     return [model]
 
 
+def _solve(params: CodeParams, m: int, method: str) -> OptimizerReport:
+    if method == "es":
+        return exhaustive_search(params, m)
+    return optimize(params, m, _MODEL_KIND[method])
+
+
 def _optimize_rows(params: CodeParams, m: int, model: str) -> list[dict]:
     rows = []
     for method in _methods(model):
-        row = {
+        report = _solve(params, m, method)
+        rows.append({
             "k": params.k,
             "n": params.n,
             "m": m,
             "epsilon": params.epsilon,
             "method": method,
-            "schedule": None,
-            "expected_symbols": None,
-            "throughput": None,
-        }
-        try:
-            if method == "es":
-                report = exhaustive_search(params, m)
-            else:
-                report = optimize(params, m, _MODEL_KIND[method])
-        except SearchSpaceError:
-            row["method"] = "es:skipped"
-            rows.append(row)
-            continue
-        row["schedule"] = report.schedule
-        row["expected_symbols"] = report.objective
-        row["throughput"] = report.throughput
-        rows.append(row)
+            "schedule": report.schedule,
+            "expected_symbols": report.objective,
+            "throughput": report.throughput,
+        })
     return rows
 
 
@@ -197,7 +191,8 @@ def run_sweep_k(cfg: RunConfig) -> tuple[list[str], list[dict]]:
 def run_sweep_n(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     k = cfg.scalar("k")
     eps = cfg.scalar("epsilon")
-    methods = [meth for meth in _methods(cfg.model) if meth != "es"] or ["na"]
+    # `all` keeps the better SDO model per cell, as in the blocklength figure
+    methods = ["na", "lna"] if cfg.model == "all" else [cfg.model]
     rows: list[dict] = []
     for n in cfg.n:
         for m in cfg.m:
@@ -206,7 +201,7 @@ def run_sweep_n(cfg: RunConfig) -> tuple[list[str], list[dict]]:
             if k + m - 1 <= n:
                 best = None
                 for meth in methods:
-                    rep = optimize(CodeParams(k, n, eps), m, _MODEL_KIND[meth])
+                    rep = _solve(CodeParams(k, n, eps), m, meth)
                     if best is None or rep.throughput > best[1].throughput:
                         best = (meth, rep)
                 row.update(method=best[0], schedule=best[1].schedule,
@@ -223,10 +218,7 @@ def run_simulate(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     eps = cfg.scalar("epsilon")
     params = CodeParams(k, n, eps)
     method = cfg.model if cfg.model != "all" else "na"
-    if method == "es":
-        report = exhaustive_search(params, m)
-    else:
-        report = optimize(params, m, _MODEL_KIND[method])
+    report = _solve(params, m, method)
     est = estimate(params, report.schedule, cfg.trials, cfg.seed,
                    workers=cfg.workers, matrix_reuse=cfg.matrix_reuse)
     row = {
@@ -579,8 +571,12 @@ def build_config(argv) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    cfg = build_config(sys.argv[1:] if argv is None else argv)
-    columns, rows = _RUNNERS[cfg.command](cfg)
+    try:
+        cfg = build_config(sys.argv[1:] if argv is None else argv)
+        columns, rows = _RUNNERS[cfg.command](cfg)
+    except ValueError as err:
+        sys.stderr.write(f"harq-sdo: error: {err}\n")
+        return 2
     _emit(cfg, columns, rows)
     if cfg.command == "validate":
         failed = [r["name"] for r in rows if not r["passed"]]

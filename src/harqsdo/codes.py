@@ -34,6 +34,19 @@ _TRUNC = 2.0 ** -60
 _PRODUCT_CUTOFF = 60
 
 
+def _integral(name: str, value) -> int:
+    """value as an int; integral floats and numpy integers pass, others raise."""
+    if type(value) is int:  # the common case, kept cheap for per-candidate schedules
+        return value
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if as_int != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return as_int
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """One design point: message length k, blocklength n, erasure rate epsilon."""
@@ -43,6 +56,8 @@ class CodeParams:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _integral("k", self.k))
+        object.__setattr__(self, "n", _integral("n", self.n))
         if self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         if self.n < self.k:

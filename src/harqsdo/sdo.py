@@ -5,13 +5,12 @@ a smoothed copy of the expected-symbols objective, in which the discrete ACK
 curve is replaced by a moment-matched normal or log-normal CDF.  Candidate
 first boundaries are swept exhaustively and every candidate schedule is
 scored with the exact discrete objective, so the smooth model only ever
-decides where the interior boundaries land.  An exhaustive search over all
-boundary tuples provides the ground-truth baseline at desk scale.
+decides where the interior boundaries land.  An exact dynamic program over
+(slot, boundary) provides the ground-truth optimum SDO is measured against.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ __all__ = [
     "CdfModel",
     "OptimizerReport",
     "StepUnderflowError",
-    "SearchSpaceError",
     "std_normal_ccdf",
     "std_normal_ccdf_prime",
     "sdo_step",
@@ -35,25 +33,12 @@ __all__ = [
     "exhaustive_search",
 ]
 
-_SEARCH_GUARD = 10 ** 8
-_CHUNK = 1 << 20
-
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class StepUnderflowError(ArithmeticError):
-    """The model density underflowed to zero; the caller should clamp at n."""
-
-
-class SearchSpaceError(ValueError):
-    """Exhaustive enumeration refused; carries the candidate count."""
-
-    def __init__(self, candidates: int):
-        super().__init__(
-            f"exhaustive search space has {candidates} candidates, "
-            f"above the {_SEARCH_GUARD} guard"
-        )
-        self.candidates = candidates
+    """The model density underflowed, to zero or so far that the step is
+    infinite; the caller should clamp at n."""
 
 
 def std_normal_ccdf(x: float) -> float:
@@ -159,11 +144,13 @@ def _step_ratio(model: CdfModel, n_prev2: float | None, n_prev1: float) -> float
     f1 = model.cdf(n_prev1)
     f0 = 0.0 if n_prev2 is None else model.cdf(n_prev2)
     density = model.pdf(n_prev1)
-    if density <= 0.0:
+    # a subnormal density underflows the step itself to inf
+    ratio = (f1 - f0) / density if density > 0.0 else math.inf
+    if not math.isfinite(ratio):
         raise StepUnderflowError(
             f"model density underflowed at {n_prev1}; clamp the schedule at n"
         )
-    return (f1 - f0) / density
+    return ratio
 
 
 def _schedule_from_model(model: CdfModel, n: int, m: int, n1: int) -> Schedule:
@@ -261,32 +248,30 @@ def optimize(params: CodeParams, m: int, model_kind: str = "normal") -> Optimize
 def exhaustive_search(params: CodeParams, m: int) -> OptimizerReport:
     """Global minimizer of the exact objective over all boundary tuples.
 
-    Enumerates every strictly increasing interior tuple with n_1 >= k and
-    n_{m-1} < n; refuses above the candidate-count guard.  Ties break
-    lexicographically toward smaller boundaries.
+    An exact backward dynamic program in O(m n**2) time: the objective
+    n + sum_i (n_i - n_{i+1}) P_ack(n_i) couples only neighbouring
+    boundaries, so F[i][x], the best tail cost with boundary i at x, is
+    min over y > x of (x - y) P_ack(x) + F[i+1][y].  Interior boundaries
+    range over k..n-1.  Ties break lexicographically toward smaller
+    boundaries, as a full enumeration in lexicographic order would.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m == 1:
         return _report(params, Schedule((params.n,)), "exhaustive", None)
     lo, hi = _n1_range(params, m)
-    count = math.comb(params.n - params.k, m - 1)
-    if count > _SEARCH_GUARD:
-        raise SearchSpaceError(count)
-    curve = ack_curve(params)
     n = params.n
-    combos = itertools.combinations(range(params.k, n), m - 1)
-    best_obj = math.inf
-    best: tuple[int, ...] | None = None
-    while True:
-        chunk = np.array(list(itertools.islice(combos, _CHUNK)), dtype=np.int64)
-        if chunk.size == 0:
-            break
-        nxt = np.concatenate([chunk[:, 1:], np.full((len(chunk), 1), n)], axis=1)
-        objs = ((chunk - nxt) * curve[chunk]).sum(axis=1) + n
-        idx = int(np.argmin(objs))
-        if objs[idx] < best_obj:
-            best_obj = float(objs[idx])
-            best = tuple(int(x) for x in chunk[idx])
-    assert best is not None
-    return _report(params, Schedule(best + (n,)), "exhaustive", (lo, hi))
+    x = np.arange(params.k, n)
+    c = ack_curve(params)[params.k : n]
+    # step[a, b]: cost of boundary x[a] followed by x[b]; only b > a is allowed
+    step = np.where(x[None, :] > x[:, None], (x[:, None] - x[None, :]) * c[:, None], np.inf)
+    tails = [(x - n) * c]
+    for _ in range(m - 2):
+        tails.append((step + tails[-1]).min(axis=1))
+    # tails[i][a]: least sum of the terms from slot i + 1 on, given n_{i+1} = x[a]
+    tails.reverse()
+    picks = [int(np.argmin(tails[0]))]
+    for tail in tails[1:]:
+        picks.append(int(np.argmin(step[picks[-1]] + tail)))
+    return _report(params, Schedule(tuple(int(x[a]) for a in picks) + (n,)),
+                   "exhaustive", (lo, hi))

@@ -11,6 +11,7 @@ serial and parallel runs agree bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .codes import CodeParams
-from .channel import Schedule
+from .channel import Schedule, _check_schedule
 
 __all__ = [
     "Gf2Matrix",
@@ -192,13 +193,6 @@ def simulate_round(params: CodeParams, schedule: Schedule,
     return _play_round(params, schedule, cols, erased_chan)
 
 
-def _check_schedule(params: CodeParams, schedule: Schedule) -> None:
-    if schedule.final != params.n:
-        raise ValueError(
-            f"schedule must end at n={params.n}, got final boundary {schedule.final}"
-        )
-
-
 def _play_round(params: CodeParams, schedule: Schedule, cols: tuple[int, ...],
                 erased_chan: np.ndarray) -> RoundOutcome:
     n, d = params.n, params.n - params.k
@@ -272,6 +266,22 @@ def _run_chunk(params: CodeParams, schedule: Schedule, seed: int, start: int,
     return sum_ns, sum_sq, successes, first_ack
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _plan_spans(trials: int, workers: int, cpus: int) -> list[tuple[int, int]]:
+    """Contiguous trial ranges covering 0..trials, one per thread to start.
+
+    At most min(workers, cpus, trials) ranges: threads beyond the CPUs this
+    process may run on add no speed, only cost.
+    """
+    edges = np.linspace(0, trials, num=min(workers, cpus, trials) + 1, dtype=int)
+    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
+
+
 def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
              workers: int = 1, matrix_reuse: int = 1) -> EstimateReport:
     """Simulate `trials` independent rounds and aggregate the estimates.
@@ -287,10 +297,11 @@ def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
         raise ValueError(f"workers must be >= 1, got {workers}")
     if matrix_reuse < 1:
         raise ValueError(f"matrix_reuse must be >= 1, got {matrix_reuse}")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     _check_schedule(params, schedule)
     m = schedule.m
-    edges = np.linspace(0, trials, num=min(workers, trials) + 1, dtype=int)
-    spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
+    spans = _plan_spans(trials, workers, _usable_cpus())
     if len(spans) == 1:
         parts = [_run_chunk(params, schedule, seed, *spans[0], matrix_reuse)]
     else:

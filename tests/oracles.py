@@ -129,3 +129,28 @@ def expected_stop_symbols(k: int, n: int, epsilon: Fraction, boundaries) -> Frac
         contrib += boundaries[-1] * prob_not_yet
         total += weight * contrib
     return total
+
+
+def enumerate_best_interior(curve: np.ndarray, k: int, n: int, m: int) -> tuple[int, ...]:
+    """Interior boundaries minimizing the telescoped objective, by enumeration.
+
+    Scores every strictly increasing (m-1)-tuple drawn from k..n-1 against the
+    ACK curve, in lexicographic order and in chunks, keeping the first
+    minimum; cost is C(n - k, m - 1), so only usable at desk scale.
+    """
+    chunk_rows = 1 << 20
+    combos = itertools.combinations(range(k, n), m - 1)
+    best_obj = math.inf
+    best: tuple[int, ...] | None = None
+    while True:
+        chunk = np.array(list(itertools.islice(combos, chunk_rows)), dtype=np.int64)
+        if chunk.size == 0:
+            break
+        nxt = np.concatenate([chunk[:, 1:], np.full((len(chunk), 1), n)], axis=1)
+        objs = ((chunk - nxt) * curve[chunk]).sum(axis=1) + n
+        idx = int(np.argmin(objs))
+        if objs[idx] < best_obj:
+            best_obj = float(objs[idx])
+            best = tuple(int(x) for x in chunk[idx])
+    assert best is not None
+    return best

@@ -46,6 +46,15 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(())
 
+    def test_rejects_non_integral(self):
+        with pytest.raises(ValueError):
+            Schedule((3.7, 9.2))
+        with pytest.raises(ValueError):
+            Schedule((3, "9"))
+        s = Schedule((3.0, np.int64(9)))
+        assert s.boundaries == (3, 9)
+        assert all(type(b) is int for b in s.boundaries)
+
 
 class TestObservedPmf:
     def test_lossless(self):
@@ -124,6 +133,14 @@ class TestAckProb:
             assert np.all(np.diff(curve[k:]) >= 0)
             ps = decode_success_curve(k, n)
             assert np.all(curve <= ps + 1e-12)
+
+    def test_stays_in_unit_interval_near_eps_one(self):
+        # the verbatim 1 - sum form cancels to a few ulps below 0 here
+        for eps in (0.9, 0.99, 0.999):
+            for k in (8, 32):
+                for n in range(k, 3 * k + 1, 4):
+                    curve = ack_curve(CodeParams(k, n, eps))
+                    assert curve.min() >= 0.0 and curve.max() <= 1.0, (k, n, eps)
 
     def test_curve_matches_scalar(self):
         p = CodeParams(3, 10, 0.4)

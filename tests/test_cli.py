@@ -123,16 +123,18 @@ class TestSweepKCommand:
         assert by_k["26"]["method"] == "skipped"  # k > n
         assert by_k["23"]["throughput"] == ""
 
-    def test_es_guard_row(self, capsys):
-        # comb(n - k, m - 1) blows past the guard: marked, not attempted
+    def test_es_large_space_row(self, capsys):
+        # comb(n - k, m - 1) ~ 2.3e12 tuples: the exact search still fills the row
         _, out = run_cli(
             ["sweep-k", "--k", "1", "--n", "200", "--m", "8", "--eps", "0.5",
              "--model", "es"],
             capsys,
         )
-        rows = read_csv(out)
-        assert rows[0]["method"] == "es:skipped"
-        assert rows[0]["expected_symbols"] == ""
+        row = read_csv(out)[0]
+        es = exhaustive_search(CodeParams(1, 200, 0.5), 8)
+        assert row["method"] == "es"
+        assert [int(row[f"n{i}"]) for i in range(1, 9)] == list(es.schedule.boundaries)
+        assert float(row["expected_symbols"]) == pytest.approx(es.objective, rel=1e-11)
 
 
 class TestSweepNCommand:
@@ -160,6 +162,21 @@ class TestSweepNCommand:
         lna = optimize(CodeParams(8, 24, 0.5), 3, "lognormal").throughput
         assert float(row["throughput"]) == pytest.approx(max(na, lna), rel=1e-11)
 
+    def test_model_es_runs_exact_search(self, capsys):
+        _, out = run_cli(
+            ["sweep-n", "--k", "8", "--n", "20,24", "--m", "3", "--eps", "0.5",
+             "--model", "es"],
+            capsys,
+        )
+        for row in read_csv(out):
+            params = CodeParams(8, int(row["n"]), 0.5)
+            na = optimize(params, 3, "normal")
+            assert row["method"] == "es"
+            assert row["schedule"] == " ".join(
+                str(b) for b in exhaustive_search(params, 3).schedule.boundaries
+            )
+            assert float(row["expected_symbols"]) <= na.objective + 1e-11
+
 
 class TestSimulateCommand:
     def test_byte_identical_across_worker_counts(self, tmp_path):
@@ -185,6 +202,21 @@ class TestSimulateCommand:
         rates = [float(row[f"ack_rate_block{i}"]) for i in (1, 2, 3)]
         assert rates == sorted(rates)
         assert float(row["success_rate"]) == rates[-1]
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--eps", "1.5"],
+        ["simulate", "--k", "8", "--n", "9", "--m", "4"],
+        ["simulate", "--seed", "-1", "--trials", "10"],
+    ])
+    def test_one_line_message_and_exit_2(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("harq-sdo: error: ")
 
 
 class TestOutputPlumbing:
@@ -242,7 +274,7 @@ class TestOutputPlumbing:
             capsys,
         )
         for row in read_csv(out):
-            if row["method"] in ("skipped", "es:skipped"):
+            if row["method"] == "skipped":
                 continue
             bounds = [int(row[f"n{i}"]) for i in (1, 2, 3)]
             assert bounds[-1] == 20

@@ -216,6 +216,17 @@ class TestParamTypes:
         with pytest.raises(ValueError):
             CodeParams(2, 4, -0.1)
 
+    def test_code_params_rejects_non_integral(self):
+        with pytest.raises(ValueError):
+            CodeParams(8.5, 24, 0.5)
+        with pytest.raises(ValueError):
+            CodeParams(8, 24.5, 0.5)
+        with pytest.raises(ValueError):
+            CodeParams("8", 24)
+        p = CodeParams(8.0, np.int64(24), 0.5)
+        assert (p.k, p.n) == (8, 24)
+        assert type(p.k) is int and type(p.n) is int
+
     def test_moment_pair_validation(self):
         with pytest.raises(ValueError):
             MomentPair(1.0, -0.5)

@@ -10,8 +10,8 @@ from harqsdo import (
     CdfModel,
     CodeParams,
     Schedule,
-    SearchSpaceError,
     StepUnderflowError,
+    ack_curve,
     asymptotic_round_moments,
     exhaustive_search,
     expected_round_symbols,
@@ -25,7 +25,7 @@ from harqsdo import (
     throughput,
 )
 
-from oracles import gaussian_tail_quad
+from oracles import enumerate_best_interior, gaussian_tail_quad
 
 FIG1_PARAMS = CodeParams(32, 88, 0.5)
 
@@ -104,6 +104,14 @@ class TestSdoStep:
         model = CdfModel.for_params(FIG1_PARAMS, "normal")
         with pytest.raises(StepUnderflowError):
             sdo_step(model, None, model.mu + 50 * model.sigma)
+
+    def test_subnormal_density_raises(self):
+        # the density is still positive but the step overflows to inf
+        model = CdfModel.for_params(FIG1_PARAMS, "normal")
+        x = model.mu + 37.8 * model.sigma
+        assert 0.0 < model.pdf(x) < 1e-300
+        with pytest.raises(StepUnderflowError):
+            sdo_step(model, None, x)
 
     def test_predecessor_ordering(self):
         model = CdfModel.for_params(FIG1_PARAMS, "normal")
@@ -242,10 +250,41 @@ class TestExhaustiveSearch:
             assert es.objective <= rep.objective + 1e-12
             assert rep.objective <= es.objective * 1.02
 
-    def test_guard_refuses_large_spaces(self):
-        with pytest.raises(SearchSpaceError) as err:
-            exhaustive_search(CodeParams(1, 200, 0.5), 8)
-        assert err.value.candidates == math.comb(199, 7)
+    def test_large_space_solved(self):
+        # C(199, 7) ~ 2.3e12 boundary tuples: far beyond enumeration
+        p = CodeParams(1, 200, 0.5)
+        rep = exhaustive_search(p, 8)
+        b = rep.schedule.boundaries
+        assert len(b) == 8 and b[0] >= 1 and b[-1] == 200
+        assert all(x < y for x, y in zip(b, b[1:]))
+        assert rep.objective <= optimize(p, 8, "normal").objective + 1e-12
+        assert rep.objective <= optimize(p, 8, "lognormal").objective + 1e-12
+        rng = random.Random(5)
+        for _ in range(200):
+            interior = sorted(rng.sample(range(1, 200), 7))
+            cand = Schedule(tuple(interior) + (200,))
+            assert expected_round_symbols(p, cand) >= rep.objective - 1e-12
+
+    def test_matches_enumeration_on_criterion_6_grid(self):
+        for k in range(4, 17):
+            for n in range(2 * k, 3 * k + 1):
+                for m in (2, 3, 4):
+                    for eps in (0.3, 0.5):
+                        self._assert_matches_enumeration(CodeParams(k, n, eps), m)
+
+    def test_matches_enumeration_on_lossless_ties(self):
+        # eps = 0 makes the ACK curve a product of dyadic factors, so many
+        # tuples tie exactly; the DP must pick the lexicographically first
+        for k in range(1, 6):
+            for n in range(k + 1, k + 13):
+                for m in (2, 3, 4):
+                    if k + m - 1 <= n:
+                        self._assert_matches_enumeration(CodeParams(k, n, 0.0), m)
+
+    @staticmethod
+    def _assert_matches_enumeration(p, m):
+        want = enumerate_best_interior(ack_curve(p), p.k, p.n, m) + (p.n,)
+        assert exhaustive_search(p, m).schedule.boundaries == want, (p, m)
 
     def test_model_used_label(self):
         assert exhaustive_search(CodeParams(4, 10, 0.3), 2).model_used == "exhaustive"

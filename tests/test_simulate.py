@@ -1,6 +1,7 @@
 """Tests for the GF(2) kernels and the seeded protocol simulator."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from harqsdo import (
     simulate_round,
     trial_rng,
 )
+
+from harqsdo.simulate import _plan_spans, _usable_cpus
 
 from oracles import dense_rank_mod2
 
@@ -219,6 +222,19 @@ class TestEstimate:
             estimate(p, s, 0, 1)
         with pytest.raises(ValueError):
             estimate(p, s, 10, 1, workers=0)
+        with pytest.raises(ValueError):
+            estimate(p, s, 10, -1, workers=2)
+
+    def test_thread_plan_capped_at_cpus(self):
+        cpus = len(os.sched_getaffinity(0))
+        for trials, workers in [(1000, 10 ** 6), (3, 8), (10, 1), (7, 7)]:
+            spans = _plan_spans(trials, workers, cpus)
+            assert len(spans) == min(trials, workers, cpus)
+            assert spans[0][0] == 0 and spans[-1][1] == trials
+            assert all(a < b for a, b in spans)
+            assert all(b == c for (_, b), (c, _) in zip(spans, spans[1:]))
+        assert len(_plan_spans(1000, 64, 2)) == 2
+        assert _usable_cpus() == cpus
 
 
 class TestPerSymbolSampling:

@@ -43,7 +43,6 @@ from .simulate import (
     EstimateReport,
     GENERATOR_NAME,
     trial_rng,
-    gf2_rank,
     is_decodable,
     simulate_round,
     estimate,

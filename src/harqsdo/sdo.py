@@ -153,9 +153,9 @@ def _step_ratio(model: CdfModel, n_prev2: float | None, n_prev1: float) -> float
     return ratio
 
 
-def _schedule_from_model(model: CdfModel, n: int, m: int, n1: int) -> Schedule:
-    # Clamp every boundary to n - (sub-blocks still to place) so the schedule
-    # can always finish strictly increasing at n_m = n.
+def _schedule_from_model(model: CdfModel, n: int, m: int, n1: int) -> tuple[int, ...]:
+    # Clamp every boundary to n - (sub-blocks still to place) so the boundaries
+    # always finish strictly increasing at n_m = n, a valid Schedule.
     bounds = [min(n1, n - (m - 1))]
     prev2: float | None = None
     for slot in range(2, m):
@@ -167,7 +167,7 @@ def _schedule_from_model(model: CdfModel, n: int, m: int, n1: int) -> Schedule:
         prev2 = bounds[-1]
         bounds.append(min(nxt, cap))
     bounds.append(n)
-    return Schedule(tuple(bounds))
+    return tuple(bounds)
 
 
 def sdo_schedule(params: CodeParams, m: int, model_kind: str, n1: int) -> Schedule:
@@ -177,7 +177,7 @@ def sdo_schedule(params: CodeParams, m: int, model_kind: str, n1: int) -> Schedu
     if not params.k <= n1 < params.n:
         raise ValueError(f"need k <= n1 < n, got n1={n1} for k={params.k}, n={params.n}")
     model = CdfModel.for_params(params, model_kind)
-    return _schedule_from_model(model, params.n, m, n1)
+    return Schedule(_schedule_from_model(model, params.n, m, n1))
 
 
 def smoothed_expected_symbols(model: CdfModel, boundaries) -> float:
@@ -234,15 +234,14 @@ def optimize(params: CodeParams, m: int, model_kind: str = "normal") -> Optimize
     model = CdfModel.for_params(params, model_kind)
     curve = ack_curve(params)
     best_obj = math.inf
-    best: Schedule | None = None
+    best: tuple[int, ...] = ()
     for n1 in range(lo, hi + 1):
         candidate = _schedule_from_model(model, params.n, m, n1)
-        obj = _objective_on_curve(candidate.boundaries, params.n, curve)
+        obj = _objective_on_curve(candidate, params.n, curve)
         if obj < best_obj:
             best_obj = obj
             best = candidate
-    assert best is not None
-    return _report(params, best, model_kind, (lo, hi))
+    return _report(params, Schedule(best), model_kind, (lo, hi))
 
 
 def exhaustive_search(params: CodeParams, m: int) -> OptimizerReport:

@@ -3,22 +3,46 @@
 Each round samples a fresh uniform parity-check matrix and an i.i.d. erasure
 pattern, then decodes by the rank condition: the message is recoverable
 exactly when the columns for the missing symbols (unsent ones count as
-erased) are linearly independent over GF(2).  Per-trial random substreams
-are derived from (seed, trial index) with a counter-based generator, so
-serial and parallel runs agree bit for bit.
+erased) are linearly independent over GF(2).
+
+Decodability is monotone in time, because the set of missing columns only
+shrinks as symbols arrive.  So a round reduces to one integer, its decode
+time L: the first t at which the symbols sent so far decode, or n + 1 if an
+erased column is dependent and the round can never decode.  L is the one
+thing the kernel computes, and everything else is a view of it:
+
+- estimate: a schedule stops at its first boundary n_i >= L, or fails at n
+  when L = n + 1; the report is aggregated in exact integers.
+- sample_round_lengths: (min(L, n), L <= n).
+- sample_decode_counts: L on a lossless channel.
+- simulate_round: L of one round drawn from the caller's generator.
+
+The kernel finds L by inserting each trial's columns in a fixed order, the
+erased ones first and then the received ones from right to left: the first
+insertion that depends on the earlier ones is L's column, and at most d + 1
+insertions are needed for d = n - k parity checks.  It row-reduces the d
+checks over the inserted columns, one column at a time for a whole block of
+trials in numpy, with the rows packed into ceil((d + 1) / 64) 64-bit words.
+
+Trial i reads its own counter-based stream, trial_rng(seed, i), so serial
+and parallel runs agree bit for bit.  The kernel takes the stream's raw
+words in one call and reads them exactly as rng.integers(0, 2, (d, n),
+uint8) followed by rng.random(n) would, so the draws, and GENERATOR_NAME,
+are those of the plain per-trial loop kept in the tests as the reference.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .codes import CodeParams
+from .codes import CodeParams, _integral
 from .channel import Schedule, _check_schedule
 
 __all__ = [
@@ -27,7 +51,6 @@ __all__ = [
     "EstimateReport",
     "GENERATOR_NAME",
     "trial_rng",
-    "gf2_rank",
     "is_decodable",
     "simulate_round",
     "estimate",
@@ -36,6 +59,11 @@ __all__ = [
 ]
 
 GENERATOR_NAME = "philox4x64(key=seed, counter=[0, 0, trial, 0])"
+
+# Trials decoded together: each numpy step of the kernel serves this many.
+_BLOCK = 256
+# Trials drawn together; bounds the one-byte-per-bit draw to about 100 kB.
+_DRAW = 16
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -99,62 +127,115 @@ class Gf2Matrix:
             out.append(v)
         return tuple(out)
 
-    def to_array(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for i, w in enumerate(self.bits):
-            for j in range(self.cols):
-                out[i, j] = (w >> j) & 1
-        return out
+
+def _insertion_rows(bits: np.ndarray, erased: np.ndarray):
+    """Each trial's parity checks over its columns in insertion order.
+
+    bits is (T, d, n) 0/1 and erased is (T, n) bool.  The order is the erased
+    columns ascending, then the received ones from right to left; only the
+    first s = min(d + 1, n) can matter.  Returns the rows packed word-major
+    as (W, T, d + 1) uint64, bit c for the c-th inserted column and a zero
+    row last, with the order (T, s) and the erased counts (T,).
+    """
+    t, d, n = bits.shape
+    s = min(d + 1, n)
+    j = np.arange(n)
+    order = np.argsort(np.where(erased, j, 2 * n - j), axis=1)[:, :s].astype(np.int32)
+    # one byte per bit, each row padded to whole words, then packed in one go
+    wide = np.zeros((t, d + 1, 64 * -(-s // 64)), dtype=np.uint8)
+    wide[:, :d, :s] = bits.transpose(0, 2, 1)[np.arange(t)[:, None], order].transpose(0, 2, 1)
+    rows = np.packbits(wide.reshape(-1), bitorder="little").view("<u8").reshape(t, d + 1, -1)
+    return rows.transpose(2, 0, 1), order, erased.sum(axis=1)
 
 
-def gf2_rank(matrix: Gf2Matrix) -> int:
-    """Rank over GF(2) by Gaussian elimination on a working copy."""
-    work = list(matrix.bits)
-    rank = 0
-    row = 0
-    for col in range(matrix.cols):
-        pivot = None
-        for r in range(row, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        for r in range(len(work)):
-            if r != row and ((work[r] >> col) & 1):
-                work[r] ^= work[row]
-        rank += 1
-        row += 1
-        if row == len(work):
+def _first_dependent(rows: np.ndarray, s: int) -> np.ndarray:
+    """Index of each trial's first inserted column that depends on earlier ones.
+
+    rows is _insertion_rows' (W, T, d + 1) array, which this overwrites.
+    Gaussian elimination runs column by column, the same column for every
+    trial at each step: column c is independent of columns 0..c-1 iff a row
+    not yet used as a pivot has bit c set.  Returns s for a trial whose s
+    columns are all independent.
+    """
+    _, t, d1 = rows.shape
+    d = d1 - 1
+    trial = np.arange(t)
+    free = np.ones((t, d1), dtype=bool)
+    cand = np.empty((t, d1), dtype=bool)
+    update = np.empty_like(rows)
+    first = np.full(t, s)
+    for c in range(s):
+        word, bit = divmod(c, 64)
+        np.bitwise_and(rows[word], np.uint64(1 << bit), out=cand, casting="unsafe")
+        cand &= free
+        cand[:, d] = True  # the zero row is the pivot only when no row has bit c
+        piv = cand.argmax(axis=1)
+        np.minimum(first, np.where(piv == d, c, s), out=first)
+        cand[:, d] = False
+        cand[trial, piv] = False
+        free[trial, piv] = False
+        np.multiply(rows[:, trial, piv][:, :, None], cand, out=update)
+        rows ^= update
+        if first.max() < s:
             break
-    return rank
+    return first
 
 
-class _Gf2Basis:
-    """Incremental independence test over int bitmasks of length dim."""
-
-    __slots__ = ("pivots",)
-
-    def __init__(self, dim: int) -> None:
-        self.pivots: list[int] = [0] * dim
-
-    def add(self, v: int) -> bool:
-        """Reduce v against the basis; keep it if independent."""
-        pivots = self.pivots
-        while v:
-            b = v.bit_length() - 1
-            p = pivots[b]
-            if not p:
-                pivots[b] = v
-                return True
-            v ^= p
-        return False
+def _times(rows: np.ndarray, order: np.ndarray, n_erased: np.ndarray, n: int) -> np.ndarray:
+    """Decode times L from _insertion_rows' output; needs d < n."""
+    first = _first_dependent(rows, order.shape[1])
+    col = np.take_along_axis(order, first[:, None], axis=1)[:, 0]
+    return np.where(first < n_erased, n + 1, col + 1)
 
 
-def _masks_independent(masks, dim: int) -> bool:
-    basis = _Gf2Basis(dim)
-    return all(basis.add(v) for v in masks)
+def _draw(seed: int, lo: int, hi: int, d: int, n: int, matrix_reuse: int):
+    """Parity-check bits (T, d, n) and channel uniforms (T, n) of trials lo..hi-1.
+
+    The same values as rng.integers(0, 2, (d, n), uint8) followed by
+    rng.random(n) on rng = trial_rng(seed, i), read from the stream's raw
+    64-bit words.  The bounded integer draw takes one byte per entry, in
+    little-endian order within each word, and keeps the byte's top bit;
+    ceil(d n / 8) words hold the matrix.  A uniform is the next word's top 53
+    bits times 2**-53.  With matrix_reuse > 1 the uniforms come from the
+    first n words of stream i and the matrix from stream i - i % matrix_reuse.
+    """
+    nm = -(-d * n // 8)
+
+    def raw(i: int, count: int) -> np.ndarray:
+        return trial_rng(seed, i).bit_generator.random_raw(count)
+
+    if matrix_reuse == 1:
+        words = np.empty((hi - lo, nm + n), dtype=np.uint64)
+        for row, i in enumerate(range(lo, hi)):
+            words[row] = raw(i, nm + n)
+        code, chan = words[:, :nm], words[:, nm:]
+    else:
+        base = lo - lo % matrix_reuse
+        codes = [raw(b, nm) for b in range(base, hi, matrix_reuse)]
+        code = np.stack([codes[(i - base) // matrix_reuse] for i in range(lo, hi)])
+        chan = np.stack([raw(i, n) for i in range(lo, hi)])
+    entries = code.astype("<u8", copy=False).view(np.uint8)[:, : d * n]
+    return entries.reshape(hi - lo, d, n) >> 7, (chan >> np.uint64(11)) * 2.0 ** -53
+
+
+def _block_times(params: CodeParams, seed: int, lo: int, hi: int,
+                 matrix_reuse: int) -> np.ndarray:
+    """Decode times of trials lo..hi-1, decoded as one block."""
+    d, n = params.n - params.k, params.n
+    parts = []
+    for a in range(lo, hi, _DRAW):
+        bits, uniforms = _draw(seed, a, min(a + _DRAW, hi), d, n, matrix_reuse)
+        parts.append(_insertion_rows(bits, uniforms < params.epsilon))
+    rows, order, n_erased = zip(*parts)
+    return _times(np.concatenate(rows, axis=1), np.concatenate(order),
+                  np.concatenate(n_erased), n)
+
+
+def _span_times(params: CodeParams, seed: int, start: int, stop: int,
+                matrix_reuse: int = 1):
+    """Decode times of trials start..stop-1, one array per block of _BLOCK."""
+    for lo in range(start, stop, _BLOCK):
+        yield _block_times(params, seed, lo, min(lo + _BLOCK, stop), matrix_reuse)
 
 
 def is_decodable(matrix: Gf2Matrix, erased) -> bool:
@@ -162,10 +243,16 @@ def is_decodable(matrix: Gf2Matrix, erased) -> bool:
     idx = sorted(set(erased))
     if idx and (idx[0] < 0 or idx[-1] >= matrix.cols):
         raise ValueError(f"erased index out of range for {matrix.cols} columns")
-    if len(idx) > matrix.rows:
-        return False
-    cols = matrix.column_masks
-    return _masks_independent((cols[j] for j in idx), matrix.rows)
+    nbytes = -(-matrix.cols // 8)
+    raw = b"".join(w.to_bytes(nbytes, "little") for w in matrix.bits)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(matrix.rows, nbytes),
+                         axis=1, count=matrix.cols, bitorder="little")
+    flags = np.zeros((1, matrix.cols), dtype=bool)
+    flags[0, idx] = True
+    rows, order, n_erased = _insertion_rows(bits[None], flags)
+    # the erased columns go in first, so they are independent iff none of them is
+    # the first dependent column
+    return bool(_first_dependent(rows, order.shape[1])[0] >= n_erased[0])
 
 
 @dataclass(frozen=True)
@@ -178,38 +265,19 @@ class RoundOutcome:
     erased_count_per_block: tuple[int, ...]
 
 
-def _sample_column_masks(d: int, n: int, rng: np.random.Generator) -> tuple[int, ...]:
-    # same draw as Gf2Matrix.sample, packing columns only
-    bits = rng.integers(0, 2, size=(d, n), dtype=np.uint8)
-    return _pack_words(np.ascontiguousarray(bits.T))
-
-
 def simulate_round(params: CodeParams, schedule: Schedule,
                    rng: np.random.Generator) -> RoundOutcome:
     """Run one protocol round with a freshly sampled code and erasure pattern."""
     _check_schedule(params, schedule)
-    cols = _sample_column_masks(params.n - params.k, params.n, rng)
-    erased_chan = rng.random(params.n) < params.epsilon
-    return _play_round(params, schedule, cols, erased_chan)
-
-
-def _play_round(params: CodeParams, schedule: Schedule, cols: tuple[int, ...],
-                erased_chan: np.ndarray) -> RoundOutcome:
-    n, d = params.n, params.n - params.k
+    n = params.n
+    bits = rng.integers(0, 2, size=(n - params.k, n), dtype=np.uint8)
+    erased = rng.random(n) < params.epsilon
+    t = int(_times(*_insertion_rows(bits[None], erased[None]), n)[0])
     b = schedule.boundaries
-    erased_counts = []
-    prev = 0
-    for i, t in enumerate(b, start=1):
-        erased_counts.append(int(erased_chan[prev:t].sum()))
-        prev = t
-        missing = int(erased_chan[:t].sum()) + (n - t)
-        if missing > d:
-            continue
-        vectors = [cols[j] for j in np.flatnonzero(erased_chan[:t]).tolist()]
-        vectors.extend(cols[t:])
-        if _masks_independent(vectors, d):
-            return RoundOutcome(i, t, True, tuple(erased_counts))
-    return RoundOutcome(len(b), n, False, tuple(erased_counts))
+    stop = min(bisect_left(b, t), len(b) - 1)
+    edges = (0,) + b[: stop + 1]
+    counts = tuple(int(erased[x:y].sum()) for x, y in zip(edges, edges[1:]))
+    return RoundOutcome(stop + 1, b[stop], t <= n, counts)
 
 
 @dataclass(frozen=True)
@@ -240,30 +308,15 @@ class EstimateReport:
         }
 
 
-def _run_chunk(params: CodeParams, schedule: Schedule, seed: int, start: int,
-               stop: int, matrix_reuse: int):
-    m = schedule.m
-    sum_ns = 0
-    sum_sq = 0
-    successes = 0
-    first_ack = [0] * m
-    d, n = params.n - params.k, params.n
-    for i in range(start, stop):
-        if matrix_reuse == 1:
-            rng = trial_rng(seed, i)
-            cols = _sample_column_masks(d, n, rng)
-            erased = rng.random(n) < params.epsilon
-        else:
-            base = i - (i % matrix_reuse)
-            cols = _sample_column_masks(d, n, trial_rng(seed, base))
-            erased = trial_rng(seed, i).random(n) < params.epsilon
-        outcome = _play_round(params, schedule, cols, erased)
-        sum_ns += outcome.symbols_sent
-        sum_sq += outcome.symbols_sent ** 2
-        if outcome.success:
-            successes += 1
-            first_ack[outcome.last_block_index - 1] += 1
-    return sum_ns, sum_sq, successes, first_ack
+def _check_run(trials, seed) -> tuple[int, int]:
+    """(trials, seed) as ints, or ValueError before any trial is drawn."""
+    trials = _integral("trials", trials)
+    seed = _integral("seed", seed)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed}")
+    return trials, seed
 
 
 def _usable_cpus() -> int:
@@ -273,7 +326,7 @@ def _usable_cpus() -> int:
 
 
 def _plan_spans(trials: int, workers: int, cpus: int) -> list[tuple[int, int]]:
-    """Contiguous trial ranges covering 0..trials, one per thread to start.
+    """Contiguous trial ranges covering 0..trials, one per thread to run.
 
     At most min(workers, cpus, trials) ranges: threads beyond the CPUs this
     process may run on add no speed, only cost.
@@ -282,40 +335,52 @@ def _plan_spans(trials: int, workers: int, cpus: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
 
 
+def _time_counts(params: CodeParams, seed: int, span: tuple[int, int],
+                 matrix_reuse: int) -> np.ndarray:
+    """How many trials of the span have each decode time 0..n+1."""
+    counts = np.zeros(params.n + 2, dtype=np.int64)
+    for times in _span_times(params, seed, *span, matrix_reuse):
+        counts += np.bincount(times, minlength=params.n + 2)
+    return counts
+
+
 def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
              workers: int = 1, matrix_reuse: int = 1) -> EstimateReport:
     """Simulate `trials` independent rounds and aggregate the estimates.
 
     All accumulators are exact integers, so the report is bit-identical for
-    any number of workers.  matrix_reuse > 1 shares one sampled code across
-    that many consecutive erasure draws; this is a variance-reduction mode
-    that departs from the fresh-code-per-round model.
+    any number of workers.  The trials split into min(workers, usable CPUs,
+    trials) contiguous spans, each decoded on its own thread in blocks of
+    256 trials; the calling thread takes the first span.  matrix_reuse > 1
+    shares one sampled code across that many consecutive erasure draws; this
+    is a variance-reduction mode that departs from the fresh-code-per-round
+    model.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials, seed = _check_run(trials, seed)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if matrix_reuse < 1:
         raise ValueError(f"matrix_reuse must be >= 1, got {matrix_reuse}")
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     _check_schedule(params, schedule)
-    m = schedule.m
     spans = _plan_spans(trials, workers, _usable_cpus())
-    if len(spans) == 1:
-        parts = [_run_chunk(params, schedule, seed, *spans[0], matrix_reuse)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            parts = list(
-                pool.map(
-                    lambda s: _run_chunk(params, schedule, seed, s[0], s[1], matrix_reuse),
-                    spans,
-                )
-            )
-    sum_ns = sum(p[0] for p in parts)
-    sum_sq = sum(p[1] for p in parts)
-    successes = sum(p[2] for p in parts)
-    first_ack = [sum(p[3][i] for p in parts) for i in range(m)]
+    # the calling thread decodes the first span itself, so only the others
+    # need a thread, and with it a malloc arena of their own
+    with ThreadPoolExecutor(max_workers=max(1, len(spans) - 1)) as pool:
+        rest = pool.map(lambda s: _time_counts(params, seed, s, matrix_reuse), spans[1:])
+        parts = [_time_counts(params, seed, spans[0], matrix_reuse), *rest]
+    b = schedule.boundaries
+    m = schedule.m
+    sum_ns = 0
+    sum_sq = 0
+    first_ack = [0] * m
+    for t, count in enumerate(sum(parts).tolist()):
+        block = bisect_left(b, t)  # m when t = n + 1: the round fails at n
+        sent = b[min(block, m - 1)]
+        sum_ns += count * sent
+        sum_sq += count * sent * sent
+        if block < m:
+            first_ack[block] += count
+    successes = sum(first_ack)
     mean = sum_ns / trials
     if trials > 1:
         sample_var = max(0.0, (sum_sq - trials * mean * mean) / (trials - 1))
@@ -340,25 +405,19 @@ def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
     )
 
 
+def _sample_times(params: CodeParams, trials: int, seed: int) -> np.ndarray:
+    trials, seed = _check_run(trials, seed)
+    return np.concatenate(list(_span_times(params, seed, 0, trials)))
+
+
 def sample_decode_counts(k: int, n: int, trials: int, seed: int) -> np.ndarray:
     """Symbol-by-symbol decode times over a lossless in-order feed.
 
     One sample per trial of how many leading symbols make the message
-    decodable.  Works from the right: columns are folded into a basis in
-    decreasing index order and the first dependence pins the decode time.
+    decodable: the decode time L with no erasures.  Trial i uses the same
+    code as in sample_round_lengths and estimate.
     """
-    CodeParams(k, n)
-    out = np.empty(trials, dtype=np.int64)
-    for i in range(trials):
-        cols = _sample_column_masks(n - k, n, trial_rng(seed, i))
-        basis = _Gf2Basis(n - k)
-        for j in range(n - 1, -1, -1):
-            if not basis.add(cols[j]):
-                out[i] = j + 1
-                break
-        else:  # n independent columns of height n - k cannot exist for k >= 1
-            raise AssertionError("unreachable: all columns independent")
-    return out
+    return _sample_times(CodeParams(k, n), trials, seed)
 
 
 def sample_round_lengths(params: CodeParams, trials: int,
@@ -370,26 +429,5 @@ def sample_round_lengths(params: CodeParams, trials: int,
     simulate_round's layout, so the same (seed, index) yields the same code
     and erasure pattern in either mode.
     """
-    n = params.n
-    d = n - params.k
-    lengths = np.empty(trials, dtype=np.int64)
-    success = np.empty(trials, dtype=bool)
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        cols = _sample_column_masks(d, n, rng)
-        erased_chan = rng.random(n) < params.epsilon
-        basis = _Gf2Basis(d)
-        ok = all(basis.add(cols[j]) for j in np.flatnonzero(erased_chan).tolist())
-        if not ok:
-            lengths[i] = n
-            success[i] = False
-            continue
-        received = np.flatnonzero(~erased_chan)
-        for j in received[::-1]:
-            if not basis.add(cols[j]):
-                lengths[i] = j + 1
-                success[i] = True
-                break
-        else:
-            raise AssertionError("unreachable: all columns independent")
-    return lengths, success
+    times = _sample_times(params, trials, seed)
+    return np.minimum(times, params.n), times <= params.n

@@ -154,3 +154,87 @@ def enumerate_best_interior(curve: np.ndarray, k: int, n: int, m: int) -> tuple[
             best = tuple(int(x) for x in chunk[idx])
     assert best is not None
     return best
+
+
+def to_array(matrix) -> np.ndarray:
+    """A Gf2Matrix's entries as a dense 0/1 array, bit by bit."""
+    out = np.zeros((matrix.rows, matrix.cols), dtype=np.uint8)
+    for i, w in enumerate(matrix.bits):
+        for j in range(matrix.cols):
+            out[i, j] = (w >> j) & 1
+    return out
+
+
+def gf2_rank(matrix) -> int:
+    """Rank of a Gf2Matrix by Gaussian elimination on its packed row words."""
+    work = list(matrix.bits)
+    rank = 0
+    row = 0
+    for col in range(matrix.cols):
+        pivot = None
+        for r in range(row, len(work)):
+            if (work[r] >> col) & 1:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        work[row], work[pivot] = work[pivot], work[row]
+        for r in range(len(work)):
+            if r != row and ((work[r] >> col) & 1):
+                work[r] ^= work[row]
+        rank += 1
+        row += 1
+        if row == len(work):
+            break
+    return rank
+
+
+def philox_trial(seed: int, index: int) -> np.random.Generator:
+    """The per-trial stream the simulator names: Philox keyed by seed, counter word 2 = index."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
+
+
+def _column_ints(bits: np.ndarray) -> list[int]:
+    """Each column of a 0/1 array as an int, bit r = row r."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8).T, axis=1, bitorder="little")
+    return [int.from_bytes(col.tobytes(), "little") for col in packed]
+
+
+def play_round(d: int, n: int, boundaries, cols, erased):
+    """(stop block, symbols sent, success, erasures per block) of one round.
+
+    Decides block by block, rebuilding the independence test of the missing
+    columns (erased so far plus unsent) from scratch at every boundary.
+    """
+    counts = []
+    prev = 0
+    for i, t in enumerate(boundaries, start=1):
+        counts.append(int(sum(erased[prev:t])))
+        prev = t
+        missing = [j for j in range(t) if erased[j]] + list(range(t, n))
+        if len(missing) <= d and _columns_independent([cols[j] for j in missing], d):
+            return i, t, True, tuple(counts)
+    return len(boundaries), n, False, tuple(counts)
+
+
+def reference_rounds(k: int, n: int, epsilon: float, boundaries, trials: int, seed: int,
+                     matrix_reuse: int = 1) -> list[tuple]:
+    """play_round for trials 0..trials-1, drawn the plain way.
+
+    Trial i draws rng.integers(0, 2, (n - k, n), uint8) then rng.random(n)
+    from its own stream; with matrix_reuse > 1 the code comes from stream
+    i - i % matrix_reuse and the erasures from stream i alone.
+    """
+    d = n - k
+    out = []
+    for i in range(trials):
+        if matrix_reuse == 1:
+            rng = philox_trial(seed, i)
+            bits = rng.integers(0, 2, size=(d, n), dtype=np.uint8)
+        else:
+            bits = philox_trial(seed, i - i % matrix_reuse).integers(
+                0, 2, size=(d, n), dtype=np.uint8)
+            rng = philox_trial(seed, i)
+        erased = (rng.random(n) < epsilon).tolist()
+        out.append(play_round(d, n, boundaries, _column_ints(bits), erased))
+    return out

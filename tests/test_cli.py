@@ -209,6 +209,8 @@ class TestDomainErrors:
         ["optimize", "--eps", "1.5"],
         ["simulate", "--k", "8", "--n", "9", "--m", "4"],
         ["simulate", "--seed", "-1", "--trials", "10"],
+        ["simulate", "--seed", str(2 ** 128), "--trials", "10", "--workers", "2"],
+        ["simulate", "--trials", "-3"],
     ])
     def test_one_line_message_and_exit_2(self, argv, capsys):
         code = main(argv)

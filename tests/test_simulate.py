@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from harqsdo import (
     erdos_borwein_constant,
     estimate,
     expected_round_symbols,
-    gf2_rank,
     is_decodable,
     sample_decode_counts,
     sample_round_lengths,
@@ -26,9 +26,10 @@ from harqsdo import (
     trial_rng,
 )
 
-from harqsdo.simulate import _plan_spans, _usable_cpus
+import harqsdo.simulate as simulate_module
+from harqsdo.simulate import _block_times, _draw, _plan_spans, _usable_cpus
 
-from oracles import dense_rank_mod2
+from oracles import dense_rank_mod2, gf2_rank, reference_rounds, to_array
 
 
 class TestGf2Matrix:
@@ -36,7 +37,7 @@ class TestGf2Matrix:
         a = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 0]])
         m = Gf2Matrix.from_array(a)
         assert m.rows == 3 and m.cols == 4
-        assert np.array_equal(m.to_array(), a)
+        assert np.array_equal(to_array(m), a)
 
     def test_column_masks(self):
         m = Gf2Matrix.from_array([[1, 0], [1, 1]])
@@ -47,7 +48,7 @@ class TestGf2Matrix:
         rng = trial_rng(1, 0)
         bits = rng.integers(0, 2, size=(4, 130), dtype=np.uint8)
         m = Gf2Matrix.from_array(bits)
-        assert np.array_equal(m.to_array(), bits)
+        assert np.array_equal(to_array(m), bits)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -282,3 +283,111 @@ class TestPerSymbolSampling:
                 assert out.success and out.last_block_index == block
             else:
                 assert not out.success
+
+
+class TestDecodeTimeKernel:
+    """The batched kernel against the per-trial reference loop in oracles.py."""
+
+    @pytest.mark.parametrize("matrix_reuse", [1, 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("d", [1, 7, 56, 63, 64, 65, 136])
+    def test_decode_times_match_reference(self, d, eps, matrix_reuse):
+        # a boundary at every symbol from k on, so the reference's stop block is L
+        k, trials, seed = 6, 40, 1000 + d
+        n = k + d
+        rounds = reference_rounds(k, n, eps, range(k, n + 1), trials, seed, matrix_reuse)
+        want = [sent if ok else n + 1 for _, sent, ok, _ in rounds]
+        got = _block_times(CodeParams(k, n, eps), seed, 0, trials, matrix_reuse)
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("d, n", [(1, 2), (3, 5), (7, 12), (7, 13), (56, 88), (65, 70)])
+    def test_raw_word_draw_matches_generator_calls(self, d, n):
+        # d * n covers 2, 15, 84, 91, 4928 and 4550: every residue class that
+        # decides how the byte draw splits over 32- and 64-bit words
+        bits, uniforms = _draw(11, 5, 9, d, n, 1)
+        for row, i in enumerate(range(5, 9)):
+            rng = trial_rng(11, i)
+            assert np.array_equal(bits[row], rng.integers(0, 2, size=(d, n), dtype=np.uint8))
+            assert np.array_equal(uniforms[row], rng.random(n))
+        bits, uniforms = _draw(11, 5, 12, d, n, 3)
+        for row, i in enumerate(range(5, 12)):
+            code = trial_rng(11, i - i % 3).integers(0, 2, size=(d, n), dtype=np.uint8)
+            assert np.array_equal(bits[row], code)
+            assert np.array_equal(uniforms[row], trial_rng(11, i).random(n))
+
+    @pytest.mark.parametrize("matrix_reuse", [1, 8])
+    def test_estimate_matches_reference_accumulators(self, matrix_reuse):
+        p = CodeParams(32, 88, 0.5)
+        s = Schedule((61, 68, 75, 88))
+        trials = 600  # three blocks, split over two threads
+        rounds = reference_rounds(32, 88, 0.5, s.boundaries, trials, 7, matrix_reuse)
+        rep = estimate(p, s, trials, 7, workers=2, matrix_reuse=matrix_reuse)
+        sent = [r[1] for r in rounds]
+        mean = sum(sent) / trials
+        var = (sum(x * x for x in sent) - trials * mean * mean) / (trials - 1)
+        first_ack = [sum(1 for r in rounds if r[2] and r[0] == i) for i in (1, 2, 3, 4)]
+        assert rep.mean_symbols == mean
+        assert rep.stderr_symbols == math.sqrt(max(0.0, var) / trials)
+        assert rep.success_rate == sum(first_ack) / trials
+        assert rep.ack_rate_per_block == tuple(
+            sum(first_ack[: i + 1]) / trials for i in range(4))
+
+    def test_simulate_round_matches_reference(self):
+        p = CodeParams(8, 24, 0.5)
+        s = Schedule((16, 20, 24))
+        rounds = reference_rounds(8, 24, 0.5, s.boundaries, 200, 9)
+        for i, want in enumerate(rounds):
+            out = simulate_round(p, s, trial_rng(9, i))
+            assert (out.last_block_index, out.symbols_sent, out.success,
+                    out.erased_count_per_block) == want
+
+    def test_lossless_round_lengths_are_decode_counts(self):
+        lengths, success = sample_round_lengths(CodeParams(8, 48, 0.0), 700, 5)
+        assert success.all()
+        assert np.array_equal(lengths, sample_decode_counts(8, 48, 700, 5))
+
+    def test_traced_memory_peak_under_3mb(self):
+        p = CodeParams(32, 88, 0.5)
+        s = Schedule((61, 68, 75, 88))
+        tracemalloc.start()
+        try:
+            estimate(p, s, 3000, 7, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
+
+
+class TestRunArguments:
+    def test_zero_trials_rejected_by_samplers(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            sample_round_lengths(CodeParams(8, 24, 0.5), 0, 1)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            sample_decode_counts(8, 24, 0, 1)
+
+    def test_negative_trials_rejected(self):
+        s = Schedule((16, 20, 24))
+        for call in (lambda: estimate(CodeParams(8, 24, 0.5), s, -3, 1),
+                     lambda: sample_round_lengths(CodeParams(8, 24, 0.5), -3, 1),
+                     lambda: sample_decode_counts(8, 24, -3, 1)):
+            with pytest.raises(ValueError, match="trials must be >= 1, got -3"):
+                call()
+
+    def test_seed_range_checked_before_threads_start(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", no_threads)
+        p = CodeParams(8, 24, 0.5)
+        s = Schedule((16, 20, 24))
+        for seed in (2 ** 128, -1):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+                estimate(p, s, 10, seed, workers=2)
+        with pytest.raises(ValueError, match="seed"):
+            sample_round_lengths(p, 10, 2 ** 128)
+        with pytest.raises(ValueError, match="seed"):
+            sample_decode_counts(8, 24, 10, 2 ** 128)
+
+    def test_largest_seed_accepted(self):
+        rep = estimate(CodeParams(8, 24, 0.5), Schedule((16, 20, 24)), 3, 2 ** 128 - 1)
+        assert rep.seed == 2 ** 128 - 1

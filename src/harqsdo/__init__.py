@@ -15,10 +15,9 @@ from .codes import (
 from .channel import (
     Schedule,
     RoundLengthLaw,
-    observed_pmf,
-    erasures_pmf,
     ack_prob,
     ack_curve,
+    objective,
     round_length_law,
     round_length_moments,
     expected_round_symbols,

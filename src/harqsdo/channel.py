@@ -1,13 +1,18 @@
 """Erasure-channel laws for incremental-redundancy rounds.
 
-Covers the binomial law of observed symbols, the negative-binomial law of
-erasures before the r-th arrival, the cumulative ACK probability, the full
-round-length distribution with its residual atom at n, the expected number
-of symbols a schedule transmits per round, and throughput.
+Every law here is a view of one ACK curve per design point: ack_curve(params)
+holds P(ACK by time t) for t = 0..n, the code's success curve averaged over
+the binomial law of the symbols observed by time t.  The ACK probability
+reads it at one t, the round-length law is its first difference with the
+residual atom at n, and the expected symbols a schedule transmits per round,
+and so throughput, are the telescoped objective over its values at the
+boundaries.  The curve is cached for the most recent design point and
+returned read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,10 +24,9 @@ from .codes import CodeParams, MomentPair, _integral, decode_success_curve
 __all__ = [
     "Schedule",
     "RoundLengthLaw",
-    "observed_pmf",
-    "erasures_pmf",
     "ack_prob",
     "ack_curve",
+    "objective",
     "round_length_law",
     "round_length_moments",
     "expected_round_symbols",
@@ -77,57 +81,30 @@ class RoundLengthLaw:
         return max(0.0, m2 - m1 * m1)
 
 
-def _check_eps(epsilon: float) -> None:
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+@functools.lru_cache(maxsize=1)
+def ack_curve(params: CodeParams) -> np.ndarray:
+    """P(ACK by time t) for every t in 0..n, read-only; zero below k.
 
-
-def observed_pmf(t: int, r: int, epsilon: float) -> float:
-    """Binomial chance of r unerased symbols among t transmitted ones."""
-    _check_eps(epsilon)
-    if t < 0:
-        raise ValueError(f"t must be a nonnegative integer, got {t}")
-    if r < 0 or r > t:
-        return 0.0
-    e = t - r
-    if epsilon == 0.0:
-        return 1.0 if e == 0 else 0.0
-    # binomial coefficients via log-gamma; direct factorials overflow near t ~ 100
-    logp = gammaln(t + 1) - gammaln(r + 1) - gammaln(e + 1)
-    logp += r * math.log1p(-epsilon)
-    if e:
-        logp += e * math.log(epsilon)
-    return float(math.exp(logp))
-
-
-def erasures_pmf(r: int, e: int, epsilon: float) -> float:
-    """Negative-binomial chance of e erasures before the r-th arrival."""
-    _check_eps(epsilon)
-    if r < 1:
-        raise ValueError(f"r must be a positive integer, got {r}")
-    if e < 0:
-        return 0.0
-    if epsilon == 0.0:
-        return 1.0 if e == 0 else 0.0
-    logp = gammaln(r + e) - gammaln(e + 1) - gammaln(r)
-    logp += r * math.log1p(-epsilon)
-    if e:
-        logp += e * math.log(epsilon)
-    return float(math.exp(logp))
-
-
-def _ack_at(t: int, ps: np.ndarray, epsilon: float) -> float:
-    """ACK-by-time-t probability given the success curve ps[r] for r = 0..n."""
-    if epsilon == 0.0:
-        return float(ps[t])
-    r = np.arange(t + 1)
-    e = t - r
-    logw = gammaln(t + 1) - gammaln(r + 1) - gammaln(e + 1)
-    logw = logw + r * math.log1p(-epsilon) + e * math.log(epsilon)
-    w = np.exp(logw)
-    # verbatim form: 1 - sum_e P_f(k, n, t - e) P_{R_t}(t - e); it cancels
-    # to a few ulps below 0 when eps is near 1, hence the clamp
-    return max(0.0, float(1.0 - np.dot(1.0 - ps[: t + 1], w)))
+    ACK(t) = 1 - sum_r (1 - P_s(r)) P(r of t symbols observed), with the
+    binomial weights from log-gamma (direct factorials overflow near t ~ 100).
+    """
+    k, n, eps = params.k, params.n, params.epsilon
+    ps = decode_success_curve(k, n)
+    if eps == 0.0:
+        out = ps  # lossless, ACK is decoding success
+    else:
+        out = np.zeros(n + 1)
+        log_keep, log_lose = math.log1p(-eps), math.log(eps)
+        for t in range(k, n + 1):
+            r = np.arange(t + 1)
+            e = t - r
+            logw = gammaln(t + 1) - gammaln(r + 1) - gammaln(e + 1)
+            w = np.exp(logw + r * log_keep + e * log_lose)
+            # verbatim form: it cancels to a few ulps below 0 when eps is
+            # near 1, hence the clamp
+            out[t] = max(0.0, float(1.0 - np.dot(1.0 - ps[: t + 1], w)))
+    out.setflags(write=False)
+    return out
 
 
 def ack_prob(params: CodeParams, t: int) -> float:
@@ -136,44 +113,34 @@ def ack_prob(params: CodeParams, t: int) -> float:
         raise ValueError(f"ack_prob is defined only for t <= n, got t={t} > n={params.n}")
     if t < params.k:
         return 0.0
-    ps = decode_success_curve(params.k, params.n)
-    return _ack_at(t, ps, params.epsilon)
+    return float(ack_curve(params)[t])
 
 
-def ack_curve(params: CodeParams) -> np.ndarray:
-    """ack_prob for every t in 0..n; bulk form used by the optimizers."""
-    ps = decode_success_curve(params.k, params.n)
-    out = np.zeros(params.n + 1)
-    for t in range(params.k, params.n + 1):
-        out[t] = _ack_at(t, ps, params.epsilon)
-    return out
+def objective(boundaries, acks) -> float:
+    """Expected symbols per round, telescoped: n_m + sum_i (n_i - n_{i+1}) acks[i].
+
+    acks[i] is the ACK probability at boundaries[i]; the last boundary's
+    entry, if given, is not read.  Algebraically identical to weighting each
+    stop point by the chance of first ACKing there plus the full length on
+    NACK.  Boundaries may be real-valued, as in the smoothed SDO objective.
+    """
+    total = float(boundaries[-1])
+    for i in range(len(boundaries) - 1):
+        total += (boundaries[i] - boundaries[i + 1]) * acks[i]
+    return float(total)
 
 
 def round_length_law(params: CodeParams) -> RoundLengthLaw:
     """Distribution of the round length: symbol-by-symbol below n, atom at n.
 
-    Pr(length = t) convolves the negative-binomial erasure count with the
-    symbols-to-decode pmf for k <= t < n; whatever mass is left, including
-    every failed round, sits at t = n.
+    Pr(length = t) = ACK(t) - ACK(t - 1) for k <= t < n; the rest,
+    1 - ACK(n - 1), including every failed round, sits at t = n.  The CDF
+    below n is the running maximum of the curve, so the law stays a pmf
+    where the curve is rounding noise and steps down by a few ulps.
     """
-    k, n, eps = params.k, params.n, params.epsilon
-    support = np.arange(k, n + 1)
-    ps = decode_success_curve(k, n)
-    r = np.arange(k, n + 1)
-    pmf_decode = np.exp2(k - r.astype(float)) * ps[k:]
-    pmf = np.zeros(n - k + 1)
-    for t in range(k, n):
-        rr = np.arange(k, t + 1)
-        ee = t - rr
-        if eps == 0.0:
-            w = (ee == 0).astype(float)
-        else:
-            logw = gammaln(rr + ee) - gammaln(ee + 1) - gammaln(rr)
-            logw = logw + rr * math.log1p(-eps) + ee * math.log(eps)
-            w = np.exp(logw)
-        pmf[t - k] = float(np.dot(w, pmf_decode[: t - k + 1]))
-    pmf[-1] = max(0.0, 1.0 - float(pmf[:-1].sum()))
-    return RoundLengthLaw(support, pmf)
+    k, n = params.k, params.n
+    cdf = np.maximum.accumulate(ack_curve(params)[k - 1 : n])  # ACK(k - 1) = 0
+    return RoundLengthLaw(np.arange(k, n + 1), np.append(np.diff(cdf), 1.0 - cdf[-1]))
 
 
 def round_length_moments(params: CodeParams) -> MomentPair:
@@ -190,23 +157,12 @@ def _check_schedule(params: CodeParams, schedule: Schedule) -> None:
 
 
 def expected_round_symbols(params: CodeParams, schedule: Schedule) -> float:
-    """Expected symbols transmitted per round under the given schedule.
-
-    Uses the telescoped form sum_i (n_i - n_{i+1}) P_ack(n_i) + n_m, which is
-    algebraically identical to weighting each stop point by the chance of
-    first ACKing there plus the full length on NACK.
-    """
+    """Expected symbols transmitted per round under the given schedule."""
     _check_schedule(params, schedule)
-    ps = decode_success_curve(params.k, params.n)
     b = schedule.boundaries
-    total = float(b[-1])
-    for i in range(len(b) - 1):
-        a = _ack_at(b[i], ps, params.epsilon) if b[i] >= params.k else 0.0
-        total += (b[i] - b[i + 1]) * a
-    return total
+    return objective(b, ack_curve(params)[list(b)])
 
 
 def throughput(params: CodeParams, schedule: Schedule) -> float:
     """Delivered information per transmitted symbol, k P_ack(n) / E[symbols]."""
-    _check_schedule(params, schedule)
     return params.k * ack_prob(params, params.n) / expected_round_symbols(params, schedule)

@@ -333,7 +333,9 @@ def _validation_checks() -> list[dict]:
     worst_capacity = -math.inf
     worst_tel = 0.0
     for kk, nn in grid:
-        for eps in (0.0, 0.3, 0.5):
+        # up to 0.99: at 0.999 the clamped 1 - sum form of ACK steps down by
+        # about 1e-16 where ACK is near 0, and ack_monotone_in_t would fail
+        for eps in (0.0, 0.3, 0.5, 0.9, 0.99):
             params = CodeParams(kk, nn, eps)
             curve = ack_curve(params)
             ps = decode_success_curve(kk, nn)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeParams, asymptotic_round_moments
-from .channel import Schedule, ack_curve, expected_round_symbols, throughput
+from .channel import Schedule, ack_curve, expected_round_symbols, objective, throughput
 
 __all__ = [
     "CdfModel",
@@ -186,18 +186,7 @@ def smoothed_expected_symbols(model: CdfModel, boundaries) -> float:
     boundaries may be real-valued; the last entry plays the role of n.
     """
     b = list(boundaries)
-    total = float(b[-1])
-    for i in range(len(b) - 1):
-        total += (b[i] - b[i + 1]) * model.cdf(b[i])
-    return total
-
-
-def _objective_on_curve(boundaries, n: int, curve: np.ndarray) -> float:
-    # boundaries is the full schedule ending at n
-    total = float(n)
-    for i in range(len(boundaries) - 1):
-        total += (boundaries[i] - boundaries[i + 1]) * curve[boundaries[i]]
-    return total
+    return objective(b, [model.cdf(x) for x in b[:-1]])
 
 
 def _report(params: CodeParams, schedule: Schedule, model_used: str,
@@ -232,12 +221,12 @@ def optimize(params: CodeParams, m: int, model_kind: str = "normal") -> Optimize
         return _report(params, Schedule((params.n,)), model_kind, None)
     lo, hi = _n1_range(params, m)
     model = CdfModel.for_params(params, model_kind)
-    curve = ack_curve(params)
+    curve = ack_curve(params).tolist()
     best_obj = math.inf
     best: tuple[int, ...] = ()
     for n1 in range(lo, hi + 1):
         candidate = _schedule_from_model(model, params.n, m, n1)
-        obj = _objective_on_curve(candidate, params.n, curve)
+        obj = objective(candidate, [curve[x] for x in candidate])
         if obj < best_obj:
             best_obj = obj
             best = candidate

@@ -38,7 +38,6 @@ import os
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -106,26 +105,13 @@ class Gf2Matrix:
         arr = np.asarray(a, dtype=np.uint8) & 1
         if arr.ndim != 2:
             raise ValueError("need a 2-d 0/1 array")
-        mat = cls(arr.shape[0], arr.shape[1], _pack_words(arr))
-        mat.__dict__["column_masks"] = _pack_words(np.ascontiguousarray(arr.T))
-        return mat
+        return cls(arr.shape[0], arr.shape[1], _pack_words(arr))
 
     @classmethod
     def sample(cls, rows: int, cols: int, rng: np.random.Generator) -> "Gf2Matrix":
         """Uniform i.i.d. fair-bit matrix."""
         bits = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
         return cls.from_array(bits)
-
-    @cached_property
-    def column_masks(self) -> tuple[int, ...]:
-        """Each column as an int over the row bits."""
-        out = []
-        for j in range(self.cols):
-            v = 0
-            for i, w in enumerate(self.bits):
-                v |= ((w >> j) & 1) << i
-            out.append(v)
-        return tuple(out)
 
 
 def _insertion_rows(bits: np.ndarray, erased: np.ndarray):

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here stays deliberately naive: dense 0/1 Gaussian elimination,
-full enumeration over matrices and erasure patterns, exact rationals, and
-quadrature for the Gaussian tail.  None of it shares code with the package.
+full enumeration over matrices and erasure patterns, exact rationals,
+quadrature for the Gaussian tail, and the channel laws term by term.  None
+of it shares code with the package.
 """
 
 from __future__ import annotations
@@ -89,6 +90,56 @@ def ack_fraction(k: int, n: int, t: int, epsilon: Fraction) -> Fraction:
         weight = epsilon ** sum(pattern) * (1 - epsilon) ** (t - sum(pattern))
         acc += weight * frac_by_missing[erased]
     return acc
+
+
+def observed_pmf(t: int, r: int, epsilon: float) -> float:
+    """Binomial chance of r unerased symbols among t transmitted ones."""
+    if t < 0:
+        raise ValueError(f"t must be a nonnegative integer, got {t}")
+    if r < 0 or r > t:
+        return 0.0
+    e = t - r
+    if epsilon == 0.0:
+        return 1.0 if e == 0 else 0.0
+    # binomial coefficients via log-gamma; direct factorials overflow near t ~ 100
+    logp = math.lgamma(t + 1) - math.lgamma(r + 1) - math.lgamma(e + 1)
+    logp += r * math.log1p(-epsilon)
+    if e:
+        logp += e * math.log(epsilon)
+    return math.exp(logp)
+
+
+def erasures_pmf(r: int, e: int, epsilon: float) -> float:
+    """Negative-binomial chance of e erasures before the r-th arrival."""
+    if r < 1:
+        raise ValueError(f"r must be a positive integer, got {r}")
+    if e < 0:
+        return 0.0
+    if epsilon == 0.0:
+        return 1.0 if e == 0 else 0.0
+    logp = math.lgamma(r + e) - math.lgamma(e + 1) - math.lgamma(r)
+    logp += r * math.log1p(-epsilon)
+    if e:
+        logp += e * math.log(epsilon)
+    return math.exp(logp)
+
+
+def round_length_convolution(k: int, n: int, epsilon: float) -> np.ndarray:
+    """Round-length pmf on k..n by convolving erasures with the decode point.
+
+    The decode point needs r received symbols with pmf 2**(k-r) P_s(r), from
+    the closed-form product; the round ends at t = r + e for k <= t < n, and
+    the rest of the mass sits at n.
+    """
+    d = n - k
+    decode_pmf = [2.0 ** (k - r) * math.prod(1.0 - 2.0 ** (l - d) for l in range(n - r))
+                  for r in range(k, n + 1)]
+    pmf = np.zeros(n - k + 1)
+    for t in range(k, n):
+        pmf[t - k] = sum(erasures_pmf(r, t - r, epsilon) * decode_pmf[r - k]
+                         for r in range(k, t + 1))
+    pmf[-1] = 1.0 - pmf[:-1].sum()
+    return pmf
 
 
 def gaussian_tail_quad(x: float) -> float:

@@ -17,16 +17,21 @@ from harqsdo import (
     decodable_count_pmf,
     decode_success_prob,
     decode_success_curve,
-    erasures_pmf,
     erdos_borwein_constant,
     expected_round_symbols,
-    observed_pmf,
+    objective,
     round_length_law,
     round_length_moments,
     throughput,
 )
 
-from oracles import ack_fraction, expected_stop_symbols
+from oracles import (
+    ack_fraction,
+    erasures_pmf,
+    expected_stop_symbols,
+    observed_pmf,
+    round_length_convolution,
+)
 
 
 class TestSchedule:
@@ -148,6 +153,30 @@ class TestAckProb:
         for t in range(11):
             assert curve[t] == ack_prob(p, t)
 
+    def test_curve_matches_binomial_mixture(self):
+        # independent route: sum_r P_s(r) P(r of t observed), term by term
+        for k, n in [(1, 6), (8, 24), (16, 70), (32, 120)]:
+            ps = [decode_success_prob(k, n, r) for r in range(n + 1)]
+            for eps in (0.0, 0.3, 0.5, 0.9):
+                curve = ack_curve(CodeParams(k, n, eps))
+                for t in range(n + 1):
+                    want = sum(ps[r] * observed_pmf(t, r, eps) for r in range(t + 1))
+                    assert abs(curve[t] - want) <= 1e-12, (k, n, eps, t)
+
+    def test_curve_is_read_only(self):
+        p = CodeParams(4, 12, 0.3)
+        curve = ack_curve(p)
+        before = curve.copy()
+        with pytest.raises(ValueError):
+            curve[6] = 0.5
+        assert np.array_equal(ack_curve(p), before)
+
+    def test_cache_follows_the_design_point(self):
+        a, b = CodeParams(4, 12, 0.3), CodeParams(4, 12, 0.5)
+        fresh = {p: ack_curve.__wrapped__(p) for p in (a, b)}
+        for p in (a, b, a, b):
+            assert np.array_equal(ack_curve(p), fresh[p])
+
 
 class TestRoundLengthLaw:
     def test_degenerate_point_mass(self):
@@ -163,6 +192,15 @@ class TestRoundLengthLaw:
     def test_normalized(self):
         law = round_length_law(CodeParams(4, 24, 0.5))
         assert float(law.pmf.sum()) == pytest.approx(1.0, abs=1e-10)
+
+    def test_matches_convolution(self):
+        # independent route: negative-binomial erasures convolved with the
+        # decode point, as the law was computed before it read the ACK curve
+        for k, n in [(1, 1), (1, 5), (4, 24), (8, 40), (32, 88), (16, 120)]:
+            for eps in (0.0, 0.3, 0.5, 0.9):
+                law = round_length_law(CodeParams(k, n, eps))
+                want = round_length_convolution(k, n, eps)
+                assert np.abs(law.pmf - want).max() <= 1e-12, (k, n, eps)
 
     def test_cdf_below_n_equals_ack(self):
         for k, n, eps in [(2, 8, 0.3), (4, 16, 0.5)]:
@@ -194,6 +232,24 @@ class TestRoundLengthMoments:
             want = decodable_count_moments(k, n)
             assert got.mean == pytest.approx(want.mean, abs=1e-10)
             assert got.variance == pytest.approx(want.variance, abs=1e-10)
+
+
+class TestObjective:
+    def test_telescoped_sum(self):
+        # 10 + (2 - 5) 0.25 + (5 - 10) 0.5
+        assert objective((2, 5, 10), (0.25, 0.5)) == 6.75
+        assert objective((2, 5, 10), (0.25, 0.5, 1.0)) == 6.75
+        assert objective((7,), ()) == 7.0
+
+    def test_real_valued_boundaries(self):
+        assert objective((1.5, 4.0), [0.5]) == pytest.approx(2.75, abs=1e-15)
+
+    def test_expected_round_symbols_reads_the_curve(self):
+        p = CodeParams(6, 30, 0.4)
+        sched = Schedule((5, 12, 20, 30))
+        curve = ack_curve(p)
+        want = objective(sched.boundaries, [curve[b] for b in sched.boundaries])
+        assert expected_round_symbols(p, sched) == want
 
 
 class TestExpectedRoundSymbols:

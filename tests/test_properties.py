@@ -6,7 +6,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from harqsdo import CodeParams, Schedule, ack_curve, exhaustive_search, expected_round_symbols, optimize
+from harqsdo import (
+    CodeParams,
+    Schedule,
+    ack_curve,
+    exhaustive_search,
+    expected_round_symbols,
+    optimize,
+    round_length_law,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -26,6 +34,16 @@ def test_ack_curve_is_a_monotone_probability(p):
     assert curve.min() >= 0.0 and curve.max() <= 1.0
     # monotone up to the rounding of the 1 - sum form, a few ulps of 1 per term
     assert np.all(np.diff(curve[p.k:]) >= -1e-13)
+
+
+@SETTINGS
+@given(design_points(max_k=64, max_extra=192))
+def test_round_length_law_is_a_pmf(p):
+    # where the curve is rounding noise it steps down by a few ulps; the law
+    # must neither go negative there nor gain mass from it
+    pmf = round_length_law(p).pmf
+    assert pmf.min() >= 0.0
+    assert abs(float(pmf.sum()) - 1.0) <= 1e-12
 
 
 @SETTINGS

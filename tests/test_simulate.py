@@ -39,9 +39,10 @@ class TestGf2Matrix:
         assert m.rows == 3 and m.cols == 4
         assert np.array_equal(to_array(m), a)
 
-    def test_column_masks(self):
+    def test_row_word_layout(self):
+        # bit j of row word i is entry (i, j)
         m = Gf2Matrix.from_array([[1, 0], [1, 1]])
-        assert m.column_masks == (0b11, 0b10)
+        assert m.bits == (0b01, 0b11)
 
     def test_wide_matrix_packing(self):
         # beyond one 63-bit packing chunk

@@ -22,19 +22,27 @@ erased ones first and then the received ones from right to left: the first
 insertion that depends on the earlier ones is L's column, and at most d + 1
 insertions are needed for d = n - k parity checks.  It row-reduces the d
 checks over the inserted columns, one column at a time for a whole block of
-trials in numpy, with the rows packed into ceil((d + 1) / 64) 64-bit words.
+trials in numpy.  The block is bit-sliced across trials: one 64-bit word
+holds one matrix entry of 64 trials, so every step is a bitwise operation
+on whole words whatever d is.  The pivot for column c is the first row
+that has bit c; XOR-ing it into every row with bit c also clears the pivot
+row itself, so a used row drops out without a mask of free rows.
 
 Trial i reads its own counter-based stream, trial_rng(seed, i), so serial
-and parallel runs agree bit for bit.  The kernel takes the stream's raw
-words in one call and reads them exactly as rng.integers(0, 2, (d, n),
-uint8) followed by rng.random(n) would, so the draws, and GENERATOR_NAME,
-are those of the plain per-trial loop kept in the tests as the reference.
+and parallel runs agree bit for bit.  A span of trials builds one Philox
+and re-points it at each trial's counter instead of building a generator
+per trial.  The kernel takes the stream's raw words in one call and reads
+them exactly as rng.integers(0, 2, (d, n), uint8) followed by
+rng.random(n) would, so the draws, and GENERATOR_NAME, are those of the
+plain per-trial loop kept in the tests as the reference.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import threading
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -59,10 +67,14 @@ __all__ = [
 
 GENERATOR_NAME = "philox4x64(key=seed, counter=[0, 0, trial, 0])"
 
-# Trials decoded together: each numpy step of the kernel serves this many.
-_BLOCK = 256
-# Trials drawn together; bounds the one-byte-per-bit draw to about 100 kB.
-_DRAW = 16
+# Trials decoded together: each numpy step of the kernel serves this many, 64
+# to a word.  Larger steps hand the interpreter lock between worker threads
+# less often; at k = 32, n = 88 a block holds two 200 kB arrays per thread.
+_BLOCK = 512
+# Trials drawn together, a multiple of 8 that divides 64 so each chunk fills
+# whole bytes of a lane word.  The draw takes one byte per matrix entry, about
+# 360 kB per chunk at k = 32, n = 88.
+_DRAW = 64
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -114,114 +126,158 @@ class Gf2Matrix:
         return cls.from_array(bits)
 
 
-def _insertion_rows(bits: np.ndarray, erased: np.ndarray):
-    """Each trial's parity checks over its columns in insertion order.
+def _stream(seed: int):
+    """words(i, count): the first count raw words of trial_rng(seed, i)'s stream.
+
+    One Philox serves every trial.  Assigning its state with counter
+    [0, 0, i, 0], the same key and an empty buffer puts it exactly where a
+    fresh Philox(key=seed, counter=[0, 0, i, 0]) starts, without building a
+    generator, and with it a SeedSequence, per trial.
+    """
+    bitgen = np.random.Philox(key=seed)
+    state = bitgen.state  # buffer empty; lists assign faster than its arrays
+    counter = [0, 0, 0, 0]
+    state["state"] = {"counter": counter, "key": state["state"]["key"].tolist()}
+    state["buffer"] = state["buffer"].tolist()
+
+    def words(i: int, count: int) -> np.ndarray:
+        counter[2] = i
+        bitgen.state = state
+        return bitgen.random_raw(count)
+
+    return words
+
+
+def _insertion_columns(bits: np.ndarray, erased: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each trial's parity checks over its inserted columns into out.
 
     bits is (T, d, n) 0/1 and erased is (T, n) bool.  The order is the erased
     columns ascending, then the received ones from right to left; only the
-    first s = min(d + 1, n) can matter.  Returns the rows packed word-major
-    as (W, T, d + 1) uint64, bit c for the c-th inserted column and a zero
-    row last, with the order (T, s) and the erased counts (T,).
+    first s = out.shape[0] can matter.  out is (s, d, >= ceil(T / 8)) uint8
+    and takes the columns bit-sliced across trials: bit t % 8 of
+    out[c, r, t // 8] is entry r of trial t's c-th inserted column.  Returns
+    the order, (T, s).
     """
     t, d, n = bits.shape
-    s = min(d + 1, n)
     j = np.arange(n)
-    order = np.argsort(np.where(erased, j, 2 * n - j), axis=1)[:, :s].astype(np.int32)
-    # one byte per bit, each row padded to whole words, then packed in one go
-    wide = np.zeros((t, d + 1, 64 * -(-s // 64)), dtype=np.uint8)
-    wide[:, :d, :s] = bits.transpose(0, 2, 1)[np.arange(t)[:, None], order].transpose(0, 2, 1)
-    rows = np.packbits(wide.reshape(-1), bitorder="little").view("<u8").reshape(t, d + 1, -1)
-    return rows.transpose(2, 0, 1), order, erased.sum(axis=1)
+    order = np.argsort(np.where(erased, j, 2 * n - j), axis=1)[:, : out.shape[0]]
+    by_column = bits.transpose(0, 2, 1)
+    lanes = np.zeros((-(-t // 8), out.shape[0], d), dtype=np.uint8)
+    for k in range(min(t, 8)):  # trials k, k + 8, ... fill bit k of their bytes
+        trials = np.arange(k, t, 8)
+        part = by_column[trials[:, None], order[trials]]
+        part <<= k
+        lanes[: len(trials)] |= part
+    out[:, :, : len(lanes)] = lanes.transpose(1, 2, 0)
+    return order
 
 
-def _first_dependent(rows: np.ndarray, s: int) -> np.ndarray:
-    """Index of each trial's first inserted column that depends on earlier ones.
+def _first_dependent(cols: np.ndarray) -> np.ndarray:
+    """Index of each lane's first column that depends on the columns before it.
 
-    rows is _insertion_rows' (W, T, d + 1) array, which this overwrites.
-    Gaussian elimination runs column by column, the same column for every
-    trial at each step: column c is independent of columns 0..c-1 iff a row
-    not yet used as a pivot has bit c set.  Returns s for a trial whose s
-    columns are all independent.
+    cols is (s, G, d) little-endian uint64, bit-sliced across 64 G lanes:
+    bit l of cols[c, g, r] is entry r of column c of lane 64 g + l.  It is
+    overwritten.  Gaussian elimination runs column by column for all lanes
+    at once: column c is independent of columns 0..c-1 iff some row has bit
+    c, and the first such row is the pivot.  XOR-ing the pivot row (picked
+    out of each lane by a one-hot row mask) into every row that has bit c
+    clears that bit, and clears the pivot row itself, so no used row is
+    picked again.  Returns (64 G,) indices, s for
+    a lane whose s columns are all independent.
     """
-    _, t, d1 = rows.shape
-    d = d1 - 1
-    trial = np.arange(t)
-    free = np.ones((t, d1), dtype=bool)
-    cand = np.empty((t, d1), dtype=bool)
-    update = np.empty_like(rows)
-    first = np.full(t, s)
+    s, g, d = cols.shape
+    seen = np.zeros((g, d + 1), dtype="<u8")  # seen[:, r + 1]: rows 0..r have bit c
+    below, upto, found = seen[:, :-1], seen[:, 1:], seen[:, d]
+    pivot = np.empty((g, d), dtype="<u8")
+    update = np.empty_like(cols)
+    # independent[c]: the lanes whose columns 0..c-1 are independent
+    independent = np.zeros((s + 1, g), dtype="<u8")
+    independent[0] = ~np.uint64(0)
     for c in range(s):
-        word, bit = divmod(c, 64)
-        np.bitwise_and(rows[word], np.uint64(1 << bit), out=cand, casting="unsafe")
-        cand &= free
-        cand[:, d] = True  # the zero row is the pivot only when no row has bit c
-        piv = cand.argmax(axis=1)
-        np.minimum(first, np.where(piv == d, c, s), out=first)
-        cand[:, d] = False
-        cand[trial, piv] = False
-        free[trial, piv] = False
-        np.multiply(rows[:, trial, piv][:, :, None], cand, out=update)
-        rows ^= update
-        if first.max() < s:
-            break
-    return first
+        has = cols[c]
+        np.bitwise_or.accumulate(has, axis=1, out=upto)
+        np.bitwise_and(independent[c], found, out=independent[c + 1])
+        np.bitwise_xor(upto, below, out=pivot)
+        rest, part = cols[c + 1 :], update[c + 1 :]
+        np.bitwise_and(rest, pivot, out=part)
+        np.bitwise_and(np.bitwise_or.reduce(part, axis=2)[:, :, None], has, out=part)
+        rest ^= part
+    independent[:-1] ^= independent[1:]  # row c < s: the lanes whose answer is c
+    return np.unpackbits(independent.view(np.uint8), axis=1, bitorder="little").argmax(axis=0)
 
 
-def _times(rows: np.ndarray, order: np.ndarray, n_erased: np.ndarray, n: int) -> np.ndarray:
-    """Decode times L from _insertion_rows' output; needs d < n."""
-    first = _first_dependent(rows, order.shape[1])
-    col = np.take_along_axis(order, first[:, None], axis=1)[:, 0]
+def _times(first: np.ndarray, order: np.ndarray, n_erased: np.ndarray, n: int) -> np.ndarray:
+    """Decode times L from each trial's first dependent column; needs d < n."""
+    col = order[np.arange(len(order)), first].astype(np.intp)  # order may be uint8
     return np.where(first < n_erased, n + 1, col + 1)
 
 
-def _draw(seed: int, lo: int, hi: int, d: int, n: int, matrix_reuse: int):
+def _draw(words, lo: int, hi: int, d: int, n: int, matrix_reuse: int):
     """Parity-check bits (T, d, n) and channel uniforms (T, n) of trials lo..hi-1.
 
-    The same values as rng.integers(0, 2, (d, n), uint8) followed by
-    rng.random(n) on rng = trial_rng(seed, i), read from the stream's raw
-    64-bit words.  The bounded integer draw takes one byte per entry, in
-    little-endian order within each word, and keeps the byte's top bit;
-    ceil(d n / 8) words hold the matrix.  A uniform is the next word's top 53
-    bits times 2**-53.  With matrix_reuse > 1 the uniforms come from the
-    first n words of stream i and the matrix from stream i - i % matrix_reuse.
+    words is a _stream(seed).  The same values as rng.integers(0, 2, (d, n),
+    uint8) followed by rng.random(n) on rng = trial_rng(seed, i), read from
+    the stream's raw 64-bit words.  The bounded integer draw takes one byte
+    per entry, in little-endian order within each word, and keeps the byte's
+    top bit; ceil(d n / 8) words hold the matrix.  A uniform is the next
+    word's top 53 bits times 2**-53.  With matrix_reuse > 1 the uniforms come
+    from the first n words of stream i and the matrix from stream
+    i - i % matrix_reuse.
     """
     nm = -(-d * n // 8)
-
-    def raw(i: int, count: int) -> np.ndarray:
-        return trial_rng(seed, i).bit_generator.random_raw(count)
-
     if matrix_reuse == 1:
-        words = np.empty((hi - lo, nm + n), dtype=np.uint64)
+        raw = np.empty((hi - lo, nm + n), dtype=np.uint64)
         for row, i in enumerate(range(lo, hi)):
-            words[row] = raw(i, nm + n)
-        code, chan = words[:, :nm], words[:, nm:]
+            raw[row] = words(i, nm + n)
+        code, chan = raw[:, :nm], raw[:, nm:]
     else:
         base = lo - lo % matrix_reuse
-        codes = [raw(b, nm) for b in range(base, hi, matrix_reuse)]
+        codes = [words(b, nm) for b in range(base, hi, matrix_reuse)]
         code = np.stack([codes[(i - base) // matrix_reuse] for i in range(lo, hi)])
-        chan = np.stack([raw(i, n) for i in range(lo, hi)])
+        chan = np.stack([words(i, n) for i in range(lo, hi)])
+    uniforms = (chan >> np.uint64(11)) * 2.0 ** -53
     entries = code.astype("<u8", copy=False).view(np.uint8)[:, : d * n]
-    return entries.reshape(hi - lo, d, n) >> 7, (chan >> np.uint64(11)) * 2.0 ** -53
-
-
-def _block_times(params: CodeParams, seed: int, lo: int, hi: int,
-                 matrix_reuse: int) -> np.ndarray:
-    """Decode times of trials lo..hi-1, decoded as one block."""
-    d, n = params.n - params.k, params.n
-    parts = []
-    for a in range(lo, hi, _DRAW):
-        bits, uniforms = _draw(seed, a, min(a + _DRAW, hi), d, n, matrix_reuse)
-        parts.append(_insertion_rows(bits, uniforms < params.epsilon))
-    rows, order, n_erased = zip(*parts)
-    return _times(np.concatenate(rows, axis=1), np.concatenate(order),
-                  np.concatenate(n_erased), n)
+    return np.right_shift(entries, 7, out=entries).reshape(hi - lo, d, n), uniforms
 
 
 def _span_times(params: CodeParams, seed: int, start: int, stop: int,
-                matrix_reuse: int = 1):
-    """Decode times of trials start..stop-1, one array per block of _BLOCK."""
+                matrix_reuse: int = 1, draw_lock=contextlib.nullcontext()):
+    """Decode times of trials start..stop-1, one array per block of _BLOCK.
+
+    The span reads every stream through one _stream and packs each draw
+    chunk's columns straight into one block array, reused block to block.
+    Spans that run at once share draw_lock, so only one of them draws at a
+    time: a draw releases the interpreter lock once per trial, and two
+    threads drawing together hand it back and forth at that rate.
+    """
+    d, n = params.n - params.k, params.n
+    words = _stream(seed)
+    words_per_column = -(-min(_BLOCK, stop - start) // 64)
+    cols = np.empty((d + 1, words_per_column, d), dtype="<u8")
+    col_bytes = cols.view(np.uint8).reshape(d + 1, words_per_column, d, 8)
+    order = np.empty((64 * words_per_column, d + 1), dtype=np.min_scalar_type(n - 1))
+    n_erased = np.empty(64 * words_per_column, dtype=np.intp)
     for lo in range(start, stop, _BLOCK):
-        yield _block_times(params, seed, lo, min(lo + _BLOCK, stop), matrix_reuse)
+        t = min(_BLOCK, stop - lo)
+        for a in range(0, t, _DRAW):
+            b = min(a + _DRAW, t)
+            with draw_lock:
+                bits, uniforms = _draw(words, lo + a, lo + b, d, n, matrix_reuse)
+            erased = uniforms < params.epsilon
+            out = col_bytes[:, a // 64, :, a % 64 // 8 :]
+            order[a:b] = _insertion_columns(bits, erased, out)
+            n_erased[a:b] = erased.sum(axis=1)
+            del bits, uniforms  # one chunk's draw alive at a time
+        first = _first_dependent(cols[:, : -(-t // 64)])[:t]
+        yield _times(first, order[:t], n_erased[:t], n)
+
+
+def _one_trial(bits: np.ndarray, erased: np.ndarray, s: int):
+    """First dependent insertion, (1,), and order, (1, s), of one (d, n) matrix's first s."""
+    d = bits.shape[0]
+    cols = np.zeros((s, 1, d), dtype="<u8")
+    order = _insertion_columns(bits[None], erased[None], cols.view(np.uint8).reshape(s, d, 8))
+    return _first_dependent(cols)[:1], order
 
 
 def is_decodable(matrix: Gf2Matrix, erased) -> bool:
@@ -233,12 +289,12 @@ def is_decodable(matrix: Gf2Matrix, erased) -> bool:
     raw = b"".join(w.to_bytes(nbytes, "little") for w in matrix.bits)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(matrix.rows, nbytes),
                          axis=1, count=matrix.cols, bitorder="little")
-    flags = np.zeros((1, matrix.cols), dtype=bool)
-    flags[0, idx] = True
-    rows, order, n_erased = _insertion_rows(bits[None], flags)
+    flags = np.zeros(matrix.cols, dtype=bool)
+    flags[idx] = True
     # the erased columns go in first, so they are independent iff none of them is
-    # the first dependent column
-    return bool(_first_dependent(rows, order.shape[1])[0] >= n_erased[0])
+    # the first dependent column; d + 1 of them never are
+    first, _ = _one_trial(bits, flags, min(len(idx), matrix.rows + 1))
+    return bool(first[0] >= len(idx))
 
 
 @dataclass(frozen=True)
@@ -258,7 +314,8 @@ def simulate_round(params: CodeParams, schedule: Schedule,
     n = params.n
     bits = rng.integers(0, 2, size=(n - params.k, n), dtype=np.uint8)
     erased = rng.random(n) < params.epsilon
-    t = int(_times(*_insertion_rows(bits[None], erased[None]), n)[0])
+    first, order = _one_trial(bits, erased, n - params.k + 1)
+    t = int(_times(first, order, erased[None].sum(axis=1), n)[0])
     b = schedule.boundaries
     stop = min(bisect_left(b, t), len(b) - 1)
     edges = (0,) + b[: stop + 1]
@@ -322,10 +379,10 @@ def _plan_spans(trials: int, workers: int, cpus: int) -> list[tuple[int, int]]:
 
 
 def _time_counts(params: CodeParams, seed: int, span: tuple[int, int],
-                 matrix_reuse: int) -> np.ndarray:
+                 matrix_reuse: int, draw_lock) -> np.ndarray:
     """How many trials of the span have each decode time 0..n+1."""
     counts = np.zeros(params.n + 2, dtype=np.int64)
-    for times in _span_times(params, seed, *span, matrix_reuse):
+    for times in _span_times(params, seed, *span, matrix_reuse, draw_lock):
         counts += np.bincount(times, minlength=params.n + 2)
     return counts
 
@@ -337,7 +394,8 @@ def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
     All accumulators are exact integers, so the report is bit-identical for
     any number of workers.  The trials split into min(workers, usable CPUs,
     trials) contiguous spans, each decoded on its own thread in blocks of
-    256 trials; the calling thread takes the first span.  matrix_reuse > 1
+    512 trials; the calling thread takes the first span, and the spans take
+    turns to draw.  matrix_reuse > 1
     shares one sampled code across that many consecutive erasure draws; this
     is a variance-reduction mode that departs from the fresh-code-per-round
     model.
@@ -351,9 +409,11 @@ def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
     spans = _plan_spans(trials, workers, _usable_cpus())
     # the calling thread decodes the first span itself, so only the others
     # need a thread, and with it a malloc arena of their own
+    draw_lock = threading.Lock()
     with ThreadPoolExecutor(max_workers=max(1, len(spans) - 1)) as pool:
-        rest = pool.map(lambda s: _time_counts(params, seed, s, matrix_reuse), spans[1:])
-        parts = [_time_counts(params, seed, spans[0], matrix_reuse), *rest]
+        rest = pool.map(lambda s: _time_counts(params, seed, s, matrix_reuse, draw_lock),
+                        spans[1:])
+        parts = [_time_counts(params, seed, spans[0], matrix_reuse, draw_lock), *rest]
     b = schedule.boundaries
     m = schedule.m
     sum_ns = 0

@@ -27,9 +27,47 @@ from harqsdo import (
 )
 
 import harqsdo.simulate as simulate_module
-from harqsdo.simulate import _block_times, _draw, _plan_spans, _usable_cpus
+from harqsdo.simulate import (
+    _BLOCK,
+    _DRAW,
+    _draw,
+    _first_dependent,
+    _plan_spans,
+    _span_times,
+    _stream,
+    _usable_cpus,
+)
 
-from oracles import dense_rank_mod2, gf2_rank, reference_rounds, to_array
+from oracles import dense_rank_mod2, gf2_rank, philox_trial, reference_rounds, to_array
+
+
+def _lanes(mats) -> np.ndarray:
+    """Bit-slice (d, s) 0/1 matrices into _first_dependent's (s, G, d) layout.
+
+    Bit l % 64 of word [c, l // 64, r] is entry (r, c) of matrix l; lanes past
+    the last matrix stay zero.
+    """
+    mats = np.asarray(mats, dtype=np.uint64)
+    count, d, s = mats.shape
+    cols = np.zeros((s, -(-count // 64), d), dtype="<u8")
+    for lane, m in enumerate(mats):
+        cols[:, lane // 64] |= m.T << np.uint64(lane % 64)
+    return cols
+
+
+def _first_dependent_by_rank(m: np.ndarray) -> int:
+    """First column of m whose prefix loses full column rank, by oracles.gf2_rank.
+
+    A prefix that loses full rank never regains it, so a bisection finds it.
+    """
+    lo, hi = 0, m.shape[1]  # the answer lies in lo..hi
+    while lo < hi:
+        c = (lo + hi) // 2
+        if gf2_rank(Gf2Matrix.from_array(m[:, : c + 1])) < c + 1:
+            hi = c
+        else:
+            lo = c + 1
+    return lo
 
 
 class TestGf2Matrix:
@@ -298,23 +336,95 @@ class TestDecodeTimeKernel:
         n = k + d
         rounds = reference_rounds(k, n, eps, range(k, n + 1), trials, seed, matrix_reuse)
         want = [sent if ok else n + 1 for _, sent, ok, _ in rounds]
-        got = _block_times(CodeParams(k, n, eps), seed, 0, trials, matrix_reuse)
+        got = np.concatenate(list(_span_times(CodeParams(k, n, eps), seed, 0, trials,
+                                              matrix_reuse)))
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("k, n", [(250, 255), (250, 256), (251, 257)])
+    def test_decode_times_near_a_byte_of_columns(self, k, n):
+        # L reaches n and n + 1 here, and column indices pass 255 at n > 256
+        trials, seed = 300, 3
+        rounds = reference_rounds(k, n, 0.01, range(k, n + 1), trials, seed)
+        want = [sent if ok else n + 1 for _, sent, ok, _ in rounds]
+        got = np.concatenate(list(_span_times(CodeParams(k, n, 0.01), seed, 0, trials)))
+        assert {n, n + 1} <= set(want)
         assert got.tolist() == want
 
     @pytest.mark.parametrize("d, n", [(1, 2), (3, 5), (7, 12), (7, 13), (56, 88), (65, 70)])
     def test_raw_word_draw_matches_generator_calls(self, d, n):
         # d * n covers 2, 15, 84, 91, 4928 and 4550: every residue class that
-        # decides how the byte draw splits over 32- and 64-bit words
-        bits, uniforms = _draw(11, 5, 9, d, n, 1)
-        for row, i in enumerate(range(5, 9)):
-            rng = trial_rng(11, i)
-            assert np.array_equal(bits[row], rng.integers(0, 2, size=(d, n), dtype=np.uint8))
-            assert np.array_equal(uniforms[row], rng.random(n))
-        bits, uniforms = _draw(11, 5, 12, d, n, 3)
-        for row, i in enumerate(range(5, 12)):
-            code = trial_rng(11, i - i % 3).integers(0, 2, size=(d, n), dtype=np.uint8)
-            assert np.array_equal(bits[row], code)
-            assert np.array_equal(uniforms[row], trial_rng(11, i).random(n))
+        # decides how the byte draw splits over 32- and 64-bit words.  The
+        # seeds use no key word, the low one, both, and every bit of both;
+        # lo = 5 is no multiple of _DRAW, _BLOCK or matrix_reuse 3, and one
+        # re-pointed stream serves both draws, so the second revisits streams
+        # 3 and 5..8 out of order.
+        assert 5 % _DRAW and 5 % _BLOCK and 5 % 3
+        for seed in (0, 11, 2 ** 64 + 5, 2 ** 128 - 1):
+            words = _stream(seed)
+            bits, uniforms = _draw(words, 5, 9, d, n, 1)
+            for row, i in enumerate(range(5, 9)):
+                rng = philox_trial(seed, i)
+                assert np.array_equal(bits[row], rng.integers(0, 2, size=(d, n), dtype=np.uint8))
+                assert np.array_equal(uniforms[row], rng.random(n))
+            bits, uniforms = _draw(words, 5, 12, d, n, 3)
+            for row, i in enumerate(range(5, 12)):
+                code = philox_trial(seed, i - i % 3).integers(0, 2, size=(d, n), dtype=np.uint8)
+                assert np.array_equal(bits[row], code)
+                assert np.array_equal(uniforms[row], philox_trial(seed, i).random(n))
+
+    def test_one_bit_generator_per_span(self, monkeypatch):
+        built = []
+
+        class CountingPhilox(np.random.Philox):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        p = CodeParams(32, 88, 0.5)
+        s = Schedule((61, 68, 75, 88))
+        want = estimate(p, s, 3000, 7, workers=2)
+        monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+        assert estimate(p, s, 3000, 7, workers=2) == want
+        assert 1 <= len(built) <= len(_plan_spans(3000, 2, _usable_cpus()))
+
+    @pytest.mark.parametrize("d, s, want", [(5, 6, 0), (1, 1, 0), (0, 1, 0)])
+    def test_all_zero_columns_depend_at_once(self, d, s, want):
+        first = _first_dependent(_lanes(np.zeros((3, d, s))))
+        assert first.tolist() == [want] * 64
+        assert _first_dependent_by_rank(np.zeros((d, s))) == want
+
+    @pytest.mark.parametrize("d", [1, 6, 64, 65])
+    def test_identity_has_no_dependency_before_d(self, d):
+        square = np.eye(d, dtype=np.uint8)
+        extra = np.hstack([square, np.ones((d, 1), dtype=np.uint8)])
+        # d columns are all independent (the answer is s = d); a (d+1)-th must depend
+        assert _first_dependent(_lanes([square]))[0] == d
+        assert _first_dependent(_lanes([extra]))[0] == d
+        assert _first_dependent_by_rank(square) == d == _first_dependent_by_rank(extra)
+
+    @pytest.mark.parametrize("at", [63, 64])
+    def test_duplicate_column_either_side_of_a_word(self, at):
+        # columns 0..at-1 independent, column `at` repeats column at-1 (lane 0)
+        # or column 0 (lane 1); the other lanes keep the columns independent
+        d = 70
+        base = np.eye(d, dtype=np.uint8)[:, : at + 1]
+        last, first_col = base.copy(), base.copy()
+        last[:, at] = base[:, at - 1]
+        first_col[:, at] = base[:, 0]
+        mats = [last, first_col] + [base] * 68
+        got = _first_dependent(_lanes(mats))
+        want = [_first_dependent_by_rank(m) for m in mats]
+        assert want[:3] == [at, at, at + 1]
+        assert got[: len(mats)].tolist() == want
+
+    @pytest.mark.parametrize("d", [1, 7, 63, 64, 65])
+    def test_random_lanes_match_rank_oracle(self, d):
+        # d + 1 = 65 inserted columns need a second word in a row-packed form
+        rng = np.random.default_rng(d)
+        mats = rng.integers(0, 2, size=(70, d, d + 1), dtype=np.uint8)
+        mats[::3, :, d // 2] = 0  # a zero column midway in every third lane
+        got = _first_dependent(_lanes(mats))
+        assert got[:70].tolist() == [_first_dependent_by_rank(m) for m in mats]
 
     @pytest.mark.parametrize("matrix_reuse", [1, 8])
     def test_estimate_matches_reference_accumulators(self, matrix_reuse):

@@ -5,7 +5,7 @@ by the rank condition, and the aggregate estimates are checked against the
 closed-form ACK probabilities and expected round cost.
 """
 
-import math
+from bisect import bisect_left
 
 from harqsdo import (
     CodeParams,
@@ -17,8 +17,7 @@ from harqsdo import (
     exhaustive_search,
     expected_round_symbols,
     sample_decode_counts,
-    simulate_round,
-    trial_rng,
+    sample_round_lengths,
 )
 
 params = CodeParams(k=8, n=24, epsilon=0.5)
@@ -26,11 +25,12 @@ schedule = exhaustive_search(params, 3).schedule
 print(f"schedule under test: {schedule.boundaries} (seeded, reproducible)")
 
 print("\nfirst three simulated rounds (seed 2026):")
-for i in range(3):
-    out = simulate_round(params, schedule, trial_rng(2026, i))
-    print(f"  trial {i}: stopped at block {out.last_block_index} "
-          f"({out.symbols_sent} symbols), success={out.success}, "
-          f"erasures per block={out.erased_count_per_block}")
+lengths, success = sample_round_lengths(params, 3, 2026)
+for i, (length, ok) in enumerate(zip(lengths.tolist(), success.tolist())):
+    # the round stops at the first boundary that reaches its length
+    block = bisect_left(schedule.boundaries, length)
+    print(f"  trial {i}: round length {length}, stopped at block {block + 1} "
+          f"({schedule.boundaries[block]} symbols), success={ok}")
 
 trials = 20000
 report = estimate(params, schedule, trials, 2026)

@@ -37,13 +37,9 @@ from .sdo import (
     exhaustive_search,
 )
 from .simulate import (
-    Gf2Matrix,
-    RoundOutcome,
     EstimateReport,
     GENERATOR_NAME,
     trial_rng,
-    is_decodable,
-    simulate_round,
     estimate,
     sample_decode_counts,
     sample_round_lengths,

@@ -29,7 +29,7 @@ from .codes import (
 )
 from .channel import Schedule, ack_curve, round_length_law
 from .sdo import CdfModel, OptimizerReport, exhaustive_search, optimize
-from .simulate import estimate
+from .simulate import _first_dependent, estimate
 
 __all__ = ["RunConfig", "main", "run_validate"]
 
@@ -244,8 +244,6 @@ def run_simulate(cfg: RunConfig) -> tuple[list[str], list[dict]]:
 
 def _validation_checks() -> list[dict]:
     """Named numeric checks over the analytic layers; desk scale, deterministic."""
-    import itertools
-
     import numpy as np
 
     checks: list[dict] = []
@@ -272,29 +270,28 @@ def _validation_checks() -> list[dict]:
     ident = abs(overhead_moment(2) - overhead_moment(1) ** 2 - overhead_moment(1) - c1)
     add("overhead_variance_identity", ident, 1e-10, ident <= 1e-10)
 
-    # exact enumeration of Eq.-style success fractions at n <= 5
+    # exact enumeration of Eq.-style success fractions at n <= 5: each
+    # (d, c) matrix is one bit-sliced lane of the decode kernel, entry (r, j)
+    # of lane L being bit j d + r of L.  Bit b < 6 of L is bit b of L's place
+    # in its 64-lane word, a fixed pattern; bit b >= 6 fills whole words.
     from fractions import Fraction
 
-    def _indep(cols_bits: tuple[int, ...]) -> bool:
-        basis: list[int] = []
-        for v in cols_bits:
-            for b in basis:
-                v = min(v, v ^ b)
-            if v == 0:
-                return False
-            basis.append(v)
-        return True
-
+    patterns = [sum(1 << lane for lane in range(64) if lane >> b & 1) for b in range(6)]
     worst = Fraction(0)
     for nn in range(1, 6):
         for kk in range(1, nn + 1):
             dd = nn - kk
             for rr in range(0, nn + 1):
                 cc = nn - rr
-                total = 0
-                for cols_bits in itertools.product(range(2 ** dd), repeat=cc):
-                    total += _indep(cols_bits)
-                frac = Fraction(total, 2 ** (dd * cc))
+                count = 2 ** (dd * cc)
+                group = np.arange(-(-count // 64), dtype="<u8")
+                cols = np.empty((cc, len(group), dd), dtype="<u8")
+                for b in range(dd * cc):
+                    j, r = divmod(b, dd)
+                    cols[j, :, r] = (patterns[b] if b < 6 else
+                                     np.where(group >> (b - 6) & 1, ~np.uint64(0), 0))
+                total = int(np.count_nonzero(_first_dependent(cols)[:count] == cc))
+                frac = Fraction(total, count)
                 diff = abs(Fraction(decode_success_prob(kk, nn, rr)) - frac)
                 worst = max(worst, diff)
     add("success_prob_exact_small", float(worst), 0.0, worst == 0)
@@ -539,8 +536,15 @@ def build_config(argv) -> RunConfig:
     args = _build_parser().parse_args(argv)
     settings: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            settings.update(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except OSError as err:
+            raise ValueError(f"cannot read config {args.config}: {err.strerror}") from None
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object, "
+                             f"got {type(loaded).__name__}")
+        settings.update(loaded)
     if args.command:
         settings["command"] = args.command
     overrides = {

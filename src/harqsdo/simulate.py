@@ -15,7 +15,6 @@ thing the kernel computes, and everything else is a view of it:
   when L = n + 1; the report is aggregated in exact integers.
 - sample_round_lengths: (min(L, n), L <= n).
 - sample_decode_counts: L on a lossless channel.
-- simulate_round: L of one round drawn from the caller's generator.
 
 The kernel finds L by inserting each trial's columns in a fixed order, the
 erased ones first and then the received ones from right to left: the first
@@ -53,13 +52,9 @@ from .codes import CodeParams, _integral
 from .channel import Schedule, _check_schedule
 
 __all__ = [
-    "Gf2Matrix",
-    "RoundOutcome",
     "EstimateReport",
     "GENERATOR_NAME",
     "trial_rng",
-    "is_decodable",
-    "simulate_round",
     "estimate",
     "sample_decode_counts",
     "sample_round_lengths",
@@ -80,50 +75,6 @@ _DRAW = 64
 def trial_rng(seed: int, index: int) -> np.random.Generator:
     """Independent per-trial stream; a pure function of (seed, index)."""
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
-
-
-def _pack_words(bits: np.ndarray) -> tuple[int, ...]:
-    """Pack the rows of a 0/1 array into ints, bit j = column j."""
-    nrows, ncols = bits.shape
-    words: list[int] | None = None
-    for start in range(0, ncols, 63):
-        chunk = bits[:, start : start + 63].astype(np.uint64)
-        weights = np.uint64(1) << np.arange(chunk.shape[1], dtype=np.uint64)
-        part = (chunk * weights).sum(axis=1, dtype=np.uint64).tolist()
-        if words is None:
-            words = part
-        else:
-            words = [w | (x << start) for w, x in zip(words, part)]
-    return tuple(words) if words is not None else (0,) * nrows
-
-
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Binary matrix stored as one packed word per row (bit j = entry i,j)."""
-
-    rows: int
-    cols: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bits) != self.rows:
-            raise ValueError(f"expected {self.rows} row words, got {len(self.bits)}")
-        limit = 1 << self.cols
-        if any(not 0 <= w < limit for w in self.bits):
-            raise ValueError("row word has bits outside the column range")
-
-    @classmethod
-    def from_array(cls, a) -> "Gf2Matrix":
-        arr = np.asarray(a, dtype=np.uint8) & 1
-        if arr.ndim != 2:
-            raise ValueError("need a 2-d 0/1 array")
-        return cls(arr.shape[0], arr.shape[1], _pack_words(arr))
-
-    @classmethod
-    def sample(cls, rows: int, cols: int, rng: np.random.Generator) -> "Gf2Matrix":
-        """Uniform i.i.d. fair-bit matrix."""
-        bits = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
-        return cls.from_array(bits)
 
 
 def _stream(seed: int):
@@ -272,57 +223,6 @@ def _span_times(params: CodeParams, seed: int, start: int, stop: int,
         yield _times(first, order[:t], n_erased[:t], n)
 
 
-def _one_trial(bits: np.ndarray, erased: np.ndarray, s: int):
-    """First dependent insertion, (1,), and order, (1, s), of one (d, n) matrix's first s."""
-    d = bits.shape[0]
-    cols = np.zeros((s, 1, d), dtype="<u8")
-    order = _insertion_columns(bits[None], erased[None], cols.view(np.uint8).reshape(s, d, 8))
-    return _first_dependent(cols)[:1], order
-
-
-def is_decodable(matrix: Gf2Matrix, erased) -> bool:
-    """True iff the columns at the erased indices are linearly independent."""
-    idx = sorted(set(erased))
-    if idx and (idx[0] < 0 or idx[-1] >= matrix.cols):
-        raise ValueError(f"erased index out of range for {matrix.cols} columns")
-    nbytes = -(-matrix.cols // 8)
-    raw = b"".join(w.to_bytes(nbytes, "little") for w in matrix.bits)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(matrix.rows, nbytes),
-                         axis=1, count=matrix.cols, bitorder="little")
-    flags = np.zeros(matrix.cols, dtype=bool)
-    flags[idx] = True
-    # the erased columns go in first, so they are independent iff none of them is
-    # the first dependent column; d + 1 of them never are
-    first, _ = _one_trial(bits, flags, min(len(idx), matrix.rows + 1))
-    return bool(first[0] >= len(idx))
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    """One simulated round: stop block, symbols sent, outcome, erasures seen."""
-
-    last_block_index: int
-    symbols_sent: int
-    success: bool
-    erased_count_per_block: tuple[int, ...]
-
-
-def simulate_round(params: CodeParams, schedule: Schedule,
-                   rng: np.random.Generator) -> RoundOutcome:
-    """Run one protocol round with a freshly sampled code and erasure pattern."""
-    _check_schedule(params, schedule)
-    n = params.n
-    bits = rng.integers(0, 2, size=(n - params.k, n), dtype=np.uint8)
-    erased = rng.random(n) < params.epsilon
-    first, order = _one_trial(bits, erased, n - params.k + 1)
-    t = int(_times(first, order, erased[None].sum(axis=1), n)[0])
-    b = schedule.boundaries
-    stop = min(bisect_left(b, t), len(b) - 1)
-    edges = (0,) + b[: stop + 1]
-    counts = tuple(int(erased[x:y].sum()) for x, y in zip(edges, edges[1:]))
-    return RoundOutcome(stop + 1, b[stop], t <= n, counts)
-
-
 @dataclass(frozen=True)
 class EstimateReport:
     """Aggregated simulation estimates; identical for any worker split."""
@@ -351,15 +251,21 @@ class EstimateReport:
         }
 
 
-def _check_run(trials, seed) -> tuple[int, int]:
-    """(trials, seed) as ints, or ValueError before any trial is drawn."""
+def _check_run(trials, seed, workers=1, matrix_reuse=1) -> tuple[int, int, int, int]:
+    """(trials, seed, workers, matrix_reuse) as ints, or ValueError before any trial is drawn."""
     trials = _integral("trials", trials)
     seed = _integral("seed", seed)
+    workers = _integral("workers", workers)
+    matrix_reuse = _integral("matrix_reuse", matrix_reuse)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2 ** 128:
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed}")
-    return trials, seed
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if matrix_reuse < 1:
+        raise ValueError(f"matrix_reuse must be >= 1, got {matrix_reuse}")
+    return trials, seed, workers, matrix_reuse
 
 
 def _usable_cpus() -> int:
@@ -400,11 +306,7 @@ def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
     is a variance-reduction mode that departs from the fresh-code-per-round
     model.
     """
-    trials, seed = _check_run(trials, seed)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if matrix_reuse < 1:
-        raise ValueError(f"matrix_reuse must be >= 1, got {matrix_reuse}")
+    trials, seed, workers, matrix_reuse = _check_run(trials, seed, workers, matrix_reuse)
     _check_schedule(params, schedule)
     spans = _plan_spans(trials, workers, _usable_cpus())
     # the calling thread decodes the first span itself, so only the others
@@ -452,7 +354,7 @@ def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
 
 
 def _sample_times(params: CodeParams, trials: int, seed: int) -> np.ndarray:
-    trials, seed = _check_run(trials, seed)
+    trials, seed, _, _ = _check_run(trials, seed)
     return np.concatenate(list(_span_times(params, seed, 0, trials)))
 
 
@@ -471,9 +373,9 @@ def sample_round_lengths(params: CodeParams, trials: int,
     """Symbol-by-symbol round lengths over the lossy channel.
 
     Returns (lengths, success flags); a round that cannot decode even with
-    everything received ends at n with success False.  Draws match
-    simulate_round's layout, so the same (seed, index) yields the same code
-    and erasure pattern in either mode.
+    everything received ends at n with success False.  Trial i is trial i of
+    estimate with the same seed: the same code and erasure pattern, so its
+    first boundary n_j >= length is the block at which that round stops.
     """
     times = _sample_times(params, trials, seed)
     return np.minimum(times, params.n), times <= params.n

@@ -22,17 +22,14 @@ def dense_rank_mod2(a: np.ndarray) -> int:
     rank = 0
     row = 0
     for col in range(cols):
-        pivot = None
-        for r in range(row, rows):
-            if work[r, col]:
-                pivot = r
-                break
-        if pivot is None:
+        below = np.flatnonzero(work[row:, col])
+        if below.size == 0:
             continue
+        pivot = row + below[0]
         work[[row, pivot]] = work[[pivot, row]]
-        for r in range(rows):
-            if r != row and work[r, col]:
-                work[r] ^= work[row]
+        others = work[:, col] == 1
+        others[row] = False
+        work[others] ^= work[row]
         rank += 1
         row += 1
         if row == rows:
@@ -205,39 +202,6 @@ def enumerate_best_interior(curve: np.ndarray, k: int, n: int, m: int) -> tuple[
             best = tuple(int(x) for x in chunk[idx])
     assert best is not None
     return best
-
-
-def to_array(matrix) -> np.ndarray:
-    """A Gf2Matrix's entries as a dense 0/1 array, bit by bit."""
-    out = np.zeros((matrix.rows, matrix.cols), dtype=np.uint8)
-    for i, w in enumerate(matrix.bits):
-        for j in range(matrix.cols):
-            out[i, j] = (w >> j) & 1
-    return out
-
-
-def gf2_rank(matrix) -> int:
-    """Rank of a Gf2Matrix by Gaussian elimination on its packed row words."""
-    work = list(matrix.bits)
-    rank = 0
-    row = 0
-    for col in range(matrix.cols):
-        pivot = None
-        for r in range(row, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        for r in range(len(work)):
-            if r != row and ((work[r] >> col) & 1):
-                work[r] ^= work[row]
-        rank += 1
-        row += 1
-        if row == len(work):
-            break
-    return rank
 
 
 def philox_trial(seed: int, index: int) -> np.random.Generator:

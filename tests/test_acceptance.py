@@ -117,22 +117,25 @@ def test_criterion_6_sdo_matches_exhaustive_search():
     worst_na = worst_lna = 1.0
     worst_gap = 0.0
     instances = 0
-    for k in range(4, 17):
-        for n in range(2 * k, 3 * k + 1):
-            for m in (2, 3, 4):
-                for eps in (0.3, 0.5):
-                    params = CodeParams(k, n, eps)
-                    es = exhaustive_search(params, m)
-                    na = optimize(params, m, "normal")
-                    lna = optimize(params, m, "lognormal")
-                    worst_na = min(worst_na, na.throughput / es.throughput)
-                    worst_lna = min(worst_lna, lna.throughput / es.throughput)
-                    worst_gap = max(
-                        worst_gap,
-                        abs(na.throughput - lna.throughput)
-                        / max(na.throughput, lna.throughput),
-                    )
-                    instances += 1
+    grid = [(k, n, (2, 3, 4)) for k in range(4, 17) for n in range(2 * k, 3 * k + 1)]
+    # larger k, where the asymptotic models should be at their best, up to m = 8
+    grid += [(k, n, range(2, 9)) for k in (20, 24, 32, 40, 48, 56, 64)
+             for n in range(2 * k, 3 * k + 1, max(1, k // 8))]
+    for k, n, ms in grid:
+        for m in ms:
+            for eps in (0.3, 0.5):
+                params = CodeParams(k, n, eps)
+                es = exhaustive_search(params, m)
+                na = optimize(params, m, "normal")
+                lna = optimize(params, m, "lognormal")
+                worst_na = min(worst_na, na.throughput / es.throughput)
+                worst_lna = min(worst_lna, lna.throughput / es.throughput)
+                worst_gap = max(
+                    worst_gap,
+                    abs(na.throughput - lna.throughput)
+                    / max(na.throughput, lna.throughput),
+                )
+                instances += 1
     elapsed = time.time() - t0
     ok = worst_na >= 0.98 and worst_lna >= 0.98 and worst_gap <= 0.02 and elapsed < 300
     _verdict(6, ok, f"{instances} instances: min T_NA/T_ES={worst_na:.4f}, "

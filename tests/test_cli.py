@@ -220,6 +220,26 @@ class TestDomainErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("harq-sdo: error: ")
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config"),
+        ("[1, 2]", "must hold a JSON object, got list"),
+        ('{"command": "simulate", "trials": 10, "workers": 1.5}',
+         "workers must be an integer, got 1.5"),
+        ('{"command": "simulate", "trials": 10, "matrix_reuse": 2.5}',
+         "matrix_reuse must be an integer, got 2.5"),
+    ], ids=["missing-file", "json-list", "fractional-workers", "fractional-matrix-reuse"])
+    def test_bad_config_one_line_exit_2(self, content, message, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        if content is not None:
+            path.write_text(content)
+        code = main(["--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("harq-sdo: error: ")
+        assert message in lines[0]
+
 
 class TestOutputPlumbing:
     def test_identical_runs_are_byte_identical(self, tmp_path):

@@ -1,5 +1,6 @@
-"""Tests for the GF(2) kernels and the seeded protocol simulator."""
+"""Tests for the GF(2) kernel and the seeded protocol simulator."""
 
+import itertools
 import math
 import os
 import tracemalloc
@@ -10,7 +11,6 @@ from scipy.stats import chi2_contingency
 
 from harqsdo import (
     CodeParams,
-    Gf2Matrix,
     Schedule,
     ack_prob,
     asymptotic_round_moments,
@@ -19,11 +19,8 @@ from harqsdo import (
     erdos_borwein_constant,
     estimate,
     expected_round_symbols,
-    is_decodable,
     sample_decode_counts,
     sample_round_lengths,
-    simulate_round,
-    trial_rng,
 )
 
 import harqsdo.simulate as simulate_module
@@ -38,7 +35,7 @@ from harqsdo.simulate import (
     _usable_cpus,
 )
 
-from oracles import dense_rank_mod2, gf2_rank, philox_trial, reference_rounds, to_array
+from oracles import dense_rank_mod2, philox_trial, reference_rounds
 
 
 def _lanes(mats) -> np.ndarray:
@@ -56,156 +53,56 @@ def _lanes(mats) -> np.ndarray:
 
 
 def _first_dependent_by_rank(m: np.ndarray) -> int:
-    """First column of m whose prefix loses full column rank, by oracles.gf2_rank.
+    """First column of m whose prefix loses full column rank, by oracles.dense_rank_mod2.
 
     A prefix that loses full rank never regains it, so a bisection finds it.
     """
     lo, hi = 0, m.shape[1]  # the answer lies in lo..hi
     while lo < hi:
         c = (lo + hi) // 2
-        if gf2_rank(Gf2Matrix.from_array(m[:, : c + 1])) < c + 1:
+        if dense_rank_mod2(m[:, : c + 1]) < c + 1:
             hi = c
         else:
             lo = c + 1
     return lo
 
 
-class TestGf2Matrix:
-    def test_round_trip(self):
-        a = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 0]])
-        m = Gf2Matrix.from_array(a)
-        assert m.rows == 3 and m.cols == 4
-        assert np.array_equal(to_array(m), a)
-
-    def test_row_word_layout(self):
-        # bit j of row word i is entry (i, j)
-        m = Gf2Matrix.from_array([[1, 0], [1, 1]])
-        assert m.bits == (0b01, 0b11)
-
-    def test_wide_matrix_packing(self):
-        # beyond one 63-bit packing chunk
-        rng = trial_rng(1, 0)
-        bits = rng.integers(0, 2, size=(4, 130), dtype=np.uint8)
-        m = Gf2Matrix.from_array(bits)
-        assert np.array_equal(to_array(m), bits)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Gf2Matrix(2, 3, (0b111,))
-        with pytest.raises(ValueError):
-            Gf2Matrix(1, 2, (0b100,))
+@pytest.mark.parametrize("a, rank", [
+    (np.eye(5, dtype=np.uint8), 5),
+    (np.zeros((3, 4), dtype=np.uint8), 0),
+    (np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 2),  # row 3 = row 1 + row 2
+    (np.vstack([np.eye(4, 9, dtype=np.uint8), np.ones((2, 9), dtype=np.uint8)]), 5),
+], ids=["identity", "zero", "dependent-row", "wide"])
+def test_dense_rank_mod2(a, rank):
+    # the rank does not depend on the order of the rows
+    perm = np.random.default_rng(2).permutation(len(a))
+    assert dense_rank_mod2(a) == dense_rank_mod2(a[perm]) == rank
 
 
-class TestGf2Rank:
-    def test_identity(self):
-        assert gf2_rank(Gf2Matrix.from_array(np.eye(5, dtype=int))) == 5
-
-    def test_zero(self):
-        assert gf2_rank(Gf2Matrix.from_array(np.zeros((3, 4), dtype=int))) == 0
-
-    def test_dependent_row(self):
-        m = Gf2Matrix.from_array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-        assert gf2_rank(m) == 2
-
-    def test_row_swap_invariance(self):
-        rng = trial_rng(2, 0)
-        bits = rng.integers(0, 2, size=(6, 9), dtype=np.uint8)
-        base = gf2_rank(Gf2Matrix.from_array(bits))
-        perm = rng.permutation(6)
-        assert gf2_rank(Gf2Matrix.from_array(bits[perm])) == base
-
-    def test_matches_dense_oracle(self):
-        for i in range(40):
-            rng = trial_rng(3, i)
-            rows = int(rng.integers(1, 65))
-            cols = int(rng.integers(1, 65))
-            bits = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
-            assert gf2_rank(Gf2Matrix.from_array(bits)) == dense_rank_mod2(bits)
-
-    def test_rank_bounded(self):
-        m = Gf2Matrix.sample(3, 7, trial_rng(4, 0))
-        assert gf2_rank(m) <= 3
-
-
-class TestIsDecodable:
-    def test_empty_erased(self):
-        m = Gf2Matrix.sample(3, 6, trial_rng(5, 0))
-        assert is_decodable(m, set())
-
-    def test_too_many_erasures(self):
-        m = Gf2Matrix.sample(2, 6, trial_rng(5, 1))
-        assert not is_decodable(m, {0, 1, 2})
-
-    def test_index_out_of_range(self):
-        m = Gf2Matrix.sample(2, 4, trial_rng(5, 2))
-        with pytest.raises(ValueError):
-            is_decodable(m, {4})
+class TestErasedColumnsIndependent:
+    """The kernel on the erased columns alone: they are independent iff it returns their count."""
 
     def test_exhaustive_fraction_matches_success_prob(self):
         # all 2**8 parity matrices for k=2, n=4, erased columns {2, 3}
-        import itertools
-
-        hits = 0
-        for bits in itertools.product((0, 1), repeat=8):
-            m = Gf2Matrix.from_array(np.array(bits).reshape(2, 4))
-            hits += is_decodable(m, {2, 3})
+        mats = np.array(list(itertools.product((0, 1), repeat=8))).reshape(256, 2, 4)
+        first = _first_dependent(_lanes(mats[:, :, [2, 3]]))
+        hits = int(np.count_nonzero(first[:256] == 2))
         assert hits / 256 == decode_success_prob(2, 4, 2) == 0.375
 
     def test_position_symmetry_chi_square(self):
         # same erased-set size, different positions: rates indistinguishable
-        k, n, size, draws = 3, 8, 4, 4000
+        k, n, draws = 3, 8, 4000
         position_sets = [(1, 2, 3, 7), (0, 1, 2, 3), (2, 4, 5, 6), (3, 5, 6, 7)]
         table = []
         for si, pos in enumerate(position_sets):
-            dec = sum(
-                is_decodable(Gf2Matrix.sample(n - k, n, trial_rng(777 + si, i)), pos)
-                for i in range(draws)
-            )
+            bits, _ = _draw(_stream(777 + si), 0, draws, n - k, n, 1)
+            first = _first_dependent(_lanes(bits[:, :, list(pos)]))
+            dec = int(np.count_nonzero(first[:draws] == len(pos)))
             table.append([dec, draws - dec])
+        # the samples of the per-trial loop over the same streams
+        assert table == [[2377, 1623], [2379, 1621], [2398, 1602], [2410, 1590]]
         _, pval, _, _ = chi2_contingency(np.array(table))
         assert pval > 1e-3
-
-
-class TestSimulateRound:
-    def test_rate_one_code_always_succeeds_first_block(self):
-        p = CodeParams(6, 6, 0.0)
-        for i in range(20):
-            out = simulate_round(p, Schedule((6,)), trial_rng(7, i))
-            assert out.success
-            assert out.last_block_index == 1
-            assert out.symbols_sent == 6
-
-    def test_reproducible(self):
-        p = CodeParams(8, 24, 0.5)
-        s = Schedule((16, 20, 24))
-        a = simulate_round(p, s, trial_rng(42, 17))
-        b = simulate_round(p, s, trial_rng(42, 17))
-        assert a == b
-
-    def test_invariants(self):
-        p = CodeParams(8, 24, 0.5)
-        s = Schedule((16, 20, 24))
-        for i in range(200):
-            out = simulate_round(p, s, trial_rng(9, i))
-            assert out.symbols_sent == s.boundaries[out.last_block_index - 1]
-            if not out.success:
-                assert out.last_block_index == s.m
-            assert len(out.erased_count_per_block) == out.last_block_index
-
-    def test_first_block_ack_rate(self):
-        p = CodeParams(1, 2, 0.0)
-        s = Schedule((1, 2))
-        hits = sum(
-            simulate_round(p, s, trial_rng(5, i)).last_block_index == 1
-            for i in range(20000)
-        )
-        rate = hits / 20000
-        se = math.sqrt(0.5 * 0.5 / 20000)
-        assert abs(rate - 0.5) < 3 * se
-
-    def test_schedule_must_end_at_n(self):
-        with pytest.raises(ValueError):
-            simulate_round(CodeParams(4, 10, 0.3), Schedule((4, 9)), trial_rng(1, 0))
 
 
 class TestEstimate:
@@ -213,10 +110,27 @@ class TestEstimate:
         p = CodeParams(8, 24, 0.5)
         s = Schedule((16, 20, 24))
         rep = estimate(p, s, 1, 42)
-        out = simulate_round(p, s, trial_rng(42, 0))
-        assert rep.mean_symbols == float(out.symbols_sent)
+        (_, sent, success, _), = reference_rounds(8, 24, 0.5, s.boundaries, 1, 42)
+        assert rep.mean_symbols == float(sent)
         assert rep.stderr_symbols == 0.0
-        assert rep.success_rate == float(out.success)
+        assert rep.success_rate == float(success)
+
+    def test_rate_one_code_always_succeeds_first_block(self):
+        rep = estimate(CodeParams(6, 6, 0.0), Schedule((6,)), 20, 7)
+        assert rep.success_rate == 1.0
+        assert rep.ack_rate_per_block == (1.0,)
+        assert rep.mean_symbols == 6.0
+
+    def test_first_block_ack_rate(self):
+        rep = estimate(CodeParams(1, 2, 0.0), Schedule((1, 2)), 20000, 5)
+        rate = rep.ack_rate_per_block[0]
+        assert rate * 20000 == 9907  # the per-trial loop's count on the same streams
+        se = math.sqrt(0.5 * 0.5 / 20000)
+        assert abs(rate - 0.5) < 3 * se
+
+    def test_schedule_must_end_at_n(self):
+        with pytest.raises(ValueError):
+            estimate(CodeParams(4, 10, 0.3), Schedule((4, 9)), 10, 1)
 
     def test_worker_count_invariance(self):
         p = CodeParams(8, 24, 0.5)
@@ -264,6 +178,10 @@ class TestEstimate:
             estimate(p, s, 10, 1, workers=0)
         with pytest.raises(ValueError):
             estimate(p, s, 10, -1, workers=2)
+        with pytest.raises(ValueError, match="workers must be an integer, got 1.5"):
+            estimate(p, s, 10, 1, workers=1.5)
+        with pytest.raises(ValueError, match="matrix_reuse must be an integer, got 2.5"):
+            estimate(p, s, 10, 1, matrix_reuse=2.5)
 
     def test_thread_plan_capped_at_cpus(self):
         cpus = len(os.sched_getaffinity(0))
@@ -310,18 +228,14 @@ class TestPerSymbolSampling:
 
     def test_modes_agree_per_trial(self):
         # same (seed, index) must induce the same round in both decode modes
-        p = CodeParams(8, 24, 0.5)
         s = Schedule((16, 20, 24))
-        lengths, success = sample_round_lengths(p, 500, 42)
-        for i in range(500):
-            out = simulate_round(p, s, trial_rng(42, i))
-            if success[i]:
-                block = min(
-                    j for j, b in enumerate(s.boundaries, start=1) if b >= lengths[i]
-                )
-                assert out.success and out.last_block_index == block
-            else:
-                assert not out.success
+        lengths, success = sample_round_lengths(CodeParams(8, 24, 0.5), 500, 42)
+        rounds = reference_rounds(8, 24, 0.5, s.boundaries, 500, 42)
+        for length, ok, (block, _, want_ok, _) in zip(lengths, success, rounds):
+            assert ok == want_ok
+            if ok:
+                assert block == min(
+                    j for j, b in enumerate(s.boundaries, start=1) if b >= length)
 
 
 class TestDecodeTimeKernel:
@@ -442,15 +356,6 @@ class TestDecodeTimeKernel:
         assert rep.success_rate == sum(first_ack) / trials
         assert rep.ack_rate_per_block == tuple(
             sum(first_ack[: i + 1]) / trials for i in range(4))
-
-    def test_simulate_round_matches_reference(self):
-        p = CodeParams(8, 24, 0.5)
-        s = Schedule((16, 20, 24))
-        rounds = reference_rounds(8, 24, 0.5, s.boundaries, 200, 9)
-        for i, want in enumerate(rounds):
-            out = simulate_round(p, s, trial_rng(9, i))
-            assert (out.last_block_index, out.symbols_sent, out.success,
-                    out.erased_count_per_block) == want
 
     def test_lossless_round_lengths_are_decode_counts(self):
         lengths, success = sample_round_lengths(CodeParams(8, 48, 0.0), 700, 5)

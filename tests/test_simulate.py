@@ -226,6 +226,25 @@ class TestPerSymbolSampling:
         assert abs(var - am.variance) < 3 * se_var
         assert success.all()  # failure is essentially impossible at n - k = 64
 
+    def test_trial_is_a_function_of_seed_and_index(self):
+        # a shorter run is a prefix of a longer one, across the 512-trial blocks
+        p = CodeParams(8, 24, 0.5)
+        lengths, success = sample_round_lengths(p, 1100, 42)
+        short_lengths, short_success = sample_round_lengths(p, 600, 42)
+        assert np.array_equal(lengths[:600], short_lengths)
+        assert np.array_equal(success[:600], short_success)
+        again = sample_round_lengths(p, 1100, 42)
+        assert np.array_equal(again[0], lengths) and np.array_equal(again[1], success)
+        counts = sample_decode_counts(8, 24, 1100, 42)
+        assert np.array_equal(counts[:600], sample_decode_counts(8, 24, 600, 42))
+
+    def test_round_length_invariants(self):
+        k, n = 8, 24
+        lengths, success = sample_round_lengths(CodeParams(k, n, 0.5), 2000, 9)
+        assert ((k <= lengths) & (lengths <= n)).all()
+        assert (lengths[~success] == n).all()  # a failed round sends every symbol
+        assert 0 < success.sum() < len(success)
+
     def test_modes_agree_per_trial(self):
         # same (seed, index) must induce the same round in both decode modes
         s = Schedule((16, 20, 24))
@@ -339,6 +358,23 @@ class TestDecodeTimeKernel:
         mats[::3, :, d // 2] = 0  # a zero column midway in every third lane
         got = _first_dependent(_lanes(mats))
         assert got[:70].tolist() == [_first_dependent_by_rank(m) for m in mats]
+
+    @pytest.mark.parametrize("d, s", [(6, 2), (6, 9), (2, 6), (4, 130), (64, 64)],
+                             ids=["tall", "wide", "more-columns-than-rows",
+                                  "three-words-of-columns", "square-64"])
+    def test_random_shapes_match_rank_oracle(self, d, s):
+        # the columns past the d-th always depend, so no answer exceeds min(d, s)
+        rng = np.random.default_rng(1000 * d + s)
+        mats = rng.integers(0, 2, size=(70, d, s), dtype=np.uint8)
+        got = _first_dependent(_lanes(mats))[:70]
+        assert got.tolist() == [_first_dependent_by_rank(m) for m in mats]
+        assert got.max() <= min(d, s)
+
+    @pytest.mark.parametrize("d", [3, 64])
+    def test_no_columns_means_none_depends(self, d):
+        # an empty erased set: the answer is s = 0 in every lane
+        assert _first_dependent(np.zeros((0, 2, d), dtype="<u8")).tolist() == [0] * 128
+        assert _first_dependent_by_rank(np.zeros((d, 0))) == 0
 
     @pytest.mark.parametrize("matrix_reuse", [1, 8])
     def test_estimate_matches_reference_accumulators(self, matrix_reuse):

@@ -4,12 +4,13 @@ Steps the boundary recursion by hand under both moment-matched models, then
 compares the optimized schedules against the exact optimum.
 """
 
+import math
+
 from harqsdo import (
     CdfModel,
     CodeParams,
     exhaustive_search,
     optimize,
-    sdo_step,
 )
 
 params = CodeParams(k=32, n=88, epsilon=0.5)
@@ -22,7 +23,8 @@ print("\nstepping the recursion from n1=61 (normal model):")
 prev2, prev = None, 61
 bounds = [61]
 for i in range(2, 4):
-    nxt = sdo_step(model, prev2, prev)
+    f_before = 0.0 if prev2 is None else model.cdf(prev2)
+    nxt = prev + max(1, math.ceil((model.cdf(prev) - f_before) / model.pdf(prev)))
     left = "-inf" if prev2 is None else str(prev2)
     print(f"  n{i} = {prev} + ceil((F({prev}) - F({left})) / F'({prev})) = {nxt}")
     prev2, prev = prev, nxt

@@ -26,13 +26,8 @@ from .channel import (
 from .sdo import (
     CdfModel,
     OptimizerReport,
-    StepUnderflowError,
     std_normal_ccdf,
     std_normal_ccdf_prime,
-    sdo_step,
-    sdo_step_continuous,
-    sdo_schedule,
-    smoothed_expected_symbols,
     optimize,
     exhaustive_search,
 )

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields
 from . import __version__
 from .codes import (
     CodeParams,
+    _integral,
     decodable_count_moments,
     decodable_count_pmf,
     decode_success_curve,
@@ -109,6 +110,13 @@ class RunConfig:
         for name in ("k", "n", "m", "epsilon"):
             if not getattr(self, name):
                 raise ValueError(f"range {name} is empty")
+        # a config file may give 2.0 for 2; the header must print what runs
+        for name in ("trials", "seed", "workers", "matrix_reuse"):
+            setattr(self, name, _integral(name, getattr(self, name)))
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ValueError(f"out must be a path or null, got {self.out!r}")
+        if not isinstance(self.gnuplot, bool):
+            raise ValueError(f"gnuplot must be true or false, got {self.gnuplot!r}")
 
     def scalar(self, name: str):
         vals = getattr(self, name)
@@ -507,61 +515,52 @@ _RUNNERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # absent flags set nothing, so a subcommand's defaults cannot replace a
+    # --config given before it, nor any flag a value from the config file
+    config = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    config.add_argument("--config", help="flat JSON file with RunConfig fields")
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--k")
+    flags.add_argument("--n")
+    flags.add_argument("--m")
+    flags.add_argument("--eps", dest="epsilon", metavar="EPS")
+    flags.add_argument("--model", choices=MODELS)
+    flags.add_argument("--trials", type=int)
+    flags.add_argument("--seed", type=int)
+    flags.add_argument("--workers", type=int)
+    flags.add_argument("--matrix-reuse", dest="matrix_reuse", type=int)
+    flags.add_argument("--out")
+    flags.add_argument("--format", choices=("csv", "json"))
+    flags.add_argument("--gnuplot", action="store_true")
     parser = argparse.ArgumentParser(
         prog="harq-sdo",
         description="Incremental-redundancy schedule design and validation "
         "for erasure channels.",
+        parents=[config],
     )
-    parser.add_argument("--config", help="flat JSON file with RunConfig fields")
     sub = parser.add_subparsers(dest="command")
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="flat JSON file with RunConfig fields")
-        p.add_argument("--k")
-        p.add_argument("--n")
-        p.add_argument("--m")
-        p.add_argument("--eps")
-        p.add_argument("--model", choices=MODELS)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
-        p.add_argument("--matrix-reuse", dest="matrix_reuse", type=int)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--gnuplot", action="store_true", default=None)
+        sub.add_parser(name, parents=[config, flags])
     return parser
 
 
 def build_config(argv) -> RunConfig:
-    args = _build_parser().parse_args(argv)
+    given = vars(_build_parser().parse_args(argv))
+    path = given.pop("config", None)
+    if given["command"] is None:
+        del given["command"]
     settings: dict = {}
-    if args.config:
+    if path:
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 loaded = json.load(fh)
         except OSError as err:
-            raise ValueError(f"cannot read config {args.config}: {err.strerror}") from None
+            raise ValueError(f"cannot read config {path}: {err.strerror}") from None
         if not isinstance(loaded, dict):
-            raise ValueError(f"config {args.config} must hold a JSON object, "
+            raise ValueError(f"config {path} must hold a JSON object, "
                              f"got {type(loaded).__name__}")
         settings.update(loaded)
-    if args.command:
-        settings["command"] = args.command
-    overrides = {
-        "k": args.__dict__.get("k"),
-        "n": args.__dict__.get("n"),
-        "m": args.__dict__.get("m"),
-        "epsilon": args.__dict__.get("eps"),
-        "model": args.__dict__.get("model"),
-        "trials": args.__dict__.get("trials"),
-        "seed": args.__dict__.get("seed"),
-        "workers": args.__dict__.get("workers"),
-        "matrix_reuse": args.__dict__.get("matrix_reuse"),
-        "out": args.__dict__.get("out"),
-        "format": args.__dict__.get("format"),
-        "gnuplot": args.__dict__.get("gnuplot"),
-    }
-    settings.update({k: v for k, v in overrides.items() if v is not None})
+    settings.update(given)
     if "command" not in settings:
         raise SystemExit("no command given (use a subcommand or a config file)")
     known = {f.name for f in fields(RunConfig)}

@@ -22,23 +22,13 @@ from .channel import Schedule, ack_curve, expected_round_symbols, objective, thr
 __all__ = [
     "CdfModel",
     "OptimizerReport",
-    "StepUnderflowError",
     "std_normal_ccdf",
     "std_normal_ccdf_prime",
-    "sdo_step",
-    "sdo_step_continuous",
-    "sdo_schedule",
-    "smoothed_expected_symbols",
     "optimize",
     "exhaustive_search",
 ]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-class StepUnderflowError(ArithmeticError):
-    """The model density underflowed, to zero or so far that the step is
-    infinite; the caller should clamp at n."""
 
 
 def std_normal_ccdf(x: float) -> float:
@@ -120,73 +110,29 @@ class OptimizerReport:
     n1_searched: tuple[int, int] | None
 
 
-def sdo_step(model: CdfModel, n_prev2: float | None, n_prev1: float) -> float:
-    """Next boundary: n_prev1 plus a ceiled increment, forced to be >= 1.
-
-    The increment is always a positive integer, so integer boundaries stay
-    integer.  n_prev2 is None when there is no predecessor; the model CDF
-    then contributes 0, matching the -inf (normal) and 0 (log-normal)
-    sentinels.  Raises StepUnderflowError when the density at n_prev1
-    underflows.
-    """
-    ratio = _step_ratio(model, n_prev2, n_prev1)
-    return n_prev1 + max(1, math.ceil(ratio))
-
-
-def sdo_step_continuous(model: CdfModel, n_prev2: float | None, n_prev1: float) -> float:
-    """The pre-ceiling, pre-clamp next boundary; used for stationarity checks."""
-    return n_prev1 + _step_ratio(model, n_prev2, n_prev1)
-
-
-def _step_ratio(model: CdfModel, n_prev2: float | None, n_prev1: float) -> float:
-    if n_prev2 is not None and not n_prev2 < n_prev1:
-        raise ValueError(f"need n_prev2 < n_prev1, got {n_prev2} >= {n_prev1}")
-    f1 = model.cdf(n_prev1)
-    f0 = 0.0 if n_prev2 is None else model.cdf(n_prev2)
-    density = model.pdf(n_prev1)
-    # a subnormal density underflows the step itself to inf
-    ratio = (f1 - f0) / density if density > 0.0 else math.inf
-    if not math.isfinite(ratio):
-        raise StepUnderflowError(
-            f"model density underflowed at {n_prev1}; clamp the schedule at n"
-        )
-    return ratio
-
-
 def _schedule_from_model(model: CdfModel, n: int, m: int, n1: int) -> tuple[int, ...]:
-    # Clamp every boundary to n - (sub-blocks still to place) so the boundaries
-    # always finish strictly increasing at n_m = n, a valid Schedule.
-    bounds = [min(n1, n - (m - 1))]
-    prev2: float | None = None
-    for slot in range(2, m):
-        cap = n - (m - slot)
-        try:
-            nxt = sdo_step(model, prev2, bounds[-1])
-        except StepUnderflowError:
-            nxt = cap
-        prev2 = bounds[-1]
-        bounds.append(min(nxt, cap))
-    bounds.append(n)
-    return tuple(bounds)
+    """The m boundaries SDO grows from a first boundary n1 <= n - m + 1.
 
-
-def sdo_schedule(params: CodeParams, m: int, model_kind: str, n1: int) -> Schedule:
-    """Full m-boundary schedule grown from n1 by the greedy recursion."""
-    if m < 2:
-        raise ValueError(f"sdo_schedule needs m >= 2, got {m}")
-    if not params.k <= n1 < params.n:
-        raise ValueError(f"need k <= n1 < n, got n1={n1} for k={params.k}, n={params.n}")
-    model = CdfModel.for_params(params, model_kind)
-    return Schedule(_schedule_from_model(model, params.n, m, n1))
-
-
-def smoothed_expected_symbols(model: CdfModel, boundaries) -> float:
-    """The objective with the ACK curve replaced by the model CDF.
-
-    boundaries may be real-valued; the last entry plays the role of n.
+    Boundary n_i, i = 2..m-1, zeroes the smoothed objective's derivative in
+    n_{i-1}: n_i = n_{i-1} + max(1, ceil(r)), r = (F(n_{i-1}) - F(n_{i-2})) /
+    F'(n_{i-1}), F(n_0) = 0.  When r is at least the room left below n_i's cap
+    n - (m - i), an infinite r from an underflowed density included, n_i takes
+    its cap, and so does every later boundary, as each step is at least 1:
+    the schedule ends strictly increasing at n_m = n.
     """
-    b = list(boundaries)
-    return objective(b, [model.cdf(x) for x in b[:-1]])
+    bounds = [n1]
+    f_prev = 0.0
+    for slot in range(2, m):
+        cur = bounds[-1]
+        f_cur = model.cdf(cur)
+        density = model.pdf(cur)
+        ratio = (f_cur - f_prev) / density if density > 0.0 else math.inf
+        if ratio >= n - (m - slot) - cur:
+            break
+        bounds.append(cur + max(1, math.ceil(ratio)))
+        f_prev = f_cur
+    bounds.extend(range(n - m + len(bounds) + 1, n + 1))
+    return tuple(bounds)
 
 
 def _report(params: CodeParams, schedule: Schedule, model_used: str,

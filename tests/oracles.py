@@ -2,8 +2,9 @@
 
 Everything here stays deliberately naive: dense 0/1 Gaussian elimination,
 full enumeration over matrices and erasure patterns, exact rationals,
-quadrature for the Gaussian tail, and the channel laws term by term.  None
-of it shares code with the package.
+quadrature for the Gaussian tail, the channel laws term by term, and the
+SDO recursion one explicit step at a time.  None of it shares code with the
+package.
 """
 
 from __future__ import annotations
@@ -177,6 +178,51 @@ def expected_stop_symbols(k: int, n: int, epsilon: Fraction, boundaries) -> Frac
         contrib += boundaries[-1] * prob_not_yet
         total += weight * contrib
     return total
+
+
+def sdo_increment(cdf, pdf, before, prev) -> float:
+    """(F(prev) - F(before)) / F'(prev), with F(before) = 0 when before is None."""
+    f_before = 0.0 if before is None else cdf(before)
+    return (cdf(prev) - f_before) / pdf(prev)
+
+
+def sdo_continuous_step(cdf, pdf, before, prev) -> float:
+    """The real boundary after prev that zeroes the smoothed objective's derivative in prev."""
+    return prev + sdo_increment(cdf, pdf, before, prev)
+
+
+def sdo_recursion(cdf, pdf, n: int, m: int, n1: int) -> tuple[int, ...]:
+    """SDO boundaries grown from n1 one step at a time, on any model F = cdf, F' = pdf.
+
+    Every step evaluates F at both predecessors afresh, ceils the increment,
+    floors it at 1 and clamps the boundary at its cap n - (m - i).  A density
+    that underflows to 0 (a zero division) or so far that the increment is
+    infinite (ceil overflows) takes the cap as well.
+    """
+    bounds = [n1]
+    for i in range(2, m):
+        prev = bounds[-1]
+        before = bounds[-2] if len(bounds) > 1 else None
+        cap = n - (m - i)
+        try:
+            step = math.ceil(sdo_increment(cdf, pdf, before, prev))
+        except (ZeroDivisionError, OverflowError):
+            bounds.append(cap)
+            continue
+        bounds.append(min(prev + max(1, step), cap))
+    bounds.append(n)
+    return tuple(bounds)
+
+
+def smoothed_objective(cdf, boundaries) -> float:
+    """Expected symbols with the ACK curve replaced by cdf, in the direct form.
+
+    sum over i < m of n_i (F(n_i) - F(n_{i-1})) + n_m (1 - F(n_{m-1})), with
+    F(n_0) = 0: each boundary weighted by the chance the round stops there.
+    """
+    b = list(boundaries)
+    f = [0.0] + [cdf(x) for x in b[:-1]]
+    return sum(b[i] * (f[i + 1] - f[i]) for i in range(len(b) - 1)) + b[-1] * (1.0 - f[-1])
 
 
 def enumerate_best_interior(curve: np.ndarray, k: int, n: int, m: int) -> tuple[int, ...]:

@@ -227,7 +227,11 @@ class TestDomainErrors:
          "workers must be an integer, got 1.5"),
         ('{"command": "simulate", "trials": 10, "matrix_reuse": 2.5}',
          "matrix_reuse must be an integer, got 2.5"),
-    ], ids=["missing-file", "json-list", "fractional-workers", "fractional-matrix-reuse"])
+        ('{"command": "constants", "out": 5}', "out must be a path or null, got 5"),
+        ('{"command": "constants", "gnuplot": "yes"}',
+         "gnuplot must be true or false, got 'yes'"),
+    ], ids=["missing-file", "json-list", "fractional-workers", "fractional-matrix-reuse",
+            "numeric-out", "string-gnuplot"])
     def test_bad_config_one_line_exit_2(self, content, message, tmp_path, capsys):
         path = tmp_path / "run.json"
         if content is not None:
@@ -269,6 +273,29 @@ class TestOutputPlumbing:
         code, out = run_cli(["optimize", "--config", str(path), "--m", "3"], capsys)
         assert code == 0
         assert read_csv(out)[0]["m"] == "3"
+
+    def test_config_before_or_after_the_subcommand(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"m": 3, "epsilon": 0.3}))
+        code_before, before = run_cli(["--config", str(path), "optimize"], capsys)
+        code_after, after = run_cli(["optimize", "--config", str(path)], capsys)
+        assert code_before == code_after == 0
+        assert before == after
+        row = read_csv(before)[0]
+        assert (row["m"], row["epsilon"]) == ("3", "0.3")
+
+    def test_integral_floats_print_as_integers(self, tmp_path, capsys):
+        outs = []
+        for value in (2, 2.0):
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({
+                "command": "simulate", "trials": 20 * value, "seed": 3 * value,
+                "workers": value, "matrix_reuse": value}))
+            code, out = run_cli(["--config", str(path)], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert "trials=40 seed=6 matrix_reuse=2" in outs[1].splitlines()[0]
 
     def test_unknown_config_field_rejected(self, tmp_path):
         path = tmp_path / "run.json"

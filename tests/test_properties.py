@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from harqsdo import (
+    CdfModel,
     CodeParams,
     Schedule,
     ack_curve,
@@ -15,6 +16,9 @@ from harqsdo import (
     optimize,
     round_length_law,
 )
+from harqsdo.sdo import _schedule_from_model
+
+from oracles import sdo_recursion
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -62,3 +66,15 @@ def test_exact_search_is_no_worse_than_any_schedule(p, m, rng):
         interior = sorted(rng.sample(range(p.k, p.n), m - 1))
         cand = Schedule(tuple(interior) + (p.n,))
         assert es.objective <= expected_round_symbols(p, cand) + tol
+
+
+@SETTINGS
+@given(design_points(max_k=64, max_extra=192), st.integers(2, 8),
+       st.sampled_from(["normal", "lognormal"]), st.data())
+def test_sdo_recursion_matches_oracle(p, m, kind, data):
+    m = min(m, p.n - p.k + 1)
+    assume(m >= 2)
+    n1 = data.draw(st.integers(p.k, p.n - m + 1))
+    model = CdfModel.for_params(p, kind)
+    want = sdo_recursion(model.cdf, model.pdf, p.n, m, n1)
+    assert _schedule_from_model(model, p.n, m, n1) == want

@@ -2,6 +2,7 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,22 +11,26 @@ from harqsdo import (
     CdfModel,
     CodeParams,
     Schedule,
-    StepUnderflowError,
     ack_curve,
     asymptotic_round_moments,
     exhaustive_search,
     expected_round_symbols,
+    objective,
     optimize,
-    sdo_schedule,
-    sdo_step,
-    sdo_step_continuous,
-    smoothed_expected_symbols,
     std_normal_ccdf,
     std_normal_ccdf_prime,
     throughput,
 )
 
-from oracles import enumerate_best_interior, gaussian_tail_quad
+from harqsdo.sdo import _schedule_from_model
+
+from oracles import (
+    enumerate_best_interior,
+    gaussian_tail_quad,
+    sdo_continuous_step,
+    sdo_recursion,
+    smoothed_objective,
+)
 
 FIG1_PARAMS = CodeParams(32, 88, 0.5)
 
@@ -79,92 +84,99 @@ class TestCdfModel:
             CdfModel.from_moments("cauchy", 10.0, 4.0)
 
 
-class TestSdoStep:
-    def test_closed_form_at_mean(self):
+def _package(model, n, m, n1):
+    return _schedule_from_model(model, n, m, n1)
+
+
+def _oracle(model, n, m, n1):
+    return sdo_recursion(model.cdf, model.pdf, n, m, n1)
+
+
+BOTH_ROUTES = pytest.mark.parametrize("grow", [_package, _oracle], ids=["package", "oracle"])
+
+
+class TestSdoRecursion:
+    @BOTH_ROUTES
+    def test_closed_form_at_mean(self, grow):
+        # F(mu) = 1/2 and F'(mu) = 1 / (sigma sqrt(2 pi))
         model = CdfModel.for_params(FIG1_PARAMS, "normal")
         want = model.mu + math.ceil(0.5 * model.sigma * math.sqrt(2 * math.pi))
-        assert sdo_step(model, None, model.mu) == want
+        assert grow(model, 88, 3, model.mu) == (model.mu, want, 88)
 
-    def test_against_quadrature(self):
+    @BOTH_ROUTES
+    def test_against_quadrature(self, grow):
         # independently recompute Result-1's increment with integrated F, F'
         model = CdfModel.for_params(FIG1_PARAMS, "normal")
         mu, sigma = model.mu, model.sigma
         f60 = 1.0 - gaussian_tail_quad((60 - mu) / sigma)
         d60 = math.exp(-0.5 * ((60 - mu) / sigma) ** 2) / math.sqrt(2 * math.pi) / sigma
-        assert sdo_step(model, None, 60) == 60 + math.ceil(f60 / d60)
+        assert grow(model, 88, 3, 60) == (60, 60 + math.ceil(f60 / d60), 88)
 
-    def test_minimum_increment(self):
+    @BOTH_ROUTES
+    def test_ceiling_and_minimum_increment(self, grow):
+        # a flat CDF: the first increment is exactly 0.5 / 0.25 = 2, every later one 0
+        flat = SimpleNamespace(cdf=lambda x: 0.5, pdf=lambda x: 0.25)
+        assert grow(flat, 30, 5, 10) == (10, 12, 13, 14, 30)
+        # a step one short of the cap n - 1 = 13 keeps its value
+        assert grow(flat, 14, 3, 10) == (10, 12, 14)
+
+    @BOTH_ROUTES
+    def test_zero_density_takes_the_cap(self, grow):
         model = CdfModel.for_params(FIG1_PARAMS, "normal")
-        x1 = model.mu + 9 * model.sigma
-        x2 = model.mu + 10 * model.sigma
-        assert model.cdf(x1) == model.cdf(x2)
-        assert sdo_step(model, x1, x2) == x2 + 1
+        n1 = math.ceil(model.mu + 50 * model.sigma)
+        assert model.pdf(n1) == 0.0
+        assert grow(model, n1 + 10, 4, n1) == (n1, n1 + 8, n1 + 9, n1 + 10)
 
-    def test_underflow_raises(self):
+    @BOTH_ROUTES
+    def test_subnormal_density_takes_the_cap(self, grow):
+        # the density is still positive but the increment overflows to inf
         model = CdfModel.for_params(FIG1_PARAMS, "normal")
-        with pytest.raises(StepUnderflowError):
-            sdo_step(model, None, model.mu + 50 * model.sigma)
+        n1 = math.ceil(model.mu + 37.8 * model.sigma)
+        assert 0.0 < model.pdf(n1) < 1e-300
+        assert model.cdf(n1) / model.pdf(n1) == math.inf
+        assert grow(model, n1 + 10, 4, n1) == (n1, n1 + 8, n1 + 9, n1 + 10)
 
-    def test_subnormal_density_raises(self):
-        # the density is still positive but the step overflows to inf
-        model = CdfModel.for_params(FIG1_PARAMS, "normal")
-        x = model.mu + 37.8 * model.sigma
-        assert 0.0 < model.pdf(x) < 1e-300
-        with pytest.raises(StepUnderflowError):
-            sdo_step(model, None, x)
+    @BOTH_ROUTES
+    def test_m2_is_n1_then_n(self, grow):
+        model = CdfModel.for_params(CodeParams(8, 24, 0.5), "normal")
+        assert grow(model, 24, 2, 13) == (13, 24)
 
-    def test_predecessor_ordering(self):
-        model = CdfModel.for_params(FIG1_PARAMS, "normal")
-        with pytest.raises(ValueError):
-            sdo_step(model, 70.0, 60.0)
+    @BOTH_ROUTES
+    def test_clamps_against_n(self, grow):
+        # n1 high enough that raw steps would overshoot n
+        model = CdfModel.for_params(CodeParams(8, 24, 0.5), "normal")
+        assert grow(model, 24, 4, 21) == (21, 22, 23, 24)
 
-    def test_continuous_matches_step_before_ceiling(self):
-        model = CdfModel.for_params(FIG1_PARAMS, "lognormal")
-        cont = sdo_step_continuous(model, None, 60)
-        stepped = sdo_step(model, None, 60)
-        assert stepped == 60 + max(1, math.ceil(cont - 60))
-
-
-class TestSdoSchedule:
-    def test_m2_is_n1_then_n(self):
-        s = sdo_schedule(CodeParams(8, 24, 0.5), 2, "normal", 13)
-        assert s.boundaries == (13, 24)
-
-    def test_fig1_regime_well_formed(self):
+    @BOTH_ROUTES
+    def test_fig1_regime_well_formed(self, grow):
         for kind in ("normal", "lognormal"):
-            s = sdo_schedule(FIG1_PARAMS, 4, kind, 55)
-            b = s.boundaries
+            b = grow(CdfModel.for_params(FIG1_PARAMS, kind), 88, 4, 55)
             assert len(b) == 4
-            assert b[-1] == 88
+            assert b[0] == 55 and b[-1] == 88
             assert all(x < y for x, y in zip(b, b[1:]))
-            assert b[0] >= 32
+            assert all(type(x) is int for x in b)
 
-    def test_models_land_close(self):
-        sna = sdo_schedule(FIG1_PARAMS, 4, "normal", 55)
-        slna = sdo_schedule(FIG1_PARAMS, 4, "lognormal", 55)
-        for a, b in zip(sna.boundaries, slna.boundaries):
+    @BOTH_ROUTES
+    def test_models_land_close(self, grow):
+        sna = grow(CdfModel.for_params(FIG1_PARAMS, "normal"), 88, 4, 55)
+        slna = grow(CdfModel.for_params(FIG1_PARAMS, "lognormal"), 88, 4, 55)
+        for a, b in zip(sna, slna):
             assert abs(a - b) <= 4
 
-    def test_clamps_against_n(self):
-        # n1 high enough that raw steps would overshoot n
-        s = sdo_schedule(CodeParams(8, 24, 0.5), 4, "normal", 21)
-        assert s.boundaries == (21, 22, 23, 24)
-
-    def test_n1_domain(self):
-        with pytest.raises(ValueError):
-            sdo_schedule(CodeParams(8, 24, 0.5), 3, "normal", 7)
-        with pytest.raises(ValueError):
-            sdo_schedule(CodeParams(8, 24, 0.5), 3, "normal", 24)
+    def test_step_is_the_ceiled_continuous_step(self):
+        model = CdfModel.for_params(FIG1_PARAMS, "lognormal")
+        cont = sdo_continuous_step(model.cdf, model.pdf, None, 60)
+        assert _schedule_from_model(model, 88, 3, 60)[1] == 60 + max(1, math.ceil(cont - 60))
 
     def test_stationarity_of_continuous_solution(self):
         # the recursion zeroes d/dn_j for j = 1..m-2 at the pre-rounding values
         model = CdfModel.for_params(FIG1_PARAMS, "normal")
         m = 5
         bounds = [55.0]
-        prev2 = None
+        before = None
         for _ in range(m - 2):
-            nxt = sdo_step_continuous(model, prev2, bounds[-1])
-            prev2 = bounds[-1]
+            nxt = sdo_continuous_step(model.cdf, model.pdf, before, bounds[-1])
+            before = bounds[-1]
             bounds.append(nxt)
         bounds.append(float(FIG1_PARAMS.n))
         h = 1e-4
@@ -174,10 +186,31 @@ class TestSdoSchedule:
             up[j] += h
             dn[j] -= h
             deriv = (
-                smoothed_expected_symbols(model, up)
-                - smoothed_expected_symbols(model, dn)
+                smoothed_objective(model.cdf, up) - smoothed_objective(model.cdf, dn)
             ) / (2 * h)
             assert abs(deriv) < 1e-6
+
+    def test_smoothed_objective_telescopes(self):
+        # the direct form equals the package's telescoped objective over F
+        model = CdfModel.for_params(FIG1_PARAMS, "lognormal")
+        b = (55, 63, 70, 88)
+        assert smoothed_objective(model.cdf, b) == pytest.approx(
+            objective(b, [model.cdf(x) for x in b]), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["normal", "lognormal"])
+    def test_matches_oracle_on_every_feasible_n1(self, kind):
+        count = 0
+        for k in (1, 4, 17, 32, 64):
+            for eps in (0.0, 0.3, 0.5, 0.9, 0.99):
+                model = CdfModel.for_params(CodeParams(k, k, eps), kind)
+                for n in (k + 3, 2 * k + 7, 3 * k):
+                    for m in range(2, 9):
+                        for n1 in range(k, n - m + 2):
+                            want = sdo_recursion(model.cdf, model.pdf, n, m, n1)
+                            got = _schedule_from_model(model, n, m, n1)
+                            assert got == want, (k, eps, n, m, n1)
+                            count += 1
+        assert count == 12765
 
 
 class TestOptimize:

@@ -50,17 +50,27 @@ def _round12(x) -> float:
     return float(_fmt(x))
 
 
-def parse_int_range(text) -> list[int]:
-    """Accept a scalar, 'lo:hi', 'lo:hi:step', or a comma list."""
-    if isinstance(text, int):
-        return [text]
+def _int_value(name: str, value) -> int:
+    """value, or the number a string spells, as an int; 8.0 passes, 8.5 raises."""
+    if isinstance(value, str):
+        try:
+            value = float(value) if "." in value else int(value)
+        except ValueError:
+            pass  # _integral rejects the string itself, naming the field
+    return _integral(name, value)
+
+
+def parse_int_range(text, name: str = "range") -> list[int]:
+    """Accept a scalar, 'lo:hi', 'lo:hi:step', or a comma list of integers."""
+    if not isinstance(text, (str, list, tuple)):
+        text = [text]
     if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    s = str(text).strip()
+        return [_int_value(name, v) for v in text]
+    s = text.strip()
     if "," in s:
-        return [int(v) for v in s.split(",") if v.strip()]
+        return [_int_value(name, v) for v in s.split(",") if v.strip()]
     if ":" in s:
-        parts = [int(v) for v in s.split(":")]
+        parts = [_int_value(name, v) for v in s.split(":")]
         if len(parts) == 2:
             lo, hi, step = parts[0], parts[1], 1
         elif len(parts) == 3:
@@ -70,7 +80,7 @@ def parse_int_range(text) -> list[int]:
         if step < 1 or hi < lo:
             raise ValueError(f"bad range {text!r}")
         return list(range(lo, hi + 1, step))
-    return [int(s)]
+    return [_int_value(name, s)]
 
 
 def parse_float_range(text) -> list[float]:
@@ -562,14 +572,14 @@ def build_config(argv) -> RunConfig:
         settings.update(loaded)
     settings.update(given)
     if "command" not in settings:
-        raise SystemExit("no command given (use a subcommand or a config file)")
+        raise ValueError("no command given (use a subcommand or a config file)")
     known = {f.name for f in fields(RunConfig)}
     unknown = set(settings) - known
     if unknown:
-        raise SystemExit(f"unknown config fields: {sorted(unknown)}")
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
     for name in ("k", "n", "m"):
         if name in settings:
-            settings[name] = parse_int_range(settings[name])
+            settings[name] = parse_int_range(settings[name], name)
     if "epsilon" in settings:
         settings["epsilon"] = parse_float_range(settings["epsilon"])
     return RunConfig(**settings)

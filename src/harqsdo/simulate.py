@@ -27,23 +27,20 @@ on whole words whatever d is.  The pivot for column c is the first row
 that has bit c; XOR-ing it into every row with bit c also clears the pivot
 row itself, so a used row drops out without a mask of free rows.
 
-Trial i reads its own counter-based stream, trial_rng(seed, i), so serial
-and parallel runs agree bit for bit.  A span of trials builds one Philox
-and re-points it at each trial's counter instead of building a generator
-per trial.  The kernel takes the stream's raw words in one call and reads
-them exactly as rng.integers(0, 2, (d, n), uint8) followed by
-rng.random(n) would, so the draws, and GENERATOR_NAME, are those of the
-plain per-trial loop kept in the tests as the reference.
+Trial i reads its own counter-based stream, trial_rng(seed, i), so its
+draws depend on (seed, i) alone and trial i is the same round in every
+entry point.  A run builds one Philox and re-points it at each trial's
+counter instead of building a generator per trial.  The kernel takes the
+stream's raw words in one call and reads them exactly as
+rng.integers(0, 2, (d, n), uint8) followed by rng.random(n) would, so the
+draws, and GENERATOR_NAME, are those of the plain per-trial loop kept in
+the tests as the reference.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import threading
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +60,8 @@ __all__ = [
 GENERATOR_NAME = "philox4x64(key=seed, counter=[0, 0, trial, 0])"
 
 # Trials decoded together: each numpy step of the kernel serves this many, 64
-# to a word.  Larger steps hand the interpreter lock between worker threads
-# less often; at k = 32, n = 88 a block holds two 200 kB arrays per thread.
+# to a word, so its fixed cost is shared by more trials as the block grows;
+# at k = 32, n = 88 a block holds two 200 kB arrays.
 _BLOCK = 512
 # Trials drawn together, a multiple of 8 that divides 64 so each chunk fills
 # whole bytes of a lane word.  The draw takes one byte per matrix entry, about
@@ -191,29 +188,24 @@ def _draw(words, lo: int, hi: int, d: int, n: int, matrix_reuse: int):
     return np.right_shift(entries, 7, out=entries).reshape(hi - lo, d, n), uniforms
 
 
-def _span_times(params: CodeParams, seed: int, start: int, stop: int,
-                matrix_reuse: int = 1, draw_lock=contextlib.nullcontext()):
-    """Decode times of trials start..stop-1, one array per block of _BLOCK.
+def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 1):
+    """Decode times of trials 0..trials-1, one array per block of _BLOCK.
 
-    The span reads every stream through one _stream and packs each draw
-    chunk's columns straight into one block array, reused block to block.
-    Spans that run at once share draw_lock, so only one of them draws at a
-    time: a draw releases the interpreter lock once per trial, and two
-    threads drawing together hand it back and forth at that rate.
+    Every stream is read through one _stream, and each draw chunk's columns
+    are packed straight into one block array, reused block to block.
     """
     d, n = params.n - params.k, params.n
     words = _stream(seed)
-    words_per_column = -(-min(_BLOCK, stop - start) // 64)
+    words_per_column = -(-min(_BLOCK, trials) // 64)
     cols = np.empty((d + 1, words_per_column, d), dtype="<u8")
     col_bytes = cols.view(np.uint8).reshape(d + 1, words_per_column, d, 8)
     order = np.empty((64 * words_per_column, d + 1), dtype=np.min_scalar_type(n - 1))
     n_erased = np.empty(64 * words_per_column, dtype=np.intp)
-    for lo in range(start, stop, _BLOCK):
-        t = min(_BLOCK, stop - lo)
+    for lo in range(0, trials, _BLOCK):
+        t = min(_BLOCK, trials - lo)
         for a in range(0, t, _DRAW):
             b = min(a + _DRAW, t)
-            with draw_lock:
-                bits, uniforms = _draw(words, lo + a, lo + b, d, n, matrix_reuse)
+            bits, uniforms = _draw(words, lo + a, lo + b, d, n, matrix_reuse)
             erased = uniforms < params.epsilon
             out = col_bytes[:, a // 64, :, a % 64 // 8 :]
             order[a:b] = _insertion_columns(bits, erased, out)
@@ -225,7 +217,7 @@ def _span_times(params: CodeParams, seed: int, start: int, stop: int,
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Aggregated simulation estimates; identical for any worker split."""
+    """Aggregated estimates of `trials` simulated rounds under one seed."""
 
     trials: int
     seed: int
@@ -237,22 +229,9 @@ class EstimateReport:
     generator: str = GENERATOR_NAME
     matrix_reuse: int = 1
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "mean_symbols": self.mean_symbols,
-            "stderr_symbols": self.stderr_symbols,
-            "success_rate": self.success_rate,
-            "ack_rate_per_block": list(self.ack_rate_per_block),
-            "empirical_throughput": self.empirical_throughput,
-            "generator": self.generator,
-            "matrix_reuse": self.matrix_reuse,
-        }
 
-
-def _check_run(trials, seed, workers=1, matrix_reuse=1) -> tuple[int, int, int, int]:
-    """(trials, seed, workers, matrix_reuse) as ints, or ValueError before any trial is drawn."""
+def _check_run(trials, seed, workers=1, matrix_reuse=1) -> tuple[int, int, int]:
+    """(trials, seed, matrix_reuse) as ints, or ValueError before any trial is drawn."""
     trials = _integral("trials", trials)
     seed = _integral("seed", seed)
     workers = _integral("workers", workers)
@@ -265,63 +244,32 @@ def _check_run(trials, seed, workers=1, matrix_reuse=1) -> tuple[int, int, int, 
         raise ValueError(f"workers must be >= 1, got {workers}")
     if matrix_reuse < 1:
         raise ValueError(f"matrix_reuse must be >= 1, got {matrix_reuse}")
-    return trials, seed, workers, matrix_reuse
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _plan_spans(trials: int, workers: int, cpus: int) -> list[tuple[int, int]]:
-    """Contiguous trial ranges covering 0..trials, one per thread to run.
-
-    At most min(workers, cpus, trials) ranges: threads beyond the CPUs this
-    process may run on add no speed, only cost.
-    """
-    edges = np.linspace(0, trials, num=min(workers, cpus, trials) + 1, dtype=int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
-
-
-def _time_counts(params: CodeParams, seed: int, span: tuple[int, int],
-                 matrix_reuse: int, draw_lock) -> np.ndarray:
-    """How many trials of the span have each decode time 0..n+1."""
-    counts = np.zeros(params.n + 2, dtype=np.int64)
-    for times in _span_times(params, seed, *span, matrix_reuse, draw_lock):
-        counts += np.bincount(times, minlength=params.n + 2)
-    return counts
+    return trials, seed, matrix_reuse
 
 
 def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
              workers: int = 1, matrix_reuse: int = 1) -> EstimateReport:
     """Simulate `trials` independent rounds and aggregate the estimates.
 
-    All accumulators are exact integers, so the report is bit-identical for
-    any number of workers.  The trials split into min(workers, usable CPUs,
-    trials) contiguous spans, each decoded on its own thread in blocks of
-    512 trials; the calling thread takes the first span, and the spans take
-    turns to draw.  matrix_reuse > 1
-    shares one sampled code across that many consecutive erasure draws; this
-    is a variance-reduction mode that departs from the fresh-code-per-round
-    model.
+    Every trial is decoded on the calling thread, in blocks of 512, and all
+    accumulators are exact integers.  workers must be an integer >= 1 and
+    changes nothing else: a pool of worker threads measured no faster, and
+    the argument stays so that existing callers keep working.
+    matrix_reuse > 1 shares one sampled code across that many consecutive
+    erasure draws; this is a variance-reduction mode that departs from the
+    fresh-code-per-round model.
     """
-    trials, seed, workers, matrix_reuse = _check_run(trials, seed, workers, matrix_reuse)
+    trials, seed, matrix_reuse = _check_run(trials, seed, workers, matrix_reuse)
     _check_schedule(params, schedule)
-    spans = _plan_spans(trials, workers, _usable_cpus())
-    # the calling thread decodes the first span itself, so only the others
-    # need a thread, and with it a malloc arena of their own
-    draw_lock = threading.Lock()
-    with ThreadPoolExecutor(max_workers=max(1, len(spans) - 1)) as pool:
-        rest = pool.map(lambda s: _time_counts(params, seed, s, matrix_reuse, draw_lock),
-                        spans[1:])
-        parts = [_time_counts(params, seed, spans[0], matrix_reuse, draw_lock), *rest]
+    counts = np.zeros(params.n + 2, dtype=np.int64)  # trials per decode time 0..n+1
+    for times in _span_times(params, seed, trials, matrix_reuse):
+        counts += np.bincount(times, minlength=params.n + 2)
     b = schedule.boundaries
     m = schedule.m
     sum_ns = 0
     sum_sq = 0
     first_ack = [0] * m
-    for t, count in enumerate(sum(parts).tolist()):
+    for t, count in enumerate(counts.tolist()):
         block = bisect_left(b, t)  # m when t = n + 1: the round fails at n
         sent = b[min(block, m - 1)]
         sum_ns += count * sent
@@ -354,8 +302,8 @@ def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
 
 
 def _sample_times(params: CodeParams, trials: int, seed: int) -> np.ndarray:
-    trials, seed, _, _ = _check_run(trials, seed)
-    return np.concatenate(list(_span_times(params, seed, 0, trials)))
+    trials, seed, _ = _check_run(trials, seed)
+    return np.concatenate(list(_span_times(params, seed, trials)))
 
 
 def sample_decode_counts(k: int, n: int, trials: int, seed: int) -> np.ndarray:

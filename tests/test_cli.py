@@ -32,6 +32,8 @@ class TestParsing:
         assert parse_int_range("4:10:3") == [4, 7, 10]
         assert parse_int_range("88,104") == [88, 104]
         assert parse_int_range([3, 5]) == [3, 5]
+        assert parse_int_range(8.0) == parse_int_range("8.0") == [8]
+        assert parse_int_range([3.0, 5]) == parse_int_range("3.0:5:2") == [3, 5]
 
     def test_float_ranges(self):
         assert parse_float_range("0.5") == [0.5]
@@ -40,6 +42,9 @@ class TestParsing:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             parse_int_range("9:4")
+        for text in ("8.5", "8,8.5", "4:8.5", 8.5, [8, 8.5], "eight"):
+            with pytest.raises(ValueError, match="^k must be an integer, got "):
+                parse_int_range(text, "k")
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
@@ -211,6 +216,8 @@ class TestDomainErrors:
         ["simulate", "--seed", "-1", "--trials", "10"],
         ["simulate", "--seed", str(2 ** 128), "--trials", "10", "--workers", "2"],
         ["simulate", "--trials", "-3"],
+        ["optimize", "--k", "8.5"],
+        ["sweep-n", "--n", "20:24.5"],
     ])
     def test_one_line_message_and_exit_2(self, argv, capsys):
         code = main(argv)
@@ -230,8 +237,12 @@ class TestDomainErrors:
         ('{"command": "constants", "out": 5}', "out must be a path or null, got 5"),
         ('{"command": "constants", "gnuplot": "yes"}',
          "gnuplot must be true or false, got 'yes'"),
+        ('{"command": "optimize", "k": 8.5}', "k must be an integer, got 8.5"),
+        ('{"command": "optimize", "k": [8.5], "n": [24.9]}', "k must be an integer, got 8.5"),
+        ('{"command": "optimize", "n": "24.9"}', "n must be an integer, got 24.9"),
     ], ids=["missing-file", "json-list", "fractional-workers", "fractional-matrix-reuse",
-            "numeric-out", "string-gnuplot"])
+            "numeric-out", "string-gnuplot", "fractional-k", "fractional-k-list",
+            "fractional-n-string"])
     def test_bad_config_one_line_exit_2(self, content, message, tmp_path, capsys):
         path = tmp_path / "run.json"
         if content is not None:
@@ -289,19 +300,26 @@ class TestOutputPlumbing:
         for value in (2, 2.0):
             path = tmp_path / "run.json"
             path.write_text(json.dumps({
-                "command": "simulate", "trials": 20 * value, "seed": 3 * value,
+                "command": "simulate", "k": 4 * value, "n": [12 * value], "m": value,
+                "trials": 20 * value, "seed": 3 * value,
                 "workers": value, "matrix_reuse": value}))
             code, out = run_cli(["--config", str(path)], capsys)
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
-        assert "trials=40 seed=6 matrix_reuse=2" in outs[1].splitlines()[0]
+        header = outs[1].splitlines()[0]
+        assert "k=8 n=24 m=2 " in header and "trials=40 seed=6 matrix_reuse=2" in header
 
-    def test_unknown_config_field_rejected(self, tmp_path):
+    def test_unknown_config_field_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"command": "constants", "frobs": 3}))
-        with pytest.raises(SystemExit):
-            build_config(["--config", str(path)])
+        for argv, message in [(["--config", str(path)], "unknown config fields: ['frobs']"),
+                              ([], "no command given")]:
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"harq-sdo: error: {message}")
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HARQ_SDO_OUT", str(tmp_path))

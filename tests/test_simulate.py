@@ -2,7 +2,7 @@
 
 import itertools
 import math
-import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -29,10 +29,8 @@ from harqsdo.simulate import (
     _DRAW,
     _draw,
     _first_dependent,
-    _plan_spans,
     _span_times,
     _stream,
-    _usable_cpus,
 )
 
 from oracles import dense_rank_mod2, philox_trial, reference_rounds
@@ -138,6 +136,14 @@ class TestEstimate:
         reports = [estimate(p, s, 5000, 42, workers=w) for w in (1, 2, 3, 7)]
         assert all(r == reports[0] for r in reports[1:])
 
+    def test_workers_start_no_thread(self, monkeypatch):
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        rep = estimate(CodeParams(8, 24, 0.5), Schedule((16, 20, 24)), 2000, 42, workers=8)
+        assert rep.trials == 2000
+
     def test_failure_rate_matches_analytic(self):
         p = CodeParams(8, 16, 0.5)
         s = Schedule((12, 16))
@@ -182,17 +188,6 @@ class TestEstimate:
             estimate(p, s, 10, 1, workers=1.5)
         with pytest.raises(ValueError, match="matrix_reuse must be an integer, got 2.5"):
             estimate(p, s, 10, 1, matrix_reuse=2.5)
-
-    def test_thread_plan_capped_at_cpus(self):
-        cpus = len(os.sched_getaffinity(0))
-        for trials, workers in [(1000, 10 ** 6), (3, 8), (10, 1), (7, 7)]:
-            spans = _plan_spans(trials, workers, cpus)
-            assert len(spans) == min(trials, workers, cpus)
-            assert spans[0][0] == 0 and spans[-1][1] == trials
-            assert all(a < b for a, b in spans)
-            assert all(b == c for (_, b), (c, _) in zip(spans, spans[1:]))
-        assert len(_plan_spans(1000, 64, 2)) == 2
-        assert _usable_cpus() == cpus
 
 
 class TestPerSymbolSampling:
@@ -269,7 +264,7 @@ class TestDecodeTimeKernel:
         n = k + d
         rounds = reference_rounds(k, n, eps, range(k, n + 1), trials, seed, matrix_reuse)
         want = [sent if ok else n + 1 for _, sent, ok, _ in rounds]
-        got = np.concatenate(list(_span_times(CodeParams(k, n, eps), seed, 0, trials,
+        got = np.concatenate(list(_span_times(CodeParams(k, n, eps), seed, trials,
                                               matrix_reuse)))
         assert got.tolist() == want
 
@@ -279,7 +274,7 @@ class TestDecodeTimeKernel:
         trials, seed = 300, 3
         rounds = reference_rounds(k, n, 0.01, range(k, n + 1), trials, seed)
         want = [sent if ok else n + 1 for _, sent, ok, _ in rounds]
-        got = np.concatenate(list(_span_times(CodeParams(k, n, 0.01), seed, 0, trials)))
+        got = np.concatenate(list(_span_times(CodeParams(k, n, 0.01), seed, trials)))
         assert {n, n + 1} <= set(want)
         assert got.tolist() == want
 
@@ -318,7 +313,7 @@ class TestDecodeTimeKernel:
         want = estimate(p, s, 3000, 7, workers=2)
         monkeypatch.setattr(np.random, "Philox", CountingPhilox)
         assert estimate(p, s, 3000, 7, workers=2) == want
-        assert 1 <= len(built) <= len(_plan_spans(3000, 2, _usable_cpus()))
+        assert len(built) == 1
 
     @pytest.mark.parametrize("d, s, want", [(5, 6, 0), (1, 1, 0), (0, 1, 0)])
     def test_all_zero_columns_depend_at_once(self, d, s, want):
@@ -380,7 +375,7 @@ class TestDecodeTimeKernel:
     def test_estimate_matches_reference_accumulators(self, matrix_reuse):
         p = CodeParams(32, 88, 0.5)
         s = Schedule((61, 68, 75, 88))
-        trials = 600  # three blocks, split over two threads
+        trials = 600  # three blocks
         rounds = reference_rounds(32, 88, 0.5, s.boundaries, trials, 7, matrix_reuse)
         rep = estimate(p, s, trials, 7, workers=2, matrix_reuse=matrix_reuse)
         sent = [r[1] for r in rounds]
@@ -426,10 +421,10 @@ class TestRunArguments:
                 call()
 
     def test_seed_range_checked_before_threads_start(self, monkeypatch):
-        def no_threads(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a trial stream was opened")
 
-        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", no_threads)
+        monkeypatch.setattr(simulate_module, "_stream", no_draws)
         p = CodeParams(8, 24, 0.5)
         s = Schedule((16, 20, 24))
         for seed in (2 ** 128, -1):

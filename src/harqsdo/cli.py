@@ -83,15 +83,21 @@ def parse_int_range(text, name: str = "range") -> list[int]:
     return [_int_value(name, s)]
 
 
-def parse_float_range(text) -> list[float]:
-    if isinstance(text, (int, float)):
-        return [float(text)]
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    s = str(text).strip()
-    if "," in s:
-        return [float(v) for v in s.split(",") if v.strip()]
-    return [float(s)]
+def _float_value(name: str, value) -> float:
+    """value, or the number a string spells, as a float."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def parse_float_range(text, name: str = "range") -> list[float]:
+    """Accept a scalar, a list, or a comma list of numbers."""
+    if isinstance(text, str):
+        text = [v.strip() for v in text.split(",") if v.strip()]
+    elif not isinstance(text, (list, tuple)):
+        text = [text]
+    return [_float_value(name, v) for v in text]
 
 
 @dataclass
@@ -120,9 +126,9 @@ class RunConfig:
         for name in ("k", "n", "m", "epsilon"):
             if not getattr(self, name):
                 raise ValueError(f"range {name} is empty")
-        # a config file may give 2.0 for 2; the header must print what runs
+        # a flag or config file may give 2.0 for 2; the header must print what runs
         for name in ("trials", "seed", "workers", "matrix_reuse"):
-            setattr(self, name, _integral(name, getattr(self, name)))
+            setattr(self, name, _int_value(name, getattr(self, name)))
         if not (self.out is None or isinstance(self.out, str)):
             raise ValueError(f"out must be a path or null, got {self.out!r}")
         if not isinstance(self.gnuplot, bool):
@@ -535,10 +541,10 @@ def _build_parser() -> argparse.ArgumentParser:
     flags.add_argument("--m")
     flags.add_argument("--eps", dest="epsilon", metavar="EPS")
     flags.add_argument("--model", choices=MODELS)
-    flags.add_argument("--trials", type=int)
-    flags.add_argument("--seed", type=int)
-    flags.add_argument("--workers", type=int)
-    flags.add_argument("--matrix-reuse", dest="matrix_reuse", type=int)
+    flags.add_argument("--trials")
+    flags.add_argument("--seed")
+    flags.add_argument("--workers")
+    flags.add_argument("--matrix-reuse", dest="matrix_reuse")
     flags.add_argument("--out")
     flags.add_argument("--format", choices=("csv", "json"))
     flags.add_argument("--gnuplot", action="store_true")
@@ -581,7 +587,7 @@ def build_config(argv) -> RunConfig:
         if name in settings:
             settings[name] = parse_int_range(settings[name], name)
     if "epsilon" in settings:
-        settings["epsilon"] = parse_float_range(settings["epsilon"])
+        settings["epsilon"] = parse_float_range(settings["epsilon"], "epsilon")
     return RunConfig(**settings)
 
 

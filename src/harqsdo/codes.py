@@ -10,6 +10,7 @@ constants those moments converge to.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,11 +148,13 @@ def decodable_count_moments(k: int, n: int) -> MomentPair:
     return MomentPair(m1, max(0.0, m2 - m1 * m1))
 
 
+@functools.cache
 def erdos_borwein_constant() -> float:
     """sum_{i>=1} 1/(2**i - 1), the limiting mean decoding overhead beyond k."""
     return _reciprocal_series(power=1)
 
 
+@functools.cache
 def dst_constant() -> float:
     """sum_{i>=1} 1/(2**i - 1)**2, the digital search tree constant."""
     return _reciprocal_series(power=2)

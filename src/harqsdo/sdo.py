@@ -7,17 +7,25 @@ first boundaries are swept exhaustively and every candidate schedule is
 scored with the exact discrete objective, so the smooth model only ever
 decides where the interior boundaries land.  An exact dynamic program over
 (slot, boundary) provides the ground-truth optimum SDO is measured against.
+
+The model depends on (k, epsilon, kind) only, not on n or m, so the
+recursion from a first boundary n1 is grown once without caps and shared by
+every (n, m): the schedule's slot i is min(b_i, n - (m - i)) and its last
+slot is n.  The uncapped trajectories of the last few models are cached and
+grown only as far as a schedule asked so far reads them.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codes import CodeParams, asymptotic_round_moments
-from .channel import Schedule, ack_curve, expected_round_symbols, objective, throughput
+from .channel import Schedule, ack_curve, expected_round_symbols, throughput
 
 __all__ = [
     "CdfModel",
@@ -110,6 +118,39 @@ class OptimizerReport:
     n1_searched: tuple[int, int] | None
 
 
+@functools.lru_cache(maxsize=4)
+def _trajectories(model: CdfModel) -> tuple[dict, dict]:
+    """The model's uncapped trajectories grown so far, and F at each one's
+    boundary before the last, both keyed by first boundary."""
+    return {}, {}
+
+
+def _grown(model: CdfModel, n: int, m: int, firsts) -> list[list]:
+    """The uncapped trajectory from each first boundary, as far as (n, m) reads it.
+
+    b_1 = n1 and b_{i+1} = b_i + max(1, ceil(r)), r = (F(b_i) - F(b_{i-1})) /
+    F'(b_i), F(b_0) = 0; an infinite r, from an underflowed density included,
+    ends the trajectory with +inf.  A trajectory grows until slots 1..m-1 of
+    an (n, m) schedule are known: each step is at least 1 and each cap
+    n - (m - i) grows by 1 per slot, so b_i - i never falls, and once the last
+    boundary reaches its cap every later slot takes its cap.
+    """
+    rows, f_before_last = _trajectories(model)
+    out = []
+    for n1 in firsts:
+        b = rows.get(n1) or rows.setdefault(n1, [n1])
+        while len(b) < m - 1 and b[-1] - len(b) < n - m:
+            cur = b[-1]
+            f_cur = model.cdf(cur)
+            density = model.pdf(cur)
+            f_prev = f_before_last.get(n1, 0.0)
+            ratio = (f_cur - f_prev) / density if density > 0.0 else math.inf
+            b.append(math.inf if ratio == math.inf else cur + max(1, math.ceil(ratio)))
+            f_before_last[n1] = f_cur
+        out.append(b)
+    return out
+
+
 def _schedule_from_model(model: CdfModel, n: int, m: int, n1: int) -> tuple[int, ...]:
     """The m boundaries SDO grows from a first boundary n1 <= n - m + 1.
 
@@ -118,21 +159,46 @@ def _schedule_from_model(model: CdfModel, n: int, m: int, n1: int) -> tuple[int,
     F'(n_{i-1}), F(n_0) = 0.  When r is at least the room left below n_i's cap
     n - (m - i), an infinite r from an underflowed density included, n_i takes
     its cap, and so does every later boundary, as each step is at least 1:
-    the schedule ends strictly increasing at n_m = n.
+    the schedule ends strictly increasing at n_m = n.  The room is an integer,
+    so r reaches it exactly when the uncapped boundary reaches the cap:
+    n_i = min(b_i, n - (m - i)) over the trajectory b that _grown keeps.
     """
-    bounds = [n1]
-    f_prev = 0.0
-    for slot in range(2, m):
-        cur = bounds[-1]
-        f_cur = model.cdf(cur)
-        density = model.pdf(cur)
-        ratio = (f_cur - f_prev) / density if density > 0.0 else math.inf
-        if ratio >= n - (m - slot) - cur:
-            break
-        bounds.append(cur + max(1, math.ceil(ratio)))
-        f_prev = f_cur
+    b = _grown(model, n, m, (n1,))[0]
+    bounds = [n1] + [min(x, n - (m - i)) for i, x in enumerate(b[1 : m - 1], 2)]
     bounds.extend(range(n - m + len(bounds) + 1, n + 1))
     return tuple(bounds)
+
+
+# Boundaries scored per block of candidates; bounds the scoring memory.
+_BLOCK_CELLS = 1 << 16
+
+
+def _scores(rows: list[list], n: int, m: int, ack: np.ndarray) -> np.ndarray:
+    """The exact objective of each row's (n, m) schedule, in row order.
+
+    The objective n + sum_i (n_i - n_{i+1}) ack[n_i] is summed left to right
+    over slots for all rows at once, the same IEEE operations in the same
+    order as channel.objective.  Rows are uncapped trajectories; slots past
+    the longest row are caps alike for every row and stay scalars.
+    """
+    caps = np.arange(n - m + 1, n + 1, dtype=float)  # slot i's cap; slot m is n
+    per_block = max(1, _BLOCK_CELLS // min(m - 1, max(map(len, rows))))
+    out = []
+    for start in range(0, len(rows), per_block):
+        block = rows[start : start + per_block]
+        width = min(m - 1, max(map(len, block)))
+        # one array row per slot, +inf past each trajectory's end, then capped
+        slots = itertools.zip_longest(*block, fillvalue=math.inf)
+        b = np.array(list(itertools.islice(slots, width)), dtype=float)
+        np.minimum(b, caps[:width, None], out=b)
+        total = np.full(b.shape[1], float(n))
+        cur = b[0]
+        for j in range(1, m):
+            nxt = b[j] if j < width else caps[j]
+            total += (cur - nxt) * ack[cur.astype(np.intp)]
+            cur = nxt
+        out.append(total)
+    return np.concatenate(out)
 
 
 def _report(params: CodeParams, schedule: Schedule, model_used: str,
@@ -167,15 +233,9 @@ def optimize(params: CodeParams, m: int, model_kind: str = "normal") -> Optimize
         return _report(params, Schedule((params.n,)), model_kind, None)
     lo, hi = _n1_range(params, m)
     model = CdfModel.for_params(params, model_kind)
-    curve = ack_curve(params).tolist()
-    best_obj = math.inf
-    best: tuple[int, ...] = ()
-    for n1 in range(lo, hi + 1):
-        candidate = _schedule_from_model(model, params.n, m, n1)
-        obj = objective(candidate, [curve[x] for x in candidate])
-        if obj < best_obj:
-            best_obj = obj
-            best = candidate
+    totals = _scores(_grown(model, params.n, m, range(lo, hi + 1)), params.n, m,
+                     ack_curve(params))
+    best = _schedule_from_model(model, params.n, m, lo + int(np.argmin(totals)))
     return _report(params, Schedule(best), model_kind, (lo, hi))
 
 

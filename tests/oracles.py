@@ -214,6 +214,24 @@ def sdo_recursion(cdf, pdf, n: int, m: int, n1: int) -> tuple[int, ...]:
     return tuple(bounds)
 
 
+def sdo_optimize(cdf, pdf, curve, k: int, n: int, m: int) -> tuple[tuple[int, ...], float]:
+    """SDO's schedule and exact objective, one first boundary at a time.
+
+    Grows every feasible n1 = k..n-m+1 with sdo_recursion, scores it with the
+    telescoped objective n + sum_i (n_i - n_{i+1}) curve[n_i], summed left to
+    right, and keeps the first strict minimum.
+    """
+    best, best_obj = None, math.inf
+    for n1 in range(k, n - m + 2):
+        b = sdo_recursion(cdf, pdf, n, m, n1)
+        obj = float(n)
+        for i in range(m - 1):
+            obj += (b[i] - b[i + 1]) * curve[b[i]]
+        if obj < best_obj:
+            best, best_obj = b, obj
+    return best, float(best_obj)
+
+
 def smoothed_objective(cdf, boundaries) -> float:
     """Expected symbols with the ACK curve replaced by cdf, in the direct form.
 

@@ -38,6 +38,14 @@ class TestParsing:
     def test_float_ranges(self):
         assert parse_float_range("0.5") == [0.5]
         assert parse_float_range("0.3,0.5") == [0.3, 0.5]
+        assert parse_float_range(" 0.3, 0.5 ") == parse_float_range([0.3, "0.5"]) == [0.3, 0.5]
+        assert parse_float_range(1) == [1.0]
+
+    def test_bad_float_range(self):
+        for text, shown in [("abc", "'abc'"), ("0.3, abc", "'abc'"), (None, "None"),
+                            ([0.3, None], "None"), ({}, "{}")]:
+            with pytest.raises(ValueError, match=f"^epsilon must be a number, got {shown}$"):
+                parse_float_range(text, "epsilon")
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
@@ -218,6 +226,12 @@ class TestDomainErrors:
         ["simulate", "--trials", "-3"],
         ["optimize", "--k", "8.5"],
         ["sweep-n", "--n", "20:24.5"],
+        ["optimize", "--eps", "abc"],
+        ["sweep-k", "--eps", "0.3,abc"],
+        ["simulate", "--trials", "8.5"],
+        ["simulate", "--trials", "10", "--seed", "1.5"],
+        ["simulate", "--trials", "10", "--workers", "two"],
+        ["simulate", "--trials", "10", "--matrix-reuse", "2.5"],
     ])
     def test_one_line_message_and_exit_2(self, argv, capsys):
         code = main(argv)
@@ -240,9 +254,11 @@ class TestDomainErrors:
         ('{"command": "optimize", "k": 8.5}', "k must be an integer, got 8.5"),
         ('{"command": "optimize", "k": [8.5], "n": [24.9]}', "k must be an integer, got 8.5"),
         ('{"command": "optimize", "n": "24.9"}', "n must be an integer, got 24.9"),
+        ('{"command": "optimize", "epsilon": "abc"}', "epsilon must be a number, got 'abc'"),
+        ('{"command": "optimize", "epsilon": null}', "epsilon must be a number, got None"),
     ], ids=["missing-file", "json-list", "fractional-workers", "fractional-matrix-reuse",
             "numeric-out", "string-gnuplot", "fractional-k", "fractional-k-list",
-            "fractional-n-string"])
+            "fractional-n-string", "string-epsilon", "null-epsilon"])
     def test_bad_config_one_line_exit_2(self, content, message, tmp_path, capsys):
         path = tmp_path / "run.json"
         if content is not None:
@@ -309,6 +325,18 @@ class TestOutputPlumbing:
         assert outs[0] == outs[1]
         header = outs[1].splitlines()[0]
         assert "k=8 n=24 m=2 " in header and "trials=40 seed=6 matrix_reuse=2" in header
+
+    def test_integral_float_flags_run_as_integers(self, capsys):
+        base = ["simulate", "--k", "4", "--n", "12", "--m", "2"]
+        outs = []
+        for value in ("2", "2.0"):
+            argv = base + ["--trials", f"1{value}", "--seed", value, "--workers", value,
+                           "--matrix-reuse", value]
+            code, out = run_cli(argv, capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert "trials=12 seed=2 matrix_reuse=2" in outs[1].splitlines()[0]
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.json"

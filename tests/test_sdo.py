@@ -1,8 +1,9 @@
 """Tests for the CDF models, the SDO recursion, and the optimizers."""
 
+import functools
 import math
 import random
-from types import SimpleNamespace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,12 +23,15 @@ from harqsdo import (
     throughput,
 )
 
-from harqsdo.sdo import _schedule_from_model
+from harqsdo import sdo
+from harqsdo.cli import main
+from harqsdo.sdo import _schedule_from_model, _trajectories
 
 from oracles import (
     enumerate_best_interior,
     gaussian_tail_quad,
     sdo_continuous_step,
+    sdo_optimize,
     sdo_recursion,
     smoothed_objective,
 )
@@ -92,6 +96,16 @@ def _oracle(model, n, m, n1):
     return sdo_recursion(model.cdf, model.pdf, n, m, n1)
 
 
+class _FlatModel:
+    """A flat CDF; hashable, as the package caches trajectories per model."""
+
+    def cdf(self, x):
+        return 0.5
+
+    def pdf(self, x):
+        return 0.25
+
+
 BOTH_ROUTES = pytest.mark.parametrize("grow", [_package, _oracle], ids=["package", "oracle"])
 
 
@@ -115,7 +129,7 @@ class TestSdoRecursion:
     @BOTH_ROUTES
     def test_ceiling_and_minimum_increment(self, grow):
         # a flat CDF: the first increment is exactly 0.5 / 0.25 = 2, every later one 0
-        flat = SimpleNamespace(cdf=lambda x: 0.5, pdf=lambda x: 0.25)
+        flat = _FlatModel()
         assert grow(flat, 30, 5, 10) == (10, 12, 13, 14, 30)
         # a step one short of the cap n - 1 = 13 keeps its value
         assert grow(flat, 14, 3, 10) == (10, 12, 14)
@@ -197,12 +211,18 @@ class TestSdoRecursion:
         assert smoothed_objective(model.cdf, b) == pytest.approx(
             objective(b, [model.cdf(x) for x in b]), abs=1e-12)
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warmed-by-larger-n"])
     @pytest.mark.parametrize("kind", ["normal", "lognormal"])
-    def test_matches_oracle_on_every_feasible_n1(self, kind):
+    def test_matches_oracle_on_every_feasible_n1(self, kind, warm):
+        _trajectories.cache_clear()
         count = 0
         for k in (1, 4, 17, 32, 64):
             for eps in (0.0, 0.3, 0.5, 0.9, 0.99):
                 model = CdfModel.for_params(CodeParams(k, k, eps), kind)
+                if warm:
+                    # trajectories grown past every cap the loop below reads
+                    for n1 in range(k, 3 * k + 8):
+                        _schedule_from_model(model, 4 * k + 16, 8, n1)
                 for n in (k + 3, 2 * k + 7, 3 * k):
                     for m in range(2, 9):
                         for n1 in range(k, n - m + 2):
@@ -253,6 +273,73 @@ class TestOptimize:
             t = optimize(p, m, "normal").throughput
             assert t >= last - 1e-12
             last = t
+
+
+OPTIMIZE_GRID = [(k, eps, n, m) for k in (1, 8, 32, 64) for eps in (0.0, 0.3, 0.9, 0.99)
+                 for n in sorted({k + 3, 2 * k + 7, 3 * k}) for m in range(2, 9)
+                 if k + m - 1 <= n]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_optimize(kind, k, eps, n, m):
+    p = CodeParams(k, n, eps)
+    model = CdfModel.for_params(p, kind)
+    return sdo_optimize(model.cdf, model.pdf, ack_curve(p), k, n, m)
+
+
+class TestSharedTrajectories:
+    """optimize reads every candidate from trajectories shared across (n, m)."""
+
+    @staticmethod
+    def _assert_matches_oracle(kind, grid):
+        for k, eps, n, m in grid:
+            rep = optimize(CodeParams(k, n, eps), m, kind)
+            schedule, obj = _oracle_optimize(kind, k, eps, n, m)
+            assert rep.schedule.boundaries == schedule, (k, eps, n, m)
+            assert rep.objective == obj, (k, eps, n, m)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("kind", ["normal", "lognormal"])
+    def test_optimize_matches_oracle_in_any_call_order(self, kind, order):
+        grid = {"ascending": OPTIMIZE_GRID, "descending": OPTIMIZE_GRID[::-1],
+                "shuffled": random.Random(9).sample(OPTIMIZE_GRID, len(OPTIMIZE_GRID))}[order]
+        _trajectories.cache_clear()
+        self._assert_matches_oracle(kind, grid)
+
+    def test_scoring_in_small_row_blocks(self, monkeypatch):
+        # one or two candidates per block, so every block edge is crossed
+        monkeypatch.setattr(sdo, "_BLOCK_CELLS", 3)
+        _trajectories.cache_clear()
+        self._assert_matches_oracle("normal", [g for g in OPTIMIZE_GRID if g[0] in (8, 32)])
+
+    def test_cache_holds_a_few_models(self):
+        for eps in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
+            optimize(CodeParams(8, 24, eps), 4, "lognormal")
+        assert 1 <= _trajectories.cache_info().currsize <= 4
+
+    def test_cdf_evaluations_per_cli_call(self, monkeypatch, capsys):
+        # sweep-n-fig2 grew 44,594 steps when every (n, m, n1) regrew its
+        # schedule; sweep-k-es has no (n, m) to share and takes 1,181 that way
+        evaluations = []
+        cdf = CdfModel.cdf
+        monkeypatch.setattr(CdfModel, "cdf", lambda model, x: evaluations.append(x) or cdf(model, x))
+        for argv, limit in [("sweep-n --k 32 --n 66:120:2 --m 1:8 --model all", 1000),
+                            ("sweep-k --k 24:40:4 --n 88 --m 5 --model all", 1200)]:
+            _trajectories.cache_clear()
+            evaluations.clear()
+            assert main(argv.split() + ["--eps", "0.47"]) == 0
+            assert len(evaluations) <= limit, argv
+        capsys.readouterr()
+
+    def test_wide_optimize_traced_peak_under_8mb(self):
+        _trajectories.cache_clear()
+        tracemalloc.start()
+        try:
+            optimize(CodeParams(32, 4000, 0.5), 3000, "normal")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000
 
 
 class TestExhaustiveSearch:

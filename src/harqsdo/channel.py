@@ -81,12 +81,19 @@ class RoundLengthLaw:
         return max(0.0, m2 - m1 * m1)
 
 
+_BLOCK_CELLS = 1 << 16  # (t, r) cells of binomial weights held at once
+
+
 @functools.lru_cache(maxsize=1)
 def ack_curve(params: CodeParams) -> np.ndarray:
     """P(ACK by time t) for every t in 0..n, read-only; zero below k.
 
     ACK(t) = 1 - sum_r (1 - P_s(r)) P(r of t symbols observed), with the
-    binomial weights from log-gamma (direct factorials overflow near t ~ 100).
+    binomial weights from one log-factorial table g[j] = log j! (direct
+    factorials overflow near t ~ 100).  The weights of the (t, r) triangle
+    are exponentiated a block of rows t at a time, at most _BLOCK_CELLS
+    cells per block, so memory stays flat in n; each row is then summed
+    with its own dot over r = 0..t.
     """
     k, n, eps = params.k, params.n, params.epsilon
     ps = decode_success_curve(k, n)
@@ -94,15 +101,25 @@ def ack_curve(params: CodeParams) -> np.ndarray:
         out = ps  # lossless, ACK is decoding success
     else:
         out = np.zeros(n + 1)
-        log_keep, log_lose = math.log1p(-eps), math.log(eps)
-        for t in range(k, n + 1):
-            r = np.arange(t + 1)
-            e = t - r
-            logw = gammaln(t + 1) - gammaln(r + 1) - gammaln(e + 1)
-            w = np.exp(logw + r * log_keep + e * log_lose)
-            # verbatim form: it cancels to a few ulps below 0 when eps is
-            # near 1, hence the clamp
-            out[t] = max(0.0, float(1.0 - np.dot(1.0 - ps[: t + 1], w)))
+        g = gammaln(np.arange(1, n + 2))
+        j = np.arange(n + 1)
+        keep, lose = j * math.log1p(-eps), j * math.log(eps)
+        fail = 1.0 - ps
+        rows = max(1, _BLOCK_CELLS // (n + 1))
+        for t0 in range(k, n + 1, rows):
+            t1 = min(n + 1, t0 + rows)
+            t = j[t0:t1, None]
+            r = j[: t1]
+            e = np.maximum(t - r, 0)  # r > t is never read
+            logw = g[t] - g[r]
+            logw -= g[e]
+            logw += keep[: t1]
+            logw += lose[e]
+            w = np.exp(logw, out=logw)
+            for row, tt in zip(w, range(t0, t1)):
+                # verbatim form: it cancels to a few ulps below 0 when eps
+                # is near 1, hence the clamp
+                out[tt] = max(0.0, float(1.0 - np.dot(fail[: tt + 1], row[: tt + 1])))
     out.setflags(write=False)
     return out
 

@@ -51,12 +51,15 @@ def _round12(x) -> float:
 
 
 def _int_value(name: str, value) -> int:
-    """value, or the number a string spells, as an int; 8.0 passes, 8.5 raises."""
+    """value, or the number a string spells, as an int; 8.0 and 1e2 pass, 8.5 raises."""
     if isinstance(value, str):
         try:
-            value = float(value) if "." in value else int(value)
+            value = int(value)
         except ValueError:
-            pass  # _integral rejects the string itself, naming the field
+            try:
+                value = float(value)  # as a config file's JSON number reads
+            except ValueError:
+                pass  # _integral rejects the string itself, naming the field
     return _integral(name, value)
 
 

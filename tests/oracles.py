@@ -4,7 +4,8 @@ Everything here stays deliberately naive: dense 0/1 Gaussian elimination,
 full enumeration over matrices and erasure patterns, exact rationals,
 quadrature for the Gaussian tail, the channel laws term by term, and the
 SDO recursion one explicit step at a time.  None of it shares code with the
-package.
+package, except ack_curve_loop, which reads the package's success curve so
+that it can pin the ACK curve's arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import gammaln
+
+from harqsdo import decode_success_curve
 
 
 def dense_rank_mod2(a: np.ndarray) -> int:
@@ -120,6 +124,27 @@ def erasures_pmf(r: int, e: int, epsilon: float) -> float:
     if e:
         logp += e * math.log(epsilon)
     return math.exp(logp)
+
+
+def ack_curve_loop(params) -> np.ndarray:
+    """The ACK curve one t at a time, three gammaln calls and one dot per t.
+
+    The same IEEE operations per element as harqsdo.ack_curve, which must
+    match it byte for byte; ps is the package's decode_success_curve.
+    """
+    k, n, eps = params.k, params.n, params.epsilon
+    ps = decode_success_curve(k, n)
+    if eps == 0.0:
+        return ps
+    out = np.zeros(n + 1)
+    log_keep, log_lose = math.log1p(-eps), math.log(eps)
+    for t in range(k, n + 1):
+        r = np.arange(t + 1)
+        e = t - r
+        logw = gammaln(t + 1) - gammaln(r + 1) - gammaln(e + 1)
+        w = np.exp(logw + r * log_keep + e * log_lose)
+        out[t] = max(0.0, float(1.0 - np.dot(1.0 - ps[: t + 1], w)))
+    return out
 
 
 def round_length_convolution(k: int, n: int, epsilon: float) -> np.ndarray:

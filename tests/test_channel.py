@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +25,10 @@ from harqsdo import (
     round_length_moments,
     throughput,
 )
+from harqsdo import channel
 
 from oracles import (
+    ack_curve_loop,
     ack_fraction,
     erasures_pmf,
     expected_stop_symbols,
@@ -170,6 +173,32 @@ class TestAckProb:
         with pytest.raises(ValueError):
             curve[6] = 0.5
         assert np.array_equal(ack_curve(p), before)
+
+    @pytest.mark.parametrize("k", [1, 2, 17, 32, 64])
+    def test_curve_matches_loop_bit_for_bit(self, k):
+        # n = 600 spans several row blocks; n = 255..257 sits at a block edge
+        for n in sorted({k, k + 1, 2 * k, 3 * k, 255, 256, 257, 600}):
+            if n < k:
+                continue
+            for eps in (0.0, 0.01, 0.3, 0.5, 0.9, 0.999):
+                p = CodeParams(k, n, eps)
+                assert ack_curve.__wrapped__(p).tobytes() == ack_curve_loop(p).tobytes(), p
+
+    def test_curve_in_one_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(channel, "_BLOCK_CELLS", 3)
+        for p in (CodeParams(1, 9, 0.3), CodeParams(8, 40, 0.9), CodeParams(17, 60, 0.5)):
+            assert ack_curve.__wrapped__(p).tobytes() == ack_curve_loop(p).tobytes(), p
+
+    def test_wide_curve_traced_peak_under_8mb(self):
+        # a whole (t, r) triangle at n = 4000 would take about 128 MB per temporary
+        ack_curve.cache_clear()
+        tracemalloc.start()
+        try:
+            ack_curve.__wrapped__(CodeParams(32, 4000, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000
 
     def test_cache_follows_the_design_point(self):
         a, b = CodeParams(4, 12, 0.3), CodeParams(4, 12, 0.5)

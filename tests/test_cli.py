@@ -241,6 +241,21 @@ class TestDomainErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("harq-sdo: error: ")
 
+    @pytest.mark.parametrize("bad", ["8.5", "1e400", "inf", "nan"])
+    @pytest.mark.parametrize("field, argv", [
+        ("trials", ["simulate", "--trials", "{}"]),
+        ("k", ["optimize", "--k", "{}"]),
+        ("n", ["sweep-n", "--n", "20:{}"]),
+    ], ids=["trials-flag", "k-range", "n-range"])
+    def test_non_integral_number_names_the_field(self, field, argv, bad, capsys):
+        code = main([a.format(bad) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"harq-sdo: error: {field} must be an integer, got ")
+
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read config"),
         ("[1, 2]", "must hold a JSON object, got list"),
@@ -337,6 +352,18 @@ class TestOutputPlumbing:
             outs.append(out)
         assert outs[0] == outs[1]
         assert "trials=12 seed=2 matrix_reuse=2" in outs[1].splitlines()[0]
+
+    def test_exponent_form_runs_as_in_a_config(self, tmp_path, capsys):
+        base = ["simulate", "--k", "4", "--n", "12", "--m", "2", "--seed", "1"]
+        path = tmp_path / "run.json"
+        path.write_text('{"command": "simulate", "k": 4, "n": 12, "m": [2], "seed": 1, '
+                        '"trials": 1e2}')
+        outs = [run_cli(argv, capsys) for argv in (base + ["--trials", "100"],
+                                                   base + ["--trials", "1e2"],
+                                                   ["--config", str(path)])]
+        assert [code for code, _ in outs] == [0, 0, 0]
+        assert outs[0][1] == outs[1][1] == outs[2][1]
+        assert parse_int_range("1e1:12") == [10, 11, 12]
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         path = tmp_path / "run.json"

@@ -11,14 +11,17 @@ decides where the interior boundaries land.  An exact dynamic program over
 The model depends on (k, epsilon, kind) only, not on n or m, so the
 recursion from a first boundary n1 is grown once without caps and shared by
 every (n, m): the schedule's slot i is min(b_i, n - (m - i)) and its last
-slot is n.  The uncapped trajectories of the last few models are cached and
-grown only as far as a schedule asked so far reads them.
+slot is n.  Each of the last few models keeps its uncapped trajectories as
+one float matrix, a row per first boundary and +inf past each row's end,
+grown only as far as a schedule asked so far reads them, with F and F'
+evaluated once per boundary however many rows step from it.  optimize
+scores a block of rows at once and reports the winning row's score as its
+objective.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -83,11 +86,11 @@ class CdfModel:
         moments = asymptotic_round_moments(params.k, params.epsilon)
         return cls.from_moments(kind, moments.mean, moments.variance)
 
-    @property
+    @functools.cached_property
     def sigma(self) -> float:
         return math.sqrt(self.sigma2)
 
-    @property
+    @functools.cached_property
     def sigma_star(self) -> float:
         return math.sqrt(self.sigma2_star)
 
@@ -119,37 +122,118 @@ class OptimizerReport:
     n1_searched: tuple[int, int] | None
 
 
-@functools.lru_cache(maxsize=4)
-def _trajectories(model: CdfModel) -> tuple[dict, dict]:
-    """The model's uncapped trajectories grown so far, and F at each one's
-    boundary before the last, both keyed by first boundary."""
-    return {}, {}
+class _Trajectories:
+    """One model's uncapped trajectories grown so far, row n1 from first boundary n1.
 
-
-def _grown(model: CdfModel, n: int, m: int, firsts) -> list[list]:
-    """The uncapped trajectory from each first boundary, as far as (n, m) reads it.
-
-    b_1 = n1 and b_{i+1} = b_i + max(1, ceil(r)), r = (F(b_i) - F(b_{i-1})) /
-    F'(b_i), F(b_0) = 0; an infinite r, from an underflowed density included,
-    ends the trajectory with +inf.  A trajectory grows until slots 1..m-1 of
-    an (n, m) schedule are known: each step is at least 1 and each cap
-    n - (m - i) grows by 1 per slot, so b_i - i never falls, and once the last
-    boundary reaches its cap every later slot takes its cap.
+    b[n1, i] is boundary i + 1 of the trajectory from n1, and +inf past its
+    lens[n1] known cells; b is as wide as its longest row.  slack[n1] is the
+    row's last boundary minus lens[n1] (+inf once the row has ended), and
+    f_before[n1] is F at the row's boundary before the last (0 while it has
+    none).  known maps each boundary stepped from so far to (F, F') there,
+    which many rows share.
     """
-    rows, f_before_last = _trajectories(model)
-    out = []
-    for n1 in firsts:
-        b = rows.get(n1) or rows.setdefault(n1, [n1])
-        while len(b) < m - 1 and b[-1] - len(b) < n - m:
-            cur = b[-1]
-            f_cur = model.cdf(cur)
-            density = model.pdf(cur)
-            f_prev = f_before_last.get(n1, 0.0)
-            ratio = (f_cur - f_prev) / density if density > 0.0 else math.inf
-            b.append(math.inf if ratio == math.inf else cur + max(1, math.ceil(ratio)))
-            f_before_last[n1] = f_cur
-        out.append(b)
-    return out
+
+    def __init__(self) -> None:
+        self.b = np.empty((0, 1))
+        self.lens = np.empty(0, dtype=np.intp)
+        self.slack = np.empty(0)
+        self.f_before = np.empty(0)
+        self.known: dict[float, tuple[float, float]] = {}
+
+    def add_rows(self, stop: int) -> None:
+        """Rows up to stop - 1, each fresh row just its first boundary."""
+        first = len(self.lens)
+        b = np.full((stop, self.b.shape[1]), np.inf)
+        b[:first] = self.b
+        b[first:, 0] = np.arange(first, stop)
+        self.b = b
+        self.lens = np.concatenate([self.lens, np.ones(stop - first, dtype=np.intp)])
+        self.slack = np.concatenate([self.slack, b[first:, 0] - 1.0])
+        self.f_before = np.concatenate([self.f_before, np.zeros(stop - first)])
+
+    def widen(self, width: int) -> None:
+        """b padded with +inf to width columns."""
+        b = np.full((len(self.b), width), np.inf)
+        b[:, : self.b.shape[1]] = self.b
+        self.b = b
+
+
+@functools.lru_cache(maxsize=4)
+def _trajectories(model: CdfModel) -> _Trajectories:
+    """The model's uncapped trajectories grown so far."""
+    return _Trajectories()
+
+
+def _step(model: CdfModel, b: float, f_before: float, known: dict) -> tuple[float, float]:
+    """The boundary after b, and F(b): b + max(1, ceil(r)), r = (F(b) - f_before) / F'(b).
+
+    f_before is F at the boundary before b, 0 for a first boundary.  An
+    infinite r, from an underflowed density included, gives +inf.  known
+    holds (F(x), F'(x)) by x, read if there and filled if not.
+    """
+    pair = known.get(b)
+    if pair is None:
+        pair = known[b] = model.cdf(b), model.pdf(b)
+    f_cur, density = pair
+    if density > 0.0:
+        ratio = (f_cur - f_before) / density
+        if ratio != math.inf:
+            return b + (math.ceil(ratio) if ratio > 1.0 else 1), f_cur  # max(1, ceil(r))
+    return math.inf, f_cur
+
+
+def _grown(model: CdfModel, n: int, m: int, lo: int, hi: int) -> np.ndarray:
+    """The uncapped trajectories from first boundaries lo..hi, as far as (n, m) reads them.
+
+    Row n1 - lo of the result is the trajectory b_1 = n1, b_{i+1} =
+    _step(b_i), +inf past its end, read from the model's trajectory matrix;
+    the result is as wide as the model's longest row, at most m - 1.  A
+    trajectory grows until slots 1..m-1 of an (n, m) schedule are known: each
+    step is at least 1 and each cap n - (m - i) grows by 1 per slot, so
+    b_i - i never falls, and once the last boundary reaches its cap every
+    later slot takes its cap.  One array test finds the rows that need
+    another step; only those are stepped, with scalar state, and their new
+    cells are written back with one assignment.
+    """
+    t = _trajectories(model)
+    if len(t.lens) <= hi:
+        t.add_rows(max(hi + 1, 2 * len(t.lens)))  # room for twice the rows asked
+    last_slot, room = m - 1, n - m
+    need = lo + np.nonzero((t.lens[lo : hi + 1] < last_slot) & (t.slack[lo : hi + 1] < room))[0]
+    if need.size:
+        rows, cols, cells, lens, slack, f_befores = [], [], [], [], [], []
+        state = zip(need.tolist(), t.lens[need].tolist(), t.slack[need].tolist(),
+                    t.f_before[need].tolist())
+        for row, size, gap, f_prev in state:
+            cur = gap + size
+            while size < last_slot and cur - size < room:
+                cur, f_prev = _step(model, cur, f_prev, t.known)
+                rows.append(row)
+                cols.append(size)
+                cells.append(cur)
+                size += 1
+            lens.append(size)
+            slack.append(cur - size)
+            f_befores.append(f_prev)
+        width = max(lens)
+        if width > t.b.shape[1]:
+            t.widen(width)
+        t.b[rows, cols] = cells
+        t.lens[need] = lens
+        t.slack[need] = slack
+        t.f_before[need] = f_befores
+    return t.b[lo : hi + 1, : min(last_slot, t.b.shape[1])]
+
+
+def _capped(row: np.ndarray, n: int, m: int) -> tuple[int, ...]:
+    """The (n, m) schedule over an uncapped trajectory: slot i is min(b_i, n - (m - i)).
+
+    Slots past the row's end take their caps, and slot m is n.
+    """
+    bounds = [int(x) if x < cap else cap
+              for x, cap in zip(row[: m - 1].tolist(), range(n - m + 1, n))]
+    bounds.extend(range(n - m + len(bounds) + 1, n + 1))
+    return tuple(bounds)
 
 
 def _schedule_from_model(model: CdfModel, n: int, m: int, n1: int) -> tuple[int, ...]:
@@ -164,47 +248,47 @@ def _schedule_from_model(model: CdfModel, n: int, m: int, n1: int) -> tuple[int,
     so r reaches it exactly when the uncapped boundary reaches the cap:
     n_i = min(b_i, n - (m - i)) over the trajectory b that _grown keeps.
     """
-    b = _grown(model, n, m, (n1,))[0]
-    bounds = [n1] + [min(x, n - (m - i)) for i, x in enumerate(b[1 : m - 1], 2)]
-    bounds.extend(range(n - m + len(bounds) + 1, n + 1))
-    return tuple(bounds)
+    return _capped(_grown(model, n, m, n1, n1)[0], n, m)
 
 
-# Boundaries scored per block of candidates; bounds the scoring memory.
+# Cells formed per block of rows; bounds the scoring and search memory.
 _BLOCK_CELLS = 1 << 16
 
 
-def _scores(rows: list[list], n: int, m: int, ack: np.ndarray) -> np.ndarray:
+def _scores(rows: np.ndarray, n: int, m: int, ack: np.ndarray) -> np.ndarray:
     """The exact objective of each row's (n, m) schedule, in row order.
 
-    The objective n + sum_i (n_i - n_{i+1}) ack[n_i] is summed left to right
-    over slots for all rows at once, the same IEEE operations in the same
-    order as channel.objective.  Rows are uncapped trajectories; slots past
-    the longest row are caps alike for every row and stay scalars.
+    rows holds uncapped trajectories, as _grown returns them.  Each term
+    (n_i - n_{i+1}) ack[n_i] is formed for a block of rows at once, and the
+    objective n + sum_i of them is summed left to right over slots: the same
+    IEEE operations in the same order as channel.objective.  Slots past the
+    rows' width are caps alike for every row, so their terms are scalars.
     """
     caps = np.arange(n - m + 1, n + 1, dtype=float)  # slot i's cap; slot m is n
-    per_block = max(1, _BLOCK_CELLS // min(m - 1, max(map(len, rows))))
-    out = []
-    for start in range(0, len(rows), per_block):
+    width = rows.shape[1]
+    per_block = max(1, _BLOCK_CELLS // (width + 1))
+    out = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], per_block):
         block = rows[start : start + per_block]
-        width = min(m - 1, max(map(len, block)))
-        # one array row per slot, +inf past each trajectory's end, then capped
-        slots = itertools.zip_longest(*block, fillvalue=math.inf)
-        b = np.array(list(itertools.islice(slots, width)), dtype=float)
-        np.minimum(b, caps[:width, None], out=b)
-        total = np.full(b.shape[1], float(n))
-        cur = b[0]
-        for j in range(1, m):
-            nxt = b[j] if j < width else caps[j]
-            total += (cur - nxt) * ack[cur.astype(np.intp)]
-            cur = nxt
-        out.append(total)
-    return np.concatenate(out)
+        b = np.empty((len(block), width + 1))
+        np.minimum(block, caps[:width], out=b[:, :width])
+        b[:, width] = caps[width]
+        # acc[:, j + 1] holds slot j + 1's term, and then the running sum from n
+        acc = np.empty_like(b)
+        acc[:, 0] = n
+        np.multiply(b[:, :-1] - b[:, 1:], ack[b[:, :-1].astype(np.intp)], out=acc[:, 1:])
+        np.add.accumulate(acc, axis=1, out=acc)
+        out[start : start + per_block] = acc[:, -1]
+    if width < m - 1:
+        for term in (caps[width:-1] - caps[width + 1 :]) * ack[caps[width:-1].astype(np.intp)]:
+            out += term
+    return out
 
 
 def _report(params: CodeParams, schedule: Schedule, model_used: str,
-            n1_searched: tuple[int, int] | None) -> OptimizerReport:
-    value = expected_round_symbols(params, schedule)
+            n1_searched: tuple[int, int] | None, value: float | None = None) -> OptimizerReport:
+    """The schedule's report; value is its exact objective, if already known."""
+    value = expected_round_symbols(params, schedule) if value is None else float(value)
     return OptimizerReport(
         schedule=schedule,
         objective=value,
@@ -234,11 +318,19 @@ def optimize(params: CodeParams, m: int, model_kind: str = "normal") -> Optimize
     if m == 1:
         return _report(params, Schedule((params.n,)), model_kind, None)
     lo, hi = _n1_range(params, m)
-    model = CdfModel.for_params(params, model_kind)
-    totals = _scores(_grown(model, params.n, m, range(lo, hi + 1)), params.n, m,
-                     ack_curve(params))
-    best = _schedule_from_model(model, params.n, m, lo + int(np.argmin(totals)))
-    return _report(params, Schedule(best), model_kind, (lo, hi))
+    rows = _grown(CdfModel.for_params(params, model_kind), params.n, m, lo, hi)
+    totals = _scores(rows, params.n, m, ack_curve(params))
+    best = int(np.argmin(totals))
+    return _report(params, Schedule(_capped(rows[best], params.n, m)), model_kind, (lo, hi),
+                   totals[best])
+
+
+def _steps(x: np.ndarray, c: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """step[a - start, b - start] = (x[a] - x[b]) c[a], the cost of boundary x[a]
+    followed by x[b], for rows start <= a < stop and columns b >= start; +inf
+    where b <= a."""
+    a, b = x[start:stop, None], x[None, start:]
+    return np.where(b > a, (a - b) * c[start:stop, None], np.inf)
 
 
 def exhaustive_search(params: CodeParams, m: int) -> OptimizerReport:
@@ -249,7 +341,9 @@ def exhaustive_search(params: CodeParams, m: int) -> OptimizerReport:
     boundaries, so F[i][x], the best tail cost with boundary i at x, is
     min over y > x of (x - y) P_ack(x) + F[i+1][y].  Interior boundaries
     range over k..n-1.  Ties break lexicographically toward smaller
-    boundaries, as a full enumeration in lexicographic order would.
+    boundaries, as a full enumeration in lexicographic order would.  The
+    step costs are formed in blocks of at most _BLOCK_CELLS, so memory
+    stays O(m n) plus one block.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -259,15 +353,21 @@ def exhaustive_search(params: CodeParams, m: int) -> OptimizerReport:
     n = params.n
     x = np.arange(params.k, n)
     c = ack_curve(params)[params.k : n]
-    # step[a, b]: cost of boundary x[a] followed by x[b]; only b > a is allowed
-    step = np.where(x[None, :] > x[:, None], (x[:, None] - x[None, :]) * c[:, None], np.inf)
-    tails = [(x - n) * c]
-    for _ in range(m - 2):
-        tails.append((step + tails[-1]).min(axis=1))
-    # tails[i][a]: least sum of the terms from slot i + 1 on, given n_{i+1} = x[a]
-    tails.reverse()
-    picks = [int(np.argmin(tails[0]))]
-    for tail in tails[1:]:
-        picks.append(int(np.argmin(step[picks[-1]] + tail)))
+    # tails[j][a]: least sum of the last j + 1 terms, the first of them at boundary x[a]
+    tails = np.empty((m - 1, len(x)))
+    tails[0] = (x - n) * c
+    per_block = max(1, _BLOCK_CELLS // len(x))
+    # a row's tails read only later rows' and its own shorter tails: blocks go bottom up
+    for stop in range(len(x), 0, -per_block):
+        start = max(0, stop - per_block)
+        step = _steps(x, c, start, stop)
+        for j in range(m - 2):
+            tails[j + 1, start:stop] = (step + tails[j, start:]).min(axis=1)
+    # step is now the top block, rows from 0; a row below it is formed alone
+    picks = [int(np.argmin(tails[-1]))]
+    for tail in tails[-2::-1]:
+        a = picks[-1]
+        row = step[a, a:] if a < len(step) else _steps(x, c, a, a + 1)[0]
+        picks.append(a + int(np.argmin(row + tail[a:])))
     return _report(params, Schedule(tuple(int(x[a]) for a in picks) + (n,)),
                    "exhaustive", (lo, hi))

@@ -293,6 +293,29 @@ def enumerate_best_interior(curve: np.ndarray, k: int, n: int, m: int) -> tuple[
     return best
 
 
+def dp_best_interior(curve: np.ndarray, k: int, n: int, m: int) -> tuple[int, ...]:
+    """Interior boundaries minimizing the telescoped objective, by a full-matrix DP.
+
+    Forms the whole (n - k) x (n - k) matrix step[a, b] = (x_a - x_b) curve[x_a]
+    for b > a (+inf elsewhere) once, folds it into the best tail cost per
+    boundary slot by slot, and backtracks with the first minimum of each row,
+    so ties break toward lexicographically smaller boundaries; O(m n**2) time
+    and O(n**2) memory.
+    """
+    x = np.arange(k, n)
+    c = curve[k:n]
+    step = np.where(x[None, :] > x[:, None], (x[:, None] - x[None, :]) * c[:, None], np.inf)
+    tails = [(x - n) * c]
+    for _ in range(m - 2):
+        tails.append((step + tails[-1]).min(axis=1))
+    # tails[i][a]: least sum of the terms from slot i + 1 on, given n_{i+1} = x[a]
+    tails.reverse()
+    picks = [int(np.argmin(tails[0]))]
+    for tail in tails[1:]:
+        picks.append(int(np.argmin(step[picks[-1]] + tail)))
+    return tuple(int(x[a]) for a in picks)
+
+
 def philox_trial(seed: int, index: int) -> np.random.Generator:
     """The per-trial stream the simulator names: Philox keyed by seed, counter word 2 = index."""
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))

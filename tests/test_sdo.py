@@ -28,6 +28,7 @@ from harqsdo.cli import main
 from harqsdo.sdo import _schedule_from_model, _trajectories
 
 from oracles import (
+    dp_best_interior,
     enumerate_best_interior,
     gaussian_tail_quad,
     sdo_continuous_step,
@@ -110,12 +111,17 @@ BOTH_ROUTES = pytest.mark.parametrize("grow", [_package, _oracle], ids=["package
 
 
 class TestSdoRecursion:
-    @BOTH_ROUTES
-    def test_closed_form_at_mean(self, grow):
-        # F(mu) = 1/2 and F'(mu) = 1 / (sigma sqrt(2 pi))
+    @pytest.mark.parametrize("route", ["package", "oracle"])
+    def test_closed_form_at_mean(self, route):
+        # F(mu) = 1/2 and F'(mu) = 1 / (sigma sqrt(2 pi)).  mu is not an
+        # integer, so no row of the package's trajectory matrix starts there:
+        # the package route takes its one recursion step directly.
         model = CdfModel.for_params(FIG1_PARAMS, "normal")
         want = model.mu + math.ceil(0.5 * model.sigma * math.sqrt(2 * math.pi))
-        assert grow(model, 88, 3, model.mu) == (model.mu, want, 88)
+        if route == "package":
+            assert sdo._step(model, model.mu, 0.0, {}) == (want, 0.5)
+        else:
+            assert _oracle(model, 88, 3, model.mu) == (model.mu, want, 88)
 
     @BOTH_ROUTES
     def test_against_quadrature(self, grow):
@@ -319,12 +325,14 @@ class TestSharedTrajectories:
 
     def test_cdf_evaluations_per_cli_call(self, monkeypatch, capsys):
         # sweep-n-fig2 grew 44,594 steps when every (n, m, n1) regrew its
-        # schedule; sweep-k-es has no (n, m) to share and takes 1,181 that way
+        # schedule and 484 with shared rows; sweep-k-es has no (n, m) to
+        # share and takes 1,168 steps.  F is evaluated once per boundary and
+        # model, at 172 and 529 boundaries.
         evaluations = []
         cdf = CdfModel.cdf
         monkeypatch.setattr(CdfModel, "cdf", lambda model, x: evaluations.append(x) or cdf(model, x))
-        for argv, limit in [("sweep-n --k 32 --n 66:120:2 --m 1:8 --model all", 1000),
-                            ("sweep-k --k 24:40:4 --n 88 --m 5 --model all", 1200)]:
+        for argv, limit in [("sweep-n --k 32 --n 66:120:2 --m 1:8 --model all", 200),
+                            ("sweep-k --k 24:40:4 --n 88 --m 5 --model all", 600)]:
             _trajectories.cache_clear()
             evaluations.clear()
             assert main(argv.split() + ["--eps", "0.47"]) == 0
@@ -405,6 +413,46 @@ class TestExhaustiveSearch:
     def _assert_matches_enumeration(p, m):
         want = enumerate_best_interior(ack_curve(p), p.k, p.n, m) + (p.n,)
         assert exhaustive_search(p, m).schedule.boundaries == want, (p, m)
+
+    @pytest.mark.parametrize("block_cells", [None, 1], ids=["default-blocks", "one-cell-blocks"])
+    def test_matches_full_matrix_dp_on_criterion_6_grid(self, monkeypatch, block_cells):
+        if block_cells is not None:
+            monkeypatch.setattr(sdo, "_BLOCK_CELLS", block_cells)
+        for k in range(4, 17):
+            for n in range(2 * k, 3 * k + 1):
+                for m in (2, 3, 4, 6):
+                    for eps in (0.3, 0.5):
+                        if k + m - 1 <= n:
+                            self._assert_matches_full_matrix_dp(CodeParams(k, n, eps), m)
+
+    def test_matches_full_matrix_dp_across_blocks(self, monkeypatch):
+        # 300 boundaries make two default blocks; 1000 cells make blocks of
+        # 3, 16 and 31 rows at the three sizes below
+        for block_cells in (None, 1000):
+            if block_cells is not None:
+                monkeypatch.setattr(sdo, "_BLOCK_CELLS", block_cells)
+            for p, m in [(CodeParams(32, 332, 0.5), 5), (CodeParams(1, 60, 0.0), 4),
+                         (CodeParams(8, 40, 0.9), 8)]:
+                self._assert_matches_full_matrix_dp(p, m)
+
+    @staticmethod
+    def _assert_matches_full_matrix_dp(p, m):
+        want = Schedule(dp_best_interior(ack_curve(p), p.k, p.n, m) + (p.n,))
+        rep = exhaustive_search(p, m)
+        assert rep.schedule == want, (p, m)
+        assert rep.objective == expected_round_symbols(p, want), (p, m)
+
+    def test_traced_peak_under_8mb(self):
+        # the full (n - k)**2 step matrix alone would take 31 MB here
+        params = CodeParams(32, 2000, 0.5)
+        ack_curve(params)
+        tracemalloc.start()
+        try:
+            exhaustive_search(params, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000
 
     def test_model_used_label(self):
         assert exhaustive_search(CodeParams(4, 10, 0.3), 2).model_used == "exhaustive"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field, fields
 from . import __version__
 from .codes import (
     CodeParams,
+    _check_epsilon,
     _integral,
     decodable_count_moments,
     decodable_count_pmf,
@@ -29,7 +31,7 @@ from .codes import (
     overhead_moment,
 )
 from .channel import Schedule, ack_curve, round_length_law
-from .sdo import CdfModel, OptimizerReport, exhaustive_search, optimize
+from .sdo import CdfModel, OptimizerReport, _check_m, _feasible, exhaustive_search, optimize
 from .simulate import _first_dependent, estimate
 
 __all__ = ["RunConfig", "main", "run_validate"]
@@ -132,6 +134,9 @@ class RunConfig:
         # a flag or config file may give 2.0 for 2; the header must print what runs
         for name in ("trials", "seed", "workers", "matrix_reuse"):
             setattr(self, name, _int_value(name, getattr(self, name)))
+        # workers changes no work; it is still checked, so a bad value stays an error
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not (self.out is None or isinstance(self.out, str)):
             raise ValueError(f"out must be a path or null, got {self.out!r}")
         if not isinstance(self.gnuplot, bool):
@@ -169,28 +174,39 @@ def _solve(params: CodeParams, m: int, method: str) -> OptimizerReport:
     return optimize(params, m, _MODEL_KIND[method])
 
 
-def _optimize_rows(params: CodeParams, m: int, model: str) -> list[dict]:
-    rows = []
-    for method in _methods(model):
-        report = _solve(params, m, method)
-        rows.append({
-            "k": params.k,
-            "n": params.n,
-            "m": m,
-            "epsilon": params.epsilon,
-            "method": method,
-            "schedule": report.schedule,
-            "expected_symbols": report.objective,
-            "throughput": report.throughput,
-        })
+def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
+                 skip: bool = True) -> list[dict]:
+    """Rows of every (k, n, m) cell of cfg, k slowest and m fastest.
+
+    eps and every m are checked first, so that skipped rows cannot hide a
+    bad value.  A cell has one row per method, or with best_only the row of
+    the first method of highest throughput.  Where no schedule fits, a cell
+    has one skipped row, or with skip False the solver raises.
+    """
+    eps = cfg.scalar("epsilon")
+    _check_epsilon(eps)
+    for m in cfg.m:
+        _check_m(m)
+    rows: list[dict] = []
+    for k, n, m in itertools.product(cfg.k, cfg.n, cfg.m):
+        row = {"k": k, "n": n, "m": m, "epsilon": eps, "method": "skipped",
+               "schedule": None, "expected_symbols": None, "throughput": None}
+        if skip and not _feasible(k, n, m):
+            rows.append(row)
+            continue
+        params = CodeParams(k, n, eps)
+        reports = [(method, _solve(params, m, method)) for method in methods]
+        if best_only:
+            reports = [max(reports, key=lambda pair: pair[1].throughput)]
+        rows.extend({**row, "method": method, "schedule": report.schedule,
+                     "expected_symbols": report.objective, "throughput": report.throughput}
+                    for method, report in reports)
     return rows
 
 
 def run_optimize(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    k, n, m = cfg.scalar("k"), cfg.scalar("n"), cfg.scalar("m")
-    eps = cfg.scalar("epsilon")
-    rows = _optimize_rows(CodeParams(k, n, eps), m, cfg.model)
-    return _sweep_columns(m), rows
+    _, _, m = cfg.scalar("k"), cfg.scalar("n"), cfg.scalar("m")
+    return _sweep_columns(m), _design_rows(cfg, _methods(cfg.model), skip=False)
 
 
 def _sweep_columns(m: int) -> list[str]:
@@ -201,43 +217,17 @@ def _sweep_columns(m: int) -> list[str]:
 
 
 def run_sweep_k(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    n, m = cfg.scalar("n"), cfg.scalar("m")
-    eps = cfg.scalar("epsilon")
-    rows: list[dict] = []
-    for k in cfg.k:
-        if k > n or k + m - 1 > n:
-            rows.append({
-                "k": k, "n": n, "m": m, "epsilon": eps, "method": "skipped",
-                "schedule": None, "expected_symbols": None, "throughput": None,
-            })
-            continue
-        rows.extend(_optimize_rows(CodeParams(k, n, eps), m, cfg.model))
-    return _sweep_columns(m), rows
+    _, m = cfg.scalar("n"), cfg.scalar("m")
+    return _sweep_columns(m), _design_rows(cfg, _methods(cfg.model))
 
 
 def run_sweep_n(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    k = cfg.scalar("k")
-    eps = cfg.scalar("epsilon")
+    cfg.scalar("k")
     # `all` keeps the better SDO model per cell, as in the blocklength figure
     methods = ["na", "lna"] if cfg.model == "all" else [cfg.model]
-    rows: list[dict] = []
-    for n in cfg.n:
-        for m in cfg.m:
-            row = {"k": k, "n": n, "m": m, "epsilon": eps, "method": "skipped",
-                   "schedule": None, "expected_symbols": None, "throughput": None}
-            if k + m - 1 <= n:
-                best = None
-                for meth in methods:
-                    rep = _solve(CodeParams(k, n, eps), m, meth)
-                    if best is None or rep.throughput > best[1].throughput:
-                        best = (meth, rep)
-                row.update(method=best[0], schedule=best[1].schedule,
-                           expected_symbols=best[1].objective,
-                           throughput=best[1].throughput)
-            rows.append(row)
     columns = ["k", "n", "m", "epsilon", "method", "schedule",
                "expected_symbols", "throughput"]
-    return columns, rows
+    return columns, _design_rows(cfg, methods, best_only=True)
 
 
 def run_simulate(cfg: RunConfig) -> tuple[list[str], list[dict]]:
@@ -247,7 +237,7 @@ def run_simulate(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     method = cfg.model if cfg.model != "all" else "na"
     report = _solve(params, m, method)
     est = estimate(params, report.schedule, cfg.trials, cfg.seed,
-                   workers=cfg.workers, matrix_reuse=cfg.matrix_reuse)
+                   matrix_reuse=cfg.matrix_reuse)
     row = {
         "k": k, "n": n, "m": m, "epsilon": eps, "method": method,
         "schedule": report.schedule,
@@ -371,7 +361,7 @@ def _validation_checks() -> list[dict]:
             for t in range(kk, nn):
                 worst_cdf = max(worst_cdf, abs(float(cdf[t - kk]) - float(curve[t])))
             for mm in (1, 2, 3):
-                if kk + mm - 1 > nn:
+                if not _feasible(kk, nn, mm):
                     continue
                 rep = optimize(params, mm, "normal")
                 worst_capacity = max(

@@ -48,6 +48,11 @@ def _integral(name: str, value) -> int:
     return as_int
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon < 1.0:  # nan fails too
+        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """One design point: message length k, blocklength n, erasure rate epsilon."""
@@ -63,8 +68,7 @@ class CodeParams:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         if self.n < self.k:
             raise ValueError(f"n must be >= k, got n={self.n} < k={self.k}")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+        _check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -96,11 +100,7 @@ def decode_success_prob(k: int, n: int, r: int) -> float:
         return 0.0
     if r > n:
         return 1.0
-    d = n - k
-    prob = 1.0
-    for l in range(n - r):
-        prob *= 1.0 - 2.0 ** (l - d)
-    return prob
+    return float(decode_success_curve(k, n)[r])
 
 
 def decode_success_curve(k: int, n: int) -> np.ndarray:
@@ -200,8 +200,7 @@ def asymptotic_round_moments(k: int, epsilon: float) -> MomentPair:
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     c0 = erdos_borwein_constant()
     c1 = dst_constant()
     mean = (k + c0) / (1.0 - epsilon)

@@ -8,15 +8,15 @@ scored with the exact discrete objective, so the smooth model only ever
 decides where the interior boundaries land.  An exact dynamic program over
 (slot, boundary) provides the ground-truth optimum SDO is measured against.
 
-The model depends on (k, epsilon, kind) only, not on n or m, so the
-recursion from a first boundary n1 is grown once without caps and shared by
-every (n, m): the schedule's slot i is min(b_i, n - (m - i)) and its last
-slot is n.  Each of the last few models keeps its uncapped trajectories as
-one float matrix, a row per first boundary and +inf past each row's end,
-grown only as far as a schedule asked so far reads them, with F and F'
-evaluated once per boundary however many rows step from it.  optimize
-scores a block of rows at once and reports the winning row's score as its
-objective.
+The model depends on (k, epsilon, kind) only, not on n or m, so it is
+built once per (k, epsilon, kind), and the recursion from a first boundary
+n1 is grown once without caps and shared by every (n, m): the schedule's
+slot i is min(b_i, n - (m - i)) and its last slot is n.  Each of the last
+few (k, epsilon, kind) keeps its model and its uncapped trajectories as one
+float matrix, a row per first boundary and +inf past each row's end, grown
+only as far as a schedule asked so far reads them, with F and F' evaluated
+once per boundary however many rows step from it.  optimize scores a block
+of rows at once and reports the winning row's score as its objective.
 """
 
 from __future__ import annotations
@@ -123,17 +123,18 @@ class OptimizerReport:
 
 
 class _Trajectories:
-    """One model's uncapped trajectories grown so far, row n1 from first boundary n1.
+    """A model's uncapped trajectories grown so far, row n1 from first boundary n1.
 
-    b[n1, i] is boundary i + 1 of the trajectory from n1, and +inf past its
-    lens[n1] known cells; b is as wide as its longest row.  slack[n1] is the
-    row's last boundary minus lens[n1] (+inf once the row has ended), and
-    f_before[n1] is F at the row's boundary before the last (0 while it has
-    none).  known maps each boundary stepped from so far to (F, F') there,
-    which many rows share.
+    Every row steps under model, the CDF F.  b[n1, i] is boundary i + 1 of
+    the trajectory from n1, and +inf past its lens[n1] known cells; b is as
+    wide as its longest row.  slack[n1] is the row's last boundary minus
+    lens[n1] (+inf once the row has ended), and f_before[n1] is F at the
+    row's boundary before the last (0 while it has none).  known maps each
+    boundary stepped from so far to (F, F') there, which many rows share.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, model: CdfModel) -> None:
+        self.model = model
         self.b = np.empty((0, 1))
         self.lens = np.empty(0, dtype=np.intp)
         self.slack = np.empty(0)
@@ -159,21 +160,22 @@ class _Trajectories:
 
 
 @functools.lru_cache(maxsize=4)
-def _trajectories(model: CdfModel) -> _Trajectories:
-    """The model's uncapped trajectories grown so far."""
-    return _Trajectories()
+def _trajectories(k: int, epsilon: float, kind: str) -> _Trajectories:
+    """The (k, epsilon, kind) model and its uncapped trajectories grown so far."""
+    # the model reads k and epsilon alone, so n = k serves for every n
+    return _Trajectories(CdfModel.for_params(CodeParams(k, k, epsilon), kind))
 
 
-def _step(model: CdfModel, b: float, f_before: float, known: dict) -> tuple[float, float]:
+def _step(t: _Trajectories, b: float, f_before: float) -> tuple[float, float]:
     """The boundary after b, and F(b): b + max(1, ceil(r)), r = (F(b) - f_before) / F'(b).
 
-    f_before is F at the boundary before b, 0 for a first boundary.  An
-    infinite r, from an underflowed density included, gives +inf.  known
-    holds (F(x), F'(x)) by x, read if there and filled if not.
+    F is t's model.  f_before is F at the boundary before b, 0 for a first
+    boundary.  An infinite r, from an underflowed density included, gives
+    +inf.  t.known holds (F(x), F'(x)) by x, read if there and filled if not.
     """
-    pair = known.get(b)
+    pair = t.known.get(b)
     if pair is None:
-        pair = known[b] = model.cdf(b), model.pdf(b)
+        pair = t.known[b] = t.model.cdf(b), t.model.pdf(b)
     f_cur, density = pair
     if density > 0.0:
         ratio = (f_cur - f_before) / density
@@ -182,20 +184,18 @@ def _step(model: CdfModel, b: float, f_before: float, known: dict) -> tuple[floa
     return math.inf, f_cur
 
 
-def _grown(model: CdfModel, n: int, m: int, lo: int, hi: int) -> np.ndarray:
+def _grown(t: _Trajectories, n: int, m: int, lo: int, hi: int) -> np.ndarray:
     """The uncapped trajectories from first boundaries lo..hi, as far as (n, m) reads them.
 
     Row n1 - lo of the result is the trajectory b_1 = n1, b_{i+1} =
-    _step(b_i), +inf past its end, read from the model's trajectory matrix;
-    the result is as wide as the model's longest row, at most m - 1.  A
-    trajectory grows until slots 1..m-1 of an (n, m) schedule are known: each
-    step is at least 1 and each cap n - (m - i) grows by 1 per slot, so
-    b_i - i never falls, and once the last boundary reaches its cap every
-    later slot takes its cap.  One array test finds the rows that need
+    _step(b_i), +inf past its end, as wide as t's longest row, at most
+    m - 1.  A trajectory grows until slots 1..m-1 of an (n, m) schedule are
+    known: each step is at least 1 and each cap n - (m - i) grows by 1 per
+    slot, so b_i - i never falls, and once the last boundary reaches its cap
+    every later slot takes its cap.  One array test finds the rows that need
     another step; only those are stepped, with scalar state, and their new
-    cells are written back with one assignment.
+    cells are written back into t's matrix with one assignment.
     """
-    t = _trajectories(model)
     if len(t.lens) <= hi:
         t.add_rows(max(hi + 1, 2 * len(t.lens)))  # room for twice the rows asked
     last_slot, room = m - 1, n - m
@@ -207,7 +207,7 @@ def _grown(model: CdfModel, n: int, m: int, lo: int, hi: int) -> np.ndarray:
         for row, size, gap, f_prev in state:
             cur = gap + size
             while size < last_slot and cur - size < room:
-                cur, f_prev = _step(model, cur, f_prev, t.known)
+                cur, f_prev = _step(t, cur, f_prev)
                 rows.append(row)
                 cols.append(size)
                 cells.append(cur)
@@ -234,21 +234,6 @@ def _capped(row: np.ndarray, n: int, m: int) -> tuple[int, ...]:
               for x, cap in zip(row[: m - 1].tolist(), range(n - m + 1, n))]
     bounds.extend(range(n - m + len(bounds) + 1, n + 1))
     return tuple(bounds)
-
-
-def _schedule_from_model(model: CdfModel, n: int, m: int, n1: int) -> tuple[int, ...]:
-    """The m boundaries SDO grows from a first boundary n1 <= n - m + 1.
-
-    Boundary n_i, i = 2..m-1, zeroes the smoothed objective's derivative in
-    n_{i-1}: n_i = n_{i-1} + max(1, ceil(r)), r = (F(n_{i-1}) - F(n_{i-2})) /
-    F'(n_{i-1}), F(n_0) = 0.  When r is at least the room left below n_i's cap
-    n - (m - i), an infinite r from an underflowed density included, n_i takes
-    its cap, and so does every later boundary, as each step is at least 1:
-    the schedule ends strictly increasing at n_m = n.  The room is an integer,
-    so r reaches it exactly when the uncapped boundary reaches the cap:
-    n_i = min(b_i, n - (m - i)) over the trajectory b that _grown keeps.
-    """
-    return _capped(_grown(model, n, m, n1, n1)[0], n, m)
 
 
 # Cells formed per block of rows; bounds the scoring and search memory.
@@ -298,14 +283,23 @@ def _report(params: CodeParams, schedule: Schedule, model_used: str,
     )
 
 
+def _check_m(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+
+
+def _feasible(k: int, n: int, m: int) -> bool:
+    """Whether an m-slot schedule fits: m - 1 boundaries in k..n-1, then n."""
+    return k + m - 1 <= n
+
+
 def _n1_range(params: CodeParams, m: int) -> tuple[int, int]:
-    lo, hi = params.k, params.n - m + 1
-    if lo > hi:
+    if not _feasible(params.k, params.n, m):
         raise ValueError(
             f"no feasible schedule: need k + m - 1 <= n, got k={params.k}, "
             f"m={m}, n={params.n}"
         )
-    return lo, hi
+    return params.k, params.n - m + 1
 
 
 def optimize(params: CodeParams, m: int, model_kind: str = "normal") -> OptimizerReport:
@@ -313,12 +307,11 @@ def optimize(params: CodeParams, m: int, model_kind: str = "normal") -> Optimize
 
     Ties in the exact objective break toward the smaller first boundary.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_m(m)
     if m == 1:
         return _report(params, Schedule((params.n,)), model_kind, None)
     lo, hi = _n1_range(params, m)
-    rows = _grown(CdfModel.for_params(params, model_kind), params.n, m, lo, hi)
+    rows = _grown(_trajectories(params.k, params.epsilon, model_kind), params.n, m, lo, hi)
     totals = _scores(rows, params.n, m, ack_curve(params))
     best = int(np.argmin(totals))
     return _report(params, Schedule(_capped(rows[best], params.n, m)), model_kind, (lo, hi),
@@ -345,8 +338,7 @@ def exhaustive_search(params: CodeParams, m: int) -> OptimizerReport:
     step costs are formed in blocks of at most _BLOCK_CELLS, so memory
     stays O(m n) plus one block.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_m(m)
     if m == 1:
         return _report(params, Schedule((params.n,)), "exhaustive", None)
     lo, hi = _n1_range(params, m)

@@ -230,36 +230,30 @@ class EstimateReport:
     matrix_reuse: int = 1
 
 
-def _check_run(trials, seed, workers=1, matrix_reuse=1) -> tuple[int, int, int]:
+def _check_run(trials, seed, matrix_reuse=1) -> tuple[int, int, int]:
     """(trials, seed, matrix_reuse) as ints, or ValueError before any trial is drawn."""
     trials = _integral("trials", trials)
     seed = _integral("seed", seed)
-    workers = _integral("workers", workers)
     matrix_reuse = _integral("matrix_reuse", matrix_reuse)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2 ** 128:
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if matrix_reuse < 1:
         raise ValueError(f"matrix_reuse must be >= 1, got {matrix_reuse}")
     return trials, seed, matrix_reuse
 
 
 def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
-             workers: int = 1, matrix_reuse: int = 1) -> EstimateReport:
+             matrix_reuse: int = 1) -> EstimateReport:
     """Simulate `trials` independent rounds and aggregate the estimates.
 
     Every trial is decoded on the calling thread, in blocks of 512, and all
-    accumulators are exact integers.  workers must be an integer >= 1 and
-    changes nothing else: a pool of worker threads measured no faster, and
-    the argument stays so that existing callers keep working.
-    matrix_reuse > 1 shares one sampled code across that many consecutive
-    erasure draws; this is a variance-reduction mode that departs from the
-    fresh-code-per-round model.
+    accumulators are exact integers.  matrix_reuse > 1 shares one sampled
+    code across that many consecutive erasure draws; this is a
+    variance-reduction mode that departs from the fresh-code-per-round model.
     """
-    trials, seed, matrix_reuse = _check_run(trials, seed, workers, matrix_reuse)
+    trials, seed, matrix_reuse = _check_run(trials, seed, matrix_reuse)
     _check_schedule(params, schedule)
     counts = np.zeros(params.n + 2, dtype=np.int64)  # trials per decode time 0..n+1
     for times in _span_times(params, seed, trials, matrix_reuse):

@@ -5,11 +5,14 @@ full enumeration over matrices and erasure patterns, exact rationals,
 quadrature for the Gaussian tail, the channel laws term by term, and the
 SDO recursion one explicit step at a time.  None of it shares code with the
 package, except ack_curve_loop, which reads the package's success curve so
-that it can pin the ACK curve's arithmetic bit for bit.
+that it can pin the ACK curve's arithmetic bit for bit, and
+schedule_from_model, which is no oracle but the package's own SDO route
+for one first boundary, the one the tests hold against sdo_recursion.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -17,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-from harqsdo import decode_success_curve
+from harqsdo import decode_success_curve, sdo
 
 
 def dense_rank_mod2(a: np.ndarray) -> int:
@@ -237,6 +240,24 @@ def sdo_recursion(cdf, pdf, n: int, m: int, n1: int) -> tuple[int, ...]:
         bounds.append(min(prev + max(1, step), cap))
     bounds.append(n)
     return tuple(bounds)
+
+
+# The package's trajectory store of each of the last few models, kept across
+# calls as the package keeps one per (k, epsilon, kind).
+package_trajectories = functools.lru_cache(maxsize=4)(sdo._Trajectories)
+
+
+def schedule_from_model(model, n: int, m: int, n1: int) -> tuple[int, ...]:
+    """The m boundaries the package grows from a first boundary n1 <= n - m + 1.
+
+    model is any hashable F with cdf and pdf.  The package grows the
+    trajectory b from n1 without caps and takes n_i = min(b_i, n - (m - i)),
+    n_m = n.  That is sdo_recursion's clamp: the room below a cap is an
+    integer, so the increment reaches it exactly when the uncapped boundary
+    reaches the cap, and every later boundary takes its cap, as each step is
+    at least 1.
+    """
+    return sdo._capped(sdo._grown(package_trajectories(model), n, m, n1, n1)[0], n, m)
 
 
 def sdo_optimize(cdf, pdf, curve, k: int, n: int, m: int) -> tuple[tuple[int, ...], float]:

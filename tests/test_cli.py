@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import threading
 
 import pytest
 
@@ -202,6 +203,16 @@ class TestSimulateCommand:
         assert main(base + ["--workers", "4", "--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_workers_start_no_thread(self, monkeypatch, capsys):
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        code, out = run_cli(["simulate", "--k", "8", "--n", "24", "--m", "3", "--eps", "0.5",
+                             "--trials", "2000", "--seed", "42", "--workers", "8"], capsys)
+        assert code == 0
+        assert int(read_csv(out)[0]["trials"]) == 2000
+
     def test_report_contents(self, capsys):
         code, out = run_cli(
             ["simulate", "--k", "8", "--n", "24", "--m", "3", "--eps", "0.5",
@@ -232,6 +243,12 @@ class TestDomainErrors:
         ["simulate", "--trials", "10", "--seed", "1.5"],
         ["simulate", "--trials", "10", "--workers", "two"],
         ["simulate", "--trials", "10", "--matrix-reuse", "2.5"],
+        ["simulate", "--trials", "10", "--workers", "0"],
+        # every cell would be skipped (k > n): eps and m are checked first
+        ["sweep-k", "--k", "30", "--n", "20", "--m", "2", "--eps", "1.5"],
+        ["sweep-n", "--k", "30", "--n", "20", "--m", "2", "--eps", "-3"],
+        ["sweep-k", "--k", "30", "--n", "20", "--m", "2", "--eps", "nan"],
+        ["sweep-k", "--k", "30", "--n", "20", "--m", "0"],
     ])
     def test_one_line_message_and_exit_2(self, argv, capsys):
         code = main(argv)

@@ -16,9 +16,7 @@ from harqsdo import (
     optimize,
     round_length_law,
 )
-from harqsdo.sdo import _schedule_from_model
-
-from oracles import sdo_recursion
+from oracles import schedule_from_model, sdo_recursion
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -77,4 +75,4 @@ def test_sdo_recursion_matches_oracle(p, m, kind, data):
     n1 = data.draw(st.integers(p.k, p.n - m + 1))
     model = CdfModel.for_params(p, kind)
     want = sdo_recursion(model.cdf, model.pdf, p.n, m, n1)
-    assert _schedule_from_model(model, p.n, m, n1) == want
+    assert schedule_from_model(model, p.n, m, n1) == want

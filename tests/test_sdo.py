@@ -25,12 +25,14 @@ from harqsdo import (
 
 from harqsdo import sdo
 from harqsdo.cli import main
-from harqsdo.sdo import _schedule_from_model, _trajectories
+from harqsdo.sdo import _trajectories
 
 from oracles import (
     dp_best_interior,
     enumerate_best_interior,
     gaussian_tail_quad,
+    package_trajectories,
+    schedule_from_model,
     sdo_continuous_step,
     sdo_optimize,
     sdo_recursion,
@@ -89,16 +91,12 @@ class TestCdfModel:
             CdfModel.from_moments("cauchy", 10.0, 4.0)
 
 
-def _package(model, n, m, n1):
-    return _schedule_from_model(model, n, m, n1)
-
-
 def _oracle(model, n, m, n1):
     return sdo_recursion(model.cdf, model.pdf, n, m, n1)
 
 
 class _FlatModel:
-    """A flat CDF; hashable, as the package caches trajectories per model."""
+    """A flat CDF; hashable, as schedule_from_model keeps a trajectory store per model."""
 
     def cdf(self, x):
         return 0.5
@@ -107,7 +105,8 @@ class _FlatModel:
         return 0.25
 
 
-BOTH_ROUTES = pytest.mark.parametrize("grow", [_package, _oracle], ids=["package", "oracle"])
+BOTH_ROUTES = pytest.mark.parametrize("grow", [schedule_from_model, _oracle],
+                                      ids=["package", "oracle"])
 
 
 class TestSdoRecursion:
@@ -119,7 +118,7 @@ class TestSdoRecursion:
         model = CdfModel.for_params(FIG1_PARAMS, "normal")
         want = model.mu + math.ceil(0.5 * model.sigma * math.sqrt(2 * math.pi))
         if route == "package":
-            assert sdo._step(model, model.mu, 0.0, {}) == (want, 0.5)
+            assert sdo._step(sdo._Trajectories(model), model.mu, 0.0) == (want, 0.5)
         else:
             assert _oracle(model, 88, 3, model.mu) == (model.mu, want, 88)
 
@@ -186,7 +185,7 @@ class TestSdoRecursion:
     def test_step_is_the_ceiled_continuous_step(self):
         model = CdfModel.for_params(FIG1_PARAMS, "lognormal")
         cont = sdo_continuous_step(model.cdf, model.pdf, None, 60)
-        assert _schedule_from_model(model, 88, 3, 60)[1] == 60 + max(1, math.ceil(cont - 60))
+        assert schedule_from_model(model, 88, 3, 60)[1] == 60 + max(1, math.ceil(cont - 60))
 
     def test_stationarity_of_continuous_solution(self):
         # the recursion zeroes d/dn_j for j = 1..m-2 at the pre-rounding values
@@ -220,7 +219,7 @@ class TestSdoRecursion:
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warmed-by-larger-n"])
     @pytest.mark.parametrize("kind", ["normal", "lognormal"])
     def test_matches_oracle_on_every_feasible_n1(self, kind, warm):
-        _trajectories.cache_clear()
+        package_trajectories.cache_clear()
         count = 0
         for k in (1, 4, 17, 32, 64):
             for eps in (0.0, 0.3, 0.5, 0.9, 0.99):
@@ -228,12 +227,12 @@ class TestSdoRecursion:
                 if warm:
                     # trajectories grown past every cap the loop below reads
                     for n1 in range(k, 3 * k + 8):
-                        _schedule_from_model(model, 4 * k + 16, 8, n1)
+                        schedule_from_model(model, 4 * k + 16, 8, n1)
                 for n in (k + 3, 2 * k + 7, 3 * k):
                     for m in range(2, 9):
                         for n1 in range(k, n - m + 2):
                             want = sdo_recursion(model.cdf, model.pdf, n, m, n1)
-                            got = _schedule_from_model(model, n, m, n1)
+                            got = schedule_from_model(model, n, m, n1)
                             assert got == want, (k, eps, n, m, n1)
                             count += 1
         assert count == 12765
@@ -337,6 +336,19 @@ class TestSharedTrajectories:
             evaluations.clear()
             assert main(argv.split() + ["--eps", "0.47"]) == 0
             assert len(evaluations) <= limit, argv
+        capsys.readouterr()
+
+    def test_one_model_per_kind_per_cli_call(self, monkeypatch, capsys):
+        # the model depends on (k, eps, kind) alone; building it per (n, m)
+        # cell took 392 models for these 196 SDO cells and two kinds
+        built = []
+        post_init = CdfModel.__post_init__
+        monkeypatch.setattr(CdfModel, "__post_init__",
+                            lambda model: built.append(model) or post_init(model))
+        _trajectories.cache_clear()
+        argv = "sweep-n --k 32 --n 66:120:2 --m 1:8 --model all --eps 0.47".split()
+        assert main(argv) == 0
+        assert sorted(model.kind for model in built) == ["lognormal", "normal"]
         capsys.readouterr()
 
     def test_wide_optimize_traced_peak_under_8mb(self):

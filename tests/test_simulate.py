@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -130,20 +129,6 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate(CodeParams(4, 10, 0.3), Schedule((4, 9)), 10, 1)
 
-    def test_worker_count_invariance(self):
-        p = CodeParams(8, 24, 0.5)
-        s = Schedule((16, 20, 24))
-        reports = [estimate(p, s, 5000, 42, workers=w) for w in (1, 2, 3, 7)]
-        assert all(r == reports[0] for r in reports[1:])
-
-    def test_workers_start_no_thread(self, monkeypatch):
-        def no_thread(self):
-            raise AssertionError("a thread was started")
-
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
-        rep = estimate(CodeParams(8, 24, 0.5), Schedule((16, 20, 24)), 2000, 42, workers=8)
-        assert rep.trials == 2000
-
     def test_failure_rate_matches_analytic(self):
         p = CodeParams(8, 16, 0.5)
         s = Schedule((12, 16))
@@ -168,7 +153,7 @@ class TestEstimate:
         p = CodeParams(8, 24, 0.5)
         s = Schedule((16, 20, 24))
         a = estimate(p, s, 4000, 42, matrix_reuse=8)
-        b = estimate(p, s, 4000, 42, matrix_reuse=8, workers=3)
+        b = estimate(p, s, 4000, 42, matrix_reuse=8)
         assert a == b
         assert a.matrix_reuse == 8
         # still an unbiased estimator of the same mean
@@ -181,11 +166,7 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate(p, s, 0, 1)
         with pytest.raises(ValueError):
-            estimate(p, s, 10, 1, workers=0)
-        with pytest.raises(ValueError):
-            estimate(p, s, 10, -1, workers=2)
-        with pytest.raises(ValueError, match="workers must be an integer, got 1.5"):
-            estimate(p, s, 10, 1, workers=1.5)
+            estimate(p, s, 10, -1)
         with pytest.raises(ValueError, match="matrix_reuse must be an integer, got 2.5"):
             estimate(p, s, 10, 1, matrix_reuse=2.5)
 
@@ -310,9 +291,9 @@ class TestDecodeTimeKernel:
 
         p = CodeParams(32, 88, 0.5)
         s = Schedule((61, 68, 75, 88))
-        want = estimate(p, s, 3000, 7, workers=2)
+        want = estimate(p, s, 3000, 7)
         monkeypatch.setattr(np.random, "Philox", CountingPhilox)
-        assert estimate(p, s, 3000, 7, workers=2) == want
+        assert estimate(p, s, 3000, 7) == want
         assert len(built) == 1
 
     @pytest.mark.parametrize("d, s, want", [(5, 6, 0), (1, 1, 0), (0, 1, 0)])
@@ -377,7 +358,7 @@ class TestDecodeTimeKernel:
         s = Schedule((61, 68, 75, 88))
         trials = 600  # three blocks
         rounds = reference_rounds(32, 88, 0.5, s.boundaries, trials, 7, matrix_reuse)
-        rep = estimate(p, s, trials, 7, workers=2, matrix_reuse=matrix_reuse)
+        rep = estimate(p, s, trials, 7, matrix_reuse=matrix_reuse)
         sent = [r[1] for r in rounds]
         mean = sum(sent) / trials
         var = (sum(x * x for x in sent) - trials * mean * mean) / (trials - 1)
@@ -398,7 +379,7 @@ class TestDecodeTimeKernel:
         s = Schedule((61, 68, 75, 88))
         tracemalloc.start()
         try:
-            estimate(p, s, 3000, 7, workers=2)
+            estimate(p, s, 3000, 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -429,7 +410,7 @@ class TestRunArguments:
         s = Schedule((16, 20, 24))
         for seed in (2 ** 128, -1):
             with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
-                estimate(p, s, 10, seed, workers=2)
+                estimate(p, s, 10, seed)
         with pytest.raises(ValueError, match="seed"):
             sample_round_lengths(p, 10, 2 ** 128)
         with pytest.raises(ValueError, match="seed"):

@@ -89,11 +89,13 @@ def parse_int_range(text, name: str = "range") -> list[int]:
 
 
 def _float_value(name: str, value) -> float:
-    """value, or the number a string spells, as a float."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    """value, or the number a string spells, as a float; a bool is no number."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def parse_float_range(text, name: str = "range") -> list[float]:
@@ -234,29 +236,31 @@ def run_simulate(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     k, n, m = cfg.scalar("k"), cfg.scalar("n"), cfg.scalar("m")
     eps = cfg.scalar("epsilon")
     params = CodeParams(k, n, eps)
-    method = cfg.model if cfg.model != "all" else "na"
-    report = _solve(params, m, method)
-    est = estimate(params, report.schedule, cfg.trials, cfg.seed,
-                   matrix_reuse=cfg.matrix_reuse)
-    row = {
-        "k": k, "n": n, "m": m, "epsilon": eps, "method": method,
-        "schedule": report.schedule,
-        "trials": est.trials, "seed": est.seed,
-        "mean_symbols": est.mean_symbols,
-        "stderr_symbols": est.stderr_symbols,
-        "success_rate": est.success_rate,
-        "empirical_throughput": est.empirical_throughput,
-        "analytic_expected_symbols": report.objective,
-        "analytic_throughput": report.throughput,
-        "generator": est.generator,
-        "matrix_reuse": est.matrix_reuse,
-    }
-    for i, rate in enumerate(est.ack_rate_per_block, start=1):
-        row[f"ack_rate_block{i}"] = rate
-    columns = list(row.keys())
+    rows = []
+    for method in _methods(cfg.model):
+        report = _solve(params, m, method)
+        est = estimate(params, report.schedule, cfg.trials, cfg.seed,
+                       matrix_reuse=cfg.matrix_reuse)
+        row = {
+            "k": k, "n": n, "m": m, "epsilon": eps, "method": method,
+            "schedule": report.schedule,
+            "trials": est.trials, "seed": est.seed,
+            "mean_symbols": est.mean_symbols,
+            "stderr_symbols": est.stderr_symbols,
+            "success_rate": est.success_rate,
+            "empirical_throughput": est.empirical_throughput,
+            "analytic_expected_symbols": report.objective,
+            "analytic_throughput": report.throughput,
+            "generator": est.generator,
+            "matrix_reuse": est.matrix_reuse,
+        }
+        for i, rate in enumerate(est.ack_rate_per_block, start=1):
+            row[f"ack_rate_block{i}"] = rate
+        rows.append(row)
+    columns = list(rows[0].keys())
     columns.remove("schedule")
     columns[5:5] = [f"n{i}" for i in range(1, m + 1)]
-    return columns, [row]
+    return columns, rows
 
 
 def _validation_checks() -> list[dict]:
@@ -415,8 +419,6 @@ def run_constants(cfg: RunConfig) -> tuple[list[str], list[dict]]:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "pass" if value else "FAIL"
     if isinstance(value, float):
         return _fmt(value)
     return str(value)
@@ -591,7 +593,12 @@ def main(argv=None) -> int:
     except ValueError as err:
         sys.stderr.write(f"harq-sdo: error: {err}\n")
         return 2
-    _emit(cfg, columns, rows)
+    try:
+        _emit(cfg, columns, rows)
+    except OSError as err:
+        where = err.filename or "output"  # a failed write() names no file
+        sys.stderr.write(f"harq-sdo: error: cannot write {where}: {err.strerror}\n")
+        return 2
     if cfg.command == "validate":
         failed = [r["name"] for r in rows if not r["passed"]]
         if failed:

@@ -36,14 +36,17 @@ _PRODUCT_CUTOFF = 60
 
 
 def _integral(name: str, value) -> int:
-    """value as an int; integral floats and numpy integers pass, others raise."""
+    """value as an int; integral floats and numpy integers pass, others raise.
+
+    A bool raises too: True == 1, but a config's true is no count.
+    """
     if type(value) is int:  # the common case, kept cheap for per-candidate schedules
         return value
     try:
         as_int = int(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if as_int != value:
+    if as_int != value or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return as_int
 

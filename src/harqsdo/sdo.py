@@ -12,11 +12,12 @@ The model depends on (k, epsilon, kind) only, not on n or m, so it is
 built once per (k, epsilon, kind), and the recursion from a first boundary
 n1 is grown once without caps and shared by every (n, m): the schedule's
 slot i is min(b_i, n - (m - i)) and its last slot is n.  Each of the last
-few (k, epsilon, kind) keeps its model and its uncapped trajectories as one
-float matrix, a row per first boundary and +inf past each row's end, grown
-only as far as a schedule asked so far reads them, with F and F' evaluated
-once per boundary however many rows step from it.  optimize scores a block
-of rows at once and reports the winning row's score as its objective.
+few (k, epsilon, kind) keeps its model, its uncapped trajectories as one
+float matrix, a row per first boundary and +inf past each row's end, each
+row's length, and F and F' at every boundary stepped from, evaluated once
+however many rows step from it; a row resumes from these alone.  The rows
+grow only as far as a schedule asked so far reads them.  optimize scores a
+block of rows at once and reports the winning row's score as its objective.
 """
 
 from __future__ import annotations
@@ -127,36 +128,28 @@ class _Trajectories:
 
     Every row steps under model, the CDF F.  b[n1, i] is boundary i + 1 of
     the trajectory from n1, and +inf past its lens[n1] known cells; b is as
-    wide as its longest row.  slack[n1] is the row's last boundary minus
-    lens[n1] (+inf once the row has ended), and f_before[n1] is F at the
-    row's boundary before the last (0 while it has none).  known maps each
-    boundary stepped from so far to (F, F') there, which many rows share.
+    wide as its longest row.  known maps each boundary stepped from so far
+    to (F, F') there, which many rows share; a row's last boundary and F at
+    the one before it, all a further step needs, are read from b and known.
     """
 
     def __init__(self, model: CdfModel) -> None:
         self.model = model
         self.b = np.empty((0, 1))
         self.lens = np.empty(0, dtype=np.intp)
-        self.slack = np.empty(0)
-        self.f_before = np.empty(0)
         self.known: dict[float, tuple[float, float]] = {}
 
-    def add_rows(self, stop: int) -> None:
-        """Rows up to stop - 1, each fresh row just its first boundary."""
-        first = len(self.lens)
-        b = np.full((stop, self.b.shape[1]), np.inf)
-        b[:first] = self.b
-        b[first:, 0] = np.arange(first, stop)
+    def resize(self, rows: int, width: int) -> None:
+        """Grow b to at least rows x width: new cells +inf, a fresh row its first boundary."""
+        old_rows, old_width = self.b.shape
+        if rows <= old_rows and width <= old_width:
+            return
+        rows = max(rows, 2 * old_rows) if rows > old_rows else old_rows  # rows at least double
+        b = np.full((rows, max(width, old_width)), np.inf)
+        b[:old_rows, :old_width] = self.b
+        b[old_rows:, 0] = np.arange(old_rows, rows)
         self.b = b
-        self.lens = np.concatenate([self.lens, np.ones(stop - first, dtype=np.intp)])
-        self.slack = np.concatenate([self.slack, b[first:, 0] - 1.0])
-        self.f_before = np.concatenate([self.f_before, np.zeros(stop - first)])
-
-    def widen(self, width: int) -> None:
-        """b padded with +inf to width columns."""
-        b = np.full((len(self.b), width), np.inf)
-        b[:, : self.b.shape[1]] = self.b
-        self.b = b
+        self.lens = np.concatenate([self.lens, np.ones(rows - old_rows, dtype=np.intp)])
 
 
 @functools.lru_cache(maxsize=4)
@@ -196,16 +189,16 @@ def _grown(t: _Trajectories, n: int, m: int, lo: int, hi: int) -> np.ndarray:
     another step; only those are stepped, with scalar state, and their new
     cells are written back into t's matrix with one assignment.
     """
-    if len(t.lens) <= hi:
-        t.add_rows(max(hi + 1, 2 * len(t.lens)))  # room for twice the rows asked
+    t.resize(hi + 1, 1)
     last_slot, room = m - 1, n - m
-    need = lo + np.nonzero((t.lens[lo : hi + 1] < last_slot) & (t.slack[lo : hi + 1] < room))[0]
+    sizes = t.lens[lo : hi + 1]
+    ends = t.b[np.arange(lo, hi + 1), sizes - 1]  # +inf once a row has ended
+    need = np.nonzero((sizes < last_slot) & (ends - sizes < room))[0]
     if need.size:
-        rows, cols, cells, lens, slack, f_befores = [], [], [], [], [], []
-        state = zip(need.tolist(), t.lens[need].tolist(), t.slack[need].tolist(),
-                    t.f_before[need].tolist())
-        for row, size, gap, f_prev in state:
-            cur = gap + size
+        rows, cols, cells, lens = [], [], [], []
+        for row, size, cur in zip((lo + need).tolist(), sizes[need].tolist(), ends[need].tolist()):
+            # _step put F into known at every boundary this row stepped from
+            f_prev = t.known[t.b[row, size - 2]][0] if size > 1 else 0.0
             while size < last_slot and cur - size < room:
                 cur, f_prev = _step(t, cur, f_prev)
                 rows.append(row)
@@ -213,15 +206,9 @@ def _grown(t: _Trajectories, n: int, m: int, lo: int, hi: int) -> np.ndarray:
                 cells.append(cur)
                 size += 1
             lens.append(size)
-            slack.append(cur - size)
-            f_befores.append(f_prev)
-        width = max(lens)
-        if width > t.b.shape[1]:
-            t.widen(width)
+        t.resize(hi + 1, max(lens))
         t.b[rows, cols] = cells
-        t.lens[need] = lens
-        t.slack[need] = slack
-        t.f_before[need] = f_befores
+        t.lens[lo + need] = lens
     return t.b[lo : hi + 1, : min(last_slot, t.b.shape[1])]
 
 
@@ -355,11 +342,9 @@ def exhaustive_search(params: CodeParams, m: int) -> OptimizerReport:
         step = _steps(x, c, start, stop)
         for j in range(m - 2):
             tails[j + 1, start:stop] = (step + tails[j, start:]).min(axis=1)
-    # step is now the top block, rows from 0; a row below it is formed alone
     picks = [int(np.argmin(tails[-1]))]
     for tail in tails[-2::-1]:
         a = picks[-1]
-        row = step[a, a:] if a < len(step) else _steps(x, c, a, a + 1)[0]
-        picks.append(a + int(np.argmin(row + tail[a:])))
+        picks.append(a + int(np.argmin(_steps(x, c, a, a + 1)[0] + tail[a:])))
     return _report(params, Schedule(tuple(int(x[a]) for a in picks) + (n,)),
                    "exhaustive", (lo, hi))

@@ -18,8 +18,9 @@ thing the kernel computes, and everything else is a view of it:
 
 The kernel finds L by inserting each trial's columns in a fixed order, the
 erased ones first and then the received ones from right to left: the first
-insertion that depends on the earlier ones is L's column, and at most d + 1
-insertions are needed for d = n - k parity checks.  It row-reduces the d
+insertion that depends on the earlier ones gives L, n + 1 for an erased
+column and its index + 1 for a received one, and at most d + 1 insertions
+are needed for d = n - k parity checks.  It row-reduces the d
 checks over the inserted columns, one column at a time for a whole block of
 trials in numpy.  The block is bit-sliced across trials: one 64-bit word
 holds one matrix entry of 64 trials, so every step is a bitwise operation
@@ -39,6 +40,7 @@ the tests as the reference.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -104,7 +106,9 @@ def _insertion_columns(bits: np.ndarray, erased: np.ndarray, out: np.ndarray) ->
     first s = out.shape[0] can matter.  out is (s, d, >= ceil(T / 8)) uint8
     and takes the columns bit-sliced across trials: bit t % 8 of
     out[c, r, t // 8] is entry r of trial t's c-th inserted column.  Returns
-    the order, (T, s).
+    when, (T, s): when[t, c] is trial t's decode time if its c-th inserted
+    column is the first dependent one, n + 1 for an erased column and the
+    column's index + 1 otherwise.
     """
     t, d, n = bits.shape
     j = np.arange(n)
@@ -117,7 +121,8 @@ def _insertion_columns(bits: np.ndarray, erased: np.ndarray, out: np.ndarray) ->
         part <<= k
         lanes[: len(trials)] |= part
     out[:, :, : len(lanes)] = lanes.transpose(1, 2, 0)
-    return order
+    is_erased = np.arange(out.shape[0]) < erased.sum(axis=1, keepdims=True)  # erased go first
+    return np.where(is_erased, n + 1, order + 1)
 
 
 def _first_dependent(cols: np.ndarray) -> np.ndarray:
@@ -154,12 +159,6 @@ def _first_dependent(cols: np.ndarray) -> np.ndarray:
     return np.unpackbits(independent.view(np.uint8), axis=1, bitorder="little").argmax(axis=0)
 
 
-def _times(first: np.ndarray, order: np.ndarray, n_erased: np.ndarray, n: int) -> np.ndarray:
-    """Decode times L from each trial's first dependent column; needs d < n."""
-    col = order[np.arange(len(order)), first].astype(np.intp)  # order may be uint8
-    return np.where(first < n_erased, n + 1, col + 1)
-
-
 def _draw(words, lo: int, hi: int, d: int, n: int, matrix_reuse: int):
     """Parity-check bits (T, d, n) and channel uniforms (T, n) of trials lo..hi-1.
 
@@ -191,16 +190,17 @@ def _draw(words, lo: int, hi: int, d: int, n: int, matrix_reuse: int):
 def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 1):
     """Decode times of trials 0..trials-1, one array per block of _BLOCK.
 
-    Every stream is read through one _stream, and each draw chunk's columns
-    are packed straight into one block array, reused block to block.
+    Every stream is read through one _stream.  Each draw chunk's columns are
+    packed straight into one block array and its trials' decode times by
+    inserted column (see _insertion_columns) into another, both reused block
+    to block, and a trial's time is the one at its first dependent column.
     """
     d, n = params.n - params.k, params.n
     words = _stream(seed)
     words_per_column = -(-min(_BLOCK, trials) // 64)
     cols = np.empty((d + 1, words_per_column, d), dtype="<u8")
     col_bytes = cols.view(np.uint8).reshape(d + 1, words_per_column, d, 8)
-    order = np.empty((64 * words_per_column, d + 1), dtype=np.min_scalar_type(n - 1))
-    n_erased = np.empty(64 * words_per_column, dtype=np.intp)
+    when = np.empty((64 * words_per_column, d + 1), dtype=np.min_scalar_type(n + 1))
     for lo in range(0, trials, _BLOCK):
         t = min(_BLOCK, trials - lo)
         for a in range(0, t, _DRAW):
@@ -208,11 +208,10 @@ def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 
             bits, uniforms = _draw(words, lo + a, lo + b, d, n, matrix_reuse)
             erased = uniforms < params.epsilon
             out = col_bytes[:, a // 64, :, a % 64 // 8 :]
-            order[a:b] = _insertion_columns(bits, erased, out)
-            n_erased[a:b] = erased.sum(axis=1)
+            when[a:b] = _insertion_columns(bits, erased, out)
             del bits, uniforms  # one chunk's draw alive at a time
         first = _first_dependent(cols[:, : -(-t // 64)])[:t]
-        yield _times(first, order[:t], n_erased[:t], n)
+        yield when[np.arange(t), first]
 
 
 @dataclass(frozen=True)
@@ -270,26 +269,21 @@ def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
         sum_sq += count * sent * sent
         if block < m:
             first_ack[block] += count
-    successes = sum(first_ack)
+    acked = list(itertools.accumulate(first_ack))  # acked[i]: acked by block i + 1
     mean = sum_ns / trials
     if trials > 1:
         sample_var = max(0.0, (sum_sq - trials * mean * mean) / (trials - 1))
     else:
         sample_var = 0.0
     stderr = math.sqrt(sample_var / trials)
-    success_rate = successes / trials
-    acked = 0
-    ack_rates = []
-    for c in first_ack:
-        acked += c
-        ack_rates.append(acked / trials)
+    success_rate = acked[-1] / trials
     return EstimateReport(
         trials=trials,
         seed=seed,
         mean_symbols=mean,
         stderr_symbols=stderr,
         success_rate=success_rate,
-        ack_rate_per_block=tuple(ack_rates),
+        ack_rate_per_block=tuple(c / trials for c in acked),
         empirical_throughput=params.k * success_rate / mean,
         matrix_reuse=matrix_reuse,
     )
@@ -297,7 +291,8 @@ def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
 
 def _sample_times(params: CodeParams, trials: int, seed: int) -> np.ndarray:
     trials, seed, _ = _check_run(trials, seed)
-    return np.concatenate(list(_span_times(params, seed, trials)))
+    # a block's times are as narrow as n + 1 allows; the samples are intp
+    return np.concatenate(list(_span_times(params, seed, trials)), dtype=np.intp)
 
 
 def sample_decode_counts(k: int, n: int, trials: int, seed: int) -> np.ndarray:

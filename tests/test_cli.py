@@ -44,7 +44,7 @@ class TestParsing:
 
     def test_bad_float_range(self):
         for text, shown in [("abc", "'abc'"), ("0.3, abc", "'abc'"), (None, "None"),
-                            ([0.3, None], "None"), ({}, "{}")]:
+                            ([0.3, None], "None"), ({}, "{}"), (False, "False")]:
             with pytest.raises(ValueError, match=f"^epsilon must be a number, got {shown}$"):
                 parse_float_range(text, "epsilon")
 
@@ -213,6 +213,18 @@ class TestSimulateCommand:
         assert code == 0
         assert int(read_csv(out)[0]["trials"]) == 2000
 
+    def test_model_all_rows_match_single_model_runs(self, capsys):
+        base = ["simulate", "--k", "8", "--n", "24", "--m", "3", "--eps", "0.5",
+                "--trials", "1000", "--seed", "5"]
+        code, out = run_cli(base + ["--model", "all"], capsys)
+        assert code == 0
+        header, columns, *rows = out.splitlines()
+        assert [row.split(",")[4] for row in rows] == ["es", "na", "lna"]
+        for method, row in zip(("es", "na", "lna"), rows):
+            code, single = run_cli(base + ["--model", method], capsys)
+            assert code == 0
+            assert single.splitlines()[1:] == [columns, row]
+
     def test_report_contents(self, capsys):
         code, out = run_cli(
             ["simulate", "--k", "8", "--n", "24", "--m", "3", "--eps", "0.5",
@@ -249,6 +261,8 @@ class TestDomainErrors:
         ["sweep-n", "--k", "30", "--n", "20", "--m", "2", "--eps", "-3"],
         ["sweep-k", "--k", "30", "--n", "20", "--m", "2", "--eps", "nan"],
         ["sweep-k", "--k", "30", "--n", "20", "--m", "0"],
+        # the output directory cannot be made: a file stands in its place
+        ["optimize", "--out", "/dev/null/out.csv"],
     ])
     def test_one_line_message_and_exit_2(self, argv, capsys):
         code = main(argv)
@@ -288,9 +302,14 @@ class TestDomainErrors:
         ('{"command": "optimize", "n": "24.9"}', "n must be an integer, got 24.9"),
         ('{"command": "optimize", "epsilon": "abc"}', "epsilon must be a number, got 'abc'"),
         ('{"command": "optimize", "epsilon": null}', "epsilon must be a number, got None"),
+        # true == 1 and false == 0, but a JSON boolean is no count and no rate
+        ('{"command": "simulate", "trials": true}', "trials must be an integer, got True"),
+        ('{"command": "optimize", "k": true}', "k must be an integer, got True"),
+        ('{"command": "optimize", "epsilon": false}', "epsilon must be a number, got False"),
     ], ids=["missing-file", "json-list", "fractional-workers", "fractional-matrix-reuse",
             "numeric-out", "string-gnuplot", "fractional-k", "fractional-k-list",
-            "fractional-n-string", "string-epsilon", "null-epsilon"])
+            "fractional-n-string", "string-epsilon", "null-epsilon", "boolean-trials",
+            "boolean-k", "boolean-epsilon"])
     def test_bad_config_one_line_exit_2(self, content, message, tmp_path, capsys):
         path = tmp_path / "run.json"
         if content is not None:

@@ -223,6 +223,8 @@ class TestParamTypes:
             CodeParams(8, 24.5, 0.5)
         with pytest.raises(ValueError):
             CodeParams("8", 24)
+        with pytest.raises(ValueError, match="^k must be an integer, got True$"):
+            CodeParams(True, 3)
         p = CodeParams(8.0, np.int64(24), 0.5)
         assert (p.k, p.n) == (8, 24)
         assert type(p.k) is int and type(p.n) is int

@@ -6,8 +6,8 @@ the binomial law of the symbols observed by time t.  The ACK probability
 reads it at one t, the round-length law is its first difference with the
 residual atom at n, and the expected symbols a schedule transmits per round,
 and so throughput, are the telescoped objective over its values at the
-boundaries.  The curve is cached for the most recent design point and
-returned read-only.
+boundaries, which scores one schedule or a block of them.  The curve is
+cached for the most recent design point and returned read-only.
 """
 
 from __future__ import annotations
@@ -133,18 +133,20 @@ def ack_prob(params: CodeParams, t: int) -> float:
     return float(ack_curve(params)[t])
 
 
-def objective(boundaries, acks) -> float:
+def objective(boundaries, acks) -> float | np.ndarray:
     """Expected symbols per round, telescoped: n_m + sum_i (n_i - n_{i+1}) acks[i].
 
     acks[i] is the ACK probability at boundaries[i]; the last boundary's
     entry, if given, is not read.  Algebraically identical to weighting each
     stop point by the chance of first ACKing there plus the full length on
     NACK.  Boundaries may be real-valued, as in the smoothed SDO objective.
+    An (R, m) block of schedules, with acks (R, m) or (R, m - 1), gives R
+    values, each summed left to right from n_m as one schedule's float is.
     """
-    total = float(boundaries[-1])
-    for i in range(len(boundaries) - 1):
-        total += (boundaries[i] - boundaries[i + 1]) * acks[i]
-    return float(total)
+    b = np.asarray(boundaries, dtype=float)
+    gaps = (b[..., :-1] - b[..., 1:]) * np.asarray(acks)[..., : b.shape[-1] - 1]
+    total = np.add.accumulate(np.concatenate((b[..., -1:], gaps), axis=-1), axis=-1)[..., -1]
+    return float(total) if b.ndim == 1 else total
 
 
 def round_length_law(params: CodeParams) -> RoundLengthLaw:

@@ -567,6 +567,8 @@ def build_config(argv) -> RunConfig:
                 loaded = json.load(fh)
         except OSError as err:
             raise ValueError(f"cannot read config {path}: {err.strerror}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ValueError(f"config {path} is not valid JSON: {err}") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"config {path} must hold a JSON object, "
                              f"got {type(loaded).__name__}")

@@ -5,7 +5,8 @@ GF(2); decoding from r received symbols succeeds exactly when the n-r
 missing columns are linearly independent.  This module holds the resulting
 closed-form success probability, the pmf and moments of the number of
 symbols needed until the message becomes decodable, and the number-theoretic
-constants those moments converge to.
+constants those moments converge to.  One tail product of the factors
+1 - 2**-j serves the success curve, the count's moments and their limits.
 """
 
 from __future__ import annotations
@@ -106,14 +107,19 @@ def decode_success_prob(k: int, n: int, r: int) -> float:
     return float(decode_success_curve(k, n)[r])
 
 
+def _tail_products(d: int) -> list[float]:
+    """tails[i] = prod_{j=i+1}^{d} (1 - 2**-j) for i = 0..d."""
+    tails = [1.0] * (d + 1)
+    for i in range(d - 1, -1, -1):
+        tails[i] = tails[i + 1] * (1.0 - 2.0 ** -(i + 1))
+    return tails
+
+
 def decode_success_curve(k: int, n: int) -> np.ndarray:
-    """decode_success_prob(k, n, r) for every r in 0..n, as one array."""
+    """decode_success_prob(k, n, r) for every r in 0..n; P_s(k + i) is _tail_products(n - k)[i]."""
     _check_kn(k, n)
-    d = n - k
     ps = np.zeros(n + 1)
-    ps[n] = 1.0
-    for r in range(n, k, -1):
-        ps[r - 1] = ps[r] * (1.0 - 2.0 ** ((n - r) - d))
+    ps[k:] = _tail_products(n - k)
     return ps
 
 
@@ -127,14 +133,6 @@ def decodable_count_pmf(k: int, n: int, r: int) -> float:
     if r < k or r > n:
         return 0.0
     return 2.0 ** (k - r) * decode_success_prob(k, n, r)
-
-
-def _tail_products(d: int) -> list[float]:
-    """tails[i] = prod_{j=i+1}^{d} (1 - 2**-j) for i = 0..d."""
-    tails = [1.0] * (d + 1)
-    for i in range(d - 1, -1, -1):
-        tails[i] = tails[i + 1] * (1.0 - 2.0 ** -(i + 1))
-    return tails
 
 
 def decodable_count_moments(k: int, n: int) -> MomentPair:

@@ -10,14 +10,15 @@ decides where the interior boundaries land.  An exact dynamic program over
 
 The model depends on (k, epsilon, kind) only, not on n or m, so it is
 built once per (k, epsilon, kind), and the recursion from a first boundary
-n1 is grown once without caps and shared by every (n, m): the schedule's
-slot i is min(b_i, n - (m - i)) and its last slot is n.  Each of the last
-few (k, epsilon, kind) keeps its model, its uncapped trajectories as one
-float matrix, a row per first boundary and +inf past each row's end, each
-row's length, and F and F' at every boundary stepped from, evaluated once
-however many rows step from it; a row resumes from these alone.  The rows
-grow only as far as a schedule asked so far reads them.  optimize scores a
-block of rows at once and reports the winning row's score as its objective.
+n1 is grown once without caps and shared by every (n, m): _capped reads
+the schedule's slot i as min(b_i, n - (m - i)) and its last slot as n.
+Each of the last few (k, epsilon, kind) keeps its model, its uncapped
+trajectories as one float matrix, a row per first boundary and +inf past
+each row's end, each row's length, and F and F' at every boundary stepped
+from, evaluated once however many rows step from it; a row resumes from
+these alone.  The rows grow only as far as a schedule asked so far reads
+them.  optimize caps a block of rows at once and scores it with
+channel.objective, the package's one telescoped sum.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeParams, asymptotic_round_moments
-from .channel import Schedule, ack_curve, ack_prob, expected_round_symbols
+from .channel import Schedule, ack_curve, ack_prob, expected_round_symbols, objective
 from .channel import throughput  # noqa: F401  # unused here; perfbench traces it by this name
 
 __all__ = [
@@ -191,8 +192,9 @@ def _grown(t: _Trajectories, n: int, m: int, lo: int, hi: int) -> np.ndarray:
     """
     t.resize(hi + 1, 1)
     last_slot, room = m - 1, n - m
-    sizes = t.lens[lo : hi + 1]
-    ends = t.b[np.arange(lo, hi + 1), sizes - 1]  # +inf once a row has ended
+    sizes, width = t.lens[lo : hi + 1], t.b.shape[1]
+    # each row's last cell, +inf once the row has ended, by one flat index
+    ends = t.b.ravel()[np.arange(lo * width - 1, hi * width, width) + sizes]
     need = np.nonzero((sizes < last_slot) & (ends - sizes < room))[0]
     if need.size:
         rows, cols, cells, lens = [], [], [], []
@@ -212,15 +214,17 @@ def _grown(t: _Trajectories, n: int, m: int, lo: int, hi: int) -> np.ndarray:
     return t.b[lo : hi + 1, : min(last_slot, t.b.shape[1])]
 
 
-def _capped(row: np.ndarray, n: int, m: int) -> tuple[int, ...]:
-    """The (n, m) schedule over an uncapped trajectory: slot i is min(b_i, n - (m - i)).
+def _capped(rows: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The (n, m) schedule over each uncapped trajectory: slot i is min(b_i, n - (m - i)).
 
-    Slots past the row's end take their caps, and slot m is n.
+    Slots past a row's end, or past the rows' width, take their caps, and
+    slot m is n.  The boundaries are integers held as floats.
     """
-    bounds = [int(x) if x < cap else cap
-              for x, cap in zip(row[: m - 1].tolist(), range(n - m + 1, n))]
-    bounds.extend(range(n - m + len(bounds) + 1, n + 1))
-    return tuple(bounds)
+    out = np.empty((len(rows), m))
+    out[:] = np.arange(n - m + 1, n + 1)  # slot i's cap; slot m is n
+    width = min(rows.shape[1], m - 1)
+    np.minimum(out[:, :width], rows[:, :width], out=out[:, :width])
+    return out
 
 
 # Cells formed per block of rows; bounds the scoring and search memory.
@@ -230,30 +234,14 @@ _BLOCK_CELLS = 1 << 16
 def _scores(rows: np.ndarray, n: int, m: int, ack: np.ndarray) -> np.ndarray:
     """The exact objective of each row's (n, m) schedule, in row order.
 
-    rows holds uncapped trajectories, as _grown returns them.  Each term
-    (n_i - n_{i+1}) ack[n_i] is formed for a block of rows at once, and the
-    objective n + sum_i of them is summed left to right over slots: the same
-    IEEE operations in the same order as channel.objective.  Slots past the
-    rows' width are caps alike for every row, so their terms are scalars.
+    rows holds uncapped trajectories, as _grown returns them.  Each block of
+    rows is capped and scored by channel.objective, as expected_round_symbols is.
     """
-    caps = np.arange(n - m + 1, n + 1, dtype=float)  # slot i's cap; slot m is n
-    width = rows.shape[1]
-    per_block = max(1, _BLOCK_CELLS // (width + 1))
+    per_block = max(1, _BLOCK_CELLS // m)
     out = np.empty(rows.shape[0])
     for start in range(0, rows.shape[0], per_block):
-        block = rows[start : start + per_block]
-        b = np.empty((len(block), width + 1))
-        np.minimum(block, caps[:width], out=b[:, :width])
-        b[:, width] = caps[width]
-        # acc[:, j + 1] holds slot j + 1's term, and then the running sum from n
-        acc = np.empty_like(b)
-        acc[:, 0] = n
-        np.multiply(b[:, :-1] - b[:, 1:], ack[b[:, :-1].astype(np.intp)], out=acc[:, 1:])
-        np.add.accumulate(acc, axis=1, out=acc)
-        out[start : start + per_block] = acc[:, -1]
-    if width < m - 1:
-        for term in (caps[width:-1] - caps[width + 1 :]) * ack[caps[width:-1].astype(np.intp)]:
-            out += term
+        b = _capped(rows[start : start + per_block], n, m)
+        out[start : start + per_block] = objective(b, ack[b[:, :-1].astype(np.intp)])
     return out
 
 
@@ -301,8 +289,8 @@ def optimize(params: CodeParams, m: int, model_kind: str = "normal") -> Optimize
     rows = _grown(_trajectories(params.k, params.epsilon, model_kind), params.n, m, lo, hi)
     totals = _scores(rows, params.n, m, ack_curve(params))
     best = int(np.argmin(totals))
-    return _report(params, Schedule(_capped(rows[best], params.n, m)), model_kind, (lo, hi),
-                   totals[best])
+    winner = _capped(rows[best : best + 1], params.n, m)[0].astype(int)  # Schedule's fast path
+    return _report(params, Schedule(tuple(winner.tolist())), model_kind, (lo, hi), totals[best])
 
 
 def _steps(x: np.ndarray, c: np.ndarray, start: int, stop: int) -> np.ndarray:

@@ -150,6 +150,32 @@ def ack_curve_loop(params) -> np.ndarray:
     return out
 
 
+def success_curve_loop(k: int, n: int) -> np.ndarray:
+    """P_s(r) for r = 0..n, one missing column at a time from P_s(n) = 1.
+
+    P_s(r - 1) = P_s(r) (1 - 2**((n - r) - d)): dropping one more received
+    symbol adds one column, which must avoid the span of the n - r already
+    missing ones.  Zero below k.
+    """
+    d = n - k
+    ps = np.zeros(n + 1)
+    ps[n] = 1.0
+    for r in range(n, k, -1):
+        ps[r - 1] = ps[r] * (1.0 - 2.0 ** ((n - r) - d))
+    return ps
+
+
+def objective_loop(boundaries, acks) -> float:
+    """The telescoped objective n_m + sum_i (n_i - n_{i+1}) acks[i] of one schedule.
+
+    One Python float addition per term, left to right from n_m.
+    """
+    total = float(boundaries[-1])
+    for i in range(len(boundaries) - 1):
+        total += (boundaries[i] - boundaries[i + 1]) * acks[i]
+    return float(total)
+
+
 def round_length_convolution(k: int, n: int, epsilon: float) -> np.ndarray:
     """Round-length pmf on k..n by convolving erasures with the decode point.
 
@@ -251,28 +277,26 @@ def schedule_from_model(model, n: int, m: int, n1: int) -> tuple[int, ...]:
     """The m boundaries the package grows from a first boundary n1 <= n - m + 1.
 
     model is any hashable F with cdf and pdf.  The package grows the
-    trajectory b from n1 without caps and takes n_i = min(b_i, n - (m - i)),
-    n_m = n.  That is sdo_recursion's clamp: the room below a cap is an
-    integer, so the increment reaches it exactly when the uncapped boundary
-    reaches the cap, and every later boundary takes its cap, as each step is
-    at least 1.
+    trajectory b from n1 without caps, and sdo._capped, which optimize reads
+    its winner from too, takes n_i = min(b_i, n - (m - i)), n_m = n.  That is
+    sdo_recursion's clamp: the room below a cap is an integer, so the
+    increment reaches it exactly when the uncapped boundary reaches the cap,
+    and every later boundary takes its cap, as each step is at least 1.
     """
-    return sdo._capped(sdo._grown(package_trajectories(model), n, m, n1, n1)[0], n, m)
+    row = sdo._grown(package_trajectories(model), n, m, n1, n1)
+    return tuple(int(x) for x in sdo._capped(row, n, m)[0])
 
 
 def sdo_optimize(cdf, pdf, curve, k: int, n: int, m: int) -> tuple[tuple[int, ...], float]:
     """SDO's schedule and exact objective, one first boundary at a time.
 
-    Grows every feasible n1 = k..n-m+1 with sdo_recursion, scores it with the
-    telescoped objective n + sum_i (n_i - n_{i+1}) curve[n_i], summed left to
-    right, and keeps the first strict minimum.
+    Grows every feasible n1 = k..n-m+1 with sdo_recursion, scores it with
+    objective_loop over curve, and keeps the first strict minimum.
     """
     best, best_obj = None, math.inf
     for n1 in range(k, n - m + 2):
         b = sdo_recursion(cdf, pdf, n, m, n1)
-        obj = float(n)
-        for i in range(m - 1):
-            obj += (b[i] - b[i + 1]) * curve[b[i]]
+        obj = objective_loop(b, [curve[x] for x in b[:-1]])
         if obj < best_obj:
             best, best_obj = b, obj
     return best, float(best_obj)

@@ -32,6 +32,7 @@ from oracles import (
     ack_fraction,
     erasures_pmf,
     expected_stop_symbols,
+    objective_loop,
     observed_pmf,
     round_length_convolution,
 )
@@ -269,9 +270,36 @@ class TestObjective:
         assert objective((2, 5, 10), (0.25, 0.5)) == 6.75
         assert objective((2, 5, 10), (0.25, 0.5, 1.0)) == 6.75
         assert objective((7,), ()) == 7.0
+        assert objective(np.array([[7], [9]]), np.empty((2, 0))).tolist() == [7.0, 9.0]
 
     def test_real_valued_boundaries(self):
         assert objective((1.5, 4.0), [0.5]) == pytest.approx(2.75, abs=1e-15)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["integer", "real"])
+    def test_single_schedules_match_the_loop(self, real):
+        # bit for bit, m = 1 included, with the last boundary's ack given or not
+        rng = random.Random(20 + real)
+        for _ in range(2000):
+            m = rng.randint(1, 10)
+            if real:
+                b = sorted(rng.uniform(0.5, 400.0) for _ in range(m))
+            else:
+                b = sorted(rng.sample(range(1, 400), m))
+            acks = [rng.random() for _ in range(m - rng.randint(0, 1))]
+            got = objective(b, acks)
+            assert type(got) is float and got == objective_loop(b, acks)
+            assert objective(tuple(b), np.array(acks)) == got
+
+    @pytest.mark.parametrize("dropped", [0, 1], ids=["acks-m", "acks-m-1"])
+    def test_block_matches_the_loop_row_by_row(self, dropped):
+        gen = np.random.default_rng(7)
+        block = np.sort(gen.choice(np.arange(1, 300), size=(500, 6)), axis=1).astype(float)
+        block[::2] += gen.random((250, 6))  # every other row real-valued
+        acks = gen.random((500, 6 - dropped))
+        got = objective(block, acks)
+        assert got.shape == (500,)
+        assert all(got[i] == objective_loop(block[i].tolist(), acks[i].tolist())
+                   for i in range(500))
 
     def test_expected_round_symbols_reads_the_curve(self):
         p = CodeParams(6, 30, 0.4)

@@ -306,13 +306,18 @@ class TestDomainErrors:
         ('{"command": "simulate", "trials": true}', "trials must be an integer, got True"),
         ('{"command": "optimize", "k": true}', "k must be an integer, got True"),
         ('{"command": "optimize", "epsilon": false}', "epsilon must be a number, got False"),
+        # malformed JSON: the message names the file, as the read and shape errors do
+        ('{"command": "optimize",', "config {path} is not valid JSON: Expecting property name"),
+        (b'\xff{"command": "optimize"}', "config {path} is not valid JSON: "),
     ], ids=["missing-file", "json-list", "fractional-workers", "fractional-matrix-reuse",
             "numeric-out", "string-gnuplot", "fractional-k", "fractional-k-list",
             "fractional-n-string", "string-epsilon", "null-epsilon", "boolean-trials",
-            "boolean-k", "boolean-epsilon"])
+            "boolean-k", "boolean-epsilon", "truncated-json", "undecodable-byte"])
     def test_bad_config_one_line_exit_2(self, content, message, tmp_path, capsys):
         path = tmp_path / "run.json"
-        if content is not None:
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
             path.write_text(content)
         code = main(["--config", str(path)])
         captured = capsys.readouterr()
@@ -320,7 +325,7 @@ class TestDomainErrors:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("harq-sdo: error: ")
-        assert message in lines[0]
+        assert message.format(path=path) in lines[0]
 
 
 class TestOutputPlumbing:

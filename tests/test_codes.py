@@ -20,7 +20,12 @@ from harqsdo import (
     overhead_moment,
 )
 
-from oracles import _columns_independent, dense_rank_mod2, success_fraction
+from oracles import (
+    _columns_independent,
+    dense_rank_mod2,
+    success_curve_loop,
+    success_fraction,
+)
 
 C0_DIGITS = 1.6066951524
 C1_DIGITS = 1.1373387363
@@ -83,6 +88,12 @@ class TestDecodeSuccessProb:
             curve = decode_success_curve(k, n)
             for r in range(n + 1):
                 assert curve[r] == pytest.approx(decode_success_prob(k, n, r), abs=1e-15)
+
+    def test_curve_matches_the_loop(self):
+        # bit for bit against one missing column at a time, every 1 <= k <= n <= 130
+        for n in range(1, 131):
+            for k in range(1, n + 1):
+                assert np.array_equal(decode_success_curve(k, n), success_curve_loop(k, n))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,13 @@
 """Byte identity of CLI output against pinned sha256 digests.
 
 perfbench/digests.json maps each space-joined argument list to the sha256 of
-its stdout.  This test recomputes the small-size ones: the set-up optimize
-call and the two reduced sweeps at every pinned eps.  A change that moves any
-printed digit of a schedule, objective or throughput fails here.  validate's
-CSV and JSON reports are pinned below, so no check's value, tolerance or
-verdict moves unseen either.  So is the stdout of demos 01-04, run as scripts;
-demo 05 prints the path it writes to, so its bytes depend on the checkout.
+its stdout.  This test recomputes them all: the set-up optimize call, and the
+two sweeps at every pinned eps, both reduced and at the benchmark's size.  A
+change that moves any printed digit of a schedule, objective or throughput
+fails here.  validate's CSV and JSON reports are pinned below, so no check's
+value, tolerance or verdict moves unseen either.  So is the stdout of demos
+01-04, run as scripts; demo 05 prints the path it writes to, so its bytes
+depend on the checkout.
 """
 
 import contextlib
@@ -28,6 +29,10 @@ SMALL = (
     "sweep-n --k 32 --n 66:120:27 --m 1:4 --model all --eps ",
     "sweep-k --k 36:40:2 --n 56 --m 4 --model all --eps ",
 )
+BENCHMARK_SIZE = (
+    "sweep-n --k 32 --n 66:120:2 --m 1:8 --model all --eps ",
+    "sweep-k --k 24:40:4 --n 88 --m 5 --model all --eps ",
+)
 
 VALIDATE = {
     "validate": "97770204e86411a147e22a46ccf7bae74cbd11a18dbc11467bdd5ee78e89deb6",
@@ -45,8 +50,8 @@ DEMOS = {
 }
 
 with open(DIGESTS) as fh:
-    PINNED = {argv: digest for argv, digest in json.load(fh)["digests"].items()
-              if argv.startswith(SMALL)}
+    ALL_PINNED = json.load(fh)["digests"]
+PINNED = {argv: digest for argv, digest in ALL_PINNED.items() if argv.startswith(SMALL)}
 
 
 def test_small_argument_lists_are_all_pinned():
@@ -64,6 +69,15 @@ def _stdout_digest(argv: str) -> str:
 def test_output_matches_pinned_digest(argv, monkeypatch):
     monkeypatch.delenv("HARQ_SDO_OUT", raising=False)
     assert _stdout_digest(argv) == PINNED[argv]
+
+
+def test_benchmark_size_argument_lists_reproduce(monkeypatch):
+    # the benchmark's two sweeps at all 40 eps, in one test
+    monkeypatch.delenv("HARQ_SDO_OUT", raising=False)
+    full = {argv: digest for argv, digest in ALL_PINNED.items()
+            if argv.startswith(BENCHMARK_SIZE)}
+    assert len(full) == 80
+    assert [argv for argv in sorted(full) if _stdout_digest(argv) != full[argv]] == []
 
 
 @pytest.mark.parametrize("argv", sorted(VALIDATE))

@@ -3,7 +3,9 @@
 Every command emits CSV or JSON with floats fixed at 12 significant digits
 and no timestamps, so identical configurations produce byte-identical files.
 The default output directory can be set with the HARQ_SDO_OUT environment
-variable; without it (and without --out) results go to stdout.
+variable; without it (and without --out) results go to stdout.  validate
+passes a check when its value is at most its tolerance; four checks state
+their own verdict, and any failed check makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -208,18 +210,19 @@ def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
 
 def run_optimize(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     _, _, m = cfg.scalar("k"), cfg.scalar("n"), cfg.scalar("m")
-    return _sweep_columns(m), _design_rows(cfg, _methods(cfg.model), skip=False)
+    rows = _design_rows(cfg, _methods(cfg.model), skip=False)  # raises if m fits no schedule
+    return _sweep_columns(m), rows
 
 
 def _sweep_columns(m: int) -> list[str]:
-    return ["k", "n", "m", "epsilon", "method"] + [f"n{i}" for i in range(1, m + 1)] + [
-        "expected_symbols",
-        "throughput",
-    ]
+    return (["k", "n", "m", "epsilon", "method"] + [f"n{i}" for i in range(1, m + 1)]
+            + ["expected_symbols", "throughput"])
 
 
 def run_sweep_k(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    _, m = cfg.scalar("n"), cfg.scalar("m")
+    n, m = cfg.scalar("n"), cfg.scalar("m")
+    if m > n:  # no k >= 1 fits, and m would size the columns of an all-skipped table
+        raise ValueError(f"sweep-k needs m <= n, got m={m}, n={n}")
     return _sweep_columns(m), _design_rows(cfg, _methods(cfg.model))
 
 
@@ -264,32 +267,30 @@ def run_simulate(cfg: RunConfig) -> tuple[list[str], list[dict]]:
 
 
 def _validation_checks() -> list[dict]:
-    """Named numeric checks over the analytic layers; desk scale, deterministic."""
+    """Named numeric checks over the analytic layers; desk scale, deterministic.
+
+    A check passes when its unrounded value is at most its tolerance.  Only
+    four give their own verdict: success_prob_exact_small (== 0 on a Fraction),
+    success_prob_monotone_n and ack_monotone_in_t (>= 0), and
+    throughput_below_capacity (< 0).
+    """
     import numpy as np
 
     checks: list[dict] = []
 
-    def add(name: str, value: float, tolerance: float, passed: bool) -> None:
-        checks.append({
-            "name": name,
-            "value": _round12(value),
-            "tolerance": tolerance,
-            "passed": bool(passed),
-        })
+    def add(name: str, value: float, tolerance: float, passed: bool | None = None) -> None:
+        passed = value <= tolerance if passed is None else passed
+        checks.append({"name": name, "value": _round12(value), "tolerance": tolerance,
+                       "passed": bool(passed)})
 
     c0 = erdos_borwein_constant()
     c1 = dst_constant()
-    add("erdos_borwein_digits", abs(c0 - 1.6066951524), 5e-11,
-        abs(c0 - 1.6066951524) <= 5e-11)
-    add("dst_digits", abs(c1 - 1.1373387363), 5e-11, abs(c1 - 1.1373387363) <= 5e-11)
-    add("overhead_moment_0", abs(overhead_moment(0) - 1.0), 1e-9,
-        abs(overhead_moment(0) - 1.0) <= 1e-9)
-    add("overhead_moment_1", abs(overhead_moment(1) - c0), 1e-9,
-        abs(overhead_moment(1) - c0) <= 1e-9)
-    add("overhead_moment_2", abs(overhead_moment(2) - 5.3255032015), 1e-9,
-        abs(overhead_moment(2) - 5.3255032015) <= 1e-9)
+    add("erdos_borwein_digits", abs(c0 - 1.6066951524), 5e-11)
+    add("dst_digits", abs(c1 - 1.1373387363), 5e-11)
+    for j, exact in enumerate((1.0, c0, 5.3255032015)):
+        add(f"overhead_moment_{j}", abs(overhead_moment(j) - exact), 1e-9)
     ident = abs(overhead_moment(2) - overhead_moment(1) ** 2 - overhead_moment(1) - c1)
-    add("overhead_variance_identity", ident, 1e-10, ident <= 1e-10)
+    add("overhead_variance_identity", ident, 1e-10)
 
     # exact enumeration of Eq.-style success fractions at n <= 5: each
     # (d, c) matrix is one bit-sliced lane of the decode kernel, entry (r, j)
@@ -338,11 +339,11 @@ def _validation_checks() -> list[dict]:
             lhs = decodable_count_pmf(kk, nn, rr)
             rhs = decode_success_prob(kk, nn, rr) - decode_success_prob(kk, nn, rr - 1)
             worst_diff = max(worst_diff, abs(lhs - rhs))
-    add("decodable_pmf_sums_to_one", worst_sum, 1e-12, worst_sum <= 1e-12)
-    add("decodable_pmf_difference_form", worst_diff, 1e-12, worst_diff <= 1e-12)
+    add("decodable_pmf_sums_to_one", worst_sum, 1e-12)
+    add("decodable_pmf_difference_form", worst_diff, 1e-12)
 
     gap = abs(decodable_count_moments(8, 72).mean - (8.0 + c0))
-    add("decode_mean_converges", gap, 1e-9, gap <= 1e-9)
+    add("decode_mean_converges", gap, 1e-9)
 
     worst_ack_step = 0.0
     worst_ack_bound = 0.0
@@ -368,20 +369,19 @@ def _validation_checks() -> list[dict]:
                 if not _feasible(kk, nn, mm):
                     continue
                 rep = optimize(params, mm, "normal")
-                worst_capacity = max(
-                    worst_capacity, rep.throughput - (1.0 - eps)
-                )
+                worst_capacity = max(worst_capacity, rep.throughput - (1.0 - eps))
                 b = rep.schedule.boundaries
-                direct = b[0] * _curve_at(curve, b[0])
+                a = curve[list(b)].tolist()  # every boundary lies in 1..n
+                direct = b[0] * a[0]
                 for i in range(1, len(b)):
-                    direct += b[i] * (_curve_at(curve, b[i]) - _curve_at(curve, b[i - 1]))
-                direct += b[-1] * (1.0 - _curve_at(curve, b[-1]))
+                    direct += b[i] * (a[i] - a[i - 1])
+                direct += b[-1] * (1.0 - a[-1])
                 worst_tel = max(worst_tel, abs(direct - rep.objective))
     add("ack_monotone_in_t", worst_ack_step, 0.0, worst_ack_step >= 0.0)
-    add("ack_bounded_by_success_prob", worst_ack_bound, 1e-12, worst_ack_bound <= 1e-12)
-    add("round_law_normalized", worst_law, 1e-10, worst_law <= 1e-10)
-    add("round_law_cdf_matches_ack", worst_cdf, 1e-10, worst_cdf <= 1e-10)
-    add("telescoping_identity", worst_tel, 1e-9, worst_tel <= 1e-9)
+    add("ack_bounded_by_success_prob", worst_ack_bound, 1e-12)
+    add("round_law_normalized", worst_law, 1e-10)
+    add("round_law_cdf_matches_ack", worst_cdf, 1e-10)
+    add("telescoping_identity", worst_tel, 1e-9)
     add("throughput_below_capacity", worst_capacity, 0.0, worst_capacity < 0.0)
 
     model = CdfModel.for_params(CodeParams(32, 88, 0.5), "lognormal")
@@ -391,28 +391,19 @@ def _validation_checks() -> list[dict]:
         * math.exp(2 * model.mu_star + model.sigma2_star)
         - model.sigma2
     )
-    add("lognormal_mean_matched", mean_err, 1e-9, mean_err <= 1e-9)
-    add("lognormal_variance_matched", var_err, 1e-9, var_err <= 1e-9)
+    add("lognormal_mean_matched", mean_err, 1e-9)
+    add("lognormal_variance_matched", var_err, 1e-9)
     return checks
 
 
-def _curve_at(curve, t: int) -> float:
-    return float(curve[t]) if 0 <= t < len(curve) else 0.0
-
-
 def run_validate(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    checks = _validation_checks()
-    return ["name", "value", "tolerance", "verdict"], checks
+    return ["name", "value", "tolerance", "verdict"], _validation_checks()
 
 
 def run_constants(cfg: RunConfig) -> tuple[list[str], list[dict]]:
-    rows = [
-        {"name": "erdos_borwein", "value": erdos_borwein_constant()},
-        {"name": "digital_search_tree", "value": dst_constant()},
-        {"name": "overhead_moment_0", "value": overhead_moment(0)},
-        {"name": "overhead_moment_1", "value": overhead_moment(1)},
-        {"name": "overhead_moment_2", "value": overhead_moment(2)},
-    ]
+    rows = [{"name": "erdos_borwein", "value": erdos_borwein_constant()},
+            {"name": "digital_search_tree", "value": dst_constant()}]
+    rows += [{"name": f"overhead_moment_{j}", "value": overhead_moment(j)} for j in range(3)]
     return ["name", "value"], rows
 
 
@@ -459,10 +450,6 @@ def _json_ready(value):
         return _round12(value)
     if isinstance(value, Schedule):
         return list(value.boundaries)
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
     return value
 
 
@@ -472,7 +459,7 @@ def _rows_to_json(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
         "version": __version__,
         "parameters": cfg.param_summary(),
         "columns": columns,
-        "rows": [_json_ready(r) for r in rows],
+        "rows": [{k: _json_ready(v) for k, v in r.items()} for r in rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -500,14 +487,10 @@ def _emit(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
         with open(out, "w", newline="") as fh:
             fh.write(text)
         if cfg.gnuplot and cfg.format == "csv" and cfg.command in ("sweep-k", "sweep-n"):
-            xcol = columns.index("k" if cfg.command == "sweep-k" else "n") + 1
-            ycol = columns.index("throughput") + 1
+            xlabel = "k" if cfg.command == "sweep-k" else "n"
             script = _GNUPLOT_TEMPLATE.format(
-                csv=os.path.basename(out),
-                xlabel="k" if cfg.command == "sweep-k" else "n",
-                xcol=xcol,
-                ycol=ycol,
-            )
+                csv=os.path.basename(out), xlabel=xlabel,
+                xcol=columns.index(xlabel) + 1, ycol=columns.index("throughput") + 1)
             with open(out + ".gp", "w", newline="") as fh:
                 fh.write(script)
     else:
@@ -526,32 +509,29 @@ _RUNNERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # absent flags set nothing, so a subcommand's defaults cannot replace a
-    # --config given before it, nor any flag a value from the config file
-    config = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    config.add_argument("--config", help="flat JSON file with RunConfig fields")
-    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    flags.add_argument("--k")
-    flags.add_argument("--n")
-    flags.add_argument("--m")
-    flags.add_argument("--eps", dest="epsilon", metavar="EPS")
-    flags.add_argument("--model", choices=MODELS)
-    flags.add_argument("--trials")
-    flags.add_argument("--seed")
-    flags.add_argument("--workers")
-    flags.add_argument("--matrix-reuse", dest="matrix_reuse")
-    flags.add_argument("--out")
-    flags.add_argument("--format", choices=("csv", "json"))
-    flags.add_argument("--gnuplot", action="store_true")
+    # absent flags set nothing, so no default can replace a value from the
+    # config file; flags and --config may come before or after the command
     parser = argparse.ArgumentParser(
         prog="harq-sdo",
         description="Incremental-redundancy schedule design and validation "
         "for erasure channels.",
-        parents=[config],
+        argument_default=argparse.SUPPRESS,
     )
-    sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[config, flags])
+    # a SUPPRESS default would be checked against the choices and fail
+    parser.add_argument("command", nargs="?", choices=COMMANDS, default=None)
+    parser.add_argument("--config", help="flat JSON file with RunConfig fields")
+    parser.add_argument("--k")
+    parser.add_argument("--n")
+    parser.add_argument("--m")
+    parser.add_argument("--eps", dest="epsilon", metavar="EPS")
+    parser.add_argument("--model", choices=MODELS)
+    parser.add_argument("--trials")
+    parser.add_argument("--seed")
+    parser.add_argument("--workers")
+    parser.add_argument("--matrix-reuse", dest="matrix_reuse")
+    parser.add_argument("--out")
+    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--gnuplot", action="store_true")
     return parser
 
 

@@ -6,11 +6,12 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 
 import pytest
 
 from harqsdo import CodeParams, estimate, exhaustive_search, optimize
-from harqsdo.cli import build_config, main, parse_int_range, parse_float_range
+from harqsdo.cli import COMMANDS, build_config, main, parse_int_range, parse_float_range
 
 
 def run_cli(argv, capsys):
@@ -58,6 +59,20 @@ class TestParsing:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_config(["frobnicate"])
+
+    def test_flags_before_the_command(self, capsys):
+        code_before, before = run_cli(["--k", "8", "--n", "24", "--m", "3", "optimize"], capsys)
+        code_after, after = run_cli(["optimize", "--k", "8", "--n", "24", "--m", "3"], capsys)
+        assert code_before == code_after == 0
+        assert before == after
+        assert read_csv(before)[0]["m"] == "3"
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in COMMANDS)
 
 
 class TestConstantsCommand:
@@ -271,6 +286,23 @@ class TestDomainErrors:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("harq-sdo: error: ")
+
+    # m sizes the n1..nm columns; the cell check must come first, at small memory
+    @pytest.mark.parametrize("m", [10 ** 6, 10 ** 20], ids=["1e6", "1e20"])
+    @pytest.mark.parametrize("command", ["optimize", "sweep-k"])
+    def test_huge_m_fails_before_its_columns(self, command, m, capsys):
+        tracemalloc.start()
+        try:
+            code = main([command, "--k", "8", "--n", "24", "--m", str(m)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("harq-sdo: error: ")
+        assert peak <= 8 * 2 ** 20
 
     @pytest.mark.parametrize("bad", ["8.5", "1e400", "inf", "nan"])
     @pytest.mark.parametrize("field, argv", [

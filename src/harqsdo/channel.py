@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .codes import CodeParams, MomentPair, _integral, decode_success_curve
 
@@ -83,6 +82,51 @@ class RoundLengthLaw:
 
 _BLOCK_CELLS = 1 << 16  # (t, r) cells of binomial weights held at once
 
+# Cephes lgam (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989) on its integer path, the one scipy's gammaln runs; the
+# tests hold it bit for bit to gammaln, which tests/oracles.py keeps as the
+# independent route.
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LS2PI = 0.91893853320467274178  # log sqrt(2 pi)
+
+
+def _lgam(x: int) -> float:
+    """log Gamma(x) = log (x - 1)! for an integer x >= 1, as Cephes computes it."""
+    if x < 13:
+        z = 1.0
+        for u in range(x - 1, 1, -1):
+            z *= u
+        return math.log(z)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a = 0.0
+    for c in _LGAM_A:
+        a = a * p + c
+    return q + a / x
+
+
+_log_factorial = np.zeros(0)  # log j! for j = 0, 1, ...; grown, never rewritten
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log j! for j = 0..n, a read-only view of a table grown on demand."""
+    global _log_factorial
+    table = _log_factorial
+    if len(table) <= n:
+        size = max(n + 1, 2 * len(table))
+        grown = np.array([_lgam(j + 1) for j in range(len(table), size)])
+        table = np.concatenate((table, grown))
+        table.setflags(write=False)
+        _log_factorial = table
+    return table[: n + 1]
+
 
 @functools.lru_cache(maxsize=1)
 def ack_curve(params: CodeParams) -> np.ndarray:
@@ -90,10 +134,13 @@ def ack_curve(params: CodeParams) -> np.ndarray:
 
     ACK(t) = 1 - sum_r (1 - P_s(r)) P(r of t symbols observed), with the
     binomial weights from one log-factorial table g[j] = log j! (direct
-    factorials overflow near t ~ 100).  The weights of the (t, r) triangle
-    are exponentiated a block of rows t at a time, at most _BLOCK_CELLS
-    cells per block, so memory stays flat in n; each row is then summed
-    with its own dot over r = 0..t.
+    factorials overflow near t ~ 100).  The table comes from _lgam, a port
+    of the Cephes lgam that scipy's gammaln runs, grown on demand and read
+    as a slice.  Each entry takes scalar math.log: numpy's vector log
+    rounds a few arguments differently, which would move curve bytes.  The
+    weights of the (t, r) triangle are exponentiated a block of rows t at a
+    time, at most _BLOCK_CELLS cells per block, so memory stays flat in n;
+    each row is then summed with its own dot over r = 0..t.
     """
     k, n, eps = params.k, params.n, params.epsilon
     ps = decode_success_curve(k, n)
@@ -101,7 +148,7 @@ def ack_curve(params: CodeParams) -> np.ndarray:
         out = ps  # lossless, ACK is decoding success
     else:
         out = np.zeros(n + 1)
-        g = gammaln(np.arange(1, n + 2))
+        g = _log_factorials(n)
         j = np.arange(n + 1)
         keep, lose = j * math.log1p(-eps), j * math.log(eps)
         fail = 1.0 - ps

@@ -508,10 +508,17 @@ _RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors reach main as its one-line message, without usage."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # absent flags set nothing, so no default can replace a value from the
     # config file; flags and --config may come before or after the command
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="harq-sdo",
         description="Incremental-redundancy schedule design and validation "
         "for erasure channels.",

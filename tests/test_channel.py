@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from harqsdo import (
     CodeParams,
@@ -206,6 +207,33 @@ class TestAckProb:
         fresh = {p: ack_curve.__wrapped__(p) for p in (a, b)}
         for p in (a, b, a, b):
             assert np.array_equal(ack_curve(p), fresh[p])
+
+
+class TestLogFactorialTable:
+    """The Cephes lgam port against scipy's gammaln, which runs the same path."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_table(self, monkeypatch):
+        monkeypatch.setattr(channel, "_log_factorial", np.zeros(0))
+
+    def test_table_equals_gammaln(self):
+        table = channel._log_factorials(20_000)
+        assert np.array_equal(table, gammaln(np.arange(1, 20_002)))
+
+    @pytest.mark.parametrize("x", [1, 2, 12, 13, 999, 1000, 1001, 10 ** 8, 10 ** 8 + 1])
+    def test_scalar_equals_gammaln_at_branch_edges(self, x):
+        assert channel._lgam(x) == gammaln(float(x))
+
+    def test_grown_in_steps_equals_one_build(self):
+        steps = [channel._log_factorials(n) for n in (30, 12, 5000)]
+        channel._log_factorial = np.zeros(0)
+        whole = channel._log_factorials(5000)
+        for part in steps:
+            assert part.tobytes() == whole[: len(part)].tobytes()
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            channel._log_factorials(8)[3] = 0.0
 
 
 class TestRoundLengthLaw:

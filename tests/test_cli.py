@@ -5,11 +5,14 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
 import pytest
 
+import harqsdo
 from harqsdo import CodeParams, estimate, exhaustive_search, optimize
 from harqsdo.cli import COMMANDS, build_config, main, parse_int_range, parse_float_range
 
@@ -57,7 +60,7 @@ class TestParsing:
                 parse_int_range(text, "k")
 
     def test_unknown_command(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="invalid choice: 'frobnicate'"):
             build_config(["frobnicate"])
 
     def test_flags_before_the_command(self, capsys):
@@ -278,6 +281,11 @@ class TestDomainErrors:
         ["sweep-k", "--k", "30", "--n", "20", "--m", "0"],
         # the output directory cannot be made: a file stands in its place
         ["optimize", "--out", "/dev/null/out.csv"],
+        # argparse's own errors: no usage block before the message
+        ["optimize", "--model", "foo"],
+        ["frobnicate"],
+        ["optimize", "--k"],
+        ["optimize", "--bogus"],
     ])
     def test_one_line_message_and_exit_2(self, argv, capsys):
         code = main(argv)
@@ -475,3 +483,55 @@ class TestOutputPlumbing:
             assert bounds[-1] == 20
             assert bounds[0] >= int(row["k"])
             assert all(a < b for a, b in zip(bounds, bounds[1:]))
+
+
+_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+from harqsdo.cli import main
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    runs.append([code, buf.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+class TestRuntimeWithoutScipy:
+    """scipy is a test dependency only; the package must run where it is absent."""
+
+    @staticmethod
+    def python(code, *args):
+        src = os.path.dirname(os.path.dirname(harqsdo.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        env.pop("HARQ_SDO_OUT", None)
+        run = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                             text=True, env=env, timeout=300, check=True)
+        return run.stdout
+
+    def test_import_loads_no_scipy(self):
+        out = self.python("import sys, harqsdo.cli; "
+                          "print([m for m in sys.modules if m.startswith('scipy')])")
+        assert out == "[]\n"
+
+    def test_commands_run_with_scipy_blocked(self, capsys, monkeypatch):
+        monkeypatch.delenv("HARQ_SDO_OUT", raising=False)
+        argvs = [["optimize", "--k", "8", "--n", "24", "--m", "3"],
+                 ["sweep-n", "--k", "8", "--n", "16:24:4", "--m", "2", "--model", "all"],
+                 ["simulate", "--trials", "200"],
+                 ["validate"]]
+        blocked = json.loads(self.python(_WITHOUT_SCIPY, json.dumps(argvs)))
+        assert blocked == [list(run_cli(argv, capsys)) for argv in argvs]

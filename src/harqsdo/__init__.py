@@ -36,6 +36,7 @@ from .simulate import (
     GENERATOR_NAME,
     trial_rng,
     estimate,
+    rescore,
     sample_decode_counts,
     sample_round_lengths,
 )

@@ -34,7 +34,7 @@ from .codes import (
 )
 from .channel import Schedule, ack_curve, round_length_law
 from .sdo import CdfModel, OptimizerReport, _check_m, _feasible, exhaustive_search, optimize
-from .simulate import _first_dependent, estimate
+from .simulate import _first_dependent, estimate, rescore
 
 __all__ = ["RunConfig", "main", "run_validate"]
 
@@ -239,11 +239,13 @@ def run_simulate(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     k, n, m = cfg.scalar("k"), cfg.scalar("n"), cfg.scalar("m")
     eps = cfg.scalar("epsilon")
     params = CodeParams(k, n, eps)
+    solved = [(method, _solve(params, m, method)) for method in _methods(cfg.model)]
+    # one draw: every row scores the same trials (common random numbers)
+    drawn = estimate(params, solved[0][1].schedule, cfg.trials, cfg.seed,
+                     matrix_reuse=cfg.matrix_reuse)
     rows = []
-    for method in _methods(cfg.model):
-        report = _solve(params, m, method)
-        est = estimate(params, report.schedule, cfg.trials, cfg.seed,
-                       matrix_reuse=cfg.matrix_reuse)
+    for method, report in solved:
+        est = rescore(drawn, params, report.schedule)
         row = {
             "k": k, "n": n, "m": m, "epsilon": eps, "method": method,
             "schedule": report.schedule,

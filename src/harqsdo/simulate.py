@@ -12,7 +12,10 @@ erased column is dependent and the round can never decode.  L is the one
 thing the kernel computes, and everything else is a view of it:
 
 - estimate: a schedule stops at its first boundary n_i >= L, or fails at n
-  when L = n + 1; the report is aggregated in exact integers.
+  when L = n + 1; the report is aggregated in exact integers and keeps the
+  histogram of L over 0..n+1.
+- rescore: the same trials under another schedule, scored from that
+  histogram without drawing a trial.
 - sample_round_lengths: (min(L, n), L <= n).
 - sample_decode_counts: L on a lossless channel.
 
@@ -55,6 +58,7 @@ __all__ = [
     "GENERATOR_NAME",
     "trial_rng",
     "estimate",
+    "rescore",
     "sample_decode_counts",
     "sample_round_lengths",
 ]
@@ -225,6 +229,7 @@ class EstimateReport:
     success_rate: float
     ack_rate_per_block: tuple[float, ...]
     empirical_throughput: float
+    decode_time_counts: tuple[int, ...]  # trials per decode time 0..n+1
     generator: str = GENERATOR_NAME
     matrix_reuse: int = 1
 
@@ -257,12 +262,29 @@ def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
     counts = np.zeros(params.n + 2, dtype=np.int64)  # trials per decode time 0..n+1
     for times in _span_times(params, seed, trials, matrix_reuse):
         counts += np.bincount(times, minlength=params.n + 2)
+    return _scored(params, schedule, tuple(counts.tolist()), seed, matrix_reuse)
+
+
+def rescore(report: EstimateReport, params: CodeParams, schedule: Schedule) -> EstimateReport:
+    """estimate of report's trials, seed and matrix_reuse under schedule, drawing none."""
+    return _scored(params, schedule, report.decode_time_counts, report.seed,
+                   report.matrix_reuse)
+
+
+def _scored(params: CodeParams, schedule: Schedule, counts: tuple[int, ...], seed: int,
+            matrix_reuse: int) -> EstimateReport:
+    """The report of the trials that counts holds per decode time 0..n+1."""
+    trials = sum(counts)
+    if len(counts) != params.n + 2 or trials < 1:
+        raise ValueError(f"cannot score {trials} trials of decode times 0..{len(counts) - 1}"
+                         f" at n={params.n}, which needs 0..{params.n + 1} and >= 1 trial")
+    _check_schedule(params, schedule)
     b = schedule.boundaries
     m = schedule.m
     sum_ns = 0
     sum_sq = 0
     first_ack = [0] * m
-    for t, count in enumerate(counts.tolist()):
+    for t, count in enumerate(counts):
         block = bisect_left(b, t)  # m when t = n + 1: the round fails at n
         sent = b[min(block, m - 1)]
         sum_ns += count * sent
@@ -285,6 +307,7 @@ def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
         success_rate=success_rate,
         ack_rate_per_block=tuple(c / trials for c in acked),
         empirical_throughput=params.k * success_rate / mean,
+        decode_time_counts=counts,
         matrix_reuse=matrix_reuse,
     )
 

@@ -231,17 +231,35 @@ class TestSimulateCommand:
         assert code == 0
         assert int(read_csv(out)[0]["trials"]) == 2000
 
-    def test_model_all_rows_match_single_model_runs(self, capsys):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("matrix_reuse", ["1", "3"])
+    def test_model_all_rows_match_single_model_runs(self, matrix_reuse, fmt, capsys):
         base = ["simulate", "--k", "8", "--n", "24", "--m", "3", "--eps", "0.5",
-                "--trials", "1000", "--seed", "5"]
+                "--trials", "1000", "--seed", "5", "--matrix-reuse", matrix_reuse,
+                "--format", fmt]
+
+        def table(text):  # (columns, rows), a CSV row as printed
+            if fmt == "csv":
+                return text.splitlines()[1], text.splitlines()[2:]
+            payload = json.loads(text)
+            return payload["columns"], payload["rows"]
+
         code, out = run_cli(base + ["--model", "all"], capsys)
         assert code == 0
-        header, columns, *rows = out.splitlines()
-        assert [row.split(",")[4] for row in rows] == ["es", "na", "lna"]
+        columns, rows = table(out)
+        methods = read_csv(out) if fmt == "csv" else rows
+        assert [row["method"] for row in methods] == ["es", "na", "lna"]
         for method, row in zip(("es", "na", "lna"), rows):
             code, single = run_cli(base + ["--model", method], capsys)
             assert code == 0
-            assert single.splitlines()[1:] == [columns, row]
+            assert table(single) == (columns, [row])
+
+    def test_model_all_draws_once(self, philox_builds, capsys):
+        code, out = run_cli(["simulate", "--k", "32", "--n", "88", "--m", "4", "--eps", "0.5",
+                             "--trials", "600", "--model", "all"], capsys)
+        assert code == 0
+        assert len(read_csv(out)) == 3
+        assert len(philox_builds) == 1
 
     def test_report_contents(self, capsys):
         code, out = run_cli(

@@ -1,5 +1,6 @@
 """Tests for the GF(2) kernel and the seeded protocol simulator."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -17,7 +18,10 @@ from harqsdo import (
     dst_constant,
     erdos_borwein_constant,
     estimate,
+    exhaustive_search,
     expected_round_symbols,
+    optimize,
+    rescore,
     sample_decode_counts,
     sample_round_lengths,
 )
@@ -47,6 +51,10 @@ def _lanes(mats) -> np.ndarray:
     for lane, m in enumerate(mats):
         cols[:, lane // 64] |= m.T << np.uint64(lane % 64)
     return cols
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("a trial stream was opened")
 
 
 def _first_dependent_by_rank(m: np.ndarray) -> int:
@@ -171,6 +179,65 @@ class TestEstimate:
             estimate(p, s, 10, 1, matrix_reuse=2.5)
 
 
+class TestRescore:
+    """One draw scored under many schedules, against the per-trial oracle."""
+
+    K, N, EPS, TRIALS, SEED = 32, 88, 0.5, 256, 7
+
+    @pytest.fixture(scope="class")
+    def drawn(self):
+        p = CodeParams(self.K, self.N, self.EPS)
+        return estimate(p, Schedule((self.N,)), self.TRIALS, self.SEED)
+
+    @pytest.fixture(scope="class")
+    def oracle_times(self):
+        # a boundary at every symbol from k on, so the oracle's stop block is L
+        rounds = reference_rounds(self.K, self.N, self.EPS, range(self.K, self.N + 1),
+                                  self.TRIALS, self.SEED)
+        return [sent if ok else self.N + 1 for _, sent, ok, _ in rounds]
+
+    @pytest.mark.parametrize("schedule", [
+        (88,), (16, 50, 88),
+        exhaustive_search(CodeParams(32, 88, 0.5), 4).schedule.boundaries,
+        optimize(CodeParams(32, 88, 0.5), 4, "normal").schedule.boundaries,
+        optimize(CodeParams(32, 88, 0.5), 4, "lognormal").schedule.boundaries,
+    ], ids=["m1", "first-below-k", "es", "na", "lna"])
+    def test_scores_match_reference_rounds(self, schedule, drawn, oracle_times,
+                                           monkeypatch):
+        monkeypatch.setattr(simulate_module, "_stream", _no_draws)
+        k, n, trials = self.K, self.N, self.TRIALS
+        rep = rescore(drawn, CodeParams(k, n, self.EPS), Schedule(schedule))
+        rounds = reference_rounds(k, n, self.EPS, schedule, trials, self.SEED)
+        sent = [r[1] for r in rounds]
+        mean = sum(sent) / trials
+        var = (sum(x * x for x in sent) - trials * mean * mean) / (trials - 1)
+        acked = list(itertools.accumulate(
+            sum(1 for r in rounds if r[2] and r[0] == i) for i in range(1, len(schedule) + 1)))
+        counts = np.bincount(oracle_times, minlength=n + 2)
+        assert dataclasses.asdict(rep) == dataclasses.asdict(drawn) | {
+            "mean_symbols": mean,
+            "stderr_symbols": math.sqrt(max(0.0, var) / trials),
+            "success_rate": acked[-1] / trials,
+            "ack_rate_per_block": tuple(a / trials for a in acked),
+            "empirical_throughput": k * (acked[-1] / trials) / mean,
+            "decode_time_counts": tuple(counts.tolist()),
+        }
+        assert sum(rep.decode_time_counts) == rep.trials == trials
+
+    @pytest.mark.parametrize("params, counts, schedule, match", [
+        (CodeParams(8, 30, 0.5), None, (16, 30), r"needs 0\.\.31"),
+        (CodeParams(8, 24, 0.5), (0,) * 26, (16, 24), "cannot score 0 trials"),
+        (CodeParams(8, 24, 0.5), None, (16, 20), "schedule must end at n=24"),
+    ], ids=["other-n", "no-trials", "schedule-short-of-n"])
+    def test_mismatched_histogram_rejected(self, params, counts, schedule, match):
+        rep = estimate(CodeParams(8, 24, 0.5), Schedule((24,)), 50, 1)
+        if counts is not None:
+            rep = dataclasses.replace(rep, decode_time_counts=counts)
+        with pytest.raises(ValueError, match=match) as err:
+            rescore(rep, params, Schedule(schedule))
+        assert "\n" not in str(err.value)
+
+
 class TestPerSymbolSampling:
     def test_decode_counts_dkw_band(self):
         k, n, trials = 8, 48, 100000
@@ -281,20 +348,27 @@ class TestDecodeTimeKernel:
                 assert np.array_equal(bits[row], code)
                 assert np.array_equal(uniforms[row], philox_trial(seed, i).random(n))
 
-    def test_one_bit_generator_per_span(self, monkeypatch):
-        built = []
-
-        class CountingPhilox(np.random.Philox):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
-
+    def test_one_bit_generator_per_span(self, request):
         p = CodeParams(32, 88, 0.5)
         s = Schedule((61, 68, 75, 88))
         want = estimate(p, s, 3000, 7)
-        monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+        built = request.getfixturevalue("philox_builds")
         assert estimate(p, s, 3000, 7) == want
         assert len(built) == 1
+
+    @pytest.mark.parametrize("matrix_reuse", [1, 3])
+    @pytest.mark.parametrize("k, n", [(32, 88), (8, 24), (3, 140), (8, 8)])
+    def test_decode_times_do_not_depend_on_block_sizes(self, k, n, matrix_reuse,
+                                                       monkeypatch):
+        # 300 trials end every block and draw chunk part-way, and 8-trial
+        # chunks start off the matrix_reuse groups of 3
+        p = CodeParams(k, n, 0.5)
+        want = np.concatenate(list(_span_times(p, 11, 300, matrix_reuse)))
+        for block, draw in [(64, 8), (128, 16), (1024, 32)]:
+            monkeypatch.setattr(simulate_module, "_BLOCK", block)
+            monkeypatch.setattr(simulate_module, "_DRAW", draw)
+            got = np.concatenate(list(_span_times(p, 11, 300, matrix_reuse)))
+            assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("d, s, want", [(5, 6, 0), (1, 1, 0), (0, 1, 0)])
     def test_all_zero_columns_depend_at_once(self, d, s, want):
@@ -402,10 +476,7 @@ class TestRunArguments:
                 call()
 
     def test_seed_range_checked_before_threads_start(self, monkeypatch):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("a trial stream was opened")
-
-        monkeypatch.setattr(simulate_module, "_stream", no_draws)
+        monkeypatch.setattr(simulate_module, "_stream", _no_draws)
         p = CodeParams(8, 24, 0.5)
         s = Schedule((16, 20, 24))
         for seed in (2 ** 128, -1):

@@ -29,7 +29,9 @@ from .sdo import (
     std_normal_ccdf,
     std_normal_ccdf_prime,
     optimize,
+    optimize_each,
     exhaustive_search,
+    exhaustive_search_each,
 )
 from .simulate import (
     EstimateReport,

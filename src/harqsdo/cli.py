@@ -33,7 +33,8 @@ from .codes import (
     overhead_moment,
 )
 from .channel import Schedule, ack_curve, round_length_law
-from .sdo import CdfModel, OptimizerReport, _check_m, _feasible, exhaustive_search, optimize
+from .sdo import (CdfModel, OptimizerReport, _check_m, _feasible, exhaustive_search,
+                  exhaustive_search_each, optimize, optimize_each)
 from .simulate import _first_dependent, estimate, rescore
 
 __all__ = ["RunConfig", "main", "run_validate"]
@@ -178,33 +179,46 @@ def _solve(params: CodeParams, m: int, method: str) -> OptimizerReport:
     return optimize(params, m, _MODEL_KIND[method])
 
 
+def _solve_each(params: CodeParams, ms: list[int], method: str) -> dict[int, OptimizerReport]:
+    if method == "es":
+        return exhaustive_search_each(params, ms)
+    return optimize_each(params, ms, _MODEL_KIND[method])
+
+
 def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
                  skip: bool = True) -> list[dict]:
     """Rows of every (k, n, m) cell of cfg, k slowest and m fastest.
 
     eps and every m are checked first, so that skipped rows cannot hide a
-    bad value.  A cell has one row per method, or with best_only the row of
-    the first method of highest throughput.  Where no schedule fits, a cell
-    has one skipped row, or with skip False the solver raises.
+    bad value.  Each (k, n) is solved once per method, for all its m at
+    once: one trajectory growth and scoring pass for an SDO model, one
+    backward pass for es.  A cell has one row per method, or with
+    best_only the row of the first method of highest throughput; an m
+    given twice gives its row twice.  Where no schedule fits, a cell has
+    one skipped row, or with skip False the solver raises.
     """
     eps = cfg.scalar("epsilon")
     _check_epsilon(eps)
     for m in cfg.m:
         _check_m(m)
     rows: list[dict] = []
-    for k, n, m in itertools.product(cfg.k, cfg.n, cfg.m):
-        row = {"k": k, "n": n, "m": m, "epsilon": eps, "method": "skipped",
-               "schedule": None, "expected_symbols": None, "throughput": None}
-        if skip and not _feasible(k, n, m):
-            rows.append(row)
-            continue
-        params = CodeParams(k, n, eps)
-        reports = [(method, _solve(params, m, method)) for method in methods]
-        if best_only:
-            reports = [max(reports, key=lambda pair: pair[1].throughput)]
-        rows.extend({**row, "method": method, "schedule": report.schedule,
-                     "expected_symbols": report.objective, "throughput": report.throughput}
-                    for method, report in reports)
+    for k, n in itertools.product(cfg.k, cfg.n):
+        ms = [m for m in cfg.m if not skip or _feasible(k, n, m)]
+        if ms:
+            params = CodeParams(k, n, eps)
+            solved = {method: _solve_each(params, ms, method) for method in methods}
+        for m in cfg.m:
+            row = {"k": k, "n": n, "m": m, "epsilon": eps, "method": "skipped",
+                   "schedule": None, "expected_symbols": None, "throughput": None}
+            if m not in ms:
+                rows.append(row)
+                continue
+            reports = [(method, solved[method][m]) for method in methods]
+            if best_only:
+                reports = [max(reports, key=lambda pair: pair[1].throughput)]
+            rows.extend({**row, "method": method, "schedule": report.schedule,
+                         "expected_symbols": report.objective, "throughput": report.throughput}
+                        for method, report in reports)
     return rows
 
 

@@ -17,8 +17,17 @@ trajectories as one float matrix, a row per first boundary and +inf past
 each row's end, each row's length, and F and F' at every boundary stepped
 from, evaluated once however many rows step from it; a row resumes from
 these alone.  The rows grow only as far as a schedule asked so far reads
-them.  optimize caps a block of rows at once and scores it with
-channel.objective, the package's one telescoped sum.
+them.
+
+A design point is solved once for all the m asked of it.  optimize_each
+grows the rows once, as far as any of its m reads them, pads each m's
+capped schedules with n up to the largest m (a padded slot adds +0.0) and
+scores the candidates of every m together with channel.objective, the
+package's one telescoped sum, one call per block of rows; each m takes
+the first minimum of its own candidates.  The dynamic program's
+recurrence does not depend on m, so exhaustive_search_each fills the
+tails once, as deep as the largest m, and backtracks each m from its own.
+optimize and exhaustive_search are the one-m case of these.
 """
 
 from __future__ import annotations
@@ -39,7 +48,9 @@ __all__ = [
     "std_normal_ccdf",
     "std_normal_ccdf_prime",
     "optimize",
+    "optimize_each",
     "exhaustive_search",
+    "exhaustive_search_each",
 ]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -178,30 +189,39 @@ def _step(t: _Trajectories, b: float, f_before: float) -> tuple[float, float]:
     return math.inf, f_cur
 
 
-def _grown(t: _Trajectories, n: int, m: int, lo: int, hi: int) -> np.ndarray:
-    """The uncapped trajectories from first boundaries lo..hi, as far as (n, m) reads them.
+def _grown(t: _Trajectories, n: int, ms: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
+    """The uncapped trajectories from first boundaries lo..hi, as far as any m in ms reads them.
 
-    Row n1 - lo of the result is the trajectory b_1 = n1, b_{i+1} =
-    _step(b_i), +inf past its end, as wide as t's longest row, at most
-    m - 1.  A trajectory grows until slots 1..m-1 of an (n, m) schedule are
-    known: each step is at least 1 and each cap n - (m - i) grows by 1 per
-    slot, so b_i - i never falls, and once the last boundary reaches its cap
-    every later slot takes its cap.  One array test finds the rows that need
-    another step; only those are stepped, with scalar state, and their new
-    cells are written back into t's matrix with one assignment.
+    ms is ascending, every m at least 2.  Row n1 - lo of the result is the
+    trajectory b_1 = n1, b_{i+1} = _step(b_i), +inf past its end, as wide
+    as t's longest row, at most max(ms) - 1.  An (n, m) schedule reads
+    slots 1..m-1: each step is at least 1 and each cap n - (m - i) grows by
+    1 per slot, so b_i - i never falls, and once the last boundary reaches
+    its cap every later slot takes its cap.  So a row of s cells steps
+    while its last boundary b_s has b_s - s < n - m' for m', the smallest m
+    in ms with m - 1 > s: a smaller m has more room under its caps, and a
+    larger one reads the same slots later.  A row that m' does not read,
+    n1 > n - m' + 1, fails the test, as b_s - s >= n1 - 1.  One array test
+    finds the rows that need another step; only those are stepped, with
+    scalar state, and their new cells are written back into t's matrix
+    with one assignment.
     """
     t.resize(hi + 1, 1)
-    last_slot, room = m - 1, n - m
+    # room[s]: n - m' for a row of s cells; -1 from max(ms) - 1 on, as b_s - s >= 0
+    room: list[int] = []
+    for m in ms:
+        room += [n - m] * (m - 1 - len(room))
+    room.append(-1)
     sizes, width = t.lens[lo : hi + 1], t.b.shape[1]
     # each row's last cell, +inf once the row has ended, by one flat index
     ends = t.b.ravel()[np.arange(lo * width - 1, hi * width, width) + sizes]
-    need = np.nonzero((sizes < last_slot) & (ends - sizes < room))[0]
+    need = np.nonzero(ends - sizes < np.array(room).take(sizes, mode="clip"))[0]
     if need.size:
         rows, cols, cells, lens = [], [], [], []
         for row, size, cur in zip((lo + need).tolist(), sizes[need].tolist(), ends[need].tolist()):
             # _step put F into known at every boundary this row stepped from
             f_prev = t.known[t.b[row, size - 2]][0] if size > 1 else 0.0
-            while size < last_slot and cur - size < room:
+            while cur - size < room[size]:
                 cur, f_prev = _step(t, cur, f_prev)
                 rows.append(row)
                 cols.append(size)
@@ -211,17 +231,19 @@ def _grown(t: _Trajectories, n: int, m: int, lo: int, hi: int) -> np.ndarray:
         t.resize(hi + 1, max(lens))
         t.b[rows, cols] = cells
         t.lens[lo + need] = lens
-    return t.b[lo : hi + 1, : min(last_slot, t.b.shape[1])]
+    return t.b[lo : hi + 1, : min(ms[-1] - 1, t.b.shape[1])]
 
 
-def _capped(rows: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The (n, m) schedule over each uncapped trajectory: slot i is min(b_i, n - (m - i)).
+def _capped(rows: np.ndarray, n: int, m: int, out: np.ndarray) -> np.ndarray:
+    """out, filled with the (n, m) schedule over each uncapped trajectory.
 
-    Slots past a row's end, or past the rows' width, take their caps, and
-    slot m is n.  The boundaries are integers held as floats.
+    Slot i is min(b_i, n - (m - i)).  Slots past a row's end, or past the
+    rows' width, take their caps, and slot m is n, as is every slot after
+    it up to out's width.  The boundaries are integers held as floats.
     """
-    out = np.empty((len(rows), m))
-    out[:] = np.arange(n - m + 1, n + 1)  # slot i's cap; slot m is n
+    out[:, :m] = np.arange(n - m + 1, n + 1)  # slot i's cap; slot m is n
+    if m < out.shape[1]:
+        out[:, m:] = n
     width = min(rows.shape[1], m - 1)
     np.minimum(out[:, :width], rows[:, :width], out=out[:, :width])
     return out
@@ -231,18 +253,40 @@ def _capped(rows: np.ndarray, n: int, m: int) -> np.ndarray:
 _BLOCK_CELLS = 1 << 16
 
 
-def _scores(rows: np.ndarray, n: int, m: int, ack: np.ndarray) -> np.ndarray:
-    """The exact objective of each row's (n, m) schedule, in row order.
+def _best(rows: np.ndarray, n: int, ms: tuple[int, ...],
+          ack: np.ndarray) -> list[tuple[float, list[int]]]:
+    """Each m's best (n, m) candidate, m in ms: its exact objective and its schedule.
 
-    rows holds uncapped trajectories, as _grown returns them.  Each block of
-    rows is capped and scored by channel.objective, as expected_round_symbols is.
+    rows holds uncapped trajectories from first boundary k on, as _grown
+    returns them for ms, ascending; m's candidates are its first
+    len(rows) - (m - ms[0]) rows.  The candidates of every m are stacked,
+    each m's after the smaller m's, and each schedule is padded with n up
+    to max(ms) slots: a padded slot adds (n - n) ack[n] = +0.0 after the
+    real terms, so each total is bit for bit the unpadded one.  The stack
+    is capped and scored by channel.objective, as expected_round_symbols
+    is, in blocks of at most _BLOCK_CELLS cells.  Each m keeps its first
+    minimum, so ties break toward the smaller first boundary.
     """
-    per_block = max(1, _BLOCK_CELLS // m)
-    out = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], per_block):
-        b = _capped(rows[start : start + per_block], n, m)
-        out[start : start + per_block] = objective(b, ack[b[:, :-1].astype(np.intp)])
-    return out
+    width = ms[-1]
+    per_block = max(1, _BLOCK_CELLS // width)
+    spans, total = [], 0  # (m, first, end): m's candidates fill places first..end-1
+    for m in ms:
+        spans.append((m, total, total + len(rows) - (m - ms[0])))
+        total = spans[-1][2]
+    best = [(math.inf, [])] * len(ms)
+    for start in range(0, total, per_block):
+        stop = min(total, start + per_block)
+        b = np.empty((stop - start, width))
+        pieces = [(j, m, max(first, start), min(end, stop), first)
+                  for j, (m, first, end) in enumerate(spans) if first < stop and start < end]
+        for _, m, lo, hi, first in pieces:
+            _capped(rows[lo - first : hi - first], n, m, b[lo - start : hi - start])
+        totals = objective(b, ack[b[:, :-1].astype(np.intp)])
+        for j, m, lo, hi, _ in pieces:
+            i = lo - start + int(np.argmin(totals[lo - start : hi - start]))
+            if totals[i] < best[j][0]:  # an earlier block keeps a tie
+                best[j] = (totals[i], b[i, :m].astype(int).tolist())
+    return best
 
 
 def _report(params: CodeParams, schedule: Schedule, model_used: str,
@@ -268,13 +312,41 @@ def _feasible(k: int, n: int, m: int) -> bool:
     return k + m - 1 <= n
 
 
-def _n1_range(params: CodeParams, m: int) -> tuple[int, int]:
-    if not _feasible(params.k, params.n, m):
+def _split_off_m1(params: CodeParams, ms, model_used: str) -> tuple[dict, tuple[int, ...]]:
+    """The m = 1 report, keyed by 1, if ms holds 1, and the other m of ms, distinct, ascending.
+
+    The least m must be >= 1 and the largest must fit a schedule; m = 1 is
+    the one schedule (n).
+    """
+    ms = tuple(sorted(set(ms)))
+    _check_m(ms[0])
+    if not _feasible(params.k, params.n, ms[-1]):  # a larger m needs a larger n
         raise ValueError(
             f"no feasible schedule: need k + m - 1 <= n, got k={params.k}, "
-            f"m={m}, n={params.n}"
+            f"m={ms[-1]}, n={params.n}"
         )
-    return params.k, params.n - m + 1
+    if ms[0] > 1:
+        return {}, ms
+    return {1: _report(params, Schedule((params.n,)), model_used, None)}, ms[1:]
+
+
+def optimize_each(params: CodeParams, ms,
+                  model_kind: str = "normal") -> dict[int, OptimizerReport]:
+    """optimize's report for every m in ms, keyed by m, from one solve.
+
+    The trajectories are grown once, as far as any m reads them, and the
+    candidates of every m >= 2 are scored together, so a design point
+    makes one channel.objective call per block however many m it asks.
+    Each m takes the first minimum of its own candidates.
+    """
+    reports, split = _split_off_m1(params, ms, model_kind)
+    if not split:
+        return reports
+    k, n = params.k, params.n
+    rows = _grown(_trajectories(k, params.epsilon, model_kind), n, split, k, n - split[0] + 1)
+    for m, (value, schedule) in zip(split, _best(rows, n, split, ack_curve(params))):
+        reports[m] = _report(params, Schedule(tuple(schedule)), model_kind, (k, n - m + 1), value)
+    return reports
 
 
 def optimize(params: CodeParams, m: int, model_kind: str = "normal") -> OptimizerReport:
@@ -282,15 +354,7 @@ def optimize(params: CodeParams, m: int, model_kind: str = "normal") -> Optimize
 
     Ties in the exact objective break toward the smaller first boundary.
     """
-    _check_m(m)
-    if m == 1:
-        return _report(params, Schedule((params.n,)), model_kind, None)
-    lo, hi = _n1_range(params, m)
-    rows = _grown(_trajectories(params.k, params.epsilon, model_kind), params.n, m, lo, hi)
-    totals = _scores(rows, params.n, m, ack_curve(params))
-    best = int(np.argmin(totals))
-    winner = _capped(rows[best : best + 1], params.n, m)[0].astype(int)  # Schedule's fast path
-    return _report(params, Schedule(tuple(winner.tolist())), model_kind, (lo, hi), totals[best])
+    return optimize_each(params, (m,), model_kind)[m]
 
 
 def _steps(x: np.ndarray, c: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -301,38 +365,53 @@ def _steps(x: np.ndarray, c: np.ndarray, start: int, stop: int) -> np.ndarray:
     return np.where(b > a, (a - b) * c[start:stop, None], np.inf)
 
 
+def exhaustive_search_each(params: CodeParams, ms) -> dict[int, OptimizerReport]:
+    """exhaustive_search's report for every m in ms, keyed by m, from one backward pass.
+
+    The pass fills the tails of the largest m; every smaller m backtracks
+    from its own tail, as the recurrence does not depend on m.
+    """
+    reports, split = _split_off_m1(params, ms, "exhaustive")
+    if not split:
+        return reports
+    n = params.n
+    x = np.arange(params.k, n)
+    c = ack_curve(params)[params.k : n]
+    # tails[j][a]: least sum of the last j + 1 terms, the first of them at boundary x[a]
+    tails = np.empty((split[-1] - 1, len(x)))
+    tails[0] = (x - n) * c
+    if len(tails) > 1:
+        per_block = max(1, _BLOCK_CELLS // len(x))
+        # a row's tails read only later rows' and its own shorter tails: blocks go bottom up
+        for stop in range(len(x), 0, -per_block):
+            start = max(0, stop - per_block)
+            step = _steps(x, c, start, stop)
+            for j in range(len(tails) - 1):
+                tails[j + 1, start:stop] = (step + tails[j, start:]).min(axis=1)
+    for m in split:
+        picks = [int(np.argmin(tails[m - 2]))]
+        for tail in tails[: m - 2][::-1]:  # not tails[m - 3::-1], all of tails at m = 2
+            # _steps's row for the last pick, less its +inf: the next boundary lies past it
+            a = picks[-1] + 1
+            picks.append(a + int(np.argmin((x[a - 1] - x[a:]) * c[a - 1] + tail[a:])))
+        reports[m] = _report(params, Schedule(tuple(int(x[a]) for a in picks) + (n,)),
+                             "exhaustive", (params.k, n - m + 1))
+    return reports
+
+
 def exhaustive_search(params: CodeParams, m: int) -> OptimizerReport:
     """Global minimizer of the exact objective over all boundary tuples.
 
     An exact backward dynamic program in O(m n**2) time: the objective
     n + sum_i (n_i - n_{i+1}) P_ack(n_i) couples only neighbouring
     boundaries, so F[i][x], the best tail cost with boundary i at x, is
-    min over y > x of (x - y) P_ack(x) + F[i+1][y].  Interior boundaries
-    range over k..n-1.  Ties break lexicographically toward smaller
-    boundaries, as a full enumeration in lexicographic order would.  The
-    step costs are formed in blocks of at most _BLOCK_CELLS, so memory
-    stays O(m n) plus one block.
+    min over y > x of (x - y) P_ack(x) + F[i+1][y].  The recurrence does
+    not depend on m: the tail with j boundaries left serves every m, so
+    one backward pass, as deep as the largest m, serves every m of a
+    design point (exhaustive_search_each).  Interior boundaries range over
+    k..n-1.  Ties break lexicographically toward smaller boundaries, as a
+    full enumeration in lexicographic order would.  The step costs are
+    formed in blocks of at most _BLOCK_CELLS, so memory stays O(m n) plus
+    one block.
     """
-    _check_m(m)
-    if m == 1:
-        return _report(params, Schedule((params.n,)), "exhaustive", None)
-    lo, hi = _n1_range(params, m)
-    n = params.n
-    x = np.arange(params.k, n)
-    c = ack_curve(params)[params.k : n]
-    # tails[j][a]: least sum of the last j + 1 terms, the first of them at boundary x[a]
-    tails = np.empty((m - 1, len(x)))
-    tails[0] = (x - n) * c
-    per_block = max(1, _BLOCK_CELLS // len(x))
-    # a row's tails read only later rows' and its own shorter tails: blocks go bottom up
-    for stop in range(len(x), 0, -per_block):
-        start = max(0, stop - per_block)
-        step = _steps(x, c, start, stop)
-        for j in range(m - 2):
-            tails[j + 1, start:stop] = (step + tails[j, start:]).min(axis=1)
-    picks = [int(np.argmin(tails[-1]))]
-    for tail in tails[-2::-1]:
-        a = picks[-1]
-        picks.append(a + int(np.argmin(_steps(x, c, a, a + 1)[0] + tail[a:])))
-    return _report(params, Schedule(tuple(int(x[a]) for a in picks) + (n,)),
-                   "exhaustive", (lo, hi))
+    return exhaustive_search_each(params, (m,))[m]

@@ -222,6 +222,7 @@ def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 
 class EstimateReport:
     """Aggregated estimates of `trials` simulated rounds under one seed."""
 
+    params: CodeParams  # the design point the trials were drawn at
     trials: int
     seed: int
     mean_symbols: float
@@ -262,22 +263,28 @@ def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
     counts = np.zeros(params.n + 2, dtype=np.int64)  # trials per decode time 0..n+1
     for times in _span_times(params, seed, trials, matrix_reuse):
         counts += np.bincount(times, minlength=params.n + 2)
-    return _scored(params, schedule, tuple(counts.tolist()), seed, matrix_reuse)
+    return _scored(params, params, schedule, tuple(counts.tolist()), seed, matrix_reuse)
 
 
 def rescore(report: EstimateReport, params: CodeParams, schedule: Schedule) -> EstimateReport:
-    """estimate of report's trials, seed and matrix_reuse under schedule, drawing none."""
-    return _scored(params, schedule, report.decode_time_counts, report.seed,
+    """estimate of report's trials, seed and matrix_reuse under schedule, drawing none.
+
+    params must be the design point the report was drawn at: the decode
+    times of one (k, n, eps) say nothing about another's.
+    """
+    return _scored(report.params, params, schedule, report.decode_time_counts, report.seed,
                    report.matrix_reuse)
 
 
-def _scored(params: CodeParams, schedule: Schedule, counts: tuple[int, ...], seed: int,
-            matrix_reuse: int) -> EstimateReport:
-    """The report of the trials that counts holds per decode time 0..n+1."""
+def _scored(drawn_at: CodeParams, params: CodeParams, schedule: Schedule,
+            counts: tuple[int, ...], seed: int, matrix_reuse: int) -> EstimateReport:
+    """The report at params of the trials that counts holds per decode time 0..n+1."""
     trials = sum(counts)
     if len(counts) != params.n + 2 or trials < 1:
         raise ValueError(f"cannot score {trials} trials of decode times 0..{len(counts) - 1}"
                          f" at n={params.n}, which needs 0..{params.n + 1} and >= 1 trial")
+    if drawn_at != params:
+        raise ValueError(f"cannot score trials drawn at {drawn_at} at another point, {params}")
     _check_schedule(params, schedule)
     b = schedule.boundaries
     m = schedule.m
@@ -300,6 +307,7 @@ def _scored(params: CodeParams, schedule: Schedule, counts: tuple[int, ...], see
     stderr = math.sqrt(sample_var / trials)
     success_rate = acked[-1] / trials
     return EstimateReport(
+        params=params,
         trials=trials,
         seed=seed,
         mean_symbols=mean,

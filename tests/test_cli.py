@@ -330,6 +330,19 @@ class TestDomainErrors:
         assert len(lines) == 1 and lines[0].startswith("harq-sdo: error: ")
         assert peak <= 8 * 2 ** 20
 
+    def test_huge_m_skipped_beside_a_solved_one(self, capsys):
+        # the solvers size their arrays by the largest m that fits, not by 1e20
+        tracemalloc.start()
+        try:
+            code = main(["sweep-n", "--k", "8", "--n", "24", "--m", f"2,{10 ** 20}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        rows = read_csv(capsys.readouterr().out)
+        assert [(r["m"], r["method"]) for r in rows] == [("2", "na"), (str(10 ** 20), "skipped")]
+        assert peak <= 8 * 2 ** 20
+
     @pytest.mark.parametrize("bad", ["8.5", "1e400", "inf", "nan"])
     @pytest.mark.parametrize("field, argv", [
         ("trials", ["simulate", "--trials", "{}"]),

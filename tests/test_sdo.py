@@ -15,9 +15,11 @@ from harqsdo import (
     ack_curve,
     asymptotic_round_moments,
     exhaustive_search,
+    exhaustive_search_each,
     expected_round_symbols,
     objective,
     optimize,
+    optimize_each,
     std_normal_ccdf,
     std_normal_ccdf_prime,
     throughput,
@@ -31,6 +33,7 @@ from oracles import (
     dp_best_interior,
     enumerate_best_interior,
     gaussian_tail_quad,
+    objective_loop,
     package_trajectories,
     schedule_from_model,
     sdo_continuous_step,
@@ -468,6 +471,137 @@ class TestExhaustiveSearch:
 
     def test_model_used_label(self):
         assert exhaustive_search(CodeParams(4, 10, 0.3), 2).model_used == "exhaustive"
+
+
+# design points of OPTIMIZE_GRID with every m = 1..8 that fits
+EACH_GRID = sorted({(k, eps, n) for k, eps, n, _ in OPTIMIZE_GRID})
+
+
+def _ms_in(order, ms):
+    """ms ascending, descending, shuffled, or with each m twice."""
+    return {"ascending": ms, "descending": ms[::-1],
+            "shuffled": random.Random(len(ms)).sample(ms, len(ms)),
+            "duplicates": [m for m in ms for _ in range(2)]}[order]
+
+
+class TestSolveEach:
+    """Every m of a design point from one SDO scoring pass and one DP pass."""
+
+    @staticmethod
+    def _assert_each_matches_oracles(grid, order, kinds=("normal", "lognormal")):
+        for k, eps, n in grid:
+            p = CodeParams(k, n, eps)
+            ms = _ms_in(order, [m for m in range(1, 9) if k + m - 1 <= n])
+            for kind in kinds:
+                reports = optimize_each(p, ms, kind)
+                assert sorted(reports) == sorted(set(ms))
+                for m, rep in reports.items():
+                    if m == 1:
+                        assert rep == optimize(p, 1, kind)
+                        continue
+                    schedule, obj = _oracle_optimize(kind, k, eps, n, m)
+                    assert rep.schedule.boundaries == schedule, (kind, k, eps, n, m)
+                    assert rep.objective == obj, (kind, k, eps, n, m)
+                    assert rep.n1_searched == (k, n - m + 1)
+            reports = exhaustive_search_each(p, ms)
+            assert sorted(reports) == sorted(set(ms))
+            for m, rep in reports.items():
+                want = Schedule((n,) if m == 1 else dp_best_interior(ack_curve(p), k, n, m) + (n,))
+                assert rep.schedule == want, (k, eps, n, m)
+                assert rep.objective == expected_round_symbols(p, want), (k, eps, n, m)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "duplicates"])
+    def test_match_oracles_for_every_m(self, order):
+        _trajectories.cache_clear()
+        self._assert_each_matches_oracles(EACH_GRID, order)
+
+    @pytest.mark.parametrize("block_cells", [1, 3])
+    def test_match_oracles_in_small_blocks(self, monkeypatch, block_cells):
+        # blocks of one or a few rows: every block edge, and every edge
+        # between two m's stacked candidates, falls inside some block
+        monkeypatch.setattr(sdo, "_BLOCK_CELLS", block_cells)
+        _trajectories.cache_clear()
+        self._assert_each_matches_oracles([g for g in EACH_GRID if g[0] in (8, 32)],
+                                          "shuffled", kinds=("normal",))
+
+    def test_m2_alone(self):
+        # m = 2 reads tails[0] only; tails[m - 3::-1] would read all of them
+        for k, eps, n in EACH_GRID:
+            p = CodeParams(k, n, eps)
+            rep = exhaustive_search_each(p, (2,))[2]
+            assert rep.schedule.boundaries == dp_best_interior(ack_curve(p), k, n, 2) + (n,)
+            assert rep == exhaustive_search_each(p, range(1, 9) if k + 7 <= n else (2,))[2]
+            for kind in ("normal", "lognormal"):
+                assert optimize_each(p, (2,), kind)[2].schedule.boundaries == (
+                    _oracle_optimize(kind, k, eps, n, 2)[0])
+
+    @pytest.mark.parametrize("kind", ["normal", "lognormal"])
+    def test_padded_totals_equal_the_loop(self, monkeypatch, kind):
+        # every candidate of m = 2..8, padded with n to 8 slots, scores as
+        # the unpadded schedule does
+        scored = []
+        score = sdo.objective
+        monkeypatch.setattr(sdo, "objective", lambda *a: scored.append(score(*a)) or scored[-1])
+        p = CodeParams(32, 88, 0.5)
+        optimize_each(p, range(2, 9), kind)
+        model, curve = CdfModel.for_params(p, kind), ack_curve(p)
+        want = [objective_loop(b, [curve[x] for x in b[:-1]])
+                for m in range(2, 9) for b in (sdo_recursion(model.cdf, model.pdf, 88, m, n1)
+                                               for n1 in range(32, 88 - m + 2))]
+        assert len(scored) == 1
+        assert scored[0].tolist() == want
+
+    def test_infeasible_m_raises_before_any_solve(self):
+        for solve in (lambda p, ms: optimize_each(p, ms, "normal"), exhaustive_search_each):
+            with pytest.raises(ValueError, match=r"got k=8, m=18, n=24$"):
+                solve(CodeParams(8, 24, 0.5), (2, 18, 3))
+            with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+                solve(CodeParams(8, 24, 0.5), (2, 0))
+
+    def test_duplicate_m_prints_its_rows_twice(self, capsys):
+        for model in ("na", "es"):
+            assert main(["sweep-n", "--k", "8", "--n", "24", "--m", "3,3", "--model", model]) == 0
+            rows = capsys.readouterr().out.splitlines()[2:]
+            assert len(rows) == 2 and rows[0] == rows[1]
+            assert rows[0].startswith("8,24,3,0.5,")
+
+    def test_one_scoring_call_per_n_and_model(self, monkeypatch, capsys):
+        # one objective call per (n, model) for all eight m: 28 n x 2 models;
+        # solving each (n, m) apart took 392
+        calls = []
+        score = sdo.objective
+        monkeypatch.setattr(sdo, "objective", lambda *a: calls.append(1) or score(*a))
+        argv = "sweep-n --k 32 --n 66:120:2 --m 1:8 --model all --eps 0.47".split()
+        assert main(argv) == 0
+        assert len(calls) <= 56
+        capsys.readouterr()
+
+    def test_one_backward_pass_per_design_point(self, monkeypatch, capsys):
+        # every (k, n) here fits one row block, so each pass forms one block
+        # of step costs, and its last block starts at row 0
+        passes = []
+        steps = sdo._steps
+        monkeypatch.setattr(sdo, "_steps", lambda x, c, start, stop: (
+            passes.append(start == 0) or steps(x, c, start, stop)))
+        argv = "sweep-n --k 32 --n 66:120:2 --m 1:8 --model es --eps 0.47".split()
+        assert main(argv) == 0
+        assert sum(passes) == len(passes) == 28
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("params, solve", [
+        (CodeParams(32, 2000, 0.5), lambda p: exhaustive_search_each(p, range(1, 9))),
+        (CodeParams(32, 4000, 0.5), lambda p: optimize_each(p, (2, 1000, 3000), "normal")),
+    ], ids=["dp", "sdo"])
+    def test_traced_peak_under_8mb(self, params, solve):
+        _trajectories.cache_clear()
+        ack_curve(params)
+        tracemalloc.start()
+        try:
+            solve(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000
 
 
 class TestScheduleEmission:

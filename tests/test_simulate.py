@@ -237,6 +237,18 @@ class TestRescore:
             rescore(rep, params, Schedule(schedule))
         assert "\n" not in str(err.value)
 
+    @pytest.mark.parametrize("params", [CodeParams(20, 24, 0.5), CodeParams(8, 24, 0.5),
+                                        CodeParams(9, 24, 0.3)], ids=["k-and-eps", "eps", "k"])
+    def test_other_design_point_rejected(self, params):
+        # the same n, so the histogram fits, but at k = 20 it would hold
+        # decode times below k, which cannot occur
+        rep = estimate(CodeParams(8, 24, 0.3), Schedule((24,)), 100, 1)
+        assert rep.params == CodeParams(8, 24, 0.3)
+        with pytest.raises(ValueError) as err:
+            rescore(rep, params, Schedule((22, 24)))
+        assert str(err.value) == ("cannot score trials drawn at CodeParams(k=8, n=24, "
+                                  f"epsilon=0.3) at another point, {params}")
+
 
 class TestPerSymbolSampling:
     def test_decode_counts_dkw_band(self):

@@ -30,6 +30,7 @@ from .sdo import (
     std_normal_ccdf_prime,
     optimize,
     optimize_each,
+    optimize_row,
     exhaustive_search,
     exhaustive_search_each,
 )

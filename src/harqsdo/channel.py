@@ -188,10 +188,18 @@ def objective(boundaries, acks) -> float | np.ndarray:
     stop point by the chance of first ACKing there plus the full length on
     NACK.  Boundaries may be real-valued, as in the smoothed SDO objective.
     An (R, m) block of schedules, with acks (R, m) or (R, m - 1), gives R
-    values, each summed left to right from n_m as one schedule's float is.
+    values.  Every value is summed left to right from n_m, one term at a
+    time, as np.add.accumulate sums along a schedule; a block with at least
+    as many rows as columns makes these same additions column by column,
+    one vector addition per slot.  So each value is one schedule's float.
     """
     b = np.asarray(boundaries, dtype=float)
     gaps = (b[..., :-1] - b[..., 1:]) * np.asarray(acks)[..., : b.shape[-1] - 1]
+    if b.ndim == 2 and b.shape[0] >= b.shape[1]:
+        total = b[:, -1].copy()
+        for column in gaps.T:
+            total += column
+        return total
     total = np.add.accumulate(np.concatenate((b[..., -1:], gaps), axis=-1), axis=-1)[..., -1]
     return float(total) if b.ndim == 1 else total
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import itertools
 import json
 import math
 import os
@@ -34,7 +33,7 @@ from .codes import (
 )
 from .channel import Schedule, ack_curve, round_length_law
 from .sdo import (CdfModel, OptimizerReport, _check_m, _feasible, exhaustive_search,
-                  exhaustive_search_each, optimize, optimize_each)
+                  exhaustive_search_each, optimize, optimize_row)
 from .simulate import _first_dependent, estimate, rescore
 
 __all__ = ["RunConfig", "main", "run_validate"]
@@ -179,46 +178,59 @@ def _solve(params: CodeParams, m: int, method: str) -> OptimizerReport:
     return optimize(params, m, _MODEL_KIND[method])
 
 
-def _solve_each(params: CodeParams, ms: list[int], method: str) -> dict[int, OptimizerReport]:
-    if method == "es":
-        return exhaustive_search_each(params, ms)
-    return optimize_each(params, ms, _MODEL_KIND[method])
-
-
 def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
                  skip: bool = True) -> list[dict]:
     """Rows of every (k, n, m) cell of cfg, k slowest and m fastest.
 
     eps and every m are checked first, so that skipped rows cannot hide a
-    bad value.  Each (k, n) is solved once per method, for all its m at
-    once: one trajectory growth and scoring pass for an SDO model, one
-    backward pass for es.  A cell has one row per method, or with
-    best_only the row of the first method of highest throughput; an m
-    given twice gives its row twice.  Where no schedule fits, a cell has
-    one skipped row, or with skip False the solver raises.
+    bad value.  Each k is one sweep row: optimize_row solves all its n, m
+    and SDO models in one pass and reads each n's ACK curve once, and es
+    solves each n for all its m in one backward pass right after that
+    curve is read.  A cell has one row per method, or with best_only the
+    row of the first method of highest throughput; an n or m given twice
+    gives its rows twice.  Where no schedule fits, a cell has one skipped
+    row, or with skip False the solver raises.
     """
     eps = cfg.scalar("epsilon")
     _check_epsilon(eps)
     for m in cfg.m:
         _check_m(m)
+    kinds = [_MODEL_KIND[method] for method in methods if method != "es"]
     rows: list[dict] = []
-    for k, n in itertools.product(cfg.k, cfg.n):
-        ms = [m for m in cfg.m if not skip or _feasible(k, n, m)]
-        if ms:
-            params = CodeParams(k, n, eps)
-            solved = {method: _solve_each(params, ms, method) for method in methods}
-        for m in cfg.m:
-            row = {"k": k, "n": n, "m": m, "epsilon": eps, "method": "skipped",
-                   "schedule": None, "expected_symbols": None, "throughput": None}
-            if m not in ms:
-                rows.append(row)
-                continue
-            reports = [(method, solved[method][m]) for method in methods]
-            if best_only:
-                reports = [max(reports, key=lambda pair: pair[1].throughput)]
-            rows.extend({**row, "method": method, "schedule": report.schedule,
-                         "expected_symbols": report.objective, "throughput": report.throughput}
-                        for method, report in reports)
+    for k in cfg.k:
+        cells = {n: ms for n in cfg.n
+                 if (ms := [m for m in cfg.m if not skip or _feasible(k, n, m)])}
+        exact = {}
+
+        def solve_es(params: CodeParams) -> None:
+            exact[params.n] = exhaustive_search_each(params, cells[params.n])
+
+        def cell_rows(n: int, solved: dict) -> list[dict]:
+            out = []
+            for m in cfg.m:
+                row = {"k": k, "n": n, "m": m, "epsilon": eps, "method": "skipped",
+                       "schedule": None, "expected_symbols": None, "throughput": None}
+                if m not in cells.get(n, ()):
+                    out.append(row)
+                    continue
+                reports = [(method, solved[method][m]) for method in methods]
+                if best_only:
+                    reports = [max(reports, key=lambda pair: pair[1].throughput)]
+                out.extend({**row, "method": method, "schedule": report.schedule,
+                            "expected_symbols": report.objective,
+                            "throughput": report.throughput}
+                           for method, report in reports)
+            return out
+
+        # each n's rows, built as its chunk of the row is solved: only kept reports stay
+        solved = {}
+        if cells:
+            for n, by_kind in optimize_row(k, eps, cells.items(), kinds,
+                                           solve_es if "es" in methods else None):
+                solved[n] = cell_rows(n, {method: exact.pop(n) if method == "es"
+                                          else by_kind[_MODEL_KIND[method]] for method in methods})
+        for n in cfg.n:
+            rows.extend(solved[n] if n in solved else cell_rows(n, {}))
     return rows
 
 

@@ -10,29 +10,32 @@ decides where the interior boundaries land.  An exact dynamic program over
 
 The model depends on (k, epsilon, kind) only, not on n or m, so it is
 built once per (k, epsilon, kind), and the recursion from a first boundary
-n1 is grown once without caps and shared by every (n, m): _capped reads
-the schedule's slot i as min(b_i, n - (m - i)) and its last slot as n.
-Each of the last few (k, epsilon, kind) keeps its model, its uncapped
-trajectories as one float matrix, a row per first boundary and +inf past
-each row's end, each row's length, and F and F' at every boundary stepped
-from, evaluated once however many rows step from it; a row resumes from
-these alone.  The rows grow only as far as a schedule asked so far reads
-them.
+n1 is grown once without caps and shared by every (n, m): the schedule's
+slot i is min(b_i, n - (m - i)) and every slot from m on is n, both read
+from _caps's per-(n, m) table of slot floors and ceilings.  Each of the
+last few (k, epsilon, kind) keeps its model, its uncapped trajectories as
+one float matrix, a row per first boundary and +inf past each row's end,
+each row's length, and F and F' at every boundary stepped from, evaluated
+together once however many rows step from it; a row resumes from these
+alone.  The rows grow only as far as a schedule asked so far reads them.
 
-A design point is solved once for all the m asked of it.  optimize_each
-grows the rows once, as far as any of its m reads them, pads each m's
-capped schedules with n up to the largest m (a padded slot adds +0.0) and
-scores the candidates of every m together with channel.objective, the
-package's one telescoped sum, one call per block of rows; each m takes
-the first minimum of its own candidates.  The dynamic program's
-recurrence does not depend on m, so exhaustive_search_each fills the
-tails once, as deep as the largest m, and backtracks each m from its own.
-optimize and exhaustive_search are the one-m case of these.
+A sweep row, every n of one (k, epsilon), is solved in one pass.
+optimize_row grows each model's rows once, as far as the largest n and
+its m read them, stacks the candidates of every (model, n, m), padded
+with n to the widest m (a padded slot adds +0.0), reads their ACK values
+from the row's curves gathered a chunk of n at a time, and scores them
+with channel.objective, the package's one telescoped sum, in blocks of
+at most _BLOCK_CELLS cells; one segmented reduction per block takes each
+group's first minimum.  optimize_each and optimize are its one-n case.
+The dynamic program's recurrence does not depend on m, so
+exhaustive_search_each fills the tails once, as deep as the largest m,
+and backtracks each m from its own; exhaustive_search is its one-m case.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,16 +52,18 @@ __all__ = [
     "std_normal_ccdf_prime",
     "optimize",
     "optimize_each",
+    "optimize_row",
     "exhaustive_search",
     "exhaustive_search_each",
 ]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 
 
 def std_normal_ccdf(x: float) -> float:
     """Q(x): upper-tail probability of a standard Gaussian, via erfc."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / _SQRT2)
 
 
 def std_normal_ccdf_prime(x: float) -> float:
@@ -107,21 +112,24 @@ class CdfModel:
     def sigma_star(self) -> float:
         return math.sqrt(self.sigma2_star)
 
-    def cdf(self, x: float) -> float:
-        if self.kind == "normal":
-            return 1.0 - std_normal_ccdf((x - self.mu) / self.sigma)
-        if x <= 0.0:
-            return 0.0
-        return 1.0 - std_normal_ccdf((math.log(x) - self.mu_star) / self.sigma_star)
-
-    def pdf(self, x: float) -> float:
+    def cdf_pdf(self, x: float) -> tuple[float, float]:
+        """(F(x), F'(x)) from one z, with cdf's and pdf's expressions bit for bit."""
         if self.kind == "normal":
             z = (x - self.mu) / self.sigma
-            return -std_normal_ccdf_prime(z) / self.sigma
-        if x <= 0.0:
-            return 0.0
-        z = (math.log(x) - self.mu_star) / self.sigma_star
-        return -std_normal_ccdf_prime(z) / (x * self.sigma_star)
+            scale = self.sigma
+        elif x <= 0.0:
+            return 0.0, 0.0
+        else:
+            z = (math.log(x) - self.mu_star) / self.sigma_star
+            scale = x * self.sigma_star
+        # 1 - Q(z) and -Q'(z) / scale, with Q and Q' as std_normal_ccdf(_prime) form them
+        return 1.0 - 0.5 * math.erfc(z / _SQRT2), _INV_SQRT_2PI * math.exp(-0.5 * z * z) / scale
+
+    def cdf(self, x: float) -> float:
+        return self.cdf_pdf(x)[0]
+
+    def pdf(self, x: float) -> float:
+        return self.cdf_pdf(x)[1]
 
 
 @dataclass(frozen=True)
@@ -163,6 +171,13 @@ class _Trajectories:
         self.b = b
         self.lens = np.concatenate([self.lens, np.ones(rows - old_rows, dtype=np.intp)])
 
+    def rows(self, n1: np.ndarray, out: np.ndarray) -> None:
+        """out[r]: the trajectory from n1[r], +inf past b's width."""
+        width = min(out.shape[1], self.b.shape[1])
+        out[:, :width] = self.b[n1, :width]
+        if width < out.shape[1]:
+            out[:, width:] = np.inf
+
 
 @functools.lru_cache(maxsize=4)
 def _trajectories(k: int, epsilon: float, kind: str) -> _Trajectories:
@@ -171,40 +186,24 @@ def _trajectories(k: int, epsilon: float, kind: str) -> _Trajectories:
     return _Trajectories(CdfModel.for_params(CodeParams(k, k, epsilon), kind))
 
 
-def _step(t: _Trajectories, b: float, f_before: float) -> tuple[float, float]:
-    """The boundary after b, and F(b): b + max(1, ceil(r)), r = (F(b) - f_before) / F'(b).
+def _grow(t: _Trajectories, n: int, ms: tuple[int, ...], lo: int, hi: int) -> None:
+    """Grow t's trajectories from first boundaries lo..hi as far as any (n, m), m in ms, reads them.
 
-    F is t's model.  f_before is F at the boundary before b, 0 for a first
-    boundary.  An infinite r, from an underflowed density included, gives
-    +inf.  t.known holds (F(x), F'(x)) by x, read if there and filled if not.
-    """
-    pair = t.known.get(b)
-    if pair is None:
-        pair = t.known[b] = t.model.cdf(b), t.model.pdf(b)
-    f_cur, density = pair
-    if density > 0.0:
-        ratio = (f_cur - f_before) / density
-        if ratio != math.inf:
-            return b + (math.ceil(ratio) if ratio > 1.0 else 1), f_cur  # max(1, ceil(r))
-    return math.inf, f_cur
-
-
-def _grown(t: _Trajectories, n: int, ms: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
-    """The uncapped trajectories from first boundaries lo..hi, as far as any m in ms reads them.
-
-    ms is ascending, every m at least 2.  Row n1 - lo of the result is the
-    trajectory b_1 = n1, b_{i+1} = _step(b_i), +inf past its end, as wide
-    as t's longest row, at most max(ms) - 1.  An (n, m) schedule reads
-    slots 1..m-1: each step is at least 1 and each cap n - (m - i) grows by
-    1 per slot, so b_i - i never falls, and once the last boundary reaches
+    ms is ascending, every m at least 2, and may be empty.  Row n1 is the
+    trajectory b_1 = n1, b_{i+1} = b_i + max(1, ceil(r)) with r = (F(b_i)
+    - F(b_{i-1})) / F'(b_i) and F(b_0) = 0, ended (+inf) once r is
+    infinite, an underflowed density included.  An (n, m) schedule reads
+    slots 1..m-1: each step is at least 1 and each cap n - (m - i) grows by 1
+    per slot, so b_i - i never falls, and once the last boundary reaches
     its cap every later slot takes its cap.  So a row of s cells steps
     while its last boundary b_s has b_s - s < n - m' for m', the smallest m
     in ms with m - 1 > s: a smaller m has more room under its caps, and a
     larger one reads the same slots later.  A row that m' does not read,
-    n1 > n - m' + 1, fails the test, as b_s - s >= n1 - 1.  One array test
-    finds the rows that need another step; only those are stepped, with
-    scalar state, and their new cells are written back into t's matrix
-    with one assignment.
+    n1 > n - m' + 1, fails the test, as b_s - s >= n1 - 1; and a smaller n
+    reads no more of a row than n does.  One array test finds the rows
+    that need another step; only those are stepped, with scalar state, F
+    and F' read from t.known or evaluated once per boundary, and their new
+    cells are written back into t's matrix with one assignment.
     """
     t.resize(hi + 1, 1)
     # room[s]: n - m' for a row of s cells; -1 from max(ms) - 1 on, as b_s - s >= 0
@@ -216,87 +215,61 @@ def _grown(t: _Trajectories, n: int, ms: tuple[int, ...], lo: int, hi: int) -> n
     # each row's last cell, +inf once the row has ended, by one flat index
     ends = t.b.ravel()[np.arange(lo * width - 1, hi * width, width) + sizes]
     need = np.nonzero(ends - sizes < np.array(room).take(sizes, mode="clip"))[0]
-    if need.size:
-        rows, cols, cells, lens = [], [], [], []
-        for row, size, cur in zip((lo + need).tolist(), sizes[need].tolist(), ends[need].tolist()):
-            # _step put F into known at every boundary this row stepped from
-            f_prev = t.known[t.b[row, size - 2]][0] if size > 1 else 0.0
-            while cur - size < room[size]:
-                cur, f_prev = _step(t, cur, f_prev)
-                rows.append(row)
-                cols.append(size)
-                cells.append(cur)
-                size += 1
-            lens.append(size)
-        t.resize(hi + 1, max(lens))
-        t.b[rows, cols] = cells
-        t.lens[lo + need] = lens
-    return t.b[lo : hi + 1, : min(ms[-1] - 1, t.b.shape[1])]
+    if not need.size:
+        return
+    known, evaluate = t.known, t.model.cdf_pdf
+    rows, cols, cells, lens = [], [], [], []
+    for row, size, cur in zip((lo + need).tolist(), sizes[need].tolist(), ends[need].tolist()):
+        # every boundary this row stepped from has its (F, F') in known
+        f_prev = known[t.b[row, size - 2]][0] if size > 1 else 0.0
+        while cur - size < room[size]:
+            pair = known.get(cur)
+            if pair is None:
+                pair = known[cur] = evaluate(cur)
+            f_cur, density = pair
+            ratio = (f_cur - f_prev) / density if density > 0.0 else math.inf
+            if ratio == math.inf:
+                cur = math.inf
+            else:
+                cur += math.ceil(ratio) if ratio > 1.0 else 1  # max(1, ceil(r))
+            f_prev = f_cur
+            rows.append(row)
+            cols.append(size)
+            cells.append(cur)
+            size += 1
+        lens.append(size)
+    t.resize(hi + 1, max(lens))
+    t.b[rows, cols] = cells
+    t.lens[lo + need] = lens
 
 
-def _capped(rows: np.ndarray, n: int, m: int, out: np.ndarray) -> np.ndarray:
-    """out, filled with the (n, m) schedule over each uncapped trajectory.
+def _caps(ns, ms, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The floor and ceiling of each of width slots of an (n, m) schedule, a row per (n, m).
 
-    Slot i is min(b_i, n - (m - i)).  Slots past a row's end, or past the
-    rows' width, take their caps, and slot m is n, as is every slot after
-    it up to out's width.  The boundaries are integers held as floats.
+    Slot i of the (n, m) schedule over an uncapped trajectory b is
+    min(b_i, n - (m - i)) below m, and n from slot m on: a padded slot
+    beyond m adds (n - n) ack[n] = +0.0 to the telescoped sum, so a block
+    of schedules of several m scores each one bit for bit as its unpadded
+    self.  Clipping b to the floor and ceiling rows applies both rules.
+    The boundaries are integers held as floats.
     """
-    out[:, :m] = np.arange(n - m + 1, n + 1)  # slot i's cap; slot m is n
-    if m < out.shape[1]:
-        out[:, m:] = n
-    width = min(rows.shape[1], m - 1)
-    np.minimum(out[:, :width], rows[:, :width], out=out[:, :width])
-    return out
+    to_m = np.asarray(ms)[:, None] - np.arange(1, width + 1)  # m - i, > 0 below slot m
+    ceiling = np.asarray(ns, dtype=float)[:, None] - np.maximum(to_m, 0)
+    return np.where(to_m > 0, 0.0, ceiling), ceiling
 
 
-# Cells formed per block of rows; bounds the scoring and search memory.
-_BLOCK_CELLS = 1 << 16
-
-
-def _best(rows: np.ndarray, n: int, ms: tuple[int, ...],
-          ack: np.ndarray) -> list[tuple[float, list[int]]]:
-    """Each m's best (n, m) candidate, m in ms: its exact objective and its schedule.
-
-    rows holds uncapped trajectories from first boundary k on, as _grown
-    returns them for ms, ascending; m's candidates are its first
-    len(rows) - (m - ms[0]) rows.  The candidates of every m are stacked,
-    each m's after the smaller m's, and each schedule is padded with n up
-    to max(ms) slots: a padded slot adds (n - n) ack[n] = +0.0 after the
-    real terms, so each total is bit for bit the unpadded one.  The stack
-    is capped and scored by channel.objective, as expected_round_symbols
-    is, in blocks of at most _BLOCK_CELLS cells.  Each m keeps its first
-    minimum, so ties break toward the smaller first boundary.
-    """
-    width = ms[-1]
-    per_block = max(1, _BLOCK_CELLS // width)
-    spans, total = [], 0  # (m, first, end): m's candidates fill places first..end-1
-    for m in ms:
-        spans.append((m, total, total + len(rows) - (m - ms[0])))
-        total = spans[-1][2]
-    best = [(math.inf, [])] * len(ms)
-    for start in range(0, total, per_block):
-        stop = min(total, start + per_block)
-        b = np.empty((stop - start, width))
-        pieces = [(j, m, max(first, start), min(end, stop), first)
-                  for j, (m, first, end) in enumerate(spans) if first < stop and start < end]
-        for _, m, lo, hi, first in pieces:
-            _capped(rows[lo - first : hi - first], n, m, b[lo - start : hi - start])
-        totals = objective(b, ack[b[:, :-1].astype(np.intp)])
-        for j, m, lo, hi, _ in pieces:
-            i = lo - start + int(np.argmin(totals[lo - start : hi - start]))
-            if totals[i] < best[j][0]:  # an earlier block keeps a tie
-                best[j] = (totals[i], b[i, :m].astype(int).tolist())
-    return best
+# Cells held per block: candidate schedules scored, DP step costs formed,
+# ACK values of a sweep row gathered.  Bounds the solvers' memory.
+_BLOCK_CELLS = 1 << 14
 
 
 def _report(params: CodeParams, schedule: Schedule, model_used: str,
-            n1_searched: tuple[int, int] | None, value: float | None = None) -> OptimizerReport:
-    """The schedule's report; value is its exact objective, if already known."""
-    value = expected_round_symbols(params, schedule) if value is None else float(value)
+            n1_searched: tuple[int, int] | None, value: float, ack_n: float) -> OptimizerReport:
+    """The schedule's report, from its exact objective and the ACK probability at n."""
     return OptimizerReport(
         schedule=schedule,
         objective=value,
-        throughput=params.k * ack_prob(params, params.n) / value,  # as throughput()
+        throughput=params.k * ack_n / value,  # as throughput()
         model_used=model_used,
         n1_searched=n1_searched,
     )
@@ -312,12 +285,8 @@ def _feasible(k: int, n: int, m: int) -> bool:
     return k + m - 1 <= n
 
 
-def _split_off_m1(params: CodeParams, ms, model_used: str) -> tuple[dict, tuple[int, ...]]:
-    """The m = 1 report, keyed by 1, if ms holds 1, and the other m of ms, distinct, ascending.
-
-    The least m must be >= 1 and the largest must fit a schedule; m = 1 is
-    the one schedule (n).
-    """
+def _checked(params: CodeParams, ms) -> tuple[int, ...]:
+    """The m of ms, distinct and ascending; the least must be >= 1 and the largest must fit."""
     ms = tuple(sorted(set(ms)))
     _check_m(ms[0])
     if not _feasible(params.k, params.n, ms[-1]):  # a larger m needs a larger n
@@ -325,28 +294,112 @@ def _split_off_m1(params: CodeParams, ms, model_used: str) -> tuple[dict, tuple[
             f"no feasible schedule: need k + m - 1 <= n, got k={params.k}, "
             f"m={ms[-1]}, n={params.n}"
         )
-    if ms[0] > 1:
-        return {}, ms
-    return {1: _report(params, Schedule((params.n,)), model_used, None)}, ms[1:]
+    return ms
+
+
+def optimize_row(k: int, epsilon: float, cells, kinds, visit=None):
+    """optimize's reports for every (n, m, kind) of one sweep row (k, epsilon), from one pass.
+
+    cells holds (n, ms) pairs, each n once.  For each cell, in order, this
+    yields n and {kind: {m: optimize(CodeParams(k, n, epsilon), m, kind)}}
+    over the m of ms, a chunk of cells at a time, so a caller holds only
+    the reports it keeps.  Every cell is checked before any work.  Each
+    kind's trajectories are grown once, as far as the largest n and its m
+    read them.  A chunk is a run of cells whose ACK values at k..n fit one
+    table of at most _BLOCK_CELLS cells (one cell at least); each n's
+    curve is read once, and visit, if given, is called with the design
+    point right after it, while ack_curve still holds that curve.  A
+    chunk's candidates are stacked kind by kind, n by n, m ascending:
+    first boundaries k..n-m+1 of the (kind, n, m) group, or its one
+    schedule (n) for m = 1.  They are capped from _caps's table, padded
+    with n to the widest m and scored by channel.objective in blocks of at
+    most _BLOCK_CELLS cells; one segmented reduction per block gives each
+    group's first minimum, and an earlier block keeps a tie, so ties break
+    toward the smaller first boundary.
+    """
+    points = [(params, _checked(params, ms))
+              for params, ms in ((CodeParams(k, n, epsilon), ms) for n, ms in cells)]
+    width = max(ms[-1] for _, ms in points)
+    inner = tuple(sorted({m for _, ms in points for m in ms if m > 1}))
+    stores = [_trajectories(k, epsilon, kind) for kind in kinds]
+    top = max(params.n for params, _ in points)
+    for t in stores:
+        _grow(t, top, inner, k, top - inner[0] + 1 if inner else k)  # m = 1 reads row k
+    chunk, cells_held = [], 0
+    for params, ms in points:
+        if chunk and cells_held + params.n - k + 1 > _BLOCK_CELLS:
+            yield from _score_chunk(k, chunk, kinds, stores, width, visit)
+            chunk, cells_held = [], 0
+        chunk.append((params, ms))
+        cells_held += params.n - k + 1
+    yield from _score_chunk(k, chunk, kinds, stores, width, visit)
+
+
+def _score_chunk(k: int, chunk, kinds, stores, width: int, visit) -> list:
+    """optimize_row's (n, {kind: {m: report}}) for each design point of chunk."""
+    acks = np.empty(sum(params.n - k + 1 for params, _ in chunk))
+    offsets, start = [], 0  # ack(t) of chunk[i] is acks[offsets[i] + t]
+    for params, _ in chunk:
+        curve = ack_curve(params)
+        if visit is not None:
+            visit(params)
+        acks[start : start + params.n - k + 1] = curve[k:]
+        offsets.append(start - k)
+        start += params.n - k + 1
+    solved = [(params.n, {kind: {} for kind in kinds}) for params, _ in chunk]
+    if not kinds:
+        return solved
+    # one kind's (n, m) groups, n by n, m ascending; each kind stacks the same
+    groups = [(i, m) for i, (_, ms) in enumerate(chunk) for m in ms]
+    ns = [chunk[i][0].n for i, _ in groups]
+    ms = [m for _, m in groups]
+    counts = [n - m - k + 2 if m > 1 else 1 for n, m in zip(ns, ms)] * len(kinds)
+    ends = np.cumsum(counts)
+    shift = ends - counts - k  # candidate place p of group g starts at n1 = p - shift[g]
+    floor, ceiling = _caps(ns * len(kinds), ms * len(kinds), width)
+    group_offsets = np.array([offsets[i] for i, _ in groups] * len(kinds))
+    per_kind, total = int(ends[len(groups) - 1]), int(ends[-1])
+    # each group's least total so far, and the block and row of its schedule
+    least_of, block_of, row_of = [math.inf] * len(counts), [None] * len(counts), [0] * len(counts)
+    per_block = max(1, _BLOCK_CELLS // width)
+    for lo in range(0, total, per_block):
+        hi = min(total, lo + per_block)
+        places = np.arange(lo, hi)
+        g = np.searchsorted(ends, places, side="right")
+        n1 = places - shift[g]
+        b = np.empty((hi - lo, width))
+        for j, t in enumerate(stores):
+            a, z = max(j * per_kind, lo) - lo, min((j + 1) * per_kind, hi) - lo
+            if a < z:
+                t.rows(n1[a:z], b[a:z])
+        np.maximum(b, floor[g], out=b)
+        np.minimum(b, ceiling[g], out=b)
+        index = b[:, :-1].astype(np.intp)
+        index += group_offsets[g][:, None]
+        totals = objective(b, acks[index])
+        first_group = int(g[0])
+        seams = np.maximum(shift[first_group : g[-1] + 1] + k - lo, 0)
+        least = np.minimum.reduceat(totals, seams)
+        hits = np.flatnonzero(totals == least[g - first_group])
+        # each group's first minimum, its schedule read when the group's report is made
+        chosen = b[hits[np.searchsorted(hits, seams)]].astype(np.intp)
+        for j, value in enumerate(least.tolist(), first_group):
+            if value < least_of[j]:  # an earlier block keeps a tie
+                least_of[j], block_of[j], row_of[j] = value, chosen, j - first_group
+    for j, (kind, (i, m)) in enumerate(itertools.product(kinds, groups)):
+        params = chunk[i][0]
+        n = params.n
+        solved[i][1][kind][m] = _report(
+            params, Schedule(block_of[j][row_of[j], :m].tolist()), kind,
+            (k, n - m + 1) if m > 1 else None, least_of[j], float(acks[offsets[i] + n]))
+    return solved
 
 
 def optimize_each(params: CodeParams, ms,
                   model_kind: str = "normal") -> dict[int, OptimizerReport]:
-    """optimize's report for every m in ms, keyed by m, from one solve.
-
-    The trajectories are grown once, as far as any m reads them, and the
-    candidates of every m >= 2 are scored together, so a design point
-    makes one channel.objective call per block however many m it asks.
-    Each m takes the first minimum of its own candidates.
-    """
-    reports, split = _split_off_m1(params, ms, model_kind)
-    if not split:
-        return reports
-    k, n = params.k, params.n
-    rows = _grown(_trajectories(k, params.epsilon, model_kind), n, split, k, n - split[0] + 1)
-    for m, (value, schedule) in zip(split, _best(rows, n, split, ack_curve(params))):
-        reports[m] = _report(params, Schedule(tuple(schedule)), model_kind, (k, n - m + 1), value)
-    return reports
+    """optimize's report for every m in ms, keyed by m: optimize_row's one-n case."""
+    [(_, by_kind)] = optimize_row(params.k, params.epsilon, [(params.n, ms)], (model_kind,))
+    return by_kind[model_kind]
 
 
 def optimize(params: CodeParams, m: int, model_kind: str = "normal") -> OptimizerReport:
@@ -371,10 +424,16 @@ def exhaustive_search_each(params: CodeParams, ms) -> dict[int, OptimizerReport]
     The pass fills the tails of the largest m; every smaller m backtracks
     from its own tail, as the recurrence does not depend on m.
     """
-    reports, split = _split_off_m1(params, ms, "exhaustive")
+    ms, n = _checked(params, ms), params.n
+
+    def report(schedule: Schedule, n1_searched: tuple[int, int] | None) -> OptimizerReport:
+        return _report(params, schedule, "exhaustive", n1_searched,
+                       expected_round_symbols(params, schedule), ack_prob(params, n))
+
+    reports = {1: report(Schedule((n,)), None)} if ms[0] == 1 else {}
+    split = ms[1:] if ms[0] == 1 else ms
     if not split:
         return reports
-    n = params.n
     x = np.arange(params.k, n)
     c = ack_curve(params)[params.k : n]
     # tails[j][a]: least sum of the last j + 1 terms, the first of them at boundary x[a]
@@ -394,8 +453,8 @@ def exhaustive_search_each(params: CodeParams, ms) -> dict[int, OptimizerReport]
             # _steps's row for the last pick, less its +inf: the next boundary lies past it
             a = picks[-1] + 1
             picks.append(a + int(np.argmin((x[a - 1] - x[a:]) * c[a - 1] + tail[a:])))
-        reports[m] = _report(params, Schedule(tuple(int(x[a]) for a in picks) + (n,)),
-                             "exhaustive", (params.k, n - m + 1))
+        reports[m] = report(Schedule(tuple(int(x[a]) for a in picks) + (n,)),
+                            (params.k, n - m + 1))
     return reports
 
 

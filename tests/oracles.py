@@ -276,15 +276,20 @@ package_trajectories = functools.lru_cache(maxsize=4)(sdo._Trajectories)
 def schedule_from_model(model, n: int, m: int, n1: int) -> tuple[int, ...]:
     """The m boundaries the package grows from a first boundary n1 <= n - m + 1.
 
-    model is any hashable F with cdf and pdf.  The package grows the
-    trajectory b from n1 without caps, and sdo._capped, which builds every
-    schedule optimize scores, takes n_i = min(b_i, n - (m - i)), n_m = n.
-    That is sdo_recursion's clamp: the room below a cap is an integer, so the
-    increment reaches it exactly when the uncapped boundary reaches the cap,
-    and every later boundary takes its cap, as each step is at least 1.
+    model is any hashable F with cdf_pdf.  The package grows the trajectory
+    b from n1 without caps and clips it to the floor and ceiling rows of
+    sdo._caps, the cap rule of every schedule optimize scores: n_i =
+    min(b_i, n - (m - i)), n_m = n.  That is sdo_recursion's clamp: the
+    room below a cap is an integer, so the increment reaches it exactly
+    when the uncapped boundary reaches the cap, and every later boundary
+    takes its cap, as each step is at least 1.
     """
-    row = sdo._grown(package_trajectories(model), n, (m,), n1, n1)
-    return tuple(int(x) for x in sdo._capped(row, n, m, np.empty((1, m)))[0])
+    t = package_trajectories(model)
+    sdo._grow(t, n, (m,), n1, n1)
+    row = np.empty((1, m))
+    t.rows(np.array([n1]), row)
+    floor, ceiling = sdo._caps([n], [m], m)
+    return tuple(int(x) for x in np.clip(row, floor, ceiling)[0])
 
 
 def sdo_optimize(cdf, pdf, curve, k: int, n: int, m: int) -> tuple[tuple[int, ...], float]:

@@ -318,16 +318,19 @@ class TestObjective:
             assert type(got) is float and got == objective_loop(b, acks)
             assert objective(tuple(b), np.array(acks)) == got
 
+    @pytest.mark.parametrize("rows, m", [(500, 6), (1, 6), (500, 1), (1, 1), (3, 40)],
+                             ids=["tall", "one-row", "m1", "one-cell", "wide"])
     @pytest.mark.parametrize("dropped", [0, 1], ids=["acks-m", "acks-m-1"])
-    def test_block_matches_the_loop_row_by_row(self, dropped):
+    def test_block_matches_the_loop_row_by_row(self, dropped, rows, m):
+        # a tall block is summed column by column, a wide one along each row
         gen = np.random.default_rng(7)
-        block = np.sort(gen.choice(np.arange(1, 300), size=(500, 6)), axis=1).astype(float)
-        block[::2] += gen.random((250, 6))  # every other row real-valued
-        acks = gen.random((500, 6 - dropped))
+        block = np.sort(gen.random((rows, m)) * 300.0, axis=1)
+        block[::2] = np.ceil(block[::2])  # every other row integer-valued
+        acks = gen.random((rows, m - dropped))
         got = objective(block, acks)
-        assert got.shape == (500,)
+        assert got.shape == (rows,)
         assert all(got[i] == objective_loop(block[i].tolist(), acks[i].tolist())
-                   for i in range(500))
+                   for i in range(rows))
 
     def test_expected_round_symbols_reads_the_curve(self):
         p = CodeParams(6, 30, 0.4)

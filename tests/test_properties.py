@@ -15,8 +15,9 @@ from harqsdo import (
     expected_round_symbols,
     optimize,
     round_length_law,
+    sdo,
 )
-from oracles import schedule_from_model, sdo_recursion
+from oracles import schedule_from_model, sdo_optimize, sdo_recursion
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -76,3 +77,47 @@ def test_sdo_recursion_matches_oracle(p, m, kind, data):
     model = CdfModel.for_params(p, kind)
     want = sdo_recursion(model.cdf, model.pdf, p.n, m, n1)
     assert schedule_from_model(model, p.n, m, n1) == want
+
+
+@st.composite
+def sweep_rows(draw):
+    """k, eps, an n list and an m list, as a sweep's flags may give them.
+
+    The n come unsorted, one at least twice, one too small for every m
+    but 1.  The m hold 1, one m at least twice, and one m no n fits.
+    """
+    k = draw(st.integers(1, 12))
+    eps = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]))
+    ns = draw(st.lists(st.integers(k, k + 20), min_size=1, max_size=5))
+    ns += [draw(st.sampled_from(ns)), k + draw(st.integers(0, 1))]
+    ms = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    ms += [1, draw(st.sampled_from(ms)), max(ns) - k + 2]
+    return k, eps, draw(st.permutations(ns)), draw(st.permutations(ms))
+
+
+@pytest.mark.parametrize("block_cells", [3, None], ids=["3-cell-blocks", "default-blocks"])
+def test_sweep_row_matches_optimize_and_oracle(block_cells):
+    @settings(SETTINGS, max_examples=30)
+    @given(sweep_rows())
+    def check(row):
+        k, eps, ns, ms = row
+        # the cells as the CLI builds them: each n once, with the m that fit it
+        cells = {n: [m for m in ms if k + m - 1 <= n] for n in ns}
+        kinds = ["normal", "lognormal"]
+        with pytest.MonkeyPatch.context() as mp:
+            if block_cells is not None:
+                mp.setattr(sdo, "_BLOCK_CELLS", block_cells)
+            got = list(sdo.optimize_row(k, eps, cells.items(), kinds))
+        assert [n for n, _ in got] == list(cells)
+        for n, by_kind in got:
+            p = CodeParams(k, n, eps)
+            for kind in kinds:
+                assert sorted(by_kind[kind]) == sorted(set(cells[n]))
+                model = CdfModel.for_params(p, kind)
+                for m, rep in by_kind[kind].items():
+                    assert rep == optimize(p, m, kind), (kind, n, m)
+                    want = ((n,), float(n)) if m == 1 else sdo_optimize(
+                        model.cdf, model.pdf, ack_curve(p), k, n, m)
+                    assert (rep.schedule.boundaries, rep.objective) == want, (kind, n, m)
+
+    check()

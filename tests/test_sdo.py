@@ -25,7 +25,7 @@ from harqsdo import (
     throughput,
 )
 
-from harqsdo import sdo
+from harqsdo import channel, sdo
 from harqsdo.cli import main
 from harqsdo.sdo import _trajectories
 
@@ -93,6 +93,26 @@ class TestCdfModel:
         with pytest.raises(ValueError):
             CdfModel.from_moments("cauchy", 10.0, 4.0)
 
+    @pytest.mark.parametrize("kind", ["normal", "lognormal"])
+    def test_cdf_pdf_is_the_separate_forms_bit_for_bit(self, kind):
+        # one z serves F and F'; each equals its own form 1 - Q(z) and
+        # -Q'(z) / (sigma, or x sigma*) exactly, on and off the integers
+        model = CdfModel.for_params(FIG1_PARAMS, kind)
+        rng = random.Random(12)
+        xs = [-3.0, 0.0, model.mu, 1e-300] + list(range(1, 300))
+        xs += [rng.uniform(-5.0, 300.0) for _ in range(2000)]
+        for x in xs:
+            if kind == "normal":
+                z, scale = (x - model.mu) / model.sigma, model.sigma
+            elif x <= 0.0:
+                assert model.cdf_pdf(x) == (0.0, 0.0) == (model.cdf(x), model.pdf(x))
+                continue
+            else:
+                z, scale = (math.log(x) - model.mu_star) / model.sigma_star, x * model.sigma_star
+            assert std_normal_ccdf(z) == 0.5 * math.erfc(z / math.sqrt(2.0))
+            want = (1.0 - std_normal_ccdf(z), -std_normal_ccdf_prime(z) / scale)
+            assert model.cdf_pdf(x) == want == (model.cdf(x), model.pdf(x)), x
+
 
 def _oracle(model, n, m, n1):
     return sdo_recursion(model.cdf, model.pdf, n, m, n1)
@@ -107,6 +127,9 @@ class _FlatModel:
     def pdf(self, x):
         return 0.25
 
+    def cdf_pdf(self, x):
+        return 0.5, 0.25
+
 
 BOTH_ROUTES = pytest.mark.parametrize("grow", [schedule_from_model, _oracle],
                                       ids=["package", "oracle"])
@@ -117,13 +140,14 @@ class TestSdoRecursion:
     def test_closed_form_at_mean(self, route):
         # F(mu) = 1/2 and F'(mu) = 1 / (sigma sqrt(2 pi)).  mu is not an
         # integer, so no row of the package's trajectory matrix starts there:
-        # the package route takes its one recursion step directly.
+        # the package route steps from the same model moved to mean 60.
         model = CdfModel.for_params(FIG1_PARAMS, "normal")
-        want = model.mu + math.ceil(0.5 * model.sigma * math.sqrt(2 * math.pi))
+        increment = math.ceil(0.5 * model.sigma * math.sqrt(2 * math.pi))
         if route == "package":
-            assert sdo._step(sdo._Trajectories(model), model.mu, 0.0) == (want, 0.5)
+            at_60 = CdfModel("normal", 60.0, model.sigma2, model.mu_star, model.sigma2_star)
+            assert schedule_from_model(at_60, 88, 3, 60) == (60, 60 + increment, 88)
         else:
-            assert _oracle(model, 88, 3, model.mu) == (model.mu, want, 88)
+            assert _oracle(model, 88, 3, model.mu) == (model.mu, model.mu + increment, 88)
 
     @BOTH_ROUTES
     def test_against_quadrature(self, grow):
@@ -329,10 +353,11 @@ class TestSharedTrajectories:
         # sweep-n-fig2 grew 44,594 steps when every (n, m, n1) regrew its
         # schedule and 484 with shared rows; sweep-k-es has no (n, m) to
         # share and takes 1,168 steps.  F is evaluated once per boundary and
-        # model, at 172 and 529 boundaries.
+        # model, at 172 and 529 boundaries, by one cdf_pdf call each.
         evaluations = []
-        cdf = CdfModel.cdf
-        monkeypatch.setattr(CdfModel, "cdf", lambda model, x: evaluations.append(x) or cdf(model, x))
+        cdf_pdf = CdfModel.cdf_pdf
+        monkeypatch.setattr(CdfModel, "cdf_pdf",
+                            lambda model, x: evaluations.append(x) or cdf_pdf(model, x))
         for argv, limit in [("sweep-n --k 32 --n 66:120:2 --m 1:8 --model all", 200),
                             ("sweep-k --k 24:40:4 --n 88 --m 5 --model all", 600)]:
             _trajectories.cache_clear()
@@ -441,7 +466,7 @@ class TestExhaustiveSearch:
                             self._assert_matches_full_matrix_dp(CodeParams(k, n, eps), m)
 
     def test_matches_full_matrix_dp_across_blocks(self, monkeypatch):
-        # 300 boundaries make two default blocks; 1000 cells make blocks of
+        # 300 boundaries make six default blocks; 1000 cells make blocks of
         # 3, 16 and 31 rows at the three sizes below
         for block_cells in (None, 1000):
             if block_cells is not None:
@@ -566,14 +591,15 @@ class TestSolveEach:
             assert rows[0].startswith("8,24,3,0.5,")
 
     def test_one_scoring_call_per_n_and_model(self, monkeypatch, capsys):
-        # one objective call per (n, model) for all eight m: 28 n x 2 models;
-        # solving each (n, m) apart took 392
+        # the sweep row stacks all 22,792 candidates of its 28 n, 8 m and 2
+        # models and scores them in blocks of 2,048: 12 objective calls.
+        # One call per (n, model) took 56, and one per (n, m, model) 392
         calls = []
         score = sdo.objective
         monkeypatch.setattr(sdo, "objective", lambda *a: calls.append(1) or score(*a))
         argv = "sweep-n --k 32 --n 66:120:2 --m 1:8 --model all --eps 0.47".split()
         assert main(argv) == 0
-        assert len(calls) <= 56
+        assert len(calls) <= 12
         capsys.readouterr()
 
     def test_one_backward_pass_per_design_point(self, monkeypatch, capsys):
@@ -602,6 +628,57 @@ class TestSolveEach:
         finally:
             tracemalloc.stop()
         assert peak <= 8_000_000
+
+
+class TestSweepRow:
+    """Every (n, m, model) of a k from one optimize_row pass."""
+
+    @pytest.mark.parametrize("argv, points", [
+        ("sweep-n --k 32 --n 66:120:2 --m 1:8 --model all", 28),
+        ("sweep-k --k 24:40:4 --n 88 --m 5 --model all", 5),
+        ("optimize --k 32 --n 88 --m 4 --model all", 1),
+    ], ids=["sweep-n", "sweep-k", "optimize"])
+    def test_each_ack_curve_computed_once_per_cli_call(self, argv, points, capsys):
+        # the SDO row reads each curve once and es runs right after it, while
+        # ack_curve still holds it, so every (k, n, eps) is one cache miss
+        ack_curve.cache_clear()
+        assert main(argv.split() + ["--eps", "0.47"]) == 0
+        assert ack_curve.cache_info().misses == points
+        capsys.readouterr()
+
+    def test_yields_each_n_in_order_with_every_kind(self):
+        cells = [(40, [3, 1]), (24, [2]), (33, [8, 2, 2])]
+        got = list(sdo.optimize_row(8, 0.4, cells, ["lognormal", "normal"]))
+        assert [n for n, _ in got] == [40, 24, 33]
+        for (n, ms), (_, by_kind) in zip(cells, got):
+            for kind in ("normal", "lognormal"):
+                assert by_kind[kind] == optimize_each(CodeParams(8, n, 0.4), ms, kind)
+
+    def test_infeasible_cell_raises_before_any_curve(self):
+        ack_curve.cache_clear()
+        with pytest.raises(ValueError, match=r"got k=8, m=18, n=24$"):
+            list(sdo.optimize_row(8, 0.5, [(30, [2]), (24, [18])], ["normal"]))
+        assert ack_curve.cache_info().misses == 0
+
+    def test_long_sweep_traced_peak(self, capsys):
+        # the ACK rows of a row and its candidate block are each held to
+        # _BLOCK_CELLS, so memory stays flat in the n range.  The solver that
+        # took one (n, model) at a time peaked at 2,916,977 bytes on this
+        # call (Python 3.11.7, numpy 2.4.6, a fresh process with the same
+        # caches cleared); the bound is that plus 10%
+        _trajectories.cache_clear()
+        ack_curve.cache_clear()
+        channel._log_factorials(400)  # the table a first run would grow
+        argv = "sweep-n --k 32 --n 66:400:2 --m 1:8 --model all --eps 0.5".split()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert ack_curve.cache_info().misses == 168
+        assert peak <= 3_208_675
 
 
 class TestScheduleEmission:

@@ -26,10 +26,7 @@ from .channel import (
 from .sdo import (
     CdfModel,
     OptimizerReport,
-    std_normal_ccdf,
-    std_normal_ccdf_prime,
     optimize,
-    optimize_each,
     optimize_row,
     exhaustive_search,
     exhaustive_search_each,

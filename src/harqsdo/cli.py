@@ -32,8 +32,8 @@ from .codes import (
     overhead_moment,
 )
 from .channel import Schedule, ack_curve, round_length_law
-from .sdo import (CdfModel, OptimizerReport, _check_m, _feasible, exhaustive_search,
-                  exhaustive_search_each, optimize, optimize_row)
+from .sdo import (CdfModel, OptimizerReport, _check_m, _feasible, exhaustive_search, optimize,
+                  optimize_row)
 from .simulate import _first_dependent, estimate, rescore
 
 __all__ = ["RunConfig", "main", "run_validate"]
@@ -42,7 +42,7 @@ COMMANDS = ("optimize", "sweep-k", "sweep-n", "simulate", "validate", "constants
 MODELS = ("na", "lna", "es", "all")
 ENV_OUT_DIR = "HARQ_SDO_OUT"
 
-_MODEL_KIND = {"na": "normal", "lna": "lognormal"}
+_MODEL_KIND = {"es": "exhaustive", "na": "normal", "lna": "lognormal"}
 
 
 def _fmt(x) -> str:
@@ -184,9 +184,9 @@ def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
 
     eps and every m are checked first, so that skipped rows cannot hide a
     bad value.  Each k is one sweep row: optimize_row solves all its n, m
-    and SDO models in one pass and reads each n's ACK curve once, and es
-    solves each n for all its m in one backward pass right after that
-    curve is read.  A cell has one row per method, or with best_only the
+    and methods in one pass and reads each n's ACK curve once; es solves
+    each n for all its m in one backward pass right after that curve is
+    read.  A cell has one row per method, or with best_only the
     row of the first method of highest throughput; an n or m given twice
     gives its rows twice.  Where no schedule fits, a cell has one skipped
     row, or with skip False the solver raises.
@@ -195,17 +195,13 @@ def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
     _check_epsilon(eps)
     for m in cfg.m:
         _check_m(m)
-    kinds = [_MODEL_KIND[method] for method in methods if method != "es"]
+    kinds = [_MODEL_KIND[method] for method in methods]
     rows: list[dict] = []
     for k in cfg.k:
         cells = {n: ms for n in cfg.n
                  if (ms := [m for m in cfg.m if not skip or _feasible(k, n, m)])}
-        exact = {}
 
-        def solve_es(params: CodeParams) -> None:
-            exact[params.n] = exhaustive_search_each(params, cells[params.n])
-
-        def cell_rows(n: int, solved: dict) -> list[dict]:
+        def cell_rows(n: int, by_kind: dict) -> list[dict]:
             out = []
             for m in cfg.m:
                 row = {"k": k, "n": n, "m": m, "epsilon": eps, "method": "skipped",
@@ -213,7 +209,7 @@ def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
                 if m not in cells.get(n, ()):
                     out.append(row)
                     continue
-                reports = [(method, solved[method][m]) for method in methods]
+                reports = [(method, by_kind[_MODEL_KIND[method]][m]) for method in methods]
                 if best_only:
                     reports = [max(reports, key=lambda pair: pair[1].throughput)]
                 out.extend({**row, "method": method, "schedule": report.schedule,
@@ -225,10 +221,8 @@ def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
         # each n's rows, built as its chunk of the row is solved: only kept reports stay
         solved = {}
         if cells:
-            for n, by_kind in optimize_row(k, eps, cells.items(), kinds,
-                                           solve_es if "es" in methods else None):
-                solved[n] = cell_rows(n, {method: exact.pop(n) if method == "es"
-                                          else by_kind[_MODEL_KIND[method]] for method in methods})
+            for n, by_kind in optimize_row(k, eps, cells.items(), kinds):
+                solved[n] = cell_rows(n, by_kind)
         for n in cfg.n:
             rows.extend(solved[n] if n in solved else cell_rows(n, {}))
     return rows

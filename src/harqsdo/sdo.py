@@ -8,28 +8,24 @@ scored with the exact discrete objective, so the smooth model only ever
 decides where the interior boundaries land.  An exact dynamic program over
 (slot, boundary) provides the ground-truth optimum SDO is measured against.
 
-The model depends on (k, epsilon, kind) only, not on n or m, so it is
-built once per (k, epsilon, kind), and the recursion from a first boundary
-n1 is grown once without caps and shared by every (n, m): the schedule's
-slot i is min(b_i, n - (m - i)) and every slot from m on is n, both read
-from _caps's per-(n, m) table of slot floors and ceilings.  Each of the
-last few (k, epsilon, kind) keeps its model, its uncapped trajectories as
-one float matrix, a row per first boundary and +inf past each row's end,
-each row's length, and F and F' at every boundary stepped from, evaluated
-together once however many rows step from it; a row resumes from these
-alone.  The rows grow only as far as a schedule asked so far reads them.
-
-A sweep row, every n of one (k, epsilon), is solved in one pass.
-optimize_row grows each model's rows once, as far as the largest n and
-its m read them, stacks the candidates of every (model, n, m), padded
-with n to the widest m (a padded slot adds +0.0), reads their ACK values
-from the row's curves gathered a chunk of n at a time, and scores them
-with channel.objective, the package's one telescoped sum, in blocks of
-at most _BLOCK_CELLS cells; one segmented reduction per block takes each
-group's first minimum.  optimize_each and optimize are its one-n case.
-The dynamic program's recurrence does not depend on m, so
-exhaustive_search_each fills the tails once, as deep as the largest m,
-and backtracks each m from its own; exhaustive_search is its one-m case.
+A sweep row, every (n, m) of one (k, epsilon), is solved in one pass by
+optimize_row, for each SDO model and for the dynamic program, "exhaustive".
+The model depends on (k, epsilon, kind) only, not on n or m, so the row
+builds it once per kind, and _trajectories steps the recursion from each
+first boundary n1 once, without caps, as far as the largest n and its m
+read it; F and F' are evaluated once per boundary.  The schedule's slot i
+is min(b_i, n - (m - i)) and every slot from m on is n, both read from
+_caps's per-(n, m) table of slot floors and ceilings.  The candidates of
+every (model, n, m) are stacked and padded with n to the widest m (a
+padded slot adds +0.0).  Their ACK values come from the row's curves,
+gathered a chunk of n at a time, and channel.objective, the package's one
+telescoped sum, scores them in blocks of at most _BLOCK_CELLS cells; one
+segmented reduction per block takes each group's first minimum.  Nothing
+is kept between calls; optimize is the row's one-cell case.  The dynamic
+program's recurrence does not depend on m, so exhaustive_search_each
+fills the tails once, as deep as the largest m, and backtracks each m
+from its own; the row runs it for each n right after reading that n's
+curve, and exhaustive_search is its one-m case.
 """
 
 from __future__ import annotations
@@ -48,10 +44,7 @@ from .channel import throughput  # noqa: F401  # unused here; perfbench traces i
 __all__ = [
     "CdfModel",
     "OptimizerReport",
-    "std_normal_ccdf",
-    "std_normal_ccdf_prime",
     "optimize",
-    "optimize_each",
     "optimize_row",
     "exhaustive_search",
     "exhaustive_search_each",
@@ -59,16 +52,6 @@ __all__ = [
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
-
-
-def std_normal_ccdf(x: float) -> float:
-    """Q(x): upper-tail probability of a standard Gaussian, via erfc."""
-    return 0.5 * math.erfc(x / _SQRT2)
-
-
-def std_normal_ccdf_prime(x: float) -> float:
-    """Q'(x) = -exp(-x**2 / 2) / sqrt(2 pi)."""
-    return -_INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
 @dataclass(frozen=True)
@@ -122,7 +105,7 @@ class CdfModel:
         else:
             z = (math.log(x) - self.mu_star) / self.sigma_star
             scale = x * self.sigma_star
-        # 1 - Q(z) and -Q'(z) / scale, with Q and Q' as std_normal_ccdf(_prime) form them
+        # 1 - Q(z) and -Q'(z) / scale, with Q(z) = erfc(z / sqrt(2)) / 2 the standard normal tail
         return 1.0 - 0.5 * math.erfc(z / _SQRT2), _INV_SQRT_2PI * math.exp(-0.5 * z * z) / scale
 
     def cdf(self, x: float) -> float:
@@ -143,104 +126,55 @@ class OptimizerReport:
     n1_searched: tuple[int, int] | None
 
 
-class _Trajectories:
-    """A model's uncapped trajectories grown so far, row n1 from first boundary n1.
+def _trajectories(models, n: int, ms: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
+    """The uncapped trajectories of models from first boundaries lo..hi, stepped from scratch.
 
-    Every row steps under model, the CDF F.  b[n1, i] is boundary i + 1 of
-    the trajectory from n1, and +inf past its lens[n1] known cells; b is as
-    wide as its longest row.  known maps each boundary stepped from so far
-    to (F, F') there, which many rows share; a row's last boundary and F at
-    the one before it, all a further step needs, are read from b and known.
+    Row j (hi - lo + 1) + n1 - lo of the result is the trajectory of
+    models[j] from n1, as far as any (n, m), m in ms, reads it, and +inf
+    past its end; the matrix is as wide as its longest row, at most
+    max(ms) - 1 cells and at least 1.  The trajectory is b_1 = n1, b_{i+1} = b_i + max(1,
+    ceil(r)) with r = (F(b_i) - F(b_{i-1})) / F'(b_i) and F(b_0) = 0,
+    ended (+inf) once r is infinite, an underflowed density included.
+    ms is ascending, every m at least 2, and may be empty.  An (n, m)
+    schedule reads slots 1..m-1: each step is at least 1 and each cap
+    n - (m - i) grows by 1 per slot, so b_i - i never falls, and once the
+    last boundary reaches its cap every later slot takes its cap.  So a row
+    of s cells steps while its last boundary b_s has b_s - s < n - m' for
+    m', the smallest m in ms with m - 1 > s: a smaller m has more room
+    under its caps, and a larger one reads the same slots later.  A row
+    that m' does not read, n1 > n - m' + 1, takes no step, as b_s - s >=
+    n1 - 1; and a smaller n reads no more of a row than n does.  F and F'
+    come from one cdf_pdf call per model and boundary, however many rows
+    step from it.
     """
-
-    def __init__(self, model: CdfModel) -> None:
-        self.model = model
-        self.b = np.empty((0, 1))
-        self.lens = np.empty(0, dtype=np.intp)
-        self.known: dict[float, tuple[float, float]] = {}
-
-    def resize(self, rows: int, width: int) -> None:
-        """Grow b to at least rows x width: new cells +inf, a fresh row its first boundary."""
-        old_rows, old_width = self.b.shape
-        if rows <= old_rows and width <= old_width:
-            return
-        rows = max(rows, 2 * old_rows) if rows > old_rows else old_rows  # rows at least double
-        b = np.full((rows, max(width, old_width)), np.inf)
-        b[:old_rows, :old_width] = self.b
-        b[old_rows:, 0] = np.arange(old_rows, rows)
-        self.b = b
-        self.lens = np.concatenate([self.lens, np.ones(rows - old_rows, dtype=np.intp)])
-
-    def rows(self, n1: np.ndarray, out: np.ndarray) -> None:
-        """out[r]: the trajectory from n1[r], +inf past b's width."""
-        width = min(out.shape[1], self.b.shape[1])
-        out[:, :width] = self.b[n1, :width]
-        if width < out.shape[1]:
-            out[:, width:] = np.inf
-
-
-@functools.lru_cache(maxsize=4)
-def _trajectories(k: int, epsilon: float, kind: str) -> _Trajectories:
-    """The (k, epsilon, kind) model and its uncapped trajectories grown so far."""
-    # the model reads k and epsilon alone, so n = k serves for every n
-    return _Trajectories(CdfModel.for_params(CodeParams(k, k, epsilon), kind))
-
-
-def _grow(t: _Trajectories, n: int, ms: tuple[int, ...], lo: int, hi: int) -> None:
-    """Grow t's trajectories from first boundaries lo..hi as far as any (n, m), m in ms, reads them.
-
-    ms is ascending, every m at least 2, and may be empty.  Row n1 is the
-    trajectory b_1 = n1, b_{i+1} = b_i + max(1, ceil(r)) with r = (F(b_i)
-    - F(b_{i-1})) / F'(b_i) and F(b_0) = 0, ended (+inf) once r is
-    infinite, an underflowed density included.  An (n, m) schedule reads
-    slots 1..m-1: each step is at least 1 and each cap n - (m - i) grows by 1
-    per slot, so b_i - i never falls, and once the last boundary reaches
-    its cap every later slot takes its cap.  So a row of s cells steps
-    while its last boundary b_s has b_s - s < n - m' for m', the smallest m
-    in ms with m - 1 > s: a smaller m has more room under its caps, and a
-    larger one reads the same slots later.  A row that m' does not read,
-    n1 > n - m' + 1, fails the test, as b_s - s >= n1 - 1; and a smaller n
-    reads no more of a row than n does.  One array test finds the rows
-    that need another step; only those are stepped, with scalar state, F
-    and F' read from t.known or evaluated once per boundary, and their new
-    cells are written back into t's matrix with one assignment.
-    """
-    t.resize(hi + 1, 1)
     # room[s]: n - m' for a row of s cells; -1 from max(ms) - 1 on, as b_s - s >= 0
     room: list[int] = []
     for m in ms:
         room += [n - m] * (m - 1 - len(room))
-    room.append(-1)
-    sizes, width = t.lens[lo : hi + 1], t.b.shape[1]
-    # each row's last cell, +inf once the row has ended, by one flat index
-    ends = t.b.ravel()[np.arange(lo * width - 1, hi * width, width) + sizes]
-    need = np.nonzero(ends - sizes < np.array(room).take(sizes, mode="clip"))[0]
-    if not need.size:
-        return
-    known, evaluate = t.known, t.model.cdf_pdf
-    rows, cols, cells, lens = [], [], [], []
-    for row, size, cur in zip((lo + need).tolist(), sizes[need].tolist(), ends[need].tolist()):
-        # every boundary this row stepped from has its (F, F') in known
-        f_prev = known[t.b[row, size - 2]][0] if size > 1 else 0.0
-        while cur - size < room[size]:
-            pair = known.get(cur)
-            if pair is None:
-                pair = known[cur] = evaluate(cur)
-            f_cur, density = pair
-            ratio = (f_cur - f_prev) / density if density > 0.0 else math.inf
-            if ratio == math.inf:
-                cur = math.inf
-            else:
-                cur += math.ceil(ratio) if ratio > 1.0 else 1  # max(1, ceil(r))
-            f_prev = f_cur
-            rows.append(row)
-            cols.append(size)
+    room += [-1, -1]  # a row of one cell reads room[1], also where ms is empty
+    cells, lens = [], []
+    for model in models:
+        known, evaluate = {}, model.cdf_pdf
+        for n1 in range(lo, hi + 1):
+            cur, f_prev, size = float(n1), 0.0, 1
             cells.append(cur)
-            size += 1
-        lens.append(size)
-    t.resize(hi + 1, max(lens))
-    t.b[rows, cols] = cells
-    t.lens[lo + need] = lens
+            while cur - size < room[size]:
+                pair = known.get(cur)
+                if pair is None:
+                    pair = known[cur] = evaluate(cur)
+                f_cur, density = pair
+                ratio = (f_cur - f_prev) / density if density > 0.0 else math.inf
+                if ratio == math.inf:
+                    cur = math.inf
+                else:
+                    cur += math.ceil(ratio) if ratio > 1.0 else 1  # max(1, ceil(r))
+                f_prev = f_cur
+                cells.append(cur)
+                size += 1
+            lens.append(size)
+    b = np.full((len(lens), max(lens, default=1)), np.inf)
+    b[np.arange(b.shape[1]) < np.array(lens)[:, None]] = cells  # row by row, as cells holds them
+    return b
 
 
 def _caps(ns, ms, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -297,68 +231,77 @@ def _checked(params: CodeParams, ms) -> tuple[int, ...]:
     return ms
 
 
-def optimize_row(k: int, epsilon: float, cells, kinds, visit=None):
-    """optimize's reports for every (n, m, kind) of one sweep row (k, epsilon), from one pass.
+def optimize_row(k: int, epsilon: float, cells, kinds):
+    """The reports of every (n, m, kind) of one sweep row (k, epsilon), from one pass.
 
-    cells holds (n, ms) pairs, each n once.  For each cell, in order, this
-    yields n and {kind: {m: optimize(CodeParams(k, n, epsilon), m, kind)}}
-    over the m of ms, a chunk of cells at a time, so a caller holds only
-    the reports it keeps.  Every cell is checked before any work.  Each
-    kind's trajectories are grown once, as far as the largest n and its m
-    read them.  A chunk is a run of cells whose ACK values at k..n fit one
-    table of at most _BLOCK_CELLS cells (one cell at least); each n's
-    curve is read once, and visit, if given, is called with the design
-    point right after it, while ack_curve still holds that curve.  A
-    chunk's candidates are stacked kind by kind, n by n, m ascending:
-    first boundaries k..n-m+1 of the (kind, n, m) group, or its one
-    schedule (n) for m = 1.  They are capped from _caps's table, padded
-    with n to the widest m and scored by channel.objective in blocks of at
-    most _BLOCK_CELLS cells; one segmented reduction per block gives each
-    group's first minimum, and an earlier block keeps a tie, so ties break
-    toward the smaller first boundary.
+    cells holds (n, ms) pairs, each n once.  kinds names SDO models,
+    "normal" and "lognormal", and "exhaustive", the dynamic program.  For
+    each cell, in order, this yields n and {kind: {m: report}} over the m
+    of ms: an SDO model's report is optimize(CodeParams(k, n, epsilon), m,
+    kind), and "exhaustive"'s is exhaustive_search's.  It yields a chunk of
+    cells at a time, so a caller holds only the reports it keeps.  Every
+    cell is checked before any work.  Each model's trajectories are grown
+    once, as far as the largest n and its m read them.  A chunk is a run
+    of cells whose ACK values at k..n fit one table of at most
+    _BLOCK_CELLS cells (one cell at least); each n's curve is read once,
+    and exhaustive_search_each runs right after it, while ack_curve still
+    holds that curve.  A chunk's candidates are stacked model by model, n
+    by n, m ascending: first boundaries k..n-m+1 of the (model, n, m)
+    group, or its one schedule (n) for m = 1.  They are capped from
+    _caps's table, padded with n to the widest m and scored by
+    channel.objective in blocks of at most _BLOCK_CELLS cells; one
+    segmented reduction per block gives each group's first minimum, and an
+    earlier block keeps a tie, so ties break toward the smaller first
+    boundary.
     """
     points = [(params, _checked(params, ms))
               for params, ms in ((CodeParams(k, n, epsilon), ms) for n, ms in cells)]
     width = max(ms[-1] for _, ms in points)
     inner = tuple(sorted({m for _, ms in points for m in ms if m > 1}))
-    stores = [_trajectories(k, epsilon, kind) for kind in kinds]
+    # the model reads k and epsilon alone, so n = k serves for every n
+    models = [CdfModel.for_params(CodeParams(k, k, epsilon), kind)
+              for kind in kinds if kind != "exhaustive"]
     top = max(params.n for params, _ in points)
-    for t in stores:
-        _grow(t, top, inner, k, top - inner[0] + 1 if inner else k)  # m = 1 reads row k
+    last = top - inner[0] + 1 if inner else k  # m = 1 reads row k
+    rows = _trajectories(models, top, inner, k, last)
     chunk, cells_held = [], 0
     for params, ms in points:
         if chunk and cells_held + params.n - k + 1 > _BLOCK_CELLS:
-            yield from _score_chunk(k, chunk, kinds, stores, width, visit)
+            yield from _score_chunk(k, chunk, kinds, models, rows, width)
             chunk, cells_held = [], 0
         chunk.append((params, ms))
         cells_held += params.n - k + 1
-    yield from _score_chunk(k, chunk, kinds, stores, width, visit)
+    yield from _score_chunk(k, chunk, kinds, models, rows, width)
 
 
-def _score_chunk(k: int, chunk, kinds, stores, width: int, visit) -> list:
-    """optimize_row's (n, {kind: {m: report}}) for each design point of chunk."""
+def _score_chunk(k: int, chunk, kinds, models, rows: np.ndarray, width: int) -> list:
+    """optimize_row's (n, {kind: {m: report}}) for each design point of chunk.
+
+    rows is _trajectories's matrix of models from first boundaries k on.
+    """
+    solved = [(params.n, {kind: {} for kind in kinds}) for params, _ in chunk]
     acks = np.empty(sum(params.n - k + 1 for params, _ in chunk))
     offsets, start = [], 0  # ack(t) of chunk[i] is acks[offsets[i] + t]
-    for params, _ in chunk:
-        curve = ack_curve(params)
-        if visit is not None:
-            visit(params)
-        acks[start : start + params.n - k + 1] = curve[k:]
+    for (params, ms), (_, by_kind) in zip(chunk, solved):
+        acks[start : start + params.n - k + 1] = ack_curve(params)[k:]
+        if "exhaustive" in by_kind:  # while ack_curve holds the curve just read
+            by_kind["exhaustive"] = exhaustive_search_each(params, ms)
         offsets.append(start - k)
         start += params.n - k + 1
-    solved = [(params.n, {kind: {} for kind in kinds}) for params, _ in chunk]
-    if not kinds:
+    if not models:
         return solved
-    # one kind's (n, m) groups, n by n, m ascending; each kind stacks the same
+    # one model's (n, m) groups, n by n, m ascending; each model stacks the same
     groups = [(i, m) for i, (_, ms) in enumerate(chunk) for m in ms]
     ns = [chunk[i][0].n for i, _ in groups]
     ms = [m for _, m in groups]
-    counts = [n - m - k + 2 if m > 1 else 1 for n, m in zip(ns, ms)] * len(kinds)
+    counts = [n - m - k + 2 if m > 1 else 1 for n, m in zip(ns, ms)] * len(models)
     ends = np.cumsum(counts)
-    shift = ends - counts - k  # candidate place p of group g starts at n1 = p - shift[g]
-    floor, ceiling = _caps(ns * len(kinds), ms * len(kinds), width)
-    group_offsets = np.array([offsets[i] for i, _ in groups] * len(kinds))
-    per_kind, total = int(ends[len(groups) - 1]), int(ends[-1])
+    starts = ends - counts
+    # candidate place p of group g is first boundary k + p - starts[g], read from row p + origin[g]
+    origin = np.repeat(np.arange(len(models)) * (len(rows) // len(models)), len(groups)) - starts
+    floor, ceiling = _caps(ns * len(models), ms * len(models), width)
+    group_offsets = np.array([offsets[i] for i, _ in groups] * len(models))
+    total = int(ends[-1])
     # each group's least total so far, and the block and row of its schedule
     least_of, block_of, row_of = [math.inf] * len(counts), [None] * len(counts), [0] * len(counts)
     per_block = max(1, _BLOCK_CELLS // width)
@@ -366,19 +309,15 @@ def _score_chunk(k: int, chunk, kinds, stores, width: int, visit) -> list:
         hi = min(total, lo + per_block)
         places = np.arange(lo, hi)
         g = np.searchsorted(ends, places, side="right")
-        n1 = places - shift[g]
-        b = np.empty((hi - lo, width))
-        for j, t in enumerate(stores):
-            a, z = max(j * per_kind, lo) - lo, min((j + 1) * per_kind, hi) - lo
-            if a < z:
-                t.rows(n1[a:z], b[a:z])
+        b = np.full((hi - lo, width), np.inf)
+        b[:, : rows.shape[1]] = rows[places + origin[g]]  # no row is wider than an m reads
         np.maximum(b, floor[g], out=b)
         np.minimum(b, ceiling[g], out=b)
         index = b[:, :-1].astype(np.intp)
         index += group_offsets[g][:, None]
         totals = objective(b, acks[index])
         first_group = int(g[0])
-        seams = np.maximum(shift[first_group : g[-1] + 1] + k - lo, 0)
+        seams = np.maximum(starts[first_group : g[-1] + 1] - lo, 0)
         least = np.minimum.reduceat(totals, seams)
         hits = np.flatnonzero(totals == least[g - first_group])
         # each group's first minimum, its schedule read when the group's report is made
@@ -386,28 +325,23 @@ def _score_chunk(k: int, chunk, kinds, stores, width: int, visit) -> list:
         for j, value in enumerate(least.tolist(), first_group):
             if value < least_of[j]:  # an earlier block keeps a tie
                 least_of[j], block_of[j], row_of[j] = value, chosen, j - first_group
-    for j, (kind, (i, m)) in enumerate(itertools.product(kinds, groups)):
+    for j, (model, (i, m)) in enumerate(itertools.product(models, groups)):
         params = chunk[i][0]
         n = params.n
-        solved[i][1][kind][m] = _report(
-            params, Schedule(block_of[j][row_of[j], :m].tolist()), kind,
+        solved[i][1][model.kind][m] = _report(
+            params, Schedule(block_of[j][row_of[j], :m].tolist()), model.kind,
             (k, n - m + 1) if m > 1 else None, least_of[j], float(acks[offsets[i] + n]))
     return solved
-
-
-def optimize_each(params: CodeParams, ms,
-                  model_kind: str = "normal") -> dict[int, OptimizerReport]:
-    """optimize's report for every m in ms, keyed by m: optimize_row's one-n case."""
-    [(_, by_kind)] = optimize_row(params.k, params.epsilon, [(params.n, ms)], (model_kind,))
-    return by_kind[model_kind]
 
 
 def optimize(params: CodeParams, m: int, model_kind: str = "normal") -> OptimizerReport:
     """Best schedule over all feasible first boundaries, scored exactly.
 
     Ties in the exact objective break toward the smaller first boundary.
+    This is optimize_row's one-cell case.
     """
-    return optimize_each(params, (m,), model_kind)[m]
+    [(_, by_kind)] = optimize_row(params.k, params.epsilon, [(params.n, (m,))], (model_kind,))
+    return by_kind[model_kind][m]
 
 
 def _steps(x: np.ndarray, c: np.ndarray, start: int, stop: int) -> np.ndarray:

@@ -12,7 +12,6 @@ for one first boundary, the one the tests hold against sdo_recursion.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -194,6 +193,16 @@ def round_length_convolution(k: int, n: int, epsilon: float) -> np.ndarray:
     return pmf
 
 
+def std_normal_ccdf(x: float) -> float:
+    """Q(x): upper-tail probability of a standard Gaussian, via erfc."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def std_normal_ccdf_prime(x: float) -> float:
+    """Q'(x) = -exp(-x**2 / 2) / sqrt(2 pi)."""
+    return -(1.0 / math.sqrt(2.0 * math.pi)) * math.exp(-0.5 * x * x)
+
+
 def gaussian_tail_quad(x: float) -> float:
     """Q(x) by numerical quadrature of the defining integral."""
     from scipy.integrate import quad
@@ -268,26 +277,20 @@ def sdo_recursion(cdf, pdf, n: int, m: int, n1: int) -> tuple[int, ...]:
     return tuple(bounds)
 
 
-# The package's trajectory store of each of the last few models, kept across
-# calls as the package keeps one per (k, epsilon, kind).
-package_trajectories = functools.lru_cache(maxsize=4)(sdo._Trajectories)
-
-
 def schedule_from_model(model, n: int, m: int, n1: int) -> tuple[int, ...]:
     """The m boundaries the package grows from a first boundary n1 <= n - m + 1.
 
-    model is any hashable F with cdf_pdf.  The package grows the trajectory
-    b from n1 without caps and clips it to the floor and ceiling rows of
+    model is any F with cdf_pdf.  The package grows the trajectory b from
+    n1 without caps and clips it to the floor and ceiling rows of
     sdo._caps, the cap rule of every schedule optimize scores: n_i =
     min(b_i, n - (m - i)), n_m = n.  That is sdo_recursion's clamp: the
     room below a cap is an integer, so the increment reaches it exactly
     when the uncapped boundary reaches the cap, and every later boundary
     takes its cap, as each step is at least 1.
     """
-    t = package_trajectories(model)
-    sdo._grow(t, n, (m,), n1, n1)
-    row = np.empty((1, m))
-    t.rows(np.array([n1]), row)
+    grown = sdo._trajectories([model], n, (m,), n1, n1)
+    row = np.full((1, m), np.inf)
+    row[:, : grown.shape[1]] = grown
     floor, ceiling = sdo._caps([n], [m], m)
     return tuple(int(x) for x in np.clip(row, floor, ceiling)[0])
 

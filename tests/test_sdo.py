@@ -19,27 +19,24 @@ from harqsdo import (
     expected_round_symbols,
     objective,
     optimize,
-    optimize_each,
-    std_normal_ccdf,
-    std_normal_ccdf_prime,
     throughput,
 )
 
 from harqsdo import channel, sdo
 from harqsdo.cli import main
-from harqsdo.sdo import _trajectories
 
 from oracles import (
     dp_best_interior,
     enumerate_best_interior,
     gaussian_tail_quad,
     objective_loop,
-    package_trajectories,
     schedule_from_model,
     sdo_continuous_step,
     sdo_optimize,
     sdo_recursion,
     smoothed_objective,
+    std_normal_ccdf,
+    std_normal_ccdf_prime,
 )
 
 FIG1_PARAMS = CodeParams(32, 88, 0.5)
@@ -119,7 +116,7 @@ def _oracle(model, n, m, n1):
 
 
 class _FlatModel:
-    """A flat CDF; hashable, as schedule_from_model keeps a trajectory store per model."""
+    """A flat CDF, with the cdf_pdf the package's trajectories step through."""
 
     def cdf(self, x):
         return 0.5
@@ -243,18 +240,12 @@ class TestSdoRecursion:
         assert smoothed_objective(model.cdf, b) == pytest.approx(
             objective(b, [model.cdf(x) for x in b]), abs=1e-12)
 
-    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warmed-by-larger-n"])
     @pytest.mark.parametrize("kind", ["normal", "lognormal"])
-    def test_matches_oracle_on_every_feasible_n1(self, kind, warm):
-        package_trajectories.cache_clear()
+    def test_matches_oracle_on_every_feasible_n1(self, kind):
         count = 0
         for k in (1, 4, 17, 32, 64):
             for eps in (0.0, 0.3, 0.5, 0.9, 0.99):
                 model = CdfModel.for_params(CodeParams(k, k, eps), kind)
-                if warm:
-                    # trajectories grown past every cap the loop below reads
-                    for n1 in range(k, 3 * k + 8):
-                        schedule_from_model(model, 4 * k + 16, 8, n1)
                 for n in (k + 3, 2 * k + 7, 3 * k):
                     for m in range(2, 9):
                         for n1 in range(k, n - m + 2):
@@ -335,19 +326,12 @@ class TestSharedTrajectories:
     def test_optimize_matches_oracle_in_any_call_order(self, kind, order):
         grid = {"ascending": OPTIMIZE_GRID, "descending": OPTIMIZE_GRID[::-1],
                 "shuffled": random.Random(9).sample(OPTIMIZE_GRID, len(OPTIMIZE_GRID))}[order]
-        _trajectories.cache_clear()
         self._assert_matches_oracle(kind, grid)
 
     def test_scoring_in_small_row_blocks(self, monkeypatch):
         # one or two candidates per block, so every block edge is crossed
         monkeypatch.setattr(sdo, "_BLOCK_CELLS", 3)
-        _trajectories.cache_clear()
         self._assert_matches_oracle("normal", [g for g in OPTIMIZE_GRID if g[0] in (8, 32)])
-
-    def test_cache_holds_a_few_models(self):
-        for eps in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
-            optimize(CodeParams(8, 24, eps), 4, "lognormal")
-        assert 1 <= _trajectories.cache_info().currsize <= 4
 
     def test_cdf_evaluations_per_cli_call(self, monkeypatch, capsys):
         # sweep-n-fig2 grew 44,594 steps when every (n, m, n1) regrew its
@@ -360,7 +344,6 @@ class TestSharedTrajectories:
                             lambda model, x: evaluations.append(x) or cdf_pdf(model, x))
         for argv, limit in [("sweep-n --k 32 --n 66:120:2 --m 1:8 --model all", 200),
                             ("sweep-k --k 24:40:4 --n 88 --m 5 --model all", 600)]:
-            _trajectories.cache_clear()
             evaluations.clear()
             assert main(argv.split() + ["--eps", "0.47"]) == 0
             assert len(evaluations) <= limit, argv
@@ -373,14 +356,12 @@ class TestSharedTrajectories:
         post_init = CdfModel.__post_init__
         monkeypatch.setattr(CdfModel, "__post_init__",
                             lambda model: built.append(model) or post_init(model))
-        _trajectories.cache_clear()
         argv = "sweep-n --k 32 --n 66:120:2 --m 1:8 --model all --eps 0.47".split()
         assert main(argv) == 0
         assert sorted(model.kind for model in built) == ["lognormal", "normal"]
         capsys.readouterr()
 
     def test_wide_optimize_traced_peak_under_8mb(self):
-        _trajectories.cache_clear()
         tracemalloc.start()
         try:
             optimize(CodeParams(32, 4000, 0.5), 3000, "normal")
@@ -509,6 +490,12 @@ def _ms_in(order, ms):
             "duplicates": [m for m in ms for _ in range(2)]}[order]
 
 
+def _optimize_each(params, ms, kind):
+    """optimize's report for every m in ms, keyed by m, from a one-cell optimize_row."""
+    [(_, by_kind)] = sdo.optimize_row(params.k, params.epsilon, [(params.n, ms)], (kind,))
+    return by_kind[kind]
+
+
 class TestSolveEach:
     """Every m of a design point from one SDO scoring pass and one DP pass."""
 
@@ -518,7 +505,7 @@ class TestSolveEach:
             p = CodeParams(k, n, eps)
             ms = _ms_in(order, [m for m in range(1, 9) if k + m - 1 <= n])
             for kind in kinds:
-                reports = optimize_each(p, ms, kind)
+                reports = _optimize_each(p, ms, kind)
                 assert sorted(reports) == sorted(set(ms))
                 for m, rep in reports.items():
                     if m == 1:
@@ -537,7 +524,6 @@ class TestSolveEach:
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "duplicates"])
     def test_match_oracles_for_every_m(self, order):
-        _trajectories.cache_clear()
         self._assert_each_matches_oracles(EACH_GRID, order)
 
     @pytest.mark.parametrize("block_cells", [1, 3])
@@ -545,7 +531,6 @@ class TestSolveEach:
         # blocks of one or a few rows: every block edge, and every edge
         # between two m's stacked candidates, falls inside some block
         monkeypatch.setattr(sdo, "_BLOCK_CELLS", block_cells)
-        _trajectories.cache_clear()
         self._assert_each_matches_oracles([g for g in EACH_GRID if g[0] in (8, 32)],
                                           "shuffled", kinds=("normal",))
 
@@ -557,7 +542,7 @@ class TestSolveEach:
             assert rep.schedule.boundaries == dp_best_interior(ack_curve(p), k, n, 2) + (n,)
             assert rep == exhaustive_search_each(p, range(1, 9) if k + 7 <= n else (2,))[2]
             for kind in ("normal", "lognormal"):
-                assert optimize_each(p, (2,), kind)[2].schedule.boundaries == (
+                assert _optimize_each(p, (2,), kind)[2].schedule.boundaries == (
                     _oracle_optimize(kind, k, eps, n, 2)[0])
 
     @pytest.mark.parametrize("kind", ["normal", "lognormal"])
@@ -568,7 +553,7 @@ class TestSolveEach:
         score = sdo.objective
         monkeypatch.setattr(sdo, "objective", lambda *a: scored.append(score(*a)) or scored[-1])
         p = CodeParams(32, 88, 0.5)
-        optimize_each(p, range(2, 9), kind)
+        _optimize_each(p, range(2, 9), kind)
         model, curve = CdfModel.for_params(p, kind), ack_curve(p)
         want = [objective_loop(b, [curve[x] for x in b[:-1]])
                 for m in range(2, 9) for b in (sdo_recursion(model.cdf, model.pdf, 88, m, n1)
@@ -577,7 +562,7 @@ class TestSolveEach:
         assert scored[0].tolist() == want
 
     def test_infeasible_m_raises_before_any_solve(self):
-        for solve in (lambda p, ms: optimize_each(p, ms, "normal"), exhaustive_search_each):
+        for solve in (lambda p, ms: _optimize_each(p, ms, "normal"), exhaustive_search_each):
             with pytest.raises(ValueError, match=r"got k=8, m=18, n=24$"):
                 solve(CodeParams(8, 24, 0.5), (2, 18, 3))
             with pytest.raises(ValueError, match="m must be >= 1, got 0"):
@@ -616,10 +601,9 @@ class TestSolveEach:
 
     @pytest.mark.parametrize("params, solve", [
         (CodeParams(32, 2000, 0.5), lambda p: exhaustive_search_each(p, range(1, 9))),
-        (CodeParams(32, 4000, 0.5), lambda p: optimize_each(p, (2, 1000, 3000), "normal")),
+        (CodeParams(32, 4000, 0.5), lambda p: _optimize_each(p, (2, 1000, 3000), "normal")),
     ], ids=["dp", "sdo"])
     def test_traced_peak_under_8mb(self, params, solve):
-        _trajectories.cache_clear()
         ack_curve(params)
         tracemalloc.start()
         try:
@@ -646,13 +630,26 @@ class TestSweepRow:
         assert ack_curve.cache_info().misses == points
         capsys.readouterr()
 
-    def test_yields_each_n_in_order_with_every_kind(self):
+    def test_yields_each_n_in_order_with_every_kind(self, monkeypatch):
         cells = [(40, [3, 1]), (24, [2]), (33, [8, 2, 2])]
-        got = list(sdo.optimize_row(8, 0.4, cells, ["lognormal", "normal"]))
+        got = list(sdo.optimize_row(8, 0.4, cells, ["lognormal", "exhaustive", "normal"]))
         assert [n for n, _ in got] == [40, 24, 33]
         for (n, ms), (_, by_kind) in zip(cells, got):
+            assert list(by_kind) == ["lognormal", "exhaustive", "normal"]
             for kind in ("normal", "lognormal"):
-                assert by_kind[kind] == optimize_each(CodeParams(8, n, 0.4), ms, kind)
+                assert by_kind[kind] == _optimize_each(CodeParams(8, n, 0.4), ms, kind)
+            assert by_kind["exhaustive"] == exhaustive_search_each(CodeParams(8, n, 0.4), ms)
+        # the dynamic program alone reads the ACK curve alone: no model is
+        # built, and each n's curve is still computed once
+        built = []
+        post_init = CdfModel.__post_init__
+        monkeypatch.setattr(CdfModel, "__post_init__",
+                            lambda model: built.append(model) or post_init(model))
+        ack_curve.cache_clear()
+        alone = list(sdo.optimize_row(8, 0.4, cells, ["exhaustive"]))
+        assert built == []
+        assert ack_curve.cache_info().misses == len(cells)
+        assert alone == [(n, {"exhaustive": by_kind["exhaustive"]}) for n, by_kind in got]
 
     def test_infeasible_cell_raises_before_any_curve(self):
         ack_curve.cache_clear()
@@ -666,7 +663,6 @@ class TestSweepRow:
         # took one (n, model) at a time peaked at 2,916,977 bytes on this
         # call (Python 3.11.7, numpy 2.4.6, a fresh process with the same
         # caches cleared); the bound is that plus 10%
-        _trajectories.cache_clear()
         ack_curve.cache_clear()
         channel._log_factorials(400)  # the table a first run would grow
         argv = "sweep-n --k 32 --n 66:400:2 --m 1:8 --model all --eps 0.5".split()

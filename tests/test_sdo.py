@@ -256,6 +256,69 @@ class TestSdoRecursion:
         assert count == 12765
 
 
+class _Counted:
+    """A model that records every boundary its F and F' are evaluated at."""
+
+    def __init__(self, model):
+        self.model, self.at = model, []
+
+    def cdf_pdf(self, x):
+        self.at.append(x)
+        return self.model.cdf_pdf(x)
+
+
+TRAJECTORY_POINTS = [(1, 0.0, 9), (8, 0.99, 31), (32, 0.5, 88)]
+
+
+class TestTrajectories:
+    """sdo._trajectories: every model's rows stepped from scratch in one stacked matrix."""
+
+    @pytest.mark.parametrize("ms", [(), (2,), (2, 5, 8), (8,)],
+                             ids=["no-m", "m2", "m2-5-8", "m8"])
+    def test_stacks_each_row_as_stepped_alone(self, ms):
+        for k, eps, n in TRAJECTORY_POINTS:
+            models = [CdfModel.for_params(CodeParams(k, n, eps), kind)
+                      for kind in ("normal", "lognormal")]
+            got = sdo._trajectories(models, n, ms, k, n)
+            alone = [sdo._trajectories([model], n, ms, n1, n1)
+                     for model in models for n1 in range(k, n + 1)]
+            # a row per (model, n1), as wide as its longest row and no wider
+            assert got.shape == (len(alone), max(row.shape[1] for row in alone))
+            assert got.shape[1] <= max(max(ms, default=2) - 1, 1)
+            # the longest row's last cell follows a finite one; padding would not
+            assert got.shape[1] == 1 or np.isfinite(got[:, -2]).any()
+            for row, one in zip(got, alone):
+                assert one.shape[0] == 1 and np.isfinite(one[0, 0])
+                assert row[: one.shape[1]].tolist() == one[0].tolist(), (k, eps, n, ms)
+                assert np.all(row[one.shape[1]:] == np.inf)
+
+    def test_each_boundary_evaluated_once_per_model_and_call(self):
+        ms = (2, 5, 8)
+        for k, eps, n in TRAJECTORY_POINTS:
+            models = [_Counted(CdfModel.for_params(CodeParams(k, n, eps), kind))
+                      for kind in ("normal", "lognormal")]
+            got = sdo._trajectories(models, n, ms, k, n)
+            for model in models:
+                # a row stepped alone is as wide as it is long, and steps
+                # from every cell but its last
+                stepped = set()
+                for n1 in range(k, n + 1):
+                    stepped.update(sdo._trajectories([model.model], n, ms, n1, n1)[0, :-1].tolist())
+                assert sorted(model.at) == sorted(stepped), (k, eps, n)
+            # nothing is kept between calls: the same call evaluates the same boundaries
+            before = [list(model.at) for model in models]
+            for model in models:
+                model.at.clear()
+            assert sdo._trajectories(models, n, ms, k, n).tolist() == got.tolist()
+            assert [model.at for model in models] == before
+
+    def test_no_m_reads_past_the_first_boundary(self):
+        model = _Counted(CdfModel.for_params(FIG1_PARAMS, "normal"))
+        got = sdo._trajectories([model], 88, (), 32, 88)
+        assert got.tolist() == [[float(n1)] for n1 in range(32, 89)]
+        assert model.at == []
+
+
 class TestOptimize:
     def test_m1_schedule_is_n(self):
         rep = optimize(CodeParams(8, 24, 0.5), 1)

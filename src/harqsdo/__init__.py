@@ -17,6 +17,7 @@ from .channel import (
     RoundLengthLaw,
     ack_prob,
     ack_curve,
+    ack_curves,
     objective,
     round_length_law,
     round_length_moments,

@@ -6,8 +6,12 @@ the binomial law of the symbols observed by time t.  The ACK probability
 reads it at one t, the round-length law is its first difference with the
 residual atom at n, and the expected symbols a schedule transmits per round,
 and so throughput, are the telescoped objective over its values at the
-boundaries, which scores one schedule or a block of them.  The curve is
-cached for the most recent design point and returned read-only.
+boundaries, which scores one schedule or a block of them.  The binomial
+weights depend on (t, r, epsilon) alone, so ack_curves computes the curves
+of many (k, n) at one epsilon together: a sweep's curves share one weight
+table per row block and one stacked dot call per t.  ack_curve is its
+one-point case, cached for the most recent design point; every curve is
+returned read-only.
 """
 
 from __future__ import annotations
@@ -17,14 +21,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .codes import CodeParams, MomentPair, _integral, decode_success_curve
+from .codes import CodeParams, MomentPair, _check_epsilon, _integral, decode_success_curve
 
 __all__ = [
     "Schedule",
     "RoundLengthLaw",
     "ack_prob",
     "ack_curve",
+    "ack_curves",
     "objective",
     "round_length_law",
     "round_length_moments",
@@ -128,6 +134,81 @@ def _log_factorials(n: int) -> np.ndarray:
     return table[: n + 1]
 
 
+# ACK values of the curves computed together, each padded to the largest n
+# among them: bounds the ACK and failure tables of ack_curves
+_CURVE_CELLS = 1 << 14
+
+
+def ack_curves(epsilon: float, points):
+    """P(ACK by time t), t = 0..n, for each (k, n) of points at one epsilon, in order.
+
+    Yields the curves read-only, zero below k; each is ack_curve(CodeParams(k,
+    n, epsilon)) byte for byte.  They are computed a chunk at a time: a run
+    of points whose curves, padded to the run's largest n, fit one table of
+    at most _CURVE_CELLS values (one curve at least).  So a consumer that
+    reads the curves in order holds one chunk's table.
+    """
+    _check_epsilon(epsilon)
+    chunk, top = [], 0
+    for k, n in points:
+        if chunk and (len(chunk) + 1) * (max(top, n) + 1) > _CURVE_CELLS:
+            yield from _ack_table(epsilon, chunk)
+            chunk, top = [], 0
+        chunk.append((k, n))
+        top = max(top, n)
+    if chunk:
+        yield from _ack_table(epsilon, chunk)
+
+
+def _ack_table(eps: float, points) -> list[np.ndarray]:
+    """The ACK curves of the (k, n) of points at eps, computed together; see ack_curve."""
+    ps = [decode_success_curve(k, n) for k, n in points]
+    if eps == 0.0:
+        for curve in ps:  # lossless, ACK is decoding success
+            curve.setflags(write=False)
+        return ps
+    order = sorted(range(len(points)), key=lambda i: -points[i][1])  # n descending
+    ends = [points[i][1] for i in order]
+    top = ends[0]
+    acks = np.zeros((len(order), top + 1))
+    fail = np.empty_like(acks)  # row i past its own n is never read
+    for row, i in enumerate(order):
+        np.subtract(1.0, ps[i], out=fail[row, : len(ps[i])])
+    g = _log_factorials(top)
+    j = np.arange(top + 1)
+    keep, lose = j * math.log1p(-eps), j * math.log(eps)
+    # x[e] for e = max(t - r, 0) is back[top - t + r], with back[y] = x[max(top - y, 0)]:
+    # row t of a block is one window of back, so no (t, r) index or gather is formed
+    back = np.maximum(top - np.arange(2 * top + 1), 0)
+    back_g, back_lose = g[back], lose[back]
+    rows = max(1, _BLOCK_CELLS // (top + 1))
+    alive = len(order)  # the curves with n >= t, a prefix of order
+    for t0 in range(min(k for k, _ in points), top + 1, rows):
+        t1 = min(top + 1, t0 + rows)
+        at = slice(top + 1 - t1, top + 1 - t0)  # the windows of rows t1 - 1 down to t0
+        logw = g[t0:t1, None] - g[:t1]
+        logw -= sliding_window_view(back_g, t1)[at][::-1]  # r > t is never read
+        logw += keep[:t1]
+        logw += sliding_window_view(back_lose, t1)[at][::-1]
+        w = np.exp(logw, out=logw)
+        for row, tt in zip(w, range(t0, t1)):
+            while ends[alive - 1] < tt:
+                alive -= 1
+            # each curve's dot over r = 0..t, as np.dot's own ddot computes it
+            np.matmul(fail[:alive, None, : tt + 1], row[: tt + 1, None],
+                      out=acks[:alive, tt, None, None])
+    # verbatim form: it cancels to a few ulps below 0 when eps is near 1, hence the clamp
+    np.subtract(1.0, acks, out=acks)
+    np.maximum(acks, 0.0, out=acks)
+    for row, i in enumerate(order):
+        acks[row, : points[i][0]] = 0.0  # t below k is computed with the rest, then cleared
+    acks.setflags(write=False)  # before the views are taken, so they are read-only too
+    curves = [None] * len(order)
+    for row, i in enumerate(order):
+        curves[i] = acks[row, : points[i][1] + 1]
+    return curves
+
+
 @functools.lru_cache(maxsize=1)
 def ack_curve(params: CodeParams) -> np.ndarray:
     """P(ACK by time t) for every t in 0..n, read-only; zero below k.
@@ -138,37 +219,16 @@ def ack_curve(params: CodeParams) -> np.ndarray:
     of the Cephes lgam that scipy's gammaln runs, grown on demand and read
     as a slice.  Each entry takes scalar math.log: numpy's vector log
     rounds a few arguments differently, which would move curve bytes.  The
-    weights of the (t, r) triangle are exponentiated a block of rows t at a
-    time, at most _BLOCK_CELLS cells per block, so memory stays flat in n;
-    each row is then summed with its own dot over r = 0..t.
+    weights w_t(r) depend on (t, r, epsilon) alone, so ack_curves computes
+    the curves of many (k, n) at one epsilon together, and this is its
+    one-point case, cached for the most recent design point.  The weights
+    of the (t, r) triangle are exponentiated a block of rows t at a time,
+    at most _BLOCK_CELLS cells per block, once for every curve, so memory
+    stays flat in n.  Each t then makes one stacked matmul over the curves
+    alive at t: per curve it runs np.dot's own BLAS ddot over r = 0..t, so
+    each value is the float a dot of that row alone gives.
     """
-    k, n, eps = params.k, params.n, params.epsilon
-    ps = decode_success_curve(k, n)
-    if eps == 0.0:
-        out = ps  # lossless, ACK is decoding success
-    else:
-        out = np.zeros(n + 1)
-        g = _log_factorials(n)
-        j = np.arange(n + 1)
-        keep, lose = j * math.log1p(-eps), j * math.log(eps)
-        fail = 1.0 - ps
-        rows = max(1, _BLOCK_CELLS // (n + 1))
-        for t0 in range(k, n + 1, rows):
-            t1 = min(n + 1, t0 + rows)
-            t = j[t0:t1, None]
-            r = j[: t1]
-            e = np.maximum(t - r, 0)  # r > t is never read
-            logw = g[t] - g[r]
-            logw -= g[e]
-            logw += keep[: t1]
-            logw += lose[e]
-            w = np.exp(logw, out=logw)
-            for row, tt in zip(w, range(t0, t1)):
-                # verbatim form: it cancels to a few ulps below 0 when eps
-                # is near 1, hence the clamp
-                out[tt] = max(0.0, float(1.0 - np.dot(fail[: tt + 1], row[: tt + 1])))
-    out.setflags(write=False)
-    return out
+    return next(ack_curves(params.epsilon, [(params.k, params.n)]))
 
 
 def ack_prob(params: CodeParams, t: int) -> float:

@@ -31,7 +31,7 @@ from .codes import (
     erdos_borwein_constant,
     overhead_moment,
 )
-from .channel import Schedule, ack_curve, round_length_law
+from .channel import Schedule, ack_curve, ack_curves, round_length_law
 from .sdo import (CdfModel, OptimizerReport, _check_m, _feasible, exhaustive_search, optimize,
                   optimize_row)
 from .simulate import _first_dependent, estimate, rescore
@@ -184,22 +184,30 @@ def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
 
     eps and every m are checked first, so that skipped rows cannot hide a
     bad value.  Each k is one sweep row: optimize_row solves all its n, m
-    and methods in one pass and reads each n's ACK curve once; es solves
-    each n for all its m in one backward pass right after that curve is
-    read.  A cell has one row per method, or with best_only the
-    row of the first method of highest throughput; an n or m given twice
-    gives its rows twice.  Where no schedule fits, a cell has one skipped
-    row, or with skip False the solver raises.
+    and methods in one pass, and es solves each n for all its m in one
+    backward pass.  The ACK curves of every (k, n) of the command share
+    eps, so one ack_curves stream computes them together, k by k, a chunk
+    at a time, and hands each row its curves as the row reads them.  A
+    cell has one row per method, or with best_only the row of the first
+    method of highest throughput; an n or m given twice gives its rows
+    twice.  Where no schedule fits, a cell has one skipped row, or with
+    skip False the solver raises.
     """
     eps = cfg.scalar("epsilon")
     _check_epsilon(eps)
     for m in cfg.m:
         _check_m(m)
     kinds = [_MODEL_KIND[method] for method in methods]
+
+    def cells_of(k: int) -> dict:
+        return {n: ms for n in cfg.n
+                if (ms := [m for m in cfg.m if not skip or _feasible(k, n, m)])}
+
+    # read lazily, so only the rows at hand are held, whatever the k range
+    curves = ack_curves(eps, ((k, n) for k in cfg.k for n in cells_of(k)))
     rows: list[dict] = []
     for k in cfg.k:
-        cells = {n: ms for n in cfg.n
-                 if (ms := [m for m in cfg.m if not skip or _feasible(k, n, m)])}
+        cells = cells_of(k)
 
         def cell_rows(n: int, by_kind: dict) -> list[dict]:
             out = []
@@ -221,7 +229,7 @@ def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
         # each n's rows, built as its chunk of the row is solved: only kept reports stay
         solved = {}
         if cells:
-            for n, by_kind in optimize_row(k, eps, cells.items(), kinds):
+            for n, by_kind in optimize_row(k, eps, cells.items(), kinds, curves):
                 solved[n] = cell_rows(n, by_kind)
         for n in cfg.n:
             rows.extend(solved[n] if n in solved else cell_rows(n, {}))

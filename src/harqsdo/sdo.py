@@ -16,20 +16,23 @@ first boundary n1 once, without caps, as far as the largest n and its m
 read it; F and F' are evaluated once per boundary.  The schedule's slot i
 is min(b_i, n - (m - i)) and every slot from m on is n, both read from
 _caps's per-(n, m) table of slot floors and ceilings.  The candidates of
-every (model, n, m) are stacked and padded with n to the widest m (a
-padded slot adds +0.0).  Their ACK values come from the row's curves,
-gathered a chunk of n at a time, and channel.objective, the package's one
-telescoped sum, scores them in blocks of at most _BLOCK_CELLS cells; one
-segmented reduction per block takes each group's first minimum.  Nothing
-is kept between calls; optimize is the row's one-cell case.  The dynamic
-program's recurrence does not depend on m, so exhaustive_search_each
-fills the tails once, as deep as the largest m, and backtracks each m
-from its own; the row runs it for each n right after reading that n's
-curve, and exhaustive_search is its one-m case.
+every (model, n, m) are stacked.  Their ACK values come from the curves
+the row is handed, one per n, gathered a chunk of n at a time, and
+channel.objective, the package's one telescoped sum, scores them in
+blocks of at most _BLOCK_CELLS cells, each padded with n only to the
+widest m among its own groups (a padded slot adds +0.0); one segmented
+reduction per block takes each group's first minimum.  Nothing is kept
+between calls; optimize is the row's one-cell case.  The dynamic
+program's recurrence does not depend on m, so _exhaustive fills the
+tails once, as deep as the largest m, and backtracks each m from its
+own.  It reads the curve it is handed: the row hands it each n's curve
+as it reads it, and exhaustive_search_each hands it ack_curve's;
+exhaustive_search is the one-m case.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -38,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeParams, asymptotic_round_moments
-from .channel import Schedule, ack_curve, ack_prob, expected_round_symbols, objective
-from .channel import throughput  # noqa: F401  # unused here; perfbench traces it by this name
+from .channel import Schedule, ack_curve, objective
+# unused here; perfbench traces them by these names
+from .channel import expected_round_symbols, throughput  # noqa: F401
 
 __all__ = [
     "CdfModel",
@@ -231,31 +235,35 @@ def _checked(params: CodeParams, ms) -> tuple[int, ...]:
     return ms
 
 
-def optimize_row(k: int, epsilon: float, cells, kinds):
+def optimize_row(k: int, epsilon: float, cells, kinds, curves=None):
     """The reports of every (n, m, kind) of one sweep row (k, epsilon), from one pass.
 
     cells holds (n, ms) pairs, each n once.  kinds names SDO models,
     "normal" and "lognormal", and "exhaustive", the dynamic program.  For
     each cell, in order, this yields n and {kind: {m: report}} over the m
     of ms: an SDO model's report is optimize(CodeParams(k, n, epsilon), m,
-    kind), and "exhaustive"'s is exhaustive_search's.  It yields a chunk of
-    cells at a time, so a caller holds only the reports it keeps.  Every
-    cell is checked before any work.  Each model's trajectories are grown
-    once, as far as the largest n and its m read them.  A chunk is a run
-    of cells whose ACK values at k..n fit one table of at most
-    _BLOCK_CELLS cells (one cell at least); each n's curve is read once,
-    and exhaustive_search_each runs right after it, while ack_curve still
-    holds that curve.  A chunk's candidates are stacked model by model, n
-    by n, m ascending: first boundaries k..n-m+1 of the (model, n, m)
-    group, or its one schedule (n) for m = 1.  They are capped from
-    _caps's table, padded with n to the widest m and scored by
-    channel.objective in blocks of at most _BLOCK_CELLS cells; one
-    segmented reduction per block gives each group's first minimum, and an
-    earlier block keeps a tie, so ties break toward the smaller first
-    boundary.
+    kind), and "exhaustive"'s is exhaustive_search's.  curves yields each
+    cell's ACK curve, in cell order, as channel.ack_curves does; the row
+    takes one per cell as it reaches it, so a caller may hand it a stream
+    that runs on into later rows.  Without one, each cell's curve comes
+    from channel.ack_curve, its cached one-point case.  It yields a chunk
+    of cells at a time, so a caller holds only the reports it keeps.
+    Every cell is checked before any work, and so before any curve is
+    read.  Each model's trajectories are grown once, as far as the
+    largest n and its m read them.  A chunk is a run of cells whose ACK
+    values at k..n fit one table of at most _BLOCK_CELLS cells (one cell
+    at least); the dynamic program runs on each curve as it is read.
+    A chunk's candidates are stacked model by model, n by n, m ascending:
+    first boundaries k..n-m+1 of the (model, n, m) group, or its one
+    schedule (n) for m = 1.  They are capped from _caps's table and scored
+    by channel.objective in blocks of at most _BLOCK_CELLS cells, each
+    padded with n only to the widest m among its own groups; one segmented
+    reduction per block gives each group's first minimum, and an earlier
+    block keeps a tie, so ties break toward the smaller first boundary.
     """
     points = [(params, _checked(params, ms))
               for params, ms in ((CodeParams(k, n, epsilon), ms) for n, ms in cells)]
+    curves = iter((ack_curve(params) for params, _ in points) if curves is None else curves)
     width = max(ms[-1] for _, ms in points)
     inner = tuple(sorted({m for _, ms in points for m in ms if m > 1}))
     # the model reads k and epsilon alone, so n = k serves for every n
@@ -267,25 +275,30 @@ def optimize_row(k: int, epsilon: float, cells, kinds):
     chunk, cells_held = [], 0
     for params, ms in points:
         if chunk and cells_held + params.n - k + 1 > _BLOCK_CELLS:
-            yield from _score_chunk(k, chunk, kinds, models, rows, width)
+            yield from _score_chunk(k, chunk, kinds, models, rows, width, curves)
             chunk, cells_held = [], 0
         chunk.append((params, ms))
         cells_held += params.n - k + 1
-    yield from _score_chunk(k, chunk, kinds, models, rows, width)
+    yield from _score_chunk(k, chunk, kinds, models, rows, width, curves)
 
 
-def _score_chunk(k: int, chunk, kinds, models, rows: np.ndarray, width: int) -> list:
+def _score_chunk(k: int, chunk, kinds, models, rows: np.ndarray, width: int, curves) -> list:
     """optimize_row's (n, {kind: {m: report}}) for each design point of chunk.
 
-    rows is _trajectories's matrix of models from first boundaries k on.
+    rows is _trajectories's matrix of models from first boundaries k on;
+    curves yields the ACK curve of each design point of chunk, in order.
+    width is at least every m of chunk; each scoring block is only as wide
+    as the widest m among its own groups, so a block of small m is not
+    padded to a wide one.
     """
     solved = [(params.n, {kind: {} for kind in kinds}) for params, _ in chunk]
     acks = np.empty(sum(params.n - k + 1 for params, _ in chunk))
     offsets, start = [], 0  # ack(t) of chunk[i] is acks[offsets[i] + t]
     for (params, ms), (_, by_kind) in zip(chunk, solved):
-        acks[start : start + params.n - k + 1] = ack_curve(params)[k:]
-        if "exhaustive" in by_kind:  # while ack_curve holds the curve just read
-            by_kind["exhaustive"] = exhaustive_search_each(params, ms)
+        curve = next(curves)
+        acks[start : start + params.n - k + 1] = curve[k:]
+        if "exhaustive" in by_kind:
+            by_kind["exhaustive"] = _exhaustive(params, ms, curve)
         offsets.append(start - k)
         start += params.n - k + 1
     if not models:
@@ -302,29 +315,43 @@ def _score_chunk(k: int, chunk, kinds, models, rows: np.ndarray, width: int) -> 
     floor, ceiling = _caps(ns * len(models), ms * len(models), width)
     group_offsets = np.array([offsets[i] for i, _ in groups] * len(models))
     total = int(ends[-1])
+    ends_at, group_m = ends.tolist(), np.array(ms * len(models))
     # each group's least total so far, and the block and row of its schedule
     least_of, block_of, row_of = [math.inf] * len(counts), [None] * len(counts), [0] * len(counts)
-    per_block = max(1, _BLOCK_CELLS // width)
-    for lo in range(0, total, per_block):
-        hi = min(total, lo + per_block)
+    lo = 0
+    while lo < total:
+        # the block from lo is as long as its widest m allows: it runs through
+        # group g while (places so far) x (widest m of groups first..g) fits
+        first = bisect.bisect_right(ends_at, lo)
+        reach = bisect.bisect_right(ends_at, min(total, lo + _BLOCK_CELLS) - 1) + 1
+        widest = np.maximum.accumulate(group_m[first:reach])
+        cap = lo + _BLOCK_CELLS // widest
+        short = np.flatnonzero(cap < ends[first:reach])
+        if len(short):  # the block stops in that group, or where it starts
+            hi = max(int(cap[short[0]]), int(starts[first + short[0]]), lo + 1)
+        else:
+            hi = ends_at[reach - 1]
+        last = bisect.bisect_right(ends_at, hi - 1)
+        wide = int(widest[last - first])
         places = np.arange(lo, hi)
         g = np.searchsorted(ends, places, side="right")
-        b = np.full((hi - lo, width), np.inf)
-        b[:, : rows.shape[1]] = rows[places + origin[g]]  # no row is wider than an m reads
-        np.maximum(b, floor[g], out=b)
-        np.minimum(b, ceiling[g], out=b)
+        b = np.full((hi - lo, wide), np.inf)
+        read = min(wide, rows.shape[1])
+        b[:, :read] = rows[places + origin[g], :read]
+        np.maximum(b, floor[g, :wide], out=b)
+        np.minimum(b, ceiling[g, :wide], out=b)
         index = b[:, :-1].astype(np.intp)
         index += group_offsets[g][:, None]
         totals = objective(b, acks[index])
-        first_group = int(g[0])
-        seams = np.maximum(starts[first_group : g[-1] + 1] - lo, 0)
+        seams = np.maximum(starts[first : last + 1] - lo, 0)
         least = np.minimum.reduceat(totals, seams)
-        hits = np.flatnonzero(totals == least[g - first_group])
+        hits = np.flatnonzero(totals == least[g - first])
         # each group's first minimum, its schedule read when the group's report is made
         chosen = b[hits[np.searchsorted(hits, seams)]].astype(np.intp)
-        for j, value in enumerate(least.tolist(), first_group):
+        for j, value in enumerate(least.tolist(), first):
             if value < least_of[j]:  # an earlier block keeps a tie
-                least_of[j], block_of[j], row_of[j] = value, chosen, j - first_group
+                least_of[j], block_of[j], row_of[j] = value, chosen, j - first
+        lo = hi
     for j, (model, (i, m)) in enumerate(itertools.product(models, groups)):
         params = chunk[i][0]
         n = params.n
@@ -358,18 +385,25 @@ def exhaustive_search_each(params: CodeParams, ms) -> dict[int, OptimizerReport]
     The pass fills the tails of the largest m; every smaller m backtracks
     from its own tail, as the recurrence does not depend on m.
     """
-    ms, n = _checked(params, ms), params.n
+    return _exhaustive(params, _checked(params, ms), ack_curve(params))
+
+
+def _exhaustive(params: CodeParams, ms: tuple[int, ...],
+                curve: np.ndarray) -> dict[int, OptimizerReport]:
+    """exhaustive_search_each's reports for the checked ms, from the design point's ACK curve."""
+    n = params.n
 
     def report(schedule: Schedule, n1_searched: tuple[int, int] | None) -> OptimizerReport:
+        b = schedule.boundaries  # scored as expected_round_symbols scores it
         return _report(params, schedule, "exhaustive", n1_searched,
-                       expected_round_symbols(params, schedule), ack_prob(params, n))
+                       objective(b, curve[list(b)]), float(curve[n]))
 
     reports = {1: report(Schedule((n,)), None)} if ms[0] == 1 else {}
     split = ms[1:] if ms[0] == 1 else ms
     if not split:
         return reports
     x = np.arange(params.k, n)
-    c = ack_curve(params)[params.k : n]
+    c = curve[params.k : n]
     # tails[j][a]: least sum of the last j + 1 terms, the first of them at boundary x[a]
     tails = np.empty((split[-1] - 1, len(x)))
     tails[0] = (x - n) * c

@@ -1,7 +1,11 @@
 """Tests for the erasure-channel laws, ACK curve, and round objective."""
 
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -207,6 +211,94 @@ class TestAckProb:
         fresh = {p: ack_curve.__wrapped__(p) for p in (a, b)}
         for p in (a, b, a, b):
             assert np.array_equal(ack_curve(p), fresh[p])
+
+
+# mixed k and n, out of order and repeated; n = 600 spans several row blocks
+_BATCH = [(32, 88), (17, 600), (1, 9), (32, 66), (40, 56), (36, 56), (32, 88), (8, 8), (2, 3)]
+
+
+def _openblas_kernel_unforceable() -> str | None:
+    """Why a forced OpenBLAS kernel cannot be tested here, or None where it can."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return f"OPENBLAS_CORETYPE=Haswell names an x86-64 kernel, not {platform.machine()}'s"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 prints its config and returns nothing
+        return "numpy does not report how its BLAS was built"
+    if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")):
+        return f"numpy's BLAS, {blas.get('name')}, is not OpenBLAS built with DYNAMIC_ARCH"
+    return None
+
+
+class TestAckCurves:
+    """Many ACK curves at one eps, computed together, each as it is alone."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01, 0.3, 0.5, 0.69, 0.9, 0.999])
+    def test_batch_matches_loop_bit_for_bit(self, eps):
+        got = list(channel.ack_curves(eps, _BATCH))
+        assert len(got) == len(_BATCH)
+        for (k, n), curve in zip(_BATCH, got):
+            assert curve.tobytes() == ack_curve_loop(CodeParams(k, n, eps)).tobytes(), (k, n)
+            assert not curve.flags.writeable
+
+    def test_chunks_hold_the_table_bound(self, monkeypatch):
+        # each chunk's curves, padded to its largest n, fit _CURVE_CELLS
+        # values, or it is one curve; chunking moves no byte
+        chunks = []
+        table = channel._ack_table
+        monkeypatch.setattr(channel, "_ack_table",
+                            lambda eps, chunk: chunks.append(list(chunk)) or table(eps, chunk))
+        monkeypatch.setattr(channel, "_CURVE_CELLS", 200)
+        got = list(channel.ack_curves(0.5, _BATCH))
+        assert [p for chunk in chunks for p in chunk] == _BATCH
+        assert len(chunks) > 1
+        for chunk in chunks:
+            assert len(chunk) == 1 or len(chunk) * (max(n for _, n in chunk) + 1) <= 200
+        for (k, n), curve in zip(_BATCH, got):
+            assert curve.tobytes() == ack_curve_loop(CodeParams(k, n, 0.5)).tobytes(), (k, n)
+
+    def test_reads_points_as_it_needs_them(self):
+        # a stream over many rows computes only the chunks read so far
+        read = []
+
+        def points():
+            for n in range(20, 400):
+                read.append(n)
+                yield 8, n
+
+        stream = channel.ack_curves(0.5, points())
+        assert read == []
+        next(stream)
+        assert 0 < len(read) < 380
+
+    def test_rejects_a_bad_eps(self):
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            next(channel.ack_curves(1.0, [(4, 8)]))
+
+    @pytest.mark.skipif(_openblas_kernel_unforceable() is not None,
+                        reason=str(_openblas_kernel_unforceable()))
+    def test_batch_matches_loop_under_the_haswell_kernel(self):
+        # OpenBLAS picks its Haswell ddot on an AVX2-only CPU, and the kernel
+        # chooses the summation order; the batched matmul runs np.dot's own
+        # ddot, so it must still match the per-t dot of the loop there
+        here = os.path.dirname(__file__)
+        src = os.path.dirname(os.path.dirname(channel.__file__))
+        code = (
+            "import sys; from harqsdo import channel; from harqsdo.codes import CodeParams\n"
+            "from oracles import ack_curve_loop\n"
+            f"points = {_BATCH!r}\n"
+            "for eps in (0.3, 0.5, 0.69, 0.999):\n"
+            "    for (k, n), c in zip(points, channel.ack_curves(eps, points)):\n"
+            "        want = ack_curve_loop(CodeParams(k, n, eps))\n"
+            "        print(k, n, eps, c.tobytes() == want.tobytes())\n"
+        )
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, here, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=300, check=True)
+        lines = run.stdout.splitlines()
+        assert len(lines) == 4 * len(_BATCH)
+        assert [line for line in lines if not line.endswith("True")] == []
 
 
 class TestLogFactorialTable:

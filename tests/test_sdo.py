@@ -680,20 +680,35 @@ class TestSolveEach:
 class TestSweepRow:
     """Every (n, m, model) of a k from one optimize_row pass."""
 
-    @pytest.mark.parametrize("argv, points", [
-        ("sweep-n --k 32 --n 66:120:2 --m 1:8 --model all", 28),
-        ("sweep-k --k 24:40:4 --n 88 --m 5 --model all", 5),
-        ("optimize --k 32 --n 88 --m 4 --model all", 1),
-    ], ids=["sweep-n", "sweep-k", "optimize"])
-    def test_each_ack_curve_computed_once_per_cli_call(self, argv, points, capsys):
-        # the SDO row reads each curve once and es runs right after it, while
-        # ack_curve still holds it, so every (k, n, eps) is one cache miss
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """The (k, n, eps) of every ACK curve computed from here on, and the chunks they came in."""
+        points, chunks = [], []
+        table = channel._ack_table
+
+        def counted(eps, chunk):
+            points.extend((k, n, eps) for k, n in chunk)
+            chunks.append(len(chunk))
+            return table(eps, chunk)
+
+        monkeypatch.setattr(channel, "_ack_table", counted)
         ack_curve.cache_clear()
+        return points, chunks
+
+    @pytest.mark.parametrize("argv, points", [
+        ("sweep-n --k 32 --n 66:120:2 --m 1:8 --model all",
+         [(32, n) for n in range(66, 121, 2)]),
+        ("sweep-k --k 24:40:4 --n 88 --m 5 --model all", [(k, 88) for k in range(24, 41, 4)]),
+        ("optimize --k 32 --n 88 --m 4 --model all", [(32, 88)]),
+    ], ids=["sweep-n", "sweep-k", "optimize"])
+    def test_each_ack_curve_computed_once_per_cli_call(self, argv, points, computed, capsys):
+        # the command's curves are computed together, k by k: sweep-k's five
+        # k share one table, and es reads the curve the row is handed
         assert main(argv.split() + ["--eps", "0.47"]) == 0
-        assert ack_curve.cache_info().misses == points
+        assert computed == ([(k, n, 0.47) for k, n in points], [len(points)])
         capsys.readouterr()
 
-    def test_yields_each_n_in_order_with_every_kind(self, monkeypatch):
+    def test_yields_each_n_in_order_with_every_kind(self, monkeypatch, computed):
         cells = [(40, [3, 1]), (24, [2]), (33, [8, 2, 2])]
         got = list(sdo.optimize_row(8, 0.4, cells, ["lognormal", "exhaustive", "normal"]))
         assert [n for n, _ in got] == [40, 24, 33]
@@ -703,30 +718,57 @@ class TestSweepRow:
                 assert by_kind[kind] == _optimize_each(CodeParams(8, n, 0.4), ms, kind)
             assert by_kind["exhaustive"] == exhaustive_search_each(CodeParams(8, n, 0.4), ms)
         # the dynamic program alone reads the ACK curve alone: no model is
-        # built, and each n's curve is still computed once
+        # built, and each n's curve is still computed once, in cell order
         built = []
         post_init = CdfModel.__post_init__
         monkeypatch.setattr(CdfModel, "__post_init__",
                             lambda model: built.append(model) or post_init(model))
-        ack_curve.cache_clear()
+        points, _ = computed
+        points.clear()  # the curves read above
         alone = list(sdo.optimize_row(8, 0.4, cells, ["exhaustive"]))
         assert built == []
-        assert ack_curve.cache_info().misses == len(cells)
+        assert points == [(8, n, 0.4) for n, _ in cells]
         assert alone == [(n, {"exhaustive": by_kind["exhaustive"]}) for n, by_kind in got]
 
-    def test_infeasible_cell_raises_before_any_curve(self):
-        ack_curve.cache_clear()
+    def test_takes_the_curves_it_is_handed(self, computed):
+        # one curve per cell, in order, read from the stream as the row reaches
+        # it: the row and its DP compute none, and the curve after the row's
+        # stays in the stream for the next row
+        cells = [(40, [3, 1]), (24, [2])]
+        stream = channel.ack_curves(0.4, [(8, 40), (8, 24), (9, 30)])
+        got = list(sdo.optimize_row(8, 0.4, cells, ["normal", "exhaustive"], stream))
+        assert computed == ([(8, 40, 0.4), (8, 24, 0.4), (9, 30, 0.4)], [3])
+        assert got == list(sdo.optimize_row(8, 0.4, cells, ["normal", "exhaustive"]))
+        assert next(stream).tobytes() == ack_curve(CodeParams(9, 30, 0.4)).tobytes()
+
+    def test_blocks_padded_only_to_their_own_widest_m(self, monkeypatch):
+        # each scoring block is as wide as the widest m among its own groups:
+        # the 3,968 candidates of m = 2 take 2 slots, not the row's 3,000.
+        # Sizing every block by the row's widest m scored 7,908 x 3,000 cells
+        shapes = []
+        score = sdo.objective
+        monkeypatch.setattr(sdo, "objective",
+                            lambda b, acks: shapes.append(b.shape) or score(b, acks))
+        got = list(sdo.optimize_row(32, 0.5, [(4000, (2, 1000, 3000))], ["normal"]))
+        counts = {2: 3968, 1000: 2970, 3000: 970}  # first boundaries 32..n-m+1
+        assert sum(rows for rows, _ in shapes) == sum(counts.values())
+        assert sum(rows * wide for rows, wide in shapes) == sum(c * m for m, c in counts.items())
+        assert {wide for _, wide in shapes} == set(counts)
+        assert all(rows * wide <= sdo._BLOCK_CELLS for rows, wide in shapes)
+        assert got[0][1]["normal"][2] == optimize(CodeParams(32, 4000, 0.5), 2, "normal")
+
+    def test_infeasible_cell_raises_before_any_curve(self, computed):
         with pytest.raises(ValueError, match=r"got k=8, m=18, n=24$"):
             list(sdo.optimize_row(8, 0.5, [(30, [2]), (24, [18])], ["normal"]))
-        assert ack_curve.cache_info().misses == 0
+        assert computed == ([], [])
 
-    def test_long_sweep_traced_peak(self, capsys):
-        # the ACK rows of a row and its candidate block are each held to
-        # _BLOCK_CELLS, so memory stays flat in the n range.  The solver that
-        # took one (n, model) at a time peaked at 2,916,977 bytes on this
-        # call (Python 3.11.7, numpy 2.4.6, a fresh process with the same
-        # caches cleared); the bound is that plus 10%
-        ack_curve.cache_clear()
+    def test_long_sweep_traced_peak(self, computed, capsys):
+        # the ACK tables of the curves computed together, the ACK rows of a
+        # row and its candidate block are each held to a bound, so memory
+        # stays flat in the n range.  The solver that took one (n, model) at
+        # a time peaked at 2,916,977 bytes on this call (Python 3.11.7, numpy
+        # 2.4.6, a fresh process with the same caches cleared); the bound is
+        # that plus 10%
         channel._log_factorials(400)  # the table a first run would grow
         argv = "sweep-n --k 32 --n 66:400:2 --m 1:8 --model all --eps 0.5".split()
         tracemalloc.start()
@@ -736,7 +778,8 @@ class TestSweepRow:
         finally:
             tracemalloc.stop()
         capsys.readouterr()
-        assert ack_curve.cache_info().misses == 168
+        points, _ = computed
+        assert sorted(points) == [(32, n, 0.5) for n in range(66, 401, 2)]
         assert peak <= 3_208_675
 
 

@@ -10,31 +10,29 @@ decides where the interior boundaries land.  An exact dynamic program over
 
 A sweep row, every (n, m) of one (k, epsilon), is solved in one pass by
 optimize_row, for each SDO model and for the dynamic program, "exhaustive".
-The model depends on (k, epsilon, kind) only, not on n or m, so the row
-builds it once per kind, and _trajectories steps the recursion from each
-first boundary n1 once, without caps, as far as the largest n and its m
-read it; F and F' are evaluated once per boundary.  The schedule's slot i
-is min(b_i, n - (m - i)) and every slot from m on is n, both read from
-_caps's per-(n, m) table of slot floors and ceilings.  The candidates of
-every (model, n, m) are stacked.  Their ACK values come from the curves
-the row is handed, one per n, gathered a chunk of n at a time, and
-channel.objective, the package's one telescoped sum, scores them in
-blocks of at most _BLOCK_CELLS cells, each padded with n only to the
-widest m among its own groups (a padded slot adds +0.0); one segmented
-reduction per block takes each group's first minimum.  Nothing is kept
-between calls; optimize is the row's one-cell case.  The dynamic
-program's recurrence does not depend on m, so _exhaustive fills the
-tails once, as deep as the largest m, and backtracks each m from its
-own.  It reads the curve it is handed: the row hands it each n's curve
-as it reads it, and exhaustive_search_each hands it ack_curve's;
-exhaustive_search is the one-m case.
+m = 1 has one schedule, (n), of objective n, reported for every kind.  The
+model depends on (k, epsilon, kind) only, not on n or m, so the row builds
+it once per kind, and _trajectories steps the recursion from each first
+boundary n1 once, without caps, as far as the largest n and its m read it;
+F and F' are evaluated once per boundary.  The ACK values come from the
+curves the row is handed, one per n, gathered a chunk of n at a time.
+_score_chunk stacks the candidates of one m at a time, over every model
+and n that asks for it: slot i < m is min(b_i, n - (m - i)) and slot m is
+n, so each block channel.objective, the package's one telescoped sum,
+scores is exactly m wide.  A candidate's float does not depend on its
+block, as objective sums every schedule left to right from n_m; one
+segmented reduction per block takes each group's first minimum.  Nothing
+is kept between calls; optimize is the row's one-cell case.  The dynamic
+program's recurrence does not depend on m, so _exhaustive fills the tails
+once, as deep as the largest m, and backtracks each m from its own.  It
+reads the curve the row hands it as it reads it; exhaustive_search_each is
+the row's one-cell case with kind "exhaustive", and exhaustive_search its
+one-m case.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -181,21 +179,6 @@ def _trajectories(models, n: int, ms: tuple[int, ...], lo: int, hi: int) -> np.n
     return b
 
 
-def _caps(ns, ms, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The floor and ceiling of each of width slots of an (n, m) schedule, a row per (n, m).
-
-    Slot i of the (n, m) schedule over an uncapped trajectory b is
-    min(b_i, n - (m - i)) below m, and n from slot m on: a padded slot
-    beyond m adds (n - n) ack[n] = +0.0 to the telescoped sum, so a block
-    of schedules of several m scores each one bit for bit as its unpadded
-    self.  Clipping b to the floor and ceiling rows applies both rules.
-    The boundaries are integers held as floats.
-    """
-    to_m = np.asarray(ms)[:, None] - np.arange(1, width + 1)  # m - i, > 0 below slot m
-    ceiling = np.asarray(ns, dtype=float)[:, None] - np.maximum(to_m, 0)
-    return np.where(to_m > 0, 0.0, ceiling), ceiling
-
-
 # Cells held per block: candidate schedules scored, DP step costs formed,
 # ACK values of a sweep row gathered.  Bounds the solvers' memory.
 _BLOCK_CELLS = 1 << 14
@@ -249,115 +232,102 @@ def optimize_row(k: int, epsilon: float, cells, kinds, curves=None):
     from channel.ack_curve, its cached one-point case.  It yields a chunk
     of cells at a time, so a caller holds only the reports it keeps.
     Every cell is checked before any work, and so before any curve is
-    read.  Each model's trajectories are grown once, as far as the
-    largest n and its m read them.  A chunk is a run of cells whose ACK
-    values at k..n fit one table of at most _BLOCK_CELLS cells (one cell
-    at least); the dynamic program runs on each curve as it is read.
-    A chunk's candidates are stacked model by model, n by n, m ascending:
-    first boundaries k..n-m+1 of the (model, n, m) group, or its one
-    schedule (n) for m = 1.  They are capped from _caps's table and scored
-    by channel.objective in blocks of at most _BLOCK_CELLS cells, each
-    padded with n only to the widest m among its own groups; one segmented
-    reduction per block gives each group's first minimum, and an earlier
-    block keeps a tie, so ties break toward the smaller first boundary.
+    read.  m = 1 has one schedule, (n), of objective n, reported for every
+    kind as its cell is read.  For m > 1, each model's trajectories are
+    grown once, as far as the largest n and its m read them; a row with
+    no m > 1 grows none and builds no model.  A chunk is a run of cells
+    whose ACK values at k..n fit one table of at most _BLOCK_CELLS cells
+    (one cell at least); the dynamic program runs on each curve as it is
+    read, and _score_chunk scores the SDO candidates one m at a time.
     """
     points = [(params, _checked(params, ms))
               for params, ms in ((CodeParams(k, n, epsilon), ms) for n, ms in cells)]
     curves = iter((ack_curve(params) for params, _ in points) if curves is None else curves)
-    width = max(ms[-1] for _, ms in points)
     inner = tuple(sorted({m for _, ms in points for m in ms if m > 1}))
     # the model reads k and epsilon alone, so n = k serves for every n
     models = [CdfModel.for_params(CodeParams(k, k, epsilon), kind)
-              for kind in kinds if kind != "exhaustive"]
+              for kind in kinds if kind != "exhaustive"] if inner else []
     top = max(params.n for params, _ in points)
-    last = top - inner[0] + 1 if inner else k  # m = 1 reads row k
-    rows = _trajectories(models, top, inner, k, last)
+    rows = _trajectories(models, top, inner, k, top - inner[0] + 1) if models else None
     chunk, cells_held = [], 0
     for params, ms in points:
         if chunk and cells_held + params.n - k + 1 > _BLOCK_CELLS:
-            yield from _score_chunk(k, chunk, kinds, models, rows, width, curves)
+            yield from _score_chunk(k, chunk, kinds, models, rows, curves)
             chunk, cells_held = [], 0
         chunk.append((params, ms))
         cells_held += params.n - k + 1
-    yield from _score_chunk(k, chunk, kinds, models, rows, width, curves)
+    yield from _score_chunk(k, chunk, kinds, models, rows, curves)
 
 
-def _score_chunk(k: int, chunk, kinds, models, rows: np.ndarray, width: int, curves) -> list:
+def _score_chunk(k: int, chunk, kinds, models, rows, curves) -> list:
     """optimize_row's (n, {kind: {m: report}}) for each design point of chunk.
 
-    rows is _trajectories's matrix of models from first boundaries k on;
-    curves yields the ACK curve of each design point of chunk, in order.
-    width is at least every m of chunk; each scoring block is only as wide
-    as the widest m among its own groups, so a block of small m is not
-    padded to a wide one.
+    rows is _trajectories's matrix of models from first boundaries k on,
+    or None without an SDO model or an m > 1; curves yields the ACK curve
+    of each design point of chunk, in order.  The candidates of one m at a
+    time are stacked, model by model, n by n: first boundaries k..n-m+1 of
+    each (model, n) group that asks for m.  Slot i < m of a candidate is
+    min(b_i, n - (m - i)) over its trajectory b, and slot m is n, so every
+    block channel.objective scores is exactly m wide, of _BLOCK_CELLS // m
+    rows (one at least).  A candidate's total never depends on the block
+    it lands in: objective sums it left to right from n_m either way.  One
+    segmented reduction per block gives each group's first minimum, and an
+    earlier block keeps a tie, so ties break toward the smaller first
+    boundary.
     """
     solved = [(params.n, {kind: {} for kind in kinds}) for params, _ in chunk]
     acks = np.empty(sum(params.n - k + 1 for params, _ in chunk))
     offsets, start = [], 0  # ack(t) of chunk[i] is acks[offsets[i] + t]
-    for (params, ms), (_, by_kind) in zip(chunk, solved):
+    for (params, ms), (n, by_kind) in zip(chunk, solved):
         curve = next(curves)
-        acks[start : start + params.n - k + 1] = curve[k:]
-        if "exhaustive" in by_kind:
-            by_kind["exhaustive"] = _exhaustive(params, ms, curve)
+        acks[start : start + n - k + 1] = curve[k:]
+        if ms[0] == 1:  # the one schedule (n): objective n, no terms added
+            for kind, reports in by_kind.items():
+                reports[1] = _report(params, Schedule((n,)), kind, None, float(n), float(curve[n]))
+        if "exhaustive" in by_kind and ms[-1] > 1:
+            by_kind["exhaustive"].update(_exhaustive(params, ms[1:] if ms[0] == 1 else ms, curve))
         offsets.append(start - k)
-        start += params.n - k + 1
+        start += n - k + 1
     if not models:
         return solved
-    # one model's (n, m) groups, n by n, m ascending; each model stacks the same
-    groups = [(i, m) for i, (_, ms) in enumerate(chunk) for m in ms]
-    ns = [chunk[i][0].n for i, _ in groups]
-    ms = [m for _, m in groups]
-    counts = [n - m - k + 2 if m > 1 else 1 for n, m in zip(ns, ms)] * len(models)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    # candidate place p of group g is first boundary k + p - starts[g], read from row p + origin[g]
-    origin = np.repeat(np.arange(len(models)) * (len(rows) // len(models)), len(groups)) - starts
-    floor, ceiling = _caps(ns * len(models), ms * len(models), width)
-    group_offsets = np.array([offsets[i] for i, _ in groups] * len(models))
-    total = int(ends[-1])
-    ends_at, group_m = ends.tolist(), np.array(ms * len(models))
-    # each group's least total so far, and the block and row of its schedule
-    least_of, block_of, row_of = [math.inf] * len(counts), [None] * len(counts), [0] * len(counts)
-    lo = 0
-    while lo < total:
-        # the block from lo is as long as its widest m allows: it runs through
-        # group g while (places so far) x (widest m of groups first..g) fits
-        first = bisect.bisect_right(ends_at, lo)
-        reach = bisect.bisect_right(ends_at, min(total, lo + _BLOCK_CELLS) - 1) + 1
-        widest = np.maximum.accumulate(group_m[first:reach])
-        cap = lo + _BLOCK_CELLS // widest
-        short = np.flatnonzero(cap < ends[first:reach])
-        if len(short):  # the block stops in that group, or where it starts
-            hi = max(int(cap[short[0]]), int(starts[first + short[0]]), lo + 1)
-        else:
-            hi = ends_at[reach - 1]
-        last = bisect.bisect_right(ends_at, hi - 1)
-        wide = int(widest[last - first])
-        places = np.arange(lo, hi)
-        g = np.searchsorted(ends, places, side="right")
-        b = np.full((hi - lo, wide), np.inf)
-        read = min(wide, rows.shape[1])
-        b[:, :read] = rows[places + origin[g], :read]
-        np.maximum(b, floor[g, :wide], out=b)
-        np.minimum(b, ceiling[g, :wide], out=b)
-        index = b[:, :-1].astype(np.intp)
-        index += group_offsets[g][:, None]
-        totals = objective(b, acks[index])
-        seams = np.maximum(starts[first : last + 1] - lo, 0)
-        least = np.minimum.reduceat(totals, seams)
-        hits = np.flatnonzero(totals == least[g - first])
-        # each group's first minimum, its schedule read when the group's report is made
-        chosen = b[hits[np.searchsorted(hits, seams)]].astype(np.intp)
-        for j, value in enumerate(least.tolist(), first):
-            if value < least_of[j]:  # an earlier block keeps a tie
-                least_of[j], block_of[j], row_of[j] = value, chosen, j - first
-        lo = hi
-    for j, (model, (i, m)) in enumerate(itertools.product(models, groups)):
-        params = chunk[i][0]
-        n = params.n
-        solved[i][1][model.kind][m] = _report(
-            params, Schedule(block_of[j][row_of[j], :m].tolist()), model.kind,
-            (k, n - m + 1) if m > 1 else None, least_of[j], float(acks[offsets[i] + n]))
+    per_model = len(rows) // len(models)
+    for m in sorted({m for _, ms in chunk for m in ms if m > 1}):
+        groups = [(j, i) for j in range(len(models))
+                  for i, (_, ms) in enumerate(chunk) if m in ms]
+        ns = np.array([chunk[i][0].n for _, i in groups])
+        counts = ns - (k + m - 2)
+        starts = np.cumsum(counts) - counts
+        group_of = np.repeat(np.arange(len(groups)), counts)
+        # candidate p of group g has first boundary k + p - starts[g], read from row p + origin[g]
+        origin = np.array([j * per_model for j, _ in groups]) - starts
+        shift = np.array([offsets[i] for _, i in groups])
+        to_m = m - np.arange(1, m + 1)  # m - i for slots 1..m
+        read = min(m - 1, rows.shape[1])
+        # each group's least total so far, and its schedule
+        least_of, best_of = [math.inf] * len(groups), [None] * len(groups)
+        per_block = max(1, _BLOCK_CELLS // m)
+        for lo in range(0, len(group_of), per_block):
+            g = group_of[lo : lo + per_block]
+            b = np.full((len(g), m), np.inf)
+            b[:, :read] = rows[np.arange(lo, lo + len(g)) + origin[g], :read]
+            np.minimum(b, ns[g][:, None] - to_m, out=b)  # slot m, +inf until here, is n
+            index = b[:, :-1].astype(np.intp)
+            index += shift[g][:, None]
+            totals = objective(b, acks[index])
+            first = int(g[0])
+            seams = np.maximum(starts[first : g[-1] + 1] - lo, 0)
+            least = np.minimum.reduceat(totals, seams)
+            hits = np.flatnonzero(totals == least[g - first])
+            chosen = b[hits[np.searchsorted(hits, seams)]].astype(np.intp)
+            for j, value in enumerate(least.tolist(), first):
+                if value < least_of[j]:  # an earlier block keeps a tie
+                    least_of[j], best_of[j] = value, chosen[j - first]
+        for (j, i), value, best in zip(groups, least_of, best_of):
+            params = chunk[i][0]
+            n = params.n
+            solved[i][1][models[j].kind][m] = _report(
+                params, Schedule(best.tolist()), models[j].kind, (k, n - m + 1), value,
+                float(acks[offsets[i] + n]))
     return solved
 
 
@@ -383,29 +353,21 @@ def exhaustive_search_each(params: CodeParams, ms) -> dict[int, OptimizerReport]
     """exhaustive_search's report for every m in ms, keyed by m, from one backward pass.
 
     The pass fills the tails of the largest m; every smaller m backtracks
-    from its own tail, as the recurrence does not depend on m.
+    from its own tail, as the recurrence does not depend on m.  This is
+    optimize_row's one-cell case with kind "exhaustive".
     """
-    return _exhaustive(params, _checked(params, ms), ack_curve(params))
+    [(_, by_kind)] = optimize_row(params.k, params.epsilon, [(params.n, ms)], ("exhaustive",))
+    return by_kind["exhaustive"]
 
 
 def _exhaustive(params: CodeParams, ms: tuple[int, ...],
                 curve: np.ndarray) -> dict[int, OptimizerReport]:
-    """exhaustive_search_each's reports for the checked ms, from the design point's ACK curve."""
+    """exhaustive_search_each's reports for the checked ms, each at least 2, from the ACK curve."""
     n = params.n
-
-    def report(schedule: Schedule, n1_searched: tuple[int, int] | None) -> OptimizerReport:
-        b = schedule.boundaries  # scored as expected_round_symbols scores it
-        return _report(params, schedule, "exhaustive", n1_searched,
-                       objective(b, curve[list(b)]), float(curve[n]))
-
-    reports = {1: report(Schedule((n,)), None)} if ms[0] == 1 else {}
-    split = ms[1:] if ms[0] == 1 else ms
-    if not split:
-        return reports
     x = np.arange(params.k, n)
     c = curve[params.k : n]
     # tails[j][a]: least sum of the last j + 1 terms, the first of them at boundary x[a]
-    tails = np.empty((split[-1] - 1, len(x)))
+    tails = np.empty((ms[-1] - 1, len(x)))
     tails[0] = (x - n) * c
     if len(tails) > 1:
         per_block = max(1, _BLOCK_CELLS // len(x))
@@ -415,14 +377,16 @@ def _exhaustive(params: CodeParams, ms: tuple[int, ...],
             step = _steps(x, c, start, stop)
             for j in range(len(tails) - 1):
                 tails[j + 1, start:stop] = (step + tails[j, start:]).min(axis=1)
-    for m in split:
+    reports = {}
+    for m in ms:
         picks = [int(np.argmin(tails[m - 2]))]
         for tail in tails[: m - 2][::-1]:  # not tails[m - 3::-1], all of tails at m = 2
             # _steps's row for the last pick, less its +inf: the next boundary lies past it
             a = picks[-1] + 1
             picks.append(a + int(np.argmin((x[a - 1] - x[a:]) * c[a - 1] + tail[a:])))
-        reports[m] = report(Schedule(tuple(int(x[a]) for a in picks) + (n,)),
-                            (params.k, n - m + 1))
+        b = tuple(int(x[a]) for a in picks) + (n,)  # scored as expected_round_symbols scores it
+        reports[m] = _report(params, Schedule(b), "exhaustive", (params.k, n - m + 1),
+                             objective(b, curve[list(b)]), float(curve[n]))
     return reports
 
 

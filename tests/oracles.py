@@ -6,8 +6,9 @@ quadrature for the Gaussian tail, the channel laws term by term, and the
 SDO recursion one explicit step at a time.  None of it shares code with the
 package, except ack_curve_loop, which reads the package's success curve so
 that it can pin the ACK curve's arithmetic bit for bit, and
-schedule_from_model, which is no oracle but the package's own SDO route
-for one first boundary, the one the tests hold against sdo_recursion.
+schedule_from_model, which is no oracle but the package's own uncapped SDO
+trajectory for one first boundary, capped here by its own rule, the one
+the tests hold against sdo_recursion.
 """
 
 from __future__ import annotations
@@ -281,18 +282,16 @@ def schedule_from_model(model, n: int, m: int, n1: int) -> tuple[int, ...]:
     """The m boundaries the package grows from a first boundary n1 <= n - m + 1.
 
     model is any F with cdf_pdf.  The package grows the trajectory b from
-    n1 without caps and clips it to the floor and ceiling rows of
-    sdo._caps, the cap rule of every schedule optimize scores: n_i =
-    min(b_i, n - (m - i)), n_m = n.  That is sdo_recursion's clamp: the
-    room below a cap is an integer, so the increment reaches it exactly
-    when the uncapped boundary reaches the cap, and every later boundary
-    takes its cap, as each step is at least 1.
+    n1 without caps; this applies the cap rule of every schedule optimize
+    scores, on its own: n_i = min(b_i, n - (m - i)) for i < m, and n_m = n,
+    with every slot past the row's end (+inf there) at its cap.  That is
+    sdo_recursion's clamp: the room below a cap is an integer, so the
+    increment reaches it exactly when the uncapped boundary reaches the
+    cap, and every later boundary takes its cap, as each step is at least 1.
     """
-    grown = sdo._trajectories([model], n, (m,), n1, n1)
-    row = np.full((1, m), np.inf)
-    row[:, : grown.shape[1]] = grown
-    floor, ceiling = sdo._caps([n], [m], m)
-    return tuple(int(x) for x in np.clip(row, floor, ceiling)[0])
+    grown = sdo._trajectories([model], n, (m,), n1, n1)[0].tolist()
+    grown += [math.inf] * (m - 1 - len(grown))
+    return tuple(int(min(grown[i - 1], n - (m - i))) for i in range(1, m)) + (n,)
 
 
 def sdo_optimize(cdf, pdf, curve, k: int, n: int, m: int) -> tuple[tuple[int, ...], float]:

@@ -609,20 +609,21 @@ class TestSolveEach:
                     _oracle_optimize(kind, k, eps, n, 2)[0])
 
     @pytest.mark.parametrize("kind", ["normal", "lognormal"])
-    def test_padded_totals_equal_the_loop(self, monkeypatch, kind):
-        # every candidate of m = 2..8, padded with n to 8 slots, scores as
-        # the unpadded schedule does
+    def test_unpadded_totals_equal_the_loop(self, monkeypatch, kind):
+        # the candidates of each m = 2..8 are scored in one call of their
+        # own, exactly m wide, and score as the loop does
         scored = []
         score = sdo.objective
-        monkeypatch.setattr(sdo, "objective", lambda *a: scored.append(score(*a)) or scored[-1])
+        monkeypatch.setattr(sdo, "objective", lambda b, acks: (
+            scored.append((b.shape, score(b, acks))) or scored[-1][1]))
         p = CodeParams(32, 88, 0.5)
         _optimize_each(p, range(2, 9), kind)
         model, curve = CdfModel.for_params(p, kind), ack_curve(p)
         want = [objective_loop(b, [curve[x] for x in b[:-1]])
                 for m in range(2, 9) for b in (sdo_recursion(model.cdf, model.pdf, 88, m, n1)
                                                for n1 in range(32, 88 - m + 2))]
-        assert len(scored) == 1
-        assert scored[0].tolist() == want
+        assert [shape for shape, _ in scored] == [(88 - m - 30, m) for m in range(2, 9)]
+        assert np.concatenate([totals for _, totals in scored]).tolist() == want
 
     def test_infeasible_m_raises_before_any_solve(self):
         for solve in (lambda p, ms: _optimize_each(p, ms, "normal"), exhaustive_search_each):
@@ -639,15 +640,20 @@ class TestSolveEach:
             assert rows[0].startswith("8,24,3,0.5,")
 
     def test_one_scoring_call_per_n_and_model(self, monkeypatch, capsys):
-        # the sweep row stacks all 22,792 candidates of its 28 n, 8 m and 2
-        # models and scores them in blocks of 2,048: 12 objective calls.
-        # One call per (n, model) took 56, and one per (n, m, model) 392
-        calls = []
+        # the sweep row stacks the candidates of one m at a time, over its 28
+        # n and 2 models, and scores them in blocks of _BLOCK_CELLS // m
+        # rows, each exactly m wide: 10 objective calls over 112,112 cells,
+        # and m = 1 needs none.  Padding every block to its widest m took
+        # 12 calls over 182,336 cells; one call per (n, model) took 56, and
+        # one per (n, m, model) 392
+        shapes = []
         score = sdo.objective
-        monkeypatch.setattr(sdo, "objective", lambda *a: calls.append(1) or score(*a))
+        monkeypatch.setattr(sdo, "objective",
+                            lambda b, acks: shapes.append(b.shape) or score(b, acks))
         argv = "sweep-n --k 32 --n 66:120:2 --m 1:8 --model all --eps 0.47".split()
         assert main(argv) == 0
-        assert len(calls) <= 12
+        assert len(shapes) <= 10
+        assert sum(rows * wide for rows, wide in shapes) == 112_112
         capsys.readouterr()
 
     def test_one_backward_pass_per_design_point(self, monkeypatch, capsys):
@@ -741,9 +747,9 @@ class TestSweepRow:
         assert got == list(sdo.optimize_row(8, 0.4, cells, ["normal", "exhaustive"]))
         assert next(stream).tobytes() == ack_curve(CodeParams(9, 30, 0.4)).tobytes()
 
-    def test_blocks_padded_only_to_their_own_widest_m(self, monkeypatch):
-        # each scoring block is as wide as the widest m among its own groups:
-        # the 3,968 candidates of m = 2 take 2 slots, not the row's 3,000.
+    def test_every_block_is_exactly_its_m_wide(self, monkeypatch):
+        # each scoring block holds the candidates of one m, m slots wide: the
+        # 3,968 candidates of m = 2 take 2 slots, not the row's 3,000.
         # Sizing every block by the row's widest m scored 7,908 x 3,000 cells
         shapes = []
         score = sdo.objective
@@ -756,6 +762,37 @@ class TestSweepRow:
         assert {wide for _, wide in shapes} == set(counts)
         assert all(rows * wide <= sdo._BLOCK_CELLS for rows, wide in shapes)
         assert got[0][1]["normal"][2] == optimize(CodeParams(32, 4000, 0.5), 2, "normal")
+
+    @pytest.mark.parametrize("block_cells", [7, 50])
+    def test_sparse_wide_m_match_oracles(self, monkeypatch, block_cells):
+        # m far apart, given twice and out of order, at block sizes no m
+        # divides: at 7 cells a block of m = 40 or 90 holds one row, and at
+        # 50 the three small n share a chunk and their groups of m = 2 share
+        # blocks
+        monkeypatch.setattr(sdo, "_BLOCK_CELLS", block_cells)
+        k, eps, kinds = 8, 0.4, ["normal", "exhaustive", "lognormal"]
+        ms = [40, 90, 1, 2, 40, 1, 90]
+        cells = [(n, [m for m in ms if k + m - 1 <= n]) for n in (100, 9, 20, 30, 130, 50)]
+        got = list(sdo.optimize_row(k, eps, cells, kinds))
+        assert [n for n, _ in got] == [n for n, _ in cells]
+        for (n, cell_ms), (_, by_kind) in zip(cells, got):
+            p = CodeParams(k, n, eps)
+            curve = ack_curve(p)
+            for kind in kinds:
+                assert sorted(by_kind[kind]) == sorted(set(cell_ms)), (kind, n)
+                for m, rep in by_kind[kind].items():
+                    if m == 1:
+                        want = (n,), float(n)
+                    elif kind == "exhaustive":
+                        b = dp_best_interior(curve, k, n, m) + (n,)
+                        want = b, expected_round_symbols(p, Schedule(b))
+                    else:
+                        model = CdfModel.for_params(p, kind)
+                        want = sdo_optimize(model.cdf, model.pdf, curve, k, n, m)
+                    assert (rep.schedule.boundaries, rep.objective) == want, (kind, n, m)
+                    assert rep.throughput == k * curve[n] / rep.objective, (kind, n, m)
+                    assert rep.n1_searched == (None if m == 1 else (k, n - m + 1))
+                    assert rep.model_used == kind
 
     def test_infeasible_cell_raises_before_any_curve(self, computed):
         with pytest.raises(ValueError, match=r"got k=8, m=18, n=24$"):

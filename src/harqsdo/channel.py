@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +47,15 @@ class Schedule:
     boundaries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        b = tuple(_integral("boundary", x) for x in self.boundaries)
+        b = tuple(self.boundaries)
+        if not set(map(type, b)) <= {int}:  # the solvers' plain ints skip the per-value check
+            b = tuple(_integral("boundary", x) for x in b)
         object.__setattr__(self, "boundaries", b)
         if not b:
             raise ValueError("schedule needs at least one boundary")
         if b[0] < 1:
             raise ValueError(f"first boundary must be >= 1, got {b[0]}")
-        if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
+        if not all(map(operator.lt, b, b[1:])):
             raise ValueError(f"boundaries must be strictly increasing, got {b}")
 
     @property

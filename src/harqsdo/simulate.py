@@ -27,7 +27,10 @@ are needed for d = n - k parity checks.  It row-reduces the d
 checks over the inserted columns, one column at a time for a whole block of
 trials in numpy.  The block is bit-sliced across trials: one 64-bit word
 holds one matrix entry of 64 trials, so every step is a bitwise operation
-on whole words whatever d is.  The pivot for column c is the first row
+on whole words whatever d is.  Each draw chunk enters the block through one
+gather of its trials' inserted columns; a multiply by 2 ** (t % 8) puts
+trial t's 0/1 entries at bit t % 8, and one OR over each run of 8 trials
+makes the bytes.  The pivot for column c is the first row
 that has bit c; XOR-ing it into every row with bit c also clears the pivot
 row itself, so a used row drops out without a mask of free rows.
 
@@ -109,23 +112,29 @@ def _insertion_columns(bits: np.ndarray, erased: np.ndarray, out: np.ndarray) ->
     columns ascending, then the received ones from right to left; only the
     first s = out.shape[0] can matter.  out is (s, d, >= ceil(T / 8)) uint8
     and takes the columns bit-sliced across trials: bit t % 8 of
-    out[c, r, t // 8] is entry r of trial t's c-th inserted column.  Returns
-    when, (T, s): when[t, c] is trial t's decode time if its c-th inserted
-    column is the first dependent one, n + 1 for an erased column and the
-    column's index + 1 otherwise.
+    out[c, r, t // 8] is entry r of trial t's c-th inserted column; its bytes
+    past ceil(T / 8) are left as they are.  One gather takes the s columns of
+    every trial, (T, s, d); a multiply by 2 ** (t % 8) moves trial t's 0/1
+    entries to bit t % 8, and one OR over each run of 8 trials, the last
+    zero-padded, makes the bytes.  Returns when, (T, s): when[t, c] is trial
+    t's decode time if its c-th inserted column is the first dependent one,
+    n + 1 for an erased column and the column's index + 1 otherwise.
     """
     t, d, n = bits.shape
+    s = out.shape[0]
     j = np.arange(n)
-    order = np.argsort(np.where(erased, j, 2 * n - j), axis=1)[:, : out.shape[0]]
-    by_column = bits.transpose(0, 2, 1)
-    lanes = np.zeros((-(-t // 8), out.shape[0], d), dtype=np.uint8)
-    for k in range(min(t, 8)):  # trials k, k + 8, ... fill bit k of their bytes
-        trials = np.arange(k, t, 8)
-        part = by_column[trials[:, None], order[trials]]
-        part <<= k
-        lanes[: len(trials)] |= part
+    order = np.argsort(np.where(erased, j, 2 * n - j), axis=1)[:, :s]
+    trials = np.arange(t)[:, None]
+    part = bits[trials, :, order]
+    # a multiply, not np.left_shift: numpy's uint8 shift by an array of counts
+    # checks each count against the width and took 3.7 times as long here
+    # (18 against 66 us per 64-trial chunk at k = 32, n = 88, numpy 2.4)
+    np.multiply(part, (2 ** (trials % 8)).astype(np.uint8)[:, :, None], out=part)
+    if t % 8:
+        part = np.concatenate([part, np.zeros((-t % 8, s, d), dtype=np.uint8)])
+    lanes = np.bitwise_or.reduce(part.reshape(len(part) // 8, 8, s, d), axis=1)
     out[:, :, : len(lanes)] = lanes.transpose(1, 2, 0)
-    is_erased = np.arange(out.shape[0]) < erased.sum(axis=1, keepdims=True)  # erased go first
+    is_erased = np.arange(s) < erased.sum(axis=1, keepdims=True)  # erased go first
     return np.where(is_erased, n + 1, order + 1)
 
 

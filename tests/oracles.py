@@ -379,6 +379,30 @@ def _column_ints(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(col.tobytes(), "little") for col in packed]
 
 
+def insertion_columns_loop(bits: np.ndarray, erased: np.ndarray,
+                           s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(packed, when) of simulate._insertion_columns, one trial and one bit at a time.
+
+    Trial t inserts its erased columns ascending, then its received ones from
+    right to left, and keeps the first s.  packed is (s, d, ceil(T / 8))
+    uint8, with bit t % 8 of packed[c, r, t // 8] set iff entry r of trial
+    t's c-th inserted column is 1; when[t, c] is n + 1 for an erased column
+    and the column's index + 1 for a received one.
+    """
+    trials, d, n = bits.shape
+    packed = np.zeros((s, d, -(-trials // 8)), dtype=np.uint8)
+    when = np.zeros((trials, s), dtype=np.int64)
+    for t in range(trials):
+        order = ([j for j in range(n) if erased[t, j]]
+                 + [j for j in reversed(range(n)) if not erased[t, j]])
+        for c, j in enumerate(order[:s]):
+            when[t, c] = n + 1 if erased[t, j] else j + 1
+            for r in range(d):
+                if bits[t, r, j]:
+                    packed[c, r, t // 8] |= 1 << (t % 8)
+    return packed, when
+
+
 def play_round(d: int, n: int, boundaries, cols, erased):
     """(stop block, symbols sent, success, erasures per block) of one round.
 

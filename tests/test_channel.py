@@ -69,6 +69,21 @@ class TestSchedule:
         assert s.boundaries == (3, 9)
         assert all(type(b) is int for b in s.boundaries)
 
+    @pytest.mark.parametrize("boundaries, match", [
+        ((True, 3), "boundary must be an integer, got True"),
+        ((3, True), "boundary must be an integer, got True"),
+        ((3, 8.5), "boundary must be an integer, got 8.5"),
+        ((), "schedule needs at least one boundary"),
+        ((0, 3), "first boundary must be >= 1, got 0"),
+        ((3, 5, 5), r"boundaries must be strictly increasing, got \(3, 5, 5\)"),
+        ((3.0, 2), r"boundaries must be strictly increasing, got \(3, 2\)"),
+    ])
+    def test_each_rejection_has_its_message(self, boundaries, match):
+        # a plain-int tuple skips the per-value check; one other type sends
+        # every value through it
+        with pytest.raises(ValueError, match=match):
+            Schedule(boundaries)
+
 
 class TestObservedPmf:
     def test_lossless(self):

@@ -1,6 +1,9 @@
 """Tests for the GF(2) kernel and the seeded protocol simulator."""
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import itertools
 import math
 import tracemalloc
@@ -27,16 +30,27 @@ from harqsdo import (
 )
 
 import harqsdo.simulate as simulate_module
+from harqsdo.cli import main
 from harqsdo.simulate import (
     _BLOCK,
     _DRAW,
     _draw,
     _first_dependent,
+    _insertion_columns,
     _span_times,
     _stream,
 )
 
-from oracles import dense_rank_mod2, philox_trial, reference_rounds
+from oracles import dense_rank_mod2, insertion_columns_loop, philox_trial, reference_rounds
+
+# stdout sha256 of simulate at the benchmark's design point and trial count
+FULL_SIZE_DIGESTS = {
+    "simulate --k 32 --n 88 --m 4 --eps 0.5 --trials 3000 --seed 11 --model all":
+        "0ecf2f24d83021414ff5f33b325a9303968a45f8fac5389e1e0cd908393115e3",
+    "simulate --k 32 --n 88 --m 4 --eps 0.5 --trials 3000 --seed 11 --model all"
+    " --matrix-reuse 3":
+        "4c1d81b5892585cffd46c4617d4a2631c363e0c5b36572e0557301227872c044",
+}
 
 
 def _lanes(mats) -> np.ndarray:
@@ -382,6 +396,28 @@ class TestDecodeTimeKernel:
             got = np.concatenate(list(_span_times(p, 11, 300, matrix_reuse)))
             assert got.tolist() == want.tolist()
 
+    @pytest.mark.parametrize("erasures", ["all", "none", "random"])
+    @pytest.mark.parametrize("d", [0, 1, 8, 56, 65])
+    @pytest.mark.parametrize("trials", [1, 7, 8, 9, 64])
+    def test_insertion_columns_match_loop(self, trials, d, erasures):
+        # n = d + 5 is under 8 for d <= 1; bits is a strided view like _draw's,
+        # and out starts mid-word as _span_times's slices of a lane word can
+        n, s = d + 5, d + 1
+        rng = np.random.default_rng(100 * trials + d)
+        bits = rng.integers(0, 2, size=(trials, d * n + 3), dtype=np.uint8)[:, : d * n]
+        bits = bits.reshape(trials, d, n)
+        erased = {"all": np.ones((trials, n), dtype=bool),
+                  "none": np.zeros((trials, n), dtype=bool),
+                  "random": rng.random((trials, n)) < 0.5}[erasures]
+        packed, want_when = insertion_columns_loop(bits, erased, s)
+        words = np.full((s, 2, d, 8), 0xA5, dtype=np.uint8)
+        start = min(3, 8 - packed.shape[2])
+        when = _insertion_columns(bits, erased, words[:, 0, :, start:])
+        assert when.tolist() == want_when.tolist()
+        assert np.array_equal(words[:, 0, :, start : start + packed.shape[2]], packed)
+        words[:, 0, :, start : start + packed.shape[2]] = 0xA5
+        assert (words == 0xA5).all()  # no byte outside the trials' own was written
+
     @pytest.mark.parametrize("d, s, want", [(5, 6, 0), (1, 1, 0), (0, 1, 0)])
     def test_all_zero_columns_depend_at_once(self, d, s, want):
         first = _first_dependent(_lanes(np.zeros((3, d, s))))
@@ -470,6 +506,15 @@ class TestDecodeTimeKernel:
         finally:
             tracemalloc.stop()
         assert peak < 3_000_000
+
+
+@pytest.mark.parametrize("argv", sorted(FULL_SIZE_DIGESTS))
+def test_full_size_simulate_output_is_pinned(argv, monkeypatch):
+    monkeypatch.delenv("HARQ_SDO_OUT", raising=False)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv.split()) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == FULL_SIZE_DIGESTS[argv]
 
 
 class TestRunArguments:

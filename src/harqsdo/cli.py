@@ -323,12 +323,10 @@ def _validation_checks() -> list[dict]:
     add("overhead_variance_identity", ident, 1e-10)
 
     # exact enumeration of Eq.-style success fractions at n <= 5: each
-    # (d, c) matrix is one bit-sliced lane of the decode kernel, entry (r, j)
-    # of lane L being bit j d + r of L.  Bit b < 6 of L is bit b of L's place
-    # in its 64-lane word, a fixed pattern; bit b >= 6 fills whole words.
+    # (d, c) matrix is one trial lane of the decode kernel, column j of lane
+    # L being bits j d..j d + d - 1 of L; 2**20 lanes at most, taken in chunks
     from fractions import Fraction
 
-    patterns = [sum(1 << lane for lane in range(64) if lane >> b & 1) for b in range(6)]
     worst = Fraction(0)
     for nn in range(1, 6):
         for kk in range(1, nn + 1):
@@ -336,13 +334,13 @@ def _validation_checks() -> list[dict]:
             for rr in range(0, nn + 1):
                 cc = nn - rr
                 count = 2 ** (dd * cc)
-                group = np.arange(-(-count // 64), dtype="<u8")
-                cols = np.empty((cc, len(group), dd), dtype="<u8")
-                for b in range(dd * cc):
-                    j, r = divmod(b, dd)
-                    cols[j, :, r] = (patterns[b] if b < 6 else
-                                     np.where(group >> (b - 6) & 1, ~np.uint64(0), 0))
-                total = int(np.count_nonzero(_first_dependent(cols)[:count] == cc))
+                shifts = np.arange(cc, dtype=np.uint64)[:, None] * np.uint64(dd)
+                mask = np.uint64(2 ** dd - 1)
+                total = 0
+                for lo in range(0, count, 1 << 14):
+                    lanes = np.arange(lo, min(lo + (1 << 14), count), dtype=np.uint64)
+                    cols = (lanes >> shifts & mask)[None]
+                    total += int(np.count_nonzero(_first_dependent(cols) == cc))
                 frac = Fraction(total, count)
                 diff = abs(Fraction(decode_success_prob(kk, nn, rr)) - frac)
                 worst = max(worst, diff)

@@ -23,16 +23,34 @@ The kernel finds L by inserting each trial's columns in a fixed order, the
 erased ones first and then the received ones from right to left: the first
 insertion that depends on the earlier ones gives L, n + 1 for an erased
 column and its index + 1 for a received one, and at most d + 1 insertions
-are needed for d = n - k parity checks.  It row-reduces the d
-checks over the inserted columns, one column at a time for a whole block of
-trials in numpy.  The block is bit-sliced across trials: one 64-bit word
-holds one matrix entry of 64 trials, so every step is a bitwise operation
-on whole words whatever d is.  Each draw chunk enters the block through one
-gather of its trials' inserted columns; a multiply by 2 ** (t % 8) puts
-trial t's 0/1 entries at bit t % 8, and one OR over each run of 8 trials
-makes the bytes.  The pivot for column c is the first row
-that has bit c; XOR-ing it into every row with bit c also clears the pivot
-row itself, so a used row drops out without a mask of free rows.
+are needed for d = n - k parity checks.
+
+Columns are row-packed.  A trial's column is W = max(1, ceil(d / 64)) uint64
+words, word p holding rows 64 p..64 p + 63, and a block of 512 trials is one
+(W, d + 1, 512) array.  The elimination takes the columns in turn; with b the
+current column, every later column x becomes min(x, x ^ b), which adds b to
+exactly the columns that have b's top bit and clears that bit in them.  It
+is exact: adding an earlier column to a later one keeps the span of every
+prefix, and no later step brings the bit back, so the nonzero reduced
+columns have distinct top bits and a reduced column is zero exactly when it
+depends on the columns before it.  For one word that is one XOR and one
+minimum over all later columns of the block, two array passes where the
+bit-sliced kernel this replaced took four.  Past 64 rows the words take
+turns: a phase pivots only on the columns still zero in every word done so
+far, carries each column sum it makes into the words still to come, and
+ends once every trial's pivots cover the rows the word uses; the last word,
+with the d mod 64 leftover rows, goes first and ends after a few columns.
+
+A draw chunk is packed from the raw words without a byte per entry.  An
+entry is the top bit of a byte, so one mask keeps the 8 entries of a word,
+which are 8 adjacent columns of one row; three shift-and-OR steps fold 8
+rows' words into bytes of 8 rows per column, a byte copy stacks 8 such bytes
+into each column word, and one take per word applies each trial's
+insertion order.  A decode time is a property of the columns alone, so
+neither the pivoting nor the block and chunk sizes move any output byte.
+Per 512-trial block, the elimination took 0.79 ms at d = 56 against the
+bit-sliced kernel's 2.21 ms, 4.7 against 6.4 ms at d = 88 and 14.3 against
+20.7 ms at d = 130 (2-core Xeon VM, numpy 2.4.6).
 
 Trial i reads its own counter-based stream, trial_rng(seed, i), so its
 draws depend on (seed, i) alone and trial i is the same round in every
@@ -68,14 +86,16 @@ __all__ = [
 
 GENERATOR_NAME = "philox4x64(key=seed, counter=[0, 0, trial, 0])"
 
-# Trials decoded together: each numpy step of the kernel serves this many, 64
-# to a word, so its fixed cost is shared by more trials as the block grows;
-# at k = 32, n = 88 a block holds two 200 kB arrays.
+# Trials decoded together: each numpy step of the elimination serves all of
+# them, so its fixed cost is shared by more trials as the block grows; at
+# k = 32, n = 88 a block's columns take 233 kB.
 _BLOCK = 512
-# Trials drawn together, a multiple of 8 that divides 64 so each chunk fills
-# whole bytes of a lane word.  The draw takes one byte per matrix entry, about
-# 360 kB per chunk at k = 32, n = 88.
-_DRAW = 64
+# Raw words drawn and packed together, 256 kB: 46 trials at k = 32, n = 88,
+# and at least one trial at any size, so a chunk's draw and its packing
+# buffers stay small beside the block whatever d n is.
+_DRAW_WORDS = 1 << 15
+
+_TOP_BITS = np.uint64(0x8080808080808080)  # bit 7 of each byte: one matrix entry
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -105,83 +125,134 @@ def _stream(seed: int):
     return words
 
 
-def _insertion_columns(bits: np.ndarray, erased: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write each trial's parity checks over its inserted columns into out.
+def _column_packer(d: int, n: int, chunk: int):
+    """pack(code, erased, out): the first s inserted columns of up to chunk trials.
 
-    bits is (T, d, n) 0/1 and erased is (T, n) bool.  The order is the erased
-    columns ascending, then the received ones from right to left; only the
-    first s = out.shape[0] can matter.  out is (s, d, >= ceil(T / 8)) uint8
-    and takes the columns bit-sliced across trials: bit t % 8 of
-    out[c, r, t // 8] is entry r of trial t's c-th inserted column; its bytes
-    past ceil(T / 8) are left as they are.  One gather takes the s columns of
-    every trial, (T, s, d); a multiply by 2 ** (t % 8) moves trial t's 0/1
-    entries to bit t % 8, and one OR over each run of 8 trials, the last
-    zero-padded, makes the bytes.  Returns when, (T, s): when[t, c] is trial
-    t's decode time if its c-th inserted column is the first dependent one,
-    n + 1 for an erased column and the column's index + 1 otherwise.
+    code is _draw's C-contiguous (T, >= ceil(d n / 8) + 1) raw words and
+    erased is (T, n) bool.  A trial inserts its erased columns ascending, then
+    its received ones from right to left; out is (W, s, T) uint64, W =
+    max(1, ceil(d / 64)), and takes them row-packed: bit b of out[p, c, t] is
+    entry 64 p + b of trial t's c-th inserted column.  Returns order, (T, s):
+    order[t, c] is the index of trial t's c-th inserted column.
+
+    Entry (r, j) is the top bit of byte r n + j of the trial's words, so the
+    word that starts at byte r n + 8 i holds columns 8 i..8 i + 7 of row r
+    (a row's bytes past n belong to the next row and land in columns >= n,
+    which no trial inserts).  For each run of 8 rows, three shift-and-OR
+    steps fold those words into one whose byte i' has column 8 i + i' of the
+    run's rows, row 8 R + b at bit b; a byte copy stacks 8 such bytes into
+    each column word, and one take per word applies each trial's insertion
+    order.  The buffers live as long as pack, and their padding stays zero.
     """
-    t, d, n = bits.shape
-    s = out.shape[0]
+    w, s = max(1, -(-d // 64)), d + 1
+    groups, span = -(-d // 8), -(-n // 8)  # runs of 8 rows; words per row
+    # fold[b, t, R]: row 8 R + b of trial t, a word per 8 columns
+    fold = np.zeros((8, chunk, groups, span), dtype=np.uint64)
+    stacked = np.zeros((w, span, 8, chunk, 8), dtype=np.uint8)  # [p, i, i', t, R - 8 p]
+    words = stacked.view(np.uint64).reshape(w, span * 8 * chunk)  # column 8 i + i' at t
+    full, part = divmod(d, 8)
     j = np.arange(n)
-    order = np.argsort(np.where(erased, j, 2 * n - j), axis=1)[:, :s]
-    trials = np.arange(t)[:, None]
-    part = bits[trials, :, order]
-    # a multiply, not np.left_shift: numpy's uint8 shift by an array of counts
-    # checks each count against the width and took 3.7 times as long here
-    # (18 against 66 us per 64-trial chunk at k = 32, n = 88, numpy 2.4)
-    np.multiply(part, (2 ** (trials % 8)).astype(np.uint8)[:, :, None], out=part)
-    if t % 8:
-        part = np.concatenate([part, np.zeros((-t % 8, s, d), dtype=np.uint8)])
-    lanes = np.bitwise_or.reduce(part.reshape(len(part) // 8, 8, s, d), axis=1)
-    out[:, :, : len(lanes)] = lanes.transpose(1, 2, 0)
-    is_erased = np.arange(s) < erased.sum(axis=1, keepdims=True)  # erased go first
-    return np.where(is_erased, n + 1, order + 1)
+
+    def pack(code: np.ndarray, erased: np.ndarray, out: np.ndarray) -> np.ndarray:
+        t = len(code)
+        # a view of code's own buffer: through as_strided, the peak RSS of
+        # repeated 3000-trial estimates rose by 0.9 MB after a few hundred calls
+        rows = np.ndarray((t, d, span), np.uint64, code, strides=(code.strides[0], n, 8))
+        folded = fold[:, :t]
+        np.bitwise_and(rows[:, : 8 * full].reshape(t, full, 8, span).transpose(2, 0, 1, 3),
+                       _TOP_BITS, out=folded[:, :, :full])
+        if part:
+            np.bitwise_and(rows[:, 8 * full :].transpose(1, 0, 2), _TOP_BITS,
+                           out=folded[:part, :, full])
+        # row b lands k bits below row b + k; after k = 1, row b is at bit b
+        for k in (4, 2, 1):
+            low = folded[:k]
+            np.right_shift(low, np.uint64(k), out=low)
+            low |= folded[k : 2 * k]
+        column_bytes = folded[0].view(np.uint8).reshape(t, groups, span, 8)
+        for p in range(w):
+            top = column_bytes[:, 8 * p : 8 * p + 8]
+            stacked[p, :, :, :t, : top.shape[1]] = top.transpose(2, 3, 0, 1)
+        order = np.argsort(np.where(erased, j, 2 * n - j), axis=1)[:, :s]
+        at = order.T * chunk + np.arange(t)  # (s, T) offsets into one word of stacked
+        for p in range(w):
+            np.take(words[p], at, out=out[p], mode="clip")
+        return order
+
+    return pack
 
 
 def _first_dependent(cols: np.ndarray) -> np.ndarray:
-    """Index of each lane's first column that depends on the columns before it.
+    """Index of each trial's first column that depends on the columns before it.
 
-    cols is (s, G, d) little-endian uint64, bit-sliced across 64 G lanes:
-    bit l of cols[c, g, r] is entry r of column c of lane 64 g + l.  It is
-    overwritten.  Gaussian elimination runs column by column for all lanes
-    at once: column c is independent of columns 0..c-1 iff some row has bit
-    c, and the first such row is the pivot.  XOR-ing the pivot row (picked
-    out of each lane by a one-hot row mask) into every row that has bit c
-    clears that bit, and clears the pivot row itself, so no used row is
-    picked again.  Returns (64 G,) indices, s for
-    a lane whose s columns are all independent.
+    cols is (W, s, T) uint64, row-packed: cols[p, c, t] is word p of trial
+    t's column c, rows 64 p..64 p + 63.  It is overwritten.  Returns (T,)
+    indices, s for a trial whose s columns are all independent.
+
+    One word: for each column c in turn, b = column c and every later column
+    x becomes min(x, x ^ b).  x ^ b < x exactly when x has b's top bit, so
+    this adds column c to the later columns that have its top bit and clears
+    that bit in them.  Adding an earlier column to a later one keeps the span
+    of every prefix, and no later step brings the bit back, as every later b
+    lacks it; so the nonzero reduced columns have distinct top bits, and a
+    reduced column is zero exactly when it depends on the columns before it.
+
+    More words: one phase per word.  A phase pivots only on the columns that
+    are zero in every word done so far (the others are independent already)
+    and carries each column sum its x ^ b < x test picks into the words still
+    to come.  A phase starts at the first column that is zero in every word
+    done so far in some trial, and ends once every trial has as many pivots
+    as the word has rows that any column uses: later columns are then zero in
+    it.  The last word, which holds the d mod 64 leftover rows, goes first,
+    so it ends after a few columns and the carries of the full words' phases
+    reach one word fewer.
     """
-    s, g, d = cols.shape
-    seen = np.zeros((g, d + 1), dtype="<u8")  # seen[:, r + 1]: rows 0..r have bit c
-    below, upto, found = seen[:, :-1], seen[:, 1:], seen[:, d]
-    pivot = np.empty((g, d), dtype="<u8")
-    update = np.empty_like(cols)
-    # independent[c]: the lanes whose columns 0..c-1 are independent
-    independent = np.zeros((s + 1, g), dtype="<u8")
-    independent[0] = ~np.uint64(0)
-    for c in range(s):
-        has = cols[c]
-        np.bitwise_or.accumulate(has, axis=1, out=upto)
-        np.bitwise_and(independent[c], found, out=independent[c + 1])
-        np.bitwise_xor(upto, below, out=pivot)
-        rest, part = cols[c + 1 :], update[c + 1 :]
-        np.bitwise_and(rest, pivot, out=part)
-        np.bitwise_and(np.bitwise_or.reduce(part, axis=2)[:, :, None], has, out=part)
-        rest ^= part
-    independent[:-1] ^= independent[1:]  # row c < s: the lanes whose answer is c
-    return np.unpackbits(independent.view(np.uint8), axis=1, bitorder="little").argmax(axis=0)
+    w, s, t = cols.shape
+    # free[c]: column c is zero in every word done so far; free[s] stays set
+    free = np.ones((s + 1, t), dtype=bool)
+    step = np.empty((s, t), dtype=np.uint64)
+    pick = np.empty((s, t), dtype=bool)
+    pivots = np.empty(t, dtype=np.intp)
+    for phase, q in enumerate([w - 1, *range(w - 1)]):
+        x = cols[q]
+        rest = cols[0 if phase == 0 else q + 1 : w - 1]  # the words still to come
+        if rest.size:
+            rows = int(np.bitwise_or.reduce(x, axis=None)).bit_count()
+            pivots[:] = 0
+        start = free.any(axis=1).argmax()  # s when no column is free
+        for c in range(start, s):
+            b = x[c] if phase == 0 else x[c] * free[c]
+            later, y = x[c + 1 :], step[c + 1 :]
+            np.bitwise_xor(later, b, out=y)
+            if not rest.size:
+                np.minimum(later, y, out=later)
+                continue
+            picked = pick[c + 1 :]
+            np.less(y, later, out=picked)
+            np.minimum(later, y, out=later)
+            for word in rest:  # y is spare once later has its minimum
+                np.multiply(picked, word[c], out=y)
+                word[c + 1 :] ^= y
+            pivots += b != 0
+            if c + 1 - start >= rows and pivots.min() == rows:
+                break
+        free[:s] &= x == 0
+    return free.argmax(axis=0)
 
 
 def _draw(words, lo: int, hi: int, d: int, n: int, matrix_reuse: int):
-    """Parity-check bits (T, d, n) and channel uniforms (T, n) of trials lo..hi-1.
+    """Parity-check words and channel uniforms (T, n) of trials lo..hi-1.
 
-    words is a _stream(seed).  The same values as rng.integers(0, 2, (d, n),
+    words is a _stream(seed).  The same draws as rng.integers(0, 2, (d, n),
     uint8) followed by rng.random(n) on rng = trial_rng(seed, i), read from
     the stream's raw 64-bit words.  The bounded integer draw takes one byte
     per entry, in little-endian order within each word, and keeps the byte's
-    top bit; ceil(d n / 8) words hold the matrix.  A uniform is the next
-    word's top 53 bits times 2**-53.  With matrix_reuse > 1 the uniforms come
-    from the first n words of stream i and the matrix from stream
+    top bit: entry (r, j) of trial i is the top bit of byte r n + j of its
+    first ceil(d n / 8) words.  Those come back as they are, in C-contiguous
+    rows of at least one more word (the uniforms' words or zero), so that a
+    row of the matrix can be read in whole words from any byte.  A uniform
+    is the next word's top 53 bits times 2**-53.  With matrix_reuse > 1 the uniforms come from
+    the first n words of stream i and the matrix from stream
     i - i % matrix_reuse.
     """
     nm = -(-d * n // 8)
@@ -189,42 +260,46 @@ def _draw(words, lo: int, hi: int, d: int, n: int, matrix_reuse: int):
         raw = np.empty((hi - lo, nm + n), dtype=np.uint64)
         for row, i in enumerate(range(lo, hi)):
             raw[row] = words(i, nm + n)
-        code, chan = raw[:, :nm], raw[:, nm:]
+        code, chan = raw, raw[:, nm:]
     else:
         base = lo - lo % matrix_reuse
         codes = [words(b, nm) for b in range(base, hi, matrix_reuse)]
-        code = np.stack([codes[(i - base) // matrix_reuse] for i in range(lo, hi)])
+        code = np.zeros((hi - lo, nm + 1), dtype=np.uint64)
+        for row, i in enumerate(range(lo, hi)):
+            code[row, :nm] = codes[(i - base) // matrix_reuse]
         chan = np.stack([words(i, n) for i in range(lo, hi)])
-    uniforms = (chan >> np.uint64(11)) * 2.0 ** -53
-    entries = code.astype("<u8", copy=False).view(np.uint8)[:, : d * n]
-    return np.right_shift(entries, 7, out=entries).reshape(hi - lo, d, n), uniforms
+    return code, (chan >> np.uint64(11)) * 2.0 ** -53
 
 
 def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 1):
     """Decode times of trials 0..trials-1, one array per block of _BLOCK.
 
-    Every stream is read through one _stream.  Each draw chunk's columns are
-    packed straight into one block array and its trials' decode times by
-    inserted column (see _insertion_columns) into another, both reused block
-    to block, and a trial's time is the one at its first dependent column.
+    Every stream is read through one _stream.  Each draw chunk's inserted
+    columns are packed straight into one block array (see _column_packer),
+    and their indices and the trials' erasure counts into two more, all
+    reused block to block.  A trial whose first dependent column is erased
+    (the erased ones go first) never decodes, n + 1; otherwise the column's
+    index + 1 is the first time its symbols decode.
     """
     d, n = params.n - params.k, params.n
     words = _stream(seed)
-    words_per_column = -(-min(_BLOCK, trials) // 64)
-    cols = np.empty((d + 1, words_per_column, d), dtype="<u8")
-    col_bytes = cols.view(np.uint8).reshape(d + 1, words_per_column, d, 8)
-    when = np.empty((64 * words_per_column, d + 1), dtype=np.min_scalar_type(n + 1))
-    for lo in range(0, trials, _BLOCK):
-        t = min(_BLOCK, trials - lo)
-        for a in range(0, t, _DRAW):
-            b = min(a + _DRAW, t)
-            bits, uniforms = _draw(words, lo + a, lo + b, d, n, matrix_reuse)
+    block = min(_BLOCK, trials)
+    chunk = max(1, min(block, _DRAW_WORDS // (-(-d * n // 8) + n)))
+    pack = _column_packer(d, n, chunk)
+    cols = np.empty((max(1, -(-d // 64)), d + 1, block), dtype=np.uint64)
+    inserted = np.empty((block, d + 1), dtype=np.min_scalar_type(n + 1))
+    erasures = np.empty(block, dtype=np.intp)
+    for lo in range(0, trials, block):
+        t = min(block, trials - lo)
+        for a in range(0, t, chunk):
+            b = min(a + chunk, t)
+            code, uniforms = _draw(words, lo + a, lo + b, d, n, matrix_reuse)
             erased = uniforms < params.epsilon
-            out = col_bytes[:, a // 64, :, a % 64 // 8 :]
-            when[a:b] = _insertion_columns(bits, erased, out)
-            del bits, uniforms  # one chunk's draw alive at a time
-        first = _first_dependent(cols[:, : -(-t // 64)])[:t]
-        yield when[np.arange(t), first]
+            inserted[a:b] = pack(code, erased, cols[:, :, a:b])
+            erasures[a:b] = erased.sum(axis=1)
+            del code, uniforms  # one chunk's draw alive at a time
+        first = _first_dependent(cols[:, :, :t])
+        yield np.where(first < erasures[:t], n + 1, inserted[np.arange(t), first] + 1)
 
 
 @dataclass(frozen=True)

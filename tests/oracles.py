@@ -381,26 +381,26 @@ def _column_ints(bits: np.ndarray) -> list[int]:
 
 def insertion_columns_loop(bits: np.ndarray, erased: np.ndarray,
                            s: int) -> tuple[np.ndarray, np.ndarray]:
-    """(packed, when) of simulate._insertion_columns, one trial and one bit at a time.
+    """(cols, order) of simulate's column packer, one trial and one bit at a time.
 
     Trial t inserts its erased columns ascending, then its received ones from
-    right to left, and keeps the first s.  packed is (s, d, ceil(T / 8))
-    uint8, with bit t % 8 of packed[c, r, t // 8] set iff entry r of trial
-    t's c-th inserted column is 1; when[t, c] is n + 1 for an erased column
-    and the column's index + 1 for a received one.
+    right to left, and keeps the first s; order[t, c] is the index of its
+    c-th.  cols is (W, s, T) uint64, W = max(1, ceil(d / 64)), and bit b of
+    cols[p, c, t] is set iff entry 64 p + b of trial t's c-th inserted column
+    is 1.
     """
     trials, d, n = bits.shape
-    packed = np.zeros((s, d, -(-trials // 8)), dtype=np.uint8)
-    when = np.zeros((trials, s), dtype=np.int64)
+    cols = np.zeros((max(1, -(-d // 64)), s, trials), dtype=np.uint64)
+    order = np.zeros((trials, s), dtype=np.int64)
     for t in range(trials):
-        order = ([j for j in range(n) if erased[t, j]]
-                 + [j for j in reversed(range(n)) if not erased[t, j]])
-        for c, j in enumerate(order[:s]):
-            when[t, c] = n + 1 if erased[t, j] else j + 1
+        inserted = ([j for j in range(n) if erased[t, j]]
+                    + [j for j in reversed(range(n)) if not erased[t, j]])
+        for c, j in enumerate(inserted[:s]):
+            order[t, c] = j
             for r in range(d):
                 if bits[t, r, j]:
-                    packed[c, r, t // 8] |= 1 << (t % 8)
-    return packed, when
+                    cols[r // 64, c, t] |= np.uint64(1 << (r % 64))
+    return cols, order
 
 
 def play_round(d: int, n: int, boundaries, cols, erased):

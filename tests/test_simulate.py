@@ -33,38 +33,51 @@ import harqsdo.simulate as simulate_module
 from harqsdo.cli import main
 from harqsdo.simulate import (
     _BLOCK,
-    _DRAW,
+    _column_packer,
     _draw,
     _first_dependent,
-    _insertion_columns,
     _span_times,
     _stream,
 )
 
 from oracles import dense_rank_mod2, insertion_columns_loop, philox_trial, reference_rounds
 
-# stdout sha256 of simulate at the benchmark's design point and trial count
+# stdout sha256 of simulate at the benchmark's design point and trial count,
+# and at d = 88 (two words a column) and d = 131 (three, with n % 8 = 7)
 FULL_SIZE_DIGESTS = {
     "simulate --k 32 --n 88 --m 4 --eps 0.5 --trials 3000 --seed 11 --model all":
         "0ecf2f24d83021414ff5f33b325a9303968a45f8fac5389e1e0cd908393115e3",
     "simulate --k 32 --n 88 --m 4 --eps 0.5 --trials 3000 --seed 11 --model all"
     " --matrix-reuse 3":
         "4c1d81b5892585cffd46c4617d4a2631c363e0c5b36572e0557301227872c044",
+    "simulate --k 32 --n 120 --m 4 --eps 0.5 --trials 3000 --seed 11 --model all":
+        "0c67d5366a7e711b1316855f020b733a12253868f92fd6fdf3bc8b980d71c3ea",
+    "simulate --k 32 --n 120 --m 4 --eps 0.5 --trials 3000 --seed 11 --model all"
+    " --matrix-reuse 3":
+        "5213f94b24c5fff8fb83fb1d0b4d3428e5c893afea1e836540c0c558eba6a25b",
+    "simulate --k 20 --n 151 --m 4 --eps 0.5 --trials 3000 --seed 11 --model all":
+        "7bca4ad93df02fc89e15e3cd906fc3ce6cf26bcbb55d6efa902bbd04c728185d",
 }
 
 
 def _lanes(mats) -> np.ndarray:
-    """Bit-slice (d, s) 0/1 matrices into _first_dependent's (s, G, d) layout.
+    """Row-pack (d, s) 0/1 matrices into _first_dependent's (W, s, T) layout.
 
-    Bit l % 64 of word [c, l // 64, r] is entry (r, c) of matrix l; lanes past
-    the last matrix stay zero.
+    Bit b of word [p, c, t] is entry (64 p + b, c) of matrix t, with W =
+    max(1, ceil(d / 64)).
     """
     mats = np.asarray(mats, dtype=np.uint64)
     count, d, s = mats.shape
-    cols = np.zeros((s, -(-count // 64), d), dtype="<u8")
-    for lane, m in enumerate(mats):
-        cols[:, lane // 64] |= m.T << np.uint64(lane % 64)
+    cols = np.zeros((max(1, -(-d // 64)), s, count), dtype=np.uint64)
+    for r in range(d):
+        cols[r // 64] |= mats[:, r].T << np.uint64(r % 64)
     return cols
+
+
+def _entries(code: np.ndarray, d: int, n: int) -> np.ndarray:
+    """(T, d, n) 0/1 matrices from _draw's words: entry (r, j) is the top bit of byte r n + j."""
+    raw = code.view(np.uint8)[:, : d * n] >> 7
+    return raw.reshape(len(code), d, n)
 
 
 def _no_draws(*args, **kwargs):
@@ -105,7 +118,7 @@ class TestErasedColumnsIndependent:
         # all 2**8 parity matrices for k=2, n=4, erased columns {2, 3}
         mats = np.array(list(itertools.product((0, 1), repeat=8))).reshape(256, 2, 4)
         first = _first_dependent(_lanes(mats[:, :, [2, 3]]))
-        hits = int(np.count_nonzero(first[:256] == 2))
+        hits = int(np.count_nonzero(first == 2))
         assert hits / 256 == decode_success_prob(2, 4, 2) == 0.375
 
     def test_position_symmetry_chi_square(self):
@@ -114,9 +127,9 @@ class TestErasedColumnsIndependent:
         position_sets = [(1, 2, 3, 7), (0, 1, 2, 3), (2, 4, 5, 6), (3, 5, 6, 7)]
         table = []
         for si, pos in enumerate(position_sets):
-            bits, _ = _draw(_stream(777 + si), 0, draws, n - k, n, 1)
-            first = _first_dependent(_lanes(bits[:, :, list(pos)]))
-            dec = int(np.count_nonzero(first[:draws] == len(pos)))
+            code, _ = _draw(_stream(777 + si), 0, draws, n - k, n, 1)
+            first = _first_dependent(_lanes(_entries(code, n - k, n)[:, :, list(pos)]))
+            dec = int(np.count_nonzero(first == len(pos)))
             table.append([dec, draws - dec])
         # the samples of the per-trial loop over the same streams
         assert table == [[2377, 1623], [2379, 1621], [2398, 1602], [2410, 1590]]
@@ -357,21 +370,27 @@ class TestDecodeTimeKernel:
         # d * n covers 2, 15, 84, 91, 4928 and 4550: every residue class that
         # decides how the byte draw splits over 32- and 64-bit words.  The
         # seeds use no key word, the low one, both, and every bit of both;
-        # lo = 5 is no multiple of _DRAW, _BLOCK or matrix_reuse 3, and one
+        # lo = 5 is no multiple of _BLOCK or matrix_reuse 3, and one
         # re-pointed stream serves both draws, so the second revisits streams
-        # 3 and 5..8 out of order.
-        assert 5 % _DRAW and 5 % _BLOCK and 5 % 3
+        # 3 and 5..8 out of order.  Each trial's words run at least one past
+        # the matrix, so the packer can read a row's last bytes as a whole word.
+        assert 5 % _BLOCK and 5 % 3
+        words_per_matrix = -(-d * n // 8)
         for seed in (0, 11, 2 ** 64 + 5, 2 ** 128 - 1):
             words = _stream(seed)
-            bits, uniforms = _draw(words, 5, 9, d, n, 1)
+            code, uniforms = _draw(words, 5, 9, d, n, 1)
+            assert code.flags.c_contiguous and code.shape == (4, words_per_matrix + n)
+            bits = _entries(code, d, n)
             for row, i in enumerate(range(5, 9)):
                 rng = philox_trial(seed, i)
                 assert np.array_equal(bits[row], rng.integers(0, 2, size=(d, n), dtype=np.uint8))
                 assert np.array_equal(uniforms[row], rng.random(n))
-            bits, uniforms = _draw(words, 5, 12, d, n, 3)
+            code, uniforms = _draw(words, 5, 12, d, n, 3)
+            assert code.flags.c_contiguous and code.shape == (7, words_per_matrix + 1)
+            bits = _entries(code, d, n)
             for row, i in enumerate(range(5, 12)):
-                code = philox_trial(seed, i - i % 3).integers(0, 2, size=(d, n), dtype=np.uint8)
-                assert np.array_equal(bits[row], code)
+                want = philox_trial(seed, i - i % 3).integers(0, 2, size=(d, n), dtype=np.uint8)
+                assert np.array_equal(bits[row], want)
                 assert np.array_equal(uniforms[row], philox_trial(seed, i).random(n))
 
     def test_one_bit_generator_per_span(self, request):
@@ -383,48 +402,58 @@ class TestDecodeTimeKernel:
         assert len(built) == 1
 
     @pytest.mark.parametrize("matrix_reuse", [1, 3])
-    @pytest.mark.parametrize("k, n", [(32, 88), (8, 24), (3, 140), (8, 8)])
+    @pytest.mark.parametrize("k, n", [(32, 88), (8, 24), (3, 140), (8, 8), (20, 151)])
     def test_decode_times_do_not_depend_on_block_sizes(self, k, n, matrix_reuse,
                                                        monkeypatch):
-        # 300 trials end every block and draw chunk part-way, and 8-trial
-        # chunks start off the matrix_reuse groups of 3
+        # 300 trials end every block and draw chunk part-way, chunks start
+        # off the matrix_reuse groups of 3, and neither size need be a
+        # multiple of 8: a column's words hold one trial each
         p = CodeParams(k, n, 0.5)
         want = np.concatenate(list(_span_times(p, 11, 300, matrix_reuse)))
-        for block, draw in [(64, 8), (128, 16), (1024, 32)]:
+        per_trial = -(-(n - k) * n // 8) + n  # the words _DRAW_WORDS counts
+        for block, draw in [(64, 8), (128, 16), (1024, 32), (100, 13), (37, 5), (7, 1)]:
             monkeypatch.setattr(simulate_module, "_BLOCK", block)
-            monkeypatch.setattr(simulate_module, "_DRAW", draw)
+            monkeypatch.setattr(simulate_module, "_DRAW_WORDS", draw * per_trial)
             got = np.concatenate(list(_span_times(p, 11, 300, matrix_reuse)))
             assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("erasures", ["all", "none", "random"])
-    @pytest.mark.parametrize("d", [0, 1, 8, 56, 65])
+    @pytest.mark.parametrize("d, n", [(0, 5), (1, 6), (8, 13), (56, 88), (65, 70), (131, 151)])
     @pytest.mark.parametrize("trials", [1, 7, 8, 9, 64])
-    def test_insertion_columns_match_loop(self, trials, d, erasures):
-        # n = d + 5 is under 8 for d <= 1; bits is a strided view like _draw's,
-        # and out starts mid-word as _span_times's slices of a lane word can
-        n, s = d + 5, d + 1
+    def test_column_packer_matches_loop(self, trials, d, n, erasures):
+        # n < 8 at d <= 1 and n % 8 != 0 but at d = 56, so a row starts
+        # mid-word; code has a word past the matrix, as _draw's does with
+        # matrix_reuse > 1; out starts mid-block, as _span_times's chunk
+        # slices do; and the packer has served a larger chunk first
+        s = d + 1
         rng = np.random.default_rng(100 * trials + d)
-        bits = rng.integers(0, 2, size=(trials, d * n + 3), dtype=np.uint8)[:, : d * n]
-        bits = bits.reshape(trials, d, n)
+        words_per_matrix = -(-d * n // 8)
+
+        def draw(count):
+            return rng.integers(0, 2 ** 64, size=(count, words_per_matrix + 1), dtype=np.uint64)
+
+        code = draw(trials)
         erased = {"all": np.ones((trials, n), dtype=bool),
                   "none": np.zeros((trials, n), dtype=bool),
                   "random": rng.random((trials, n)) < 0.5}[erasures]
-        packed, want_when = insertion_columns_loop(bits, erased, s)
-        words = np.full((s, 2, d, 8), 0xA5, dtype=np.uint8)
-        start = min(3, 8 - packed.shape[2])
-        when = _insertion_columns(bits, erased, words[:, 0, :, start:])
-        assert when.tolist() == want_when.tolist()
-        assert np.array_equal(words[:, 0, :, start : start + packed.shape[2]], packed)
-        words[:, 0, :, start : start + packed.shape[2]] = 0xA5
-        assert (words == 0xA5).all()  # no byte outside the trials' own was written
+        want_cols, want_order = insertion_columns_loop(_entries(code, d, n), erased, s)
+        pack = _column_packer(d, n, trials + 5)
+        pack(draw(trials + 5), rng.random((trials + 5, n)) < 0.5,
+             np.empty((len(want_cols), s, trials + 5), dtype=np.uint64))
+        block = np.full((len(want_cols), s, trials + 6), 0xA5A5, dtype=np.uint64)
+        order = pack(code, erased, block[:, :, 3 : 3 + trials])
+        assert order.tolist() == want_order.tolist()
+        assert np.array_equal(block[:, :, 3 : 3 + trials], want_cols)
+        block[:, :, 3 : 3 + trials] = 0xA5A5
+        assert (block == 0xA5A5).all()  # no word outside the trials' own was written
 
-    @pytest.mark.parametrize("d, s, want", [(5, 6, 0), (1, 1, 0), (0, 1, 0)])
+    @pytest.mark.parametrize("d, s, want", [(5, 6, 0), (1, 1, 0), (0, 1, 0), (130, 4, 0)])
     def test_all_zero_columns_depend_at_once(self, d, s, want):
         first = _first_dependent(_lanes(np.zeros((3, d, s))))
-        assert first.tolist() == [want] * 64
+        assert first.tolist() == [want] * 3
         assert _first_dependent_by_rank(np.zeros((d, s))) == want
 
-    @pytest.mark.parametrize("d", [1, 6, 64, 65])
+    @pytest.mark.parametrize("d", [1, 6, 64, 65, 129])
     def test_identity_has_no_dependency_before_d(self, d):
         square = np.eye(d, dtype=np.uint8)
         extra = np.hstack([square, np.ones((d, 1), dtype=np.uint8)])
@@ -433,10 +462,12 @@ class TestDecodeTimeKernel:
         assert _first_dependent(_lanes([extra]))[0] == d
         assert _first_dependent_by_rank(square) == d == _first_dependent_by_rank(extra)
 
-    @pytest.mark.parametrize("at", [63, 64])
+    @pytest.mark.parametrize("at", [63, 64, 65])
     def test_duplicate_column_either_side_of_a_word(self, at):
         # columns 0..at-1 independent, column `at` repeats column at-1 (lane 0)
-        # or column 0 (lane 1); the other lanes keep the columns independent
+        # or column 0 (lane 1); the other lanes keep the columns independent.
+        # Row 64 starts the second word: the repeated unit column is row 62
+        # or 63 of the first word, or row 64, the second word's first
         d = 70
         base = np.eye(d, dtype=np.uint8)[:, : at + 1]
         last, first_col = base.copy(), base.copy()
@@ -446,32 +477,35 @@ class TestDecodeTimeKernel:
         got = _first_dependent(_lanes(mats))
         want = [_first_dependent_by_rank(m) for m in mats]
         assert want[:3] == [at, at, at + 1]
-        assert got[: len(mats)].tolist() == want
+        assert got.tolist() == want
 
-    @pytest.mark.parametrize("d", [1, 7, 63, 64, 65])
+    @pytest.mark.parametrize("d", [1, 7, 63, 64, 65, 130])
     def test_random_lanes_match_rank_oracle(self, d):
-        # d + 1 = 65 inserted columns need a second word in a row-packed form
+        # one, two and three words a column; at d = 130 the third word holds
+        # two rows, and its phase, which runs first, ends after a few columns
         rng = np.random.default_rng(d)
-        mats = rng.integers(0, 2, size=(70, d, d + 1), dtype=np.uint8)
+        lanes = 70 if d < 100 else 24
+        mats = rng.integers(0, 2, size=(lanes, d, d + 1), dtype=np.uint8)
         mats[::3, :, d // 2] = 0  # a zero column midway in every third lane
         got = _first_dependent(_lanes(mats))
-        assert got[:70].tolist() == [_first_dependent_by_rank(m) for m in mats]
+        assert got.tolist() == [_first_dependent_by_rank(m) for m in mats]
 
-    @pytest.mark.parametrize("d, s", [(6, 2), (6, 9), (2, 6), (4, 130), (64, 64)],
-                             ids=["tall", "wide", "more-columns-than-rows",
-                                  "three-words-of-columns", "square-64"])
+    @pytest.mark.parametrize("d, s", [(6, 2), (6, 9), (2, 6), (4, 130), (64, 64), (100, 40),
+                                      (150, 60)],
+                             ids=["tall", "wide", "more-columns-than-rows", "many-columns",
+                                  "square-64", "two-words-tall", "three-words-tall"])
     def test_random_shapes_match_rank_oracle(self, d, s):
         # the columns past the d-th always depend, so no answer exceeds min(d, s)
         rng = np.random.default_rng(1000 * d + s)
         mats = rng.integers(0, 2, size=(70, d, s), dtype=np.uint8)
-        got = _first_dependent(_lanes(mats))[:70]
+        got = _first_dependent(_lanes(mats))
         assert got.tolist() == [_first_dependent_by_rank(m) for m in mats]
         assert got.max() <= min(d, s)
 
-    @pytest.mark.parametrize("d", [3, 64])
+    @pytest.mark.parametrize("d", [3, 64, 130])
     def test_no_columns_means_none_depends(self, d):
         # an empty erased set: the answer is s = 0 in every lane
-        assert _first_dependent(np.zeros((0, 2, d), dtype="<u8")).tolist() == [0] * 128
+        assert _first_dependent(_lanes(np.zeros((128, d, 0)))).tolist() == [0] * 128
         assert _first_dependent_by_rank(np.zeros((d, 0))) == 0
 
     @pytest.mark.parametrize("matrix_reuse", [1, 8])
@@ -506,6 +540,20 @@ class TestDecodeTimeKernel:
         finally:
             tracemalloc.stop()
         assert peak < 3_000_000
+
+    def test_traced_memory_peak_at_six_words_a_column(self):
+        # d = 368: a 512-trial block of six-word columns is 9 MB; the bit-sliced
+        # kernel this one replaced peaked at 30.1 MB here (two 8.7 MB arrays of
+        # 64 (d + 1) d bytes per 512 trials, and an 8.7 MB gather per chunk)
+        p = CodeParams(32, 400, 0.5)
+        s = Schedule((100, 200, 300, 400))
+        tracemalloc.start()
+        try:
+            estimate(p, s, 600, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30_100_000
 
 
 @pytest.mark.parametrize("argv", sorted(FULL_SIZE_DIGESTS))

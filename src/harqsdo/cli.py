@@ -11,6 +11,7 @@ their own verdict, and any failed check makes the exit status 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -86,7 +87,10 @@ def parse_int_range(text, name: str = "range") -> list[int]:
             raise ValueError(f"bad range {text!r}")
         if step < 1 or hi < lo:
             raise ValueError(f"bad range {text!r}")
-        return list(range(lo, hi + 1, step))
+        try:
+            return list(range(lo, hi + 1, step))
+        except OverflowError:  # more values than a list can index
+            raise ValueError(f"{name} range {text!r} is too long") from None
     return [_int_value(name, s)]
 
 
@@ -435,12 +439,51 @@ def run_constants(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     return ["name", "value"], rows
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
+def _schedule_cell(row) -> str:
+    sched = row.get("schedule")
+    return " ".join(map(str, sched.boundaries)) if sched else ""
+
+
+def _verdict_cell(row) -> str:
+    return "pass" if row.get("passed") else "FAIL"
+
+
+def _cell_functions(columns: list[str], scheduled: bool) -> list:
+    """Each column's cell as a function of a row, chosen once per table.
+
+    In a row with a schedule key (scheduled), a column nI is the I-th
+    boundary of its schedule, or empty past the last one; in any other row
+    it is a plain value: empty for None, 12 digits for a float.
+    """
+    def slot(idx: int):
+        def cell(row) -> str:
+            sched = row.get("schedule")
+            if sched is not None and idx < len(sched.boundaries):
+                return str(sched.boundaries[idx])
+            return ""
+        return cell
+
+    def plain(col: str):
+        def cell(row) -> str:
+            value = row.get(col)
+            if value is None:
+                return ""
+            if isinstance(value, float):
+                return _fmt(value)
+            return str(value)
+        return cell
+
+    cells = []
+    for col in columns:
+        if scheduled and col.startswith("n") and col[1:].isdigit():
+            cells.append(slot(int(col[1:]) - 1))
+        elif col == "schedule":
+            cells.append(_schedule_cell)
+        elif col == "verdict":
+            cells.append(_verdict_cell)
+        else:
+            cells.append(plain(col))
+    return cells
 
 
 def _rows_to_csv(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
@@ -450,26 +493,10 @@ def _rows_to_csv(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
     buf.write(f"# harq-sdo {__version__} {cfg.param_summary()}\n")
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
+    scheduled = _cell_functions(columns, True)
+    plain = _cell_functions(columns, False)
     for row in rows:
-        cells = []
-        for col in columns:
-            if col.startswith("n") and col[1:].isdigit() and "schedule" in row:
-                sched = row.get("schedule")
-                idx = int(col[1:]) - 1
-                if sched is not None and idx < len(sched.boundaries):
-                    cells.append(str(sched.boundaries[idx]))
-                else:
-                    cells.append("")
-            elif col == "schedule":
-                sched = row.get("schedule")
-                cells.append(
-                    " ".join(str(b) for b in sched.boundaries) if sched else ""
-                )
-            elif col == "verdict":
-                cells.append("pass" if row.get("passed") else "FAIL")
-            else:
-                cells.append(_cell(row.get(col)))
-        writer.writerow(cells)
+        writer.writerow([cell(row) for cell in (scheduled if "schedule" in row else plain)])
     return buf.getvalue()
 
 
@@ -543,9 +570,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # absent flags set nothing, so no default can replace a value from the
-    # config file; flags and --config may come before or after the command
+    # built once per process: parse_args keeps no state between calls (each
+    # returns a fresh Namespace) and _Parser.error only raises, so every argv
+    # parses as with a parser of its own.  Absent flags set nothing, so no
+    # default can replace a value from the config file; flags and --config
+    # may come before or after the command
     parser = _Parser(
         prog="harq-sdo",
         description="Incremental-redundancy schedule design and validation "

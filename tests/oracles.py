@@ -8,7 +8,8 @@ package, except ack_curve_loop, which reads the package's success curve so
 that it can pin the ACK curve's arithmetic bit for bit, and
 schedule_from_model, which is no oracle but the package's own uncapped SDO
 trajectory for one first boundary, capped here by its own rule, the one
-the tests hold against sdo_recursion.
+the tests hold against sdo_recursion, and rows_to_csv_loop, which writes the
+header line from the package's version and the config's own summary.
 """
 
 from __future__ import annotations
@@ -441,3 +442,46 @@ def reference_rounds(k: int, n: int, epsilon: float, boundaries, trials: int, se
         erased = (rng.random(n) < epsilon).tolist()
         out.append(play_round(d, n, boundaries, _column_ints(bits), erased))
     return out
+
+
+def rows_to_csv_loop(cfg, columns, rows) -> str:
+    """The CLI's CSV text, each cell's kind decided anew for every cell of every row.
+
+    The header line reads cfg's own summary; a float cell has 12 significant
+    digits, a schedule slot nI is the I-th boundary of a row that has a
+    schedule key, and a verdict is pass or FAIL.
+    """
+    import csv
+    import io
+
+    from harqsdo import __version__
+
+    buf = io.StringIO()
+    buf.write(f"# harq-sdo {__version__} {cfg.param_summary()}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        cells = []
+        for col in columns:
+            if col.startswith("n") and col[1:].isdigit() and "schedule" in row:
+                sched = row.get("schedule")
+                idx = int(col[1:]) - 1
+                if sched is not None and idx < len(sched.boundaries):
+                    cells.append(str(sched.boundaries[idx]))
+                else:
+                    cells.append("")
+            elif col == "schedule":
+                sched = row.get("schedule")
+                cells.append(" ".join(str(b) for b in sched.boundaries) if sched else "")
+            elif col == "verdict":
+                cells.append("pass" if row.get("passed") else "FAIL")
+            else:
+                value = row.get(col)
+                if value is None:
+                    cells.append("")
+                elif isinstance(value, float):
+                    cells.append(format(value, ".12g"))
+                else:
+                    cells.append(str(value))
+        writer.writerow(cells)
+    return buf.getvalue()

@@ -13,7 +13,8 @@ import tracemalloc
 import pytest
 
 import harqsdo
-from harqsdo import CodeParams, estimate, exhaustive_search, optimize
+import oracles
+from harqsdo import CodeParams, cli, estimate, exhaustive_search, optimize
 from harqsdo.cli import COMMANDS, build_config, main, parse_int_range, parse_float_range
 
 
@@ -58,6 +59,11 @@ class TestParsing:
         for text in ("8.5", "8,8.5", "4:8.5", 8.5, [8, 8.5], "eight"):
             with pytest.raises(ValueError, match="^k must be an integer, got "):
                 parse_int_range(text, "k")
+
+    @pytest.mark.parametrize("text", ["8:100000000000000000000", "1e2:1e20", "0:1e19:1"])
+    def test_range_longer_than_a_list_names_the_field(self, text):
+        with pytest.raises(ValueError, match=f"^n range '{text}' is too long$"):
+            parse_int_range(text, "n")
 
     def test_unknown_command(self):
         with pytest.raises(ValueError, match="invalid choice: 'frobnicate'"):
@@ -297,6 +303,9 @@ class TestDomainErrors:
         ["sweep-n", "--k", "30", "--n", "20", "--m", "2", "--eps", "-3"],
         ["sweep-k", "--k", "30", "--n", "20", "--m", "2", "--eps", "nan"],
         ["sweep-k", "--k", "30", "--n", "20", "--m", "0"],
+        # more values than a list can index
+        ["sweep-n", "--k", "32", "--n", "8:100000000000000000000", "--m", "2"],
+        ["sweep-k", "--k", "1:100000000000000000000", "--n", "88", "--m", "2"],
         # the output directory cannot be made: a file stands in its place
         ["optimize", "--out", "/dev/null/out.csv"],
         # argparse's own errors: no usage block before the message
@@ -514,6 +523,70 @@ class TestOutputPlumbing:
             assert bounds[-1] == 20
             assert bounds[0] >= int(row["k"])
             assert all(a < b for a, b in zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--k", "8", "--n", "24", "--m", "3", "--model", "all"],
+        # skipped rows: empty schedule slots and values
+        ["sweep-k", "--k", "20:26:2", "--n", "24", "--m", "3", "--model", "all"],
+        ["sweep-n", "--k", "8", "--n", "16:24:4", "--m", "1:3", "--model", "all"],
+        # the generator field holds commas, so it is quoted
+        ["simulate", "--k", "8", "--n", "24", "--m", "3", "--trials", "200", "--model", "all"],
+        ["validate"],
+        ["constants"],
+    ], ids=lambda argv: argv[0])
+    def test_csv_matches_per_cell_loop(self, argv):
+        cfg = build_config(argv)
+        columns, rows = cli._RUNNERS[cfg.command](cfg)
+        if cfg.command == "validate":
+            rows[1] = {**rows[1], "passed": False}
+        text = cli._rows_to_csv(cfg, columns, rows)
+        assert text == oracles.rows_to_csv_loop(cfg, columns, rows)
+        if cfg.command == "validate":
+            assert text.count(",FAIL\n") == 1
+        if cfg.command == "simulate":
+            assert ',"philox4x64' in text
+
+
+class TestSharedParser:
+    """One parser serves every main call of a process, as a fresh one would."""
+
+    def test_interleaved_calls_match_a_fresh_parser(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"command": "optimize", "k": 8, "n": 24, "m": 2}))
+        sweep = ["sweep-k", "--k", "6:10:2", "--n", "24", "--m", "2", "--model", "all"]
+        argvs = [sweep, ["optimize", "--bogus"], ["--config", str(path)],
+                 sweep[1:] + sweep[:1]]
+
+        def outputs():
+            runs = []
+            for argv in argvs:
+                code = main(argv)
+                captured = capsys.readouterr()
+                runs.append((code, captured.out, captured.err))
+            return runs
+
+        built = []
+
+        class CountingParser(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        cached = cli._build_parser
+        monkeypatch.setattr(cli, "_Parser", CountingParser)
+        cached.cache_clear()
+        try:
+            shared = outputs() + outputs()
+            assert len(built) == 1
+            monkeypatch.setattr(cli, "_build_parser", cached.__wrapped__)
+            fresh = outputs()
+            assert len(built) == 1 + len(argvs)
+        finally:
+            cached.cache_clear()  # the next call builds a plain _Parser again
+        assert shared == fresh + fresh
+        assert [code for code, _, _ in fresh] == [0, 2, 0, 0]
+        assert fresh[1][2].startswith("harq-sdo: error: unrecognized arguments: --bogus")
+        assert fresh[3] == fresh[0]
 
 
 _WITHOUT_SCIPY = """

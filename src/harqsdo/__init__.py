@@ -35,7 +35,6 @@ from .sdo import (
 from .simulate import (
     EstimateReport,
     GENERATOR_NAME,
-    trial_rng,
     estimate,
     rescore,
     sample_decode_counts,

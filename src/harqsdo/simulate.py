@@ -40,26 +40,23 @@ turns: a phase pivots only on the columns still zero in every word done so
 far, carries each column sum it makes into the words still to come, and
 ends once every trial's pivots cover the rows the word uses; the last word,
 with the d mod 64 leftover rows, goes first and ends after a few columns.
-
-A draw chunk is packed from the raw words without a byte per entry.  An
-entry is the top bit of a byte, so one mask keeps the 8 entries of a word,
-which are 8 adjacent columns of one row; three shift-and-OR steps fold 8
-rows' words into bytes of 8 rows per column, a byte copy stacks 8 such bytes
-into each column word, and one take per word applies each trial's
-insertion order.  A decode time is a property of the columns alone, so
-neither the pivoting nor the block and chunk sizes move any output byte.
 Per 512-trial block, the elimination took 0.79 ms at d = 56 against the
 bit-sliced kernel's 2.21 ms, 4.7 against 6.4 ms at d = 88 and 14.3 against
 20.7 ms at d = 130 (2-core Xeon VM, numpy 2.4.6).
 
-Trial i reads its own counter-based stream, trial_rng(seed, i), so its
-draws depend on (seed, i) alone and trial i is the same round in every
-entry point.  A run builds one Philox and re-points it at each trial's
-counter instead of building a generator per trial.  The kernel takes the
-stream's raw words in one call and reads them exactly as
-rng.integers(0, 2, (d, n), uint8) followed by rng.random(n) would, so the
-draws, and GENERATOR_NAME, are those of the plain per-trial loop kept in
-the tests as the reference.
+The draws are one dense stream.  A run builds one Philox(key=seed) and reads
+its raw 64-bit words front to back, trials in order, so trial i owns words
+i P..(i + 1) P - 1, with P = W n + n.  Column j is the trial's next W words,
+bit b of word p being row 64 p + b, masked to the low d bits; then come n
+uniforms, each a word's top 53 bits times 2**-53, and symbol j is erased
+when its uniform is below eps.  With matrix_reuse r the columns of trial i
+are those of trial i - i % r, and its uniforms its own.  So trial i depends
+on (seed, i) alone, at any block or chunk size, and is the same round in
+every entry point.  The words arrive row-packed already: one take per word,
+with each trial's insertion order, puts a draw chunk's inserted columns
+straight into the block, and one mask clears the rows past d.  A decode time
+is a property of the columns alone, so neither the pivoting nor the block
+and chunk sizes move any output byte.
 """
 
 from __future__ import annotations
@@ -77,109 +74,33 @@ from .channel import Schedule, _check_schedule
 __all__ = [
     "EstimateReport",
     "GENERATOR_NAME",
-    "trial_rng",
     "estimate",
     "rescore",
     "sample_decode_counts",
     "sample_round_lengths",
 ]
 
-GENERATOR_NAME = "philox4x64(key=seed, counter=[0, 0, trial, 0])"
+GENERATOR_NAME = "philox4x64(key=seed), dense: trial i from word i*(W*n+n), W=max(1,ceil(d/64))"
 
 # Trials decoded together: each numpy step of the elimination serves all of
 # them, so its fixed cost is shared by more trials as the block grows; at
 # k = 32, n = 88 a block's columns take 233 kB.
 _BLOCK = 512
-# Raw words drawn and packed together, 256 kB: 46 trials at k = 32, n = 88,
+# Raw words drawn and packed together, 256 kB: 186 trials at k = 32, n = 88,
 # and at least one trial at any size, so a chunk's draw and its packing
-# buffers stay small beside the block whatever d n is.
+# buffers stay small beside the block whatever W n is.
 _DRAW_WORDS = 1 << 15
-
-_TOP_BITS = np.uint64(0x8080808080808080)  # bit 7 of each byte: one matrix entry
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent per-trial stream; a pure function of (seed, index)."""
+    """A Philox stream keyed by seed at counter [0, 0, index, 0].
+
+    The kernel reads no such stream.  The function stays only because the
+    benchmark traces simulate.trial_rng by name (perfbench/run.py, checked by
+    tests/test_perfbench_names.py); it goes when the benchmark drops that
+    target.
+    """
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
-
-
-def _stream(seed: int):
-    """words(i, count): the first count raw words of trial_rng(seed, i)'s stream.
-
-    One Philox serves every trial.  Assigning its state with counter
-    [0, 0, i, 0], the same key and an empty buffer puts it exactly where a
-    fresh Philox(key=seed, counter=[0, 0, i, 0]) starts, without building a
-    generator, and with it a SeedSequence, per trial.
-    """
-    bitgen = np.random.Philox(key=seed)
-    state = bitgen.state  # buffer empty; lists assign faster than its arrays
-    counter = [0, 0, 0, 0]
-    state["state"] = {"counter": counter, "key": state["state"]["key"].tolist()}
-    state["buffer"] = state["buffer"].tolist()
-
-    def words(i: int, count: int) -> np.ndarray:
-        counter[2] = i
-        bitgen.state = state
-        return bitgen.random_raw(count)
-
-    return words
-
-
-def _column_packer(d: int, n: int, chunk: int):
-    """pack(code, erased, out): the first s inserted columns of up to chunk trials.
-
-    code is _draw's C-contiguous (T, >= ceil(d n / 8) + 1) raw words and
-    erased is (T, n) bool.  A trial inserts its erased columns ascending, then
-    its received ones from right to left; out is (W, s, T) uint64, W =
-    max(1, ceil(d / 64)), and takes them row-packed: bit b of out[p, c, t] is
-    entry 64 p + b of trial t's c-th inserted column.  Returns order, (T, s):
-    order[t, c] is the index of trial t's c-th inserted column.
-
-    Entry (r, j) is the top bit of byte r n + j of the trial's words, so the
-    word that starts at byte r n + 8 i holds columns 8 i..8 i + 7 of row r
-    (a row's bytes past n belong to the next row and land in columns >= n,
-    which no trial inserts).  For each run of 8 rows, three shift-and-OR
-    steps fold those words into one whose byte i' has column 8 i + i' of the
-    run's rows, row 8 R + b at bit b; a byte copy stacks 8 such bytes into
-    each column word, and one take per word applies each trial's insertion
-    order.  The buffers live as long as pack, and their padding stays zero.
-    """
-    w, s = max(1, -(-d // 64)), d + 1
-    groups, span = -(-d // 8), -(-n // 8)  # runs of 8 rows; words per row
-    # fold[b, t, R]: row 8 R + b of trial t, a word per 8 columns
-    fold = np.zeros((8, chunk, groups, span), dtype=np.uint64)
-    stacked = np.zeros((w, span, 8, chunk, 8), dtype=np.uint8)  # [p, i, i', t, R - 8 p]
-    words = stacked.view(np.uint64).reshape(w, span * 8 * chunk)  # column 8 i + i' at t
-    full, part = divmod(d, 8)
-    j = np.arange(n)
-
-    def pack(code: np.ndarray, erased: np.ndarray, out: np.ndarray) -> np.ndarray:
-        t = len(code)
-        # a view of code's own buffer: through as_strided, the peak RSS of
-        # repeated 3000-trial estimates rose by 0.9 MB after a few hundred calls
-        rows = np.ndarray((t, d, span), np.uint64, code, strides=(code.strides[0], n, 8))
-        folded = fold[:, :t]
-        np.bitwise_and(rows[:, : 8 * full].reshape(t, full, 8, span).transpose(2, 0, 1, 3),
-                       _TOP_BITS, out=folded[:, :, :full])
-        if part:
-            np.bitwise_and(rows[:, 8 * full :].transpose(1, 0, 2), _TOP_BITS,
-                           out=folded[:part, :, full])
-        # row b lands k bits below row b + k; after k = 1, row b is at bit b
-        for k in (4, 2, 1):
-            low = folded[:k]
-            np.right_shift(low, np.uint64(k), out=low)
-            low |= folded[k : 2 * k]
-        column_bytes = folded[0].view(np.uint8).reshape(t, groups, span, 8)
-        for p in range(w):
-            top = column_bytes[:, 8 * p : 8 * p + 8]
-            stacked[p, :, :, :t, : top.shape[1]] = top.transpose(2, 3, 0, 1)
-        order = np.argsort(np.where(erased, j, 2 * n - j), axis=1)[:, :s]
-        at = order.T * chunk + np.arange(t)  # (s, T) offsets into one word of stacked
-        for p in range(w):
-            np.take(words[p], at, out=out[p], mode="clip")
-        return order
-
-    return pack
 
 
 def _first_dependent(cols: np.ndarray) -> np.ndarray:
@@ -240,64 +161,53 @@ def _first_dependent(cols: np.ndarray) -> np.ndarray:
     return free.argmax(axis=0)
 
 
-def _draw(words, lo: int, hi: int, d: int, n: int, matrix_reuse: int):
-    """Parity-check words and channel uniforms (T, n) of trials lo..hi-1.
-
-    words is a _stream(seed).  The same draws as rng.integers(0, 2, (d, n),
-    uint8) followed by rng.random(n) on rng = trial_rng(seed, i), read from
-    the stream's raw 64-bit words.  The bounded integer draw takes one byte
-    per entry, in little-endian order within each word, and keeps the byte's
-    top bit: entry (r, j) of trial i is the top bit of byte r n + j of its
-    first ceil(d n / 8) words.  Those come back as they are, in C-contiguous
-    rows of at least one more word (the uniforms' words or zero), so that a
-    row of the matrix can be read in whole words from any byte.  A uniform
-    is the next word's top 53 bits times 2**-53.  With matrix_reuse > 1 the uniforms come from
-    the first n words of stream i and the matrix from stream
-    i - i % matrix_reuse.
-    """
-    nm = -(-d * n // 8)
-    if matrix_reuse == 1:
-        raw = np.empty((hi - lo, nm + n), dtype=np.uint64)
-        for row, i in enumerate(range(lo, hi)):
-            raw[row] = words(i, nm + n)
-        code, chan = raw, raw[:, nm:]
-    else:
-        base = lo - lo % matrix_reuse
-        codes = [words(b, nm) for b in range(base, hi, matrix_reuse)]
-        code = np.zeros((hi - lo, nm + 1), dtype=np.uint64)
-        for row, i in enumerate(range(lo, hi)):
-            code[row, :nm] = codes[(i - base) // matrix_reuse]
-        chan = np.stack([words(i, n) for i in range(lo, hi)])
-    return code, (chan >> np.uint64(11)) * 2.0 ** -53
-
-
 def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 1):
     """Decode times of trials 0..trials-1, one array per block of _BLOCK.
 
-    Every stream is read through one _stream.  Each draw chunk's inserted
-    columns are packed straight into one block array (see _column_packer),
-    and their indices and the trials' erasure counts into two more, all
-    reused block to block.  A trial whose first dependent column is erased
-    (the erased ones go first) never decodes, n + 1; otherwise the column's
-    index + 1 is the first time its symbols decode.
+    One Philox(key=seed) is read front to back, a draw chunk at a time (see
+    the module docstring for the layout).  Each chunk's inserted columns are
+    taken straight into one block array, and their indices and the trials'
+    erasure counts into two more, all reused block to block.  With
+    matrix_reuse > 1 a trial's columns are its group's first trial's, and the
+    columns of a group begun in an earlier chunk are carried over.  A trial
+    whose first dependent column is erased (the erased ones go first) never
+    decodes, n + 1; otherwise the column's index + 1 is the first time its
+    symbols decode.
     """
     d, n = params.n - params.k, params.n
-    words = _stream(seed)
+    w = max(1, -(-d // 64))
+    wn = w * n  # a trial's column words; its n uniforms follow
+    bitgen = np.random.Philox(key=seed)
     block = min(_BLOCK, trials)
-    chunk = max(1, min(block, _DRAW_WORDS // (-(-d * n // 8) + n)))
-    pack = _column_packer(d, n, chunk)
-    cols = np.empty((max(1, -(-d // 64)), d + 1, block), dtype=np.uint64)
+    chunk = max(1, min(block, _DRAW_WORDS // (wn + n)))
+    last = np.uint64((1 << (d - 64 * (w - 1))) - 1)  # the rows of the last word; 0 at d = 0
+    j = np.arange(n)
+    base = np.zeros((1, wn), dtype=np.uint64)  # the columns of the group in progress
+    cols = np.empty((w, d + 1, block), dtype=np.uint64)
     inserted = np.empty((block, d + 1), dtype=np.min_scalar_type(n + 1))
     erasures = np.empty(block, dtype=np.intp)
     for lo in range(0, trials, block):
         t = min(block, trials - lo)
         for a in range(0, t, chunk):
             b = min(a + chunk, t)
-            code, uniforms = _draw(words, lo + a, lo + b, d, n, matrix_reuse)
-            erased = uniforms < params.epsilon
-            inserted[a:b] = pack(code, erased, cols[:, :, a:b])
+            raw = bitgen.random_raw((b - a) * (wn + n)).reshape(b - a, wn + n)
+            erased = (raw[:, wn:] >> np.uint64(11)) * 2.0 ** -53 < params.epsilon
+            order = np.argsort(np.where(erased, j, 2 * n - j), axis=1)[:, : d + 1]
+            if matrix_reuse == 1:
+                code, rows = raw, np.arange(b - a)
+            else:
+                i = np.arange(lo + a, lo + b)
+                code = np.concatenate([base, raw[:, :wn]])
+                # row 0, base, serves the trials whose group began before this chunk
+                rows = np.maximum(i - i % matrix_reuse - (lo + a) + 1, 0)
+                base = code[rows[-1:]]
+            at = (order * w + rows[:, None] * code.shape[1]).T  # word 0 of each column
+            for p in range(w):
+                np.take(code, at + p, out=cols[p, :, a:b], mode="clip")
+            cols[w - 1, :, a:b] &= last
+            inserted[a:b] = order
             erasures[a:b] = erased.sum(axis=1)
-            del code, uniforms  # one chunk's draw alive at a time
+            del raw, code, order, at  # one chunk's draw alive at a time
         first = _first_dependent(cols[:, :, :t])
         yield np.where(first < erasures[:t], n + 1, inserted[np.arange(t), first] + 1)
 

@@ -369,39 +369,63 @@ def dp_best_interior(curve: np.ndarray, k: int, n: int, m: int) -> tuple[int, ..
     return tuple(int(x[a]) for a in picks)
 
 
-def philox_trial(seed: int, index: int) -> np.random.Generator:
-    """The per-trial stream the simulator names: Philox keyed by seed, counter word 2 = index."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
+def dense_trial_words(seed: int, trial: int, count: int) -> list[int]:
+    """Words trial * count..(trial + 1) * count - 1 of Philox(key=seed)'s raw stream, as ints.
 
-
-def _column_ints(bits: np.ndarray) -> list[int]:
-    """Each column of a 0/1 array as an int, bit r = row r."""
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8).T, axis=1, bitorder="little")
-    return [int.from_bytes(col.tobytes(), "little") for col in packed]
-
-
-def insertion_columns_loop(bits: np.ndarray, erased: np.ndarray,
-                           s: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, order) of simulate's column packer, one trial and one bit at a time.
-
-    Trial t inserts its erased columns ascending, then its received ones from
-    right to left, and keeps the first s; order[t, c] is the index of its
-    c-th.  cols is (W, s, T) uint64, W = max(1, ceil(d / 64)), and bit b of
-    cols[p, c, t] is set iff entry 64 p + b of trial t's c-th inserted column
-    is 1.
+    A fresh generator per call, moved there by counter arithmetic: one
+    Philox4x64 counter step yields four words, so it advances trial * count
+    // 4 steps and drops the remainder's words.
     """
-    trials, d, n = bits.shape
-    cols = np.zeros((max(1, -(-d // 64)), s, trials), dtype=np.uint64)
-    order = np.zeros((trials, s), dtype=np.int64)
-    for t in range(trials):
-        inserted = ([j for j in range(n) if erased[t, j]]
-                    + [j for j in reversed(range(n)) if not erased[t, j]])
-        for c, j in enumerate(inserted[:s]):
-            order[t, c] = j
-            for r in range(d):
-                if bits[t, r, j]:
-                    cols[r // 64, c, t] |= np.uint64(1 << (r % 64))
-    return cols, order
+    start = trial * count
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(start // 4)
+    return [int(x) for x in bitgen.random_raw(start % 4 + count)[start % 4 :]]
+
+
+def dense_trial(d: int, n: int, epsilon: float, seed: int, trial: int,
+                matrix_reuse: int = 1) -> tuple[list[int], list[bool]]:
+    """(columns, erased) of one trial of simulate's dense stream, with Python ints.
+
+    Trial i owns P = W n + n words, W = max(1, ceil(d / 64)).  Column j is
+    the int whose 64-bit digit p is word j W + p, cut to its low d bits (row
+    r is bit r); symbol j is erased when word W n + j's top 53 bits times
+    2**-53 are below epsilon.  With matrix_reuse r the columns come from trial
+    i - i % r and the erasures from trial i.
+    """
+    w = max(1, -(-d // 64))
+    per = w * n + n
+    code = dense_trial_words(seed, trial - trial % matrix_reuse, per)
+    chan = dense_trial_words(seed, trial, per)[w * n :]
+    cols = [sum(code[j * w + p] << (64 * p) for p in range(w)) % 2 ** d for j in range(n)]
+    return cols, [(u >> 11) * 2.0 ** -53 < epsilon for u in chan]
+
+
+def decode_time(d: int, n: int, cols, erased) -> int:
+    """First t whose sent symbols decode, or n + 1, by bisection over t.
+
+    The symbols sent by t decode when the columns of the erased ones and of
+    the unsent ones are independent; that set only shrinks as t grows.
+    """
+    def decodes(t: int) -> bool:
+        missing = [cols[j] for j in range(t) if erased[j]] + list(cols[t:])
+        return len(missing) <= d and _columns_independent(missing, d)
+
+    lo, hi = 0, n + 1  # the answer lies in lo..hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if decodes(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def reference_times(k: int, n: int, epsilon: float, trials: int, seed: int,
+                    matrix_reuse: int = 1) -> list[int]:
+    """decode_time of trials 0..trials-1, each drawn with dense_trial."""
+    d = n - k
+    return [decode_time(d, n, *dense_trial(d, n, epsilon, seed, i, matrix_reuse))
+            for i in range(trials)]
 
 
 def play_round(d: int, n: int, boundaries, cols, erased):
@@ -423,25 +447,10 @@ def play_round(d: int, n: int, boundaries, cols, erased):
 
 def reference_rounds(k: int, n: int, epsilon: float, boundaries, trials: int, seed: int,
                      matrix_reuse: int = 1) -> list[tuple]:
-    """play_round for trials 0..trials-1, drawn the plain way.
-
-    Trial i draws rng.integers(0, 2, (n - k, n), uint8) then rng.random(n)
-    from its own stream; with matrix_reuse > 1 the code comes from stream
-    i - i % matrix_reuse and the erasures from stream i alone.
-    """
+    """play_round for trials 0..trials-1, each drawn with dense_trial."""
     d = n - k
-    out = []
-    for i in range(trials):
-        if matrix_reuse == 1:
-            rng = philox_trial(seed, i)
-            bits = rng.integers(0, 2, size=(d, n), dtype=np.uint8)
-        else:
-            bits = philox_trial(seed, i - i % matrix_reuse).integers(
-                0, 2, size=(d, n), dtype=np.uint8)
-            rng = philox_trial(seed, i)
-        erased = (rng.random(n) < epsilon).tolist()
-        out.append(play_round(d, n, boundaries, _column_ints(bits), erased))
-    return out
+    return [play_round(d, n, boundaries, *dense_trial(d, n, epsilon, seed, i, matrix_reuse))
+            for i in range(trials)]
 
 
 def rows_to_csv_loop(cfg, columns, rows) -> str:

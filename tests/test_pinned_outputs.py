@@ -46,7 +46,7 @@ DEMOS = {
     "03_schedule_optimization.py":
         "f96a6158374257a96668eee4b35709609a4a757631127293a1df6e52833d35e0",
     "04_monte_carlo_validation.py":
-        "7ad0a3a5b6fdc4f644f51f7c76be88848ca1c4d60ecb11695bbe3852b18cbf6f",
+        "d2dbea181165bca13b44df4d509ebc4477bb4d8fef8b55e72f16dd28b848265f",
 }
 
 with open(DIGESTS) as fh:

@@ -15,6 +15,7 @@ from scipy.stats import chi2_contingency
 from harqsdo import (
     CodeParams,
     Schedule,
+    ack_curve,
     ack_prob,
     asymptotic_round_moments,
     decode_success_prob,
@@ -30,33 +31,32 @@ from harqsdo import (
 )
 
 import harqsdo.simulate as simulate_module
-from harqsdo.cli import main
-from harqsdo.simulate import (
-    _BLOCK,
-    _column_packer,
-    _draw,
-    _first_dependent,
-    _span_times,
-    _stream,
-)
+from harqsdo.cli import build_config, main
+from harqsdo.simulate import _BLOCK, _first_dependent, _span_times
 
-from oracles import dense_rank_mod2, insertion_columns_loop, philox_trial, reference_rounds
+from oracles import (
+    decode_time,
+    dense_rank_mod2,
+    dense_trial,
+    reference_rounds,
+    reference_times,
+)
 
 # stdout sha256 of simulate at the benchmark's design point and trial count,
 # and at d = 88 (two words a column) and d = 131 (three, with n % 8 = 7)
 FULL_SIZE_DIGESTS = {
     "simulate --k 32 --n 88 --m 4 --eps 0.5 --trials 3000 --seed 11 --model all":
-        "0ecf2f24d83021414ff5f33b325a9303968a45f8fac5389e1e0cd908393115e3",
+        "6ef720780170b517769c8375d081f08c4c9e5339f3aedfc89771b12675b3d61c",
     "simulate --k 32 --n 88 --m 4 --eps 0.5 --trials 3000 --seed 11 --model all"
     " --matrix-reuse 3":
-        "4c1d81b5892585cffd46c4617d4a2631c363e0c5b36572e0557301227872c044",
+        "6eda8e38c3b139349b96477216c7aa3e0a4aa49085bb2e4aecb3d7113c30472b",
     "simulate --k 32 --n 120 --m 4 --eps 0.5 --trials 3000 --seed 11 --model all":
-        "0c67d5366a7e711b1316855f020b733a12253868f92fd6fdf3bc8b980d71c3ea",
+        "8ebb5cb069d430dcc5713cbfa57d3589a33a41884ad574615aaa2bed8fc56338",
     "simulate --k 32 --n 120 --m 4 --eps 0.5 --trials 3000 --seed 11 --model all"
     " --matrix-reuse 3":
-        "5213f94b24c5fff8fb83fb1d0b4d3428e5c893afea1e836540c0c558eba6a25b",
+        "168b79cd298db1f9380e025c60e9a40350ae1feb5529b038c9ab0a9cd890cef9",
     "simulate --k 20 --n 151 --m 4 --eps 0.5 --trials 3000 --seed 11 --model all":
-        "7bca4ad93df02fc89e15e3cd906fc3ce6cf26bcbb55d6efa902bbd04c728185d",
+        "9617f8a264da78ceb6fcdee50b7cb13da5ee2e13d6947ae2cc658832b72d58fd",
 }
 
 
@@ -74,14 +74,12 @@ def _lanes(mats) -> np.ndarray:
     return cols
 
 
-def _entries(code: np.ndarray, d: int, n: int) -> np.ndarray:
-    """(T, d, n) 0/1 matrices from _draw's words: entry (r, j) is the top bit of byte r n + j."""
-    raw = code.view(np.uint8)[:, : d * n] >> 7
-    return raw.reshape(len(code), d, n)
-
-
 def _no_draws(*args, **kwargs):
-    raise AssertionError("a trial stream was opened")
+    raise AssertionError("a Philox was built")
+
+
+def _times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 1) -> list[int]:
+    return np.concatenate(list(_span_times(params, seed, trials, matrix_reuse))).tolist()
 
 
 def _first_dependent_by_rank(m: np.ndarray) -> int:
@@ -127,12 +125,16 @@ class TestErasedColumnsIndependent:
         position_sets = [(1, 2, 3, 7), (0, 1, 2, 3), (2, 4, 5, 6), (3, 5, 6, 7)]
         table = []
         for si, pos in enumerate(position_sets):
-            code, _ = _draw(_stream(777 + si), 0, draws, n - k, n, 1)
-            first = _first_dependent(_lanes(_entries(code, n - k, n)[:, :, list(pos)]))
+            # the columns of the dense stream's first draws trials: at d = 5,
+            # column j of trial i is word 2 n i + j, cut to its low 5 bits
+            raw = np.random.Philox(key=777 + si).random_raw(draws * 2 * n).reshape(draws, 2 * n)
+            cols = raw[:, list(pos)] & np.uint64(2 ** (n - k) - 1)
+            assert cols[:3].tolist() == [
+                [dense_trial(n - k, n, 0.0, 777 + si, i)[0][j] for j in pos] for i in range(3)]
+            first = _first_dependent(cols.T[None].copy())
             dec = int(np.count_nonzero(first == len(pos)))
             table.append([dec, draws - dec])
-        # the samples of the per-trial loop over the same streams
-        assert table == [[2377, 1623], [2379, 1621], [2398, 1602], [2410, 1590]]
+        assert table == [[2374, 1626], [2362, 1638], [2439, 1561], [2350, 1650]]
         _, pval, _, _ = chi2_contingency(np.array(table))
         assert pval > 1e-3
 
@@ -156,7 +158,7 @@ class TestEstimate:
     def test_first_block_ack_rate(self):
         rep = estimate(CodeParams(1, 2, 0.0), Schedule((1, 2)), 20000, 5)
         rate = rep.ack_rate_per_block[0]
-        assert rate * 20000 == 9907  # the per-trial loop's count on the same streams
+        assert rate * 20000 == 9937  # reference_times's count on the same stream
         se = math.sqrt(0.5 * 0.5 / 20000)
         assert abs(rate - 0.5) < 3 * se
 
@@ -218,10 +220,7 @@ class TestRescore:
 
     @pytest.fixture(scope="class")
     def oracle_times(self):
-        # a boundary at every symbol from k on, so the oracle's stop block is L
-        rounds = reference_rounds(self.K, self.N, self.EPS, range(self.K, self.N + 1),
-                                  self.TRIALS, self.SEED)
-        return [sent if ok else self.N + 1 for _, sent, ok, _ in rounds]
+        return reference_times(self.K, self.N, self.EPS, self.TRIALS, self.SEED)
 
     @pytest.mark.parametrize("schedule", [
         (88,), (16, 50, 88),
@@ -231,10 +230,10 @@ class TestRescore:
     ], ids=["m1", "first-below-k", "es", "na", "lna"])
     def test_scores_match_reference_rounds(self, schedule, drawn, oracle_times,
                                            monkeypatch):
-        monkeypatch.setattr(simulate_module, "_stream", _no_draws)
         k, n, trials = self.K, self.N, self.TRIALS
-        rep = rescore(drawn, CodeParams(k, n, self.EPS), Schedule(schedule))
         rounds = reference_rounds(k, n, self.EPS, schedule, trials, self.SEED)
+        monkeypatch.setattr(np.random, "Philox", _no_draws)  # the oracle builds its own
+        rep = rescore(drawn, CodeParams(k, n, self.EPS), Schedule(schedule))
         sent = [r[1] for r in rounds]
         mean = sum(sent) / trials
         var = (sum(x * x for x in sent) - trials * mean * mean) / (trials - 1)
@@ -319,6 +318,11 @@ class TestPerSymbolSampling:
         assert np.array_equal(again[0], lengths) and np.array_equal(again[1], success)
         counts = sample_decode_counts(8, 24, 1100, 42)
         assert np.array_equal(counts[:600], sample_decode_counts(8, 24, 600, 42))
+        # and each is the oracle's trial of that index, either side of a block
+        for i in (0, 511, 512, 599, 1099):
+            time = decode_time(16, 24, *dense_trial(16, 24, 0.5, 42, i))
+            assert (lengths[i], success[i]) == (min(time, 24), time <= 24)
+            assert counts[i] == decode_time(16, 24, *dense_trial(16, 24, 0.0, 42, i))
 
     def test_round_length_invariants(self):
         k, n = 8, 24
@@ -344,54 +348,45 @@ class TestDecodeTimeKernel:
 
     @pytest.mark.parametrize("matrix_reuse", [1, 3])
     @pytest.mark.parametrize("eps", [0.0, 0.3, 0.5, 0.9])
-    @pytest.mark.parametrize("d", [1, 7, 56, 63, 64, 65, 136])
+    @pytest.mark.parametrize("d", [0, 1, 56, 63, 64, 65, 88, 131])
     def test_decode_times_match_reference(self, d, eps, matrix_reuse):
-        # a boundary at every symbol from k on, so the reference's stop block is L
+        # one, two and three words a column, each full or masked; 40 trials
+        # end part-way through a reuse group of 3
         k, trials, seed = 6, 40, 1000 + d
         n = k + d
-        rounds = reference_rounds(k, n, eps, range(k, n + 1), trials, seed, matrix_reuse)
-        want = [sent if ok else n + 1 for _, sent, ok, _ in rounds]
-        got = np.concatenate(list(_span_times(CodeParams(k, n, eps), seed, trials,
-                                              matrix_reuse)))
-        assert got.tolist() == want
+        want = reference_times(k, n, eps, trials, seed, matrix_reuse)
+        assert _times(CodeParams(k, n, eps), seed, trials, matrix_reuse) == want
+
+    @pytest.mark.parametrize("matrix_reuse", [1, 3])
+    @pytest.mark.parametrize("d, n", [(0, 5), (1, 6), (8, 13), (56, 88), (65, 70), (131, 151)])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 0.99], ids=["none-erased", "half", "most-erased"])
+    @pytest.mark.parametrize("trials", [7, 64])
+    def test_decode_times_match_reference_in_small_chunks(self, trials, eps, d, n, matrix_reuse,
+                                                          monkeypatch):
+        # blocks of 5 trials drawn 2 at a time: a chunk starts inside a
+        # reuse group of 3, whose columns come from an earlier chunk or
+        # block, and a chunk's columns land mid-block; 7 trials end part-way
+        # through a chunk, a block and a group
+        monkeypatch.setattr(simulate_module, "_BLOCK", 5)
+        monkeypatch.setattr(simulate_module, "_DRAW_WORDS", 2 * (max(1, -(-d // 64)) + 1) * n)
+        seed = 2 * trials + d
+        want = reference_times(n - d, n, eps, trials, seed, matrix_reuse)
+        assert _times(CodeParams(n - d, n, eps), seed, trials, matrix_reuse) == want
 
     @pytest.mark.parametrize("k, n", [(250, 255), (250, 256), (251, 257)])
     def test_decode_times_near_a_byte_of_columns(self, k, n):
         # L reaches n and n + 1 here, and column indices pass 255 at n > 256
-        trials, seed = 300, 3
-        rounds = reference_rounds(k, n, 0.01, range(k, n + 1), trials, seed)
-        want = [sent if ok else n + 1 for _, sent, ok, _ in rounds]
-        got = np.concatenate(list(_span_times(CodeParams(k, n, 0.01), seed, trials)))
+        want = reference_times(k, n, 0.01, 300, 3)
         assert {n, n + 1} <= set(want)
-        assert got.tolist() == want
+        assert _times(CodeParams(k, n, 0.01), 3, 300) == want
 
-    @pytest.mark.parametrize("d, n", [(1, 2), (3, 5), (7, 12), (7, 13), (56, 88), (65, 70)])
-    def test_raw_word_draw_matches_generator_calls(self, d, n):
-        # d * n covers 2, 15, 84, 91, 4928 and 4550: every residue class that
-        # decides how the byte draw splits over 32- and 64-bit words.  The
-        # seeds use no key word, the low one, both, and every bit of both;
-        # lo = 5 is no multiple of _BLOCK or matrix_reuse 3, and one
-        # re-pointed stream serves both draws, so the second revisits streams
-        # 3 and 5..8 out of order.  Each trial's words run at least one past
-        # the matrix, so the packer can read a row's last bytes as a whole word.
-        assert 5 % _BLOCK and 5 % 3
-        words_per_matrix = -(-d * n // 8)
-        for seed in (0, 11, 2 ** 64 + 5, 2 ** 128 - 1):
-            words = _stream(seed)
-            code, uniforms = _draw(words, 5, 9, d, n, 1)
-            assert code.flags.c_contiguous and code.shape == (4, words_per_matrix + n)
-            bits = _entries(code, d, n)
-            for row, i in enumerate(range(5, 9)):
-                rng = philox_trial(seed, i)
-                assert np.array_equal(bits[row], rng.integers(0, 2, size=(d, n), dtype=np.uint8))
-                assert np.array_equal(uniforms[row], rng.random(n))
-            code, uniforms = _draw(words, 5, 12, d, n, 3)
-            assert code.flags.c_contiguous and code.shape == (7, words_per_matrix + 1)
-            bits = _entries(code, d, n)
-            for row, i in enumerate(range(5, 12)):
-                want = philox_trial(seed, i - i % 3).integers(0, 2, size=(d, n), dtype=np.uint8)
-                assert np.array_equal(bits[row], want)
-                assert np.array_equal(uniforms[row], philox_trial(seed, i).random(n))
+    @pytest.mark.parametrize("seed", [0, 11, 2 ** 64 + 5, 2 ** 128 - 1])
+    @pytest.mark.parametrize("d, n", [(1, 2), (3, 5), (7, 12), (56, 88), (64, 70), (65, 70)])
+    def test_decode_times_match_reference_at_any_key(self, d, n, seed):
+        # the seeds use no key word, the low one, both, and every bit of both
+        for matrix_reuse in (1, 3):
+            want = reference_times(n - d, n, 0.3, 10, seed, matrix_reuse)
+            assert _times(CodeParams(n - d, n, 0.3), seed, 10, matrix_reuse) == want
 
     def test_one_bit_generator_per_span(self, request):
         p = CodeParams(32, 88, 0.5)
@@ -409,43 +404,12 @@ class TestDecodeTimeKernel:
         # off the matrix_reuse groups of 3, and neither size need be a
         # multiple of 8: a column's words hold one trial each
         p = CodeParams(k, n, 0.5)
-        want = np.concatenate(list(_span_times(p, 11, 300, matrix_reuse)))
-        per_trial = -(-(n - k) * n // 8) + n  # the words _DRAW_WORDS counts
+        want = _times(p, 11, 300, matrix_reuse)
+        per_trial = (max(1, -(-(n - k) // 64)) + 1) * n  # the words _DRAW_WORDS counts
         for block, draw in [(64, 8), (128, 16), (1024, 32), (100, 13), (37, 5), (7, 1)]:
             monkeypatch.setattr(simulate_module, "_BLOCK", block)
             monkeypatch.setattr(simulate_module, "_DRAW_WORDS", draw * per_trial)
-            got = np.concatenate(list(_span_times(p, 11, 300, matrix_reuse)))
-            assert got.tolist() == want.tolist()
-
-    @pytest.mark.parametrize("erasures", ["all", "none", "random"])
-    @pytest.mark.parametrize("d, n", [(0, 5), (1, 6), (8, 13), (56, 88), (65, 70), (131, 151)])
-    @pytest.mark.parametrize("trials", [1, 7, 8, 9, 64])
-    def test_column_packer_matches_loop(self, trials, d, n, erasures):
-        # n < 8 at d <= 1 and n % 8 != 0 but at d = 56, so a row starts
-        # mid-word; code has a word past the matrix, as _draw's does with
-        # matrix_reuse > 1; out starts mid-block, as _span_times's chunk
-        # slices do; and the packer has served a larger chunk first
-        s = d + 1
-        rng = np.random.default_rng(100 * trials + d)
-        words_per_matrix = -(-d * n // 8)
-
-        def draw(count):
-            return rng.integers(0, 2 ** 64, size=(count, words_per_matrix + 1), dtype=np.uint64)
-
-        code = draw(trials)
-        erased = {"all": np.ones((trials, n), dtype=bool),
-                  "none": np.zeros((trials, n), dtype=bool),
-                  "random": rng.random((trials, n)) < 0.5}[erasures]
-        want_cols, want_order = insertion_columns_loop(_entries(code, d, n), erased, s)
-        pack = _column_packer(d, n, trials + 5)
-        pack(draw(trials + 5), rng.random((trials + 5, n)) < 0.5,
-             np.empty((len(want_cols), s, trials + 5), dtype=np.uint64))
-        block = np.full((len(want_cols), s, trials + 6), 0xA5A5, dtype=np.uint64)
-        order = pack(code, erased, block[:, :, 3 : 3 + trials])
-        assert order.tolist() == want_order.tolist()
-        assert np.array_equal(block[:, :, 3 : 3 + trials], want_cols)
-        block[:, :, 3 : 3 + trials] = 0xA5A5
-        assert (block == 0xA5A5).all()  # no word outside the trials' own was written
+            assert _times(p, 11, 300, matrix_reuse) == want
 
     @pytest.mark.parametrize("d, s, want", [(5, 6, 0), (1, 1, 0), (0, 1, 0), (130, 4, 0)])
     def test_all_zero_columns_depend_at_once(self, d, s, want):
@@ -565,6 +529,62 @@ def test_full_size_simulate_output_is_pinned(argv, monkeypatch):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == FULL_SIZE_DIGESTS[argv]
 
 
+def _law_z(counts: list[int], params: CodeParams) -> float:
+    """Wilson-Hilferty z of a chi-square of decode-time counts 0..n+1 against the law.
+
+    L = t with probability ACK(t) - ACK(t - 1), and L = n + 1 with 1 - ACK(n).
+    The times are binned in order, a bin closing once its expected count
+    reaches 5; a short run left at the end joins the last bin.
+    """
+    ack = ack_curve(params).tolist()
+    probs = [b - a for a, b in zip([0.0] + ack, ack)] + [1.0 - ack[-1]]
+    trials = sum(counts)
+    bins, obs, exp = [], 0, 0.0
+    for count, p in zip(counts, probs):
+        obs, exp = obs + count, exp + trials * p
+        if exp >= 5:
+            bins.append([obs, exp])
+            obs, exp = 0, 0.0
+    bins[-1][0] += obs
+    bins[-1][1] += exp
+    chi2 = sum((o - e) ** 2 / e for o, e in bins)
+    dof = len(bins) - 1
+    h = 2 / (9 * dof)
+    return ((chi2 / dof) ** (1 / 3) - (1 - h)) / math.sqrt(h)
+
+
+def _shifted(counts: list[int], by: int) -> list[int]:
+    """counts with every decode time 0..n moved by one, up or down, within 0..n."""
+    n = len(counts) - 2
+    if by > 0:
+        return [0] + counts[: n - 1] + [counts[n - 1] + counts[n], counts[n + 1]]
+    return [counts[0] + counts[1]] + counts[2 : n + 1] + [0, counts[n + 1]]
+
+
+@pytest.mark.parametrize("argv", sorted(FULL_SIZE_DIGESTS))
+def test_full_size_decode_times_follow_the_law(argv):
+    # with matrix_reuse r, trials 0, r, 2 r, ... each have a code of their
+    # own, so they are independent rounds; |z| <= 5 is a 5.7e-7 false alarm
+    cfg = build_config(argv.split())
+    params = CodeParams(cfg.scalar("k"), cfg.scalar("n"), cfg.scalar("epsilon"))
+    times = np.concatenate(list(_span_times(params, cfg.seed, cfg.trials, cfg.matrix_reuse)))
+    counts = np.bincount(times[:: cfg.matrix_reuse], minlength=params.n + 2).tolist()
+    assert abs(_law_z(counts, params)) <= 5
+
+
+@pytest.mark.parametrize("eps, trials", [(0.0, 3000), (0.5, 30000)])
+def test_law_check_fails_a_shifted_histogram(eps, trials):
+    # at eps 0.5 a decode time spreads over about 8 symbols, so a shift by
+    # one stands out only past 3000 trials; lossless, it spreads over 2
+    params = CodeParams(32, 88, eps)
+    counts = np.bincount(np.concatenate(list(_span_times(params, 11, trials))),
+                         minlength=params.n + 2).tolist()
+    assert abs(_law_z(counts, params)) <= 5
+    for by in (1, -1):
+        assert sum(_shifted(counts, by)) == trials
+        assert abs(_law_z(_shifted(counts, by), params)) > 5
+
+
 class TestRunArguments:
     def test_zero_trials_rejected_by_samplers(self):
         with pytest.raises(ValueError, match="trials must be >= 1"):
@@ -581,7 +601,7 @@ class TestRunArguments:
                 call()
 
     def test_seed_range_checked_before_threads_start(self, monkeypatch):
-        monkeypatch.setattr(simulate_module, "_stream", _no_draws)
+        monkeypatch.setattr(np.random, "Philox", _no_draws)
         p = CodeParams(8, 24, 0.5)
         s = Schedule((16, 20, 24))
         for seed in (2 ** 128, -1):

@@ -30,7 +30,6 @@ from .sdo import (
     optimize,
     optimize_row,
     exhaustive_search,
-    exhaustive_search_each,
 )
 from .simulate import (
     EstimateReport,

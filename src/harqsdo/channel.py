@@ -63,12 +63,6 @@ class Schedule:
         return len(self.boundaries)
 
     @property
-    def lengths(self) -> tuple[int, ...]:
-        """Sub-block lengths l_i = n_i - n_{i-1} with n_0 = 0."""
-        b = (0,) + self.boundaries
-        return tuple(b[i + 1] - b[i] for i in range(len(self.boundaries)))
-
-    @property
     def final(self) -> int:
         return self.boundaries[-1]
 
@@ -164,19 +158,21 @@ def ack_curves(epsilon: float, points):
 
 
 def _ack_table(eps: float, points) -> list[np.ndarray]:
-    """The ACK curves of the (k, n) of points at eps, computed together; see ack_curve."""
+    """The ACK curves of the (k, n) of points at eps, computed together; see ack_curve.
+
+    One table, in point order, every row run up to the largest n: past a
+    curve's own n its 1 - P_s is 0, and its values there are never read.
+    """
     ps = [decode_success_curve(k, n) for k, n in points]
     if eps == 0.0:
         for curve in ps:  # lossless, ACK is decoding success
             curve.setflags(write=False)
         return ps
-    order = sorted(range(len(points)), key=lambda i: -points[i][1])  # n descending
-    ends = [points[i][1] for i in order]
-    top = ends[0]
-    acks = np.zeros((len(order), top + 1))
-    fail = np.empty_like(acks)  # row i past its own n is never read
-    for row, i in enumerate(order):
-        np.subtract(1.0, ps[i], out=fail[row, : len(ps[i])])
+    top = max(n for _, n in points)
+    acks = np.zeros((len(points), top + 1))
+    fail = np.zeros_like(acks)  # P_s = 1 past a curve's own n, so 1 - P_s = 0 there
+    for row, curve in zip(fail, ps):
+        np.subtract(1.0, curve, out=row[: len(curve)])
     g = _log_factorials(top)
     j = np.arange(top + 1)
     keep, lose = j * math.log1p(-eps), j * math.log(eps)
@@ -185,7 +181,6 @@ def _ack_table(eps: float, points) -> list[np.ndarray]:
     back = np.maximum(top - np.arange(2 * top + 1), 0)
     back_g, back_lose = g[back], lose[back]
     rows = max(1, _BLOCK_CELLS // (top + 1))
-    alive = len(order)  # the curves with n >= t, a prefix of order
     for t0 in range(min(k for k, _ in points), top + 1, rows):
         t1 = min(top + 1, t0 + rows)
         at = slice(top + 1 - t1, top + 1 - t0)  # the windows of rows t1 - 1 down to t0
@@ -195,21 +190,15 @@ def _ack_table(eps: float, points) -> list[np.ndarray]:
         logw += sliding_window_view(back_lose, t1)[at][::-1]
         w = np.exp(logw, out=logw)
         for row, tt in zip(w, range(t0, t1)):
-            while ends[alive - 1] < tt:
-                alive -= 1
             # each curve's dot over r = 0..t, as np.dot's own ddot computes it
-            np.matmul(fail[:alive, None, : tt + 1], row[: tt + 1, None],
-                      out=acks[:alive, tt, None, None])
+            np.matmul(fail[:, None, : tt + 1], row[: tt + 1, None], out=acks[:, tt, None, None])
     # verbatim form: it cancels to a few ulps below 0 when eps is near 1, hence the clamp
     np.subtract(1.0, acks, out=acks)
     np.maximum(acks, 0.0, out=acks)
-    for row, i in enumerate(order):
-        acks[row, : points[i][0]] = 0.0  # t below k is computed with the rest, then cleared
+    for row, (k, _) in zip(acks, points):
+        row[:k] = 0.0  # t below k is computed with the rest, then cleared
     acks.setflags(write=False)  # before the views are taken, so they are read-only too
-    curves = [None] * len(order)
-    for row, i in enumerate(order):
-        curves[i] = acks[row, : points[i][1] + 1]
-    return curves
+    return [row[: n + 1] for row, (_, n) in zip(acks, points)]
 
 
 @functools.lru_cache(maxsize=1)
@@ -227,9 +216,10 @@ def ack_curve(params: CodeParams) -> np.ndarray:
     one-point case, cached for the most recent design point.  The weights
     of the (t, r) triangle are exponentiated a block of rows t at a time,
     at most _BLOCK_CELLS cells per block, once for every curve, so memory
-    stays flat in n.  Each t then makes one stacked matmul over the curves
-    alive at t: per curve it runs np.dot's own BLAS ddot over r = 0..t, so
-    each value is the float a dot of that row alone gives.
+    stays flat in n.  Each t then makes one stacked matmul over every
+    curve of the table: per curve it runs np.dot's own BLAS ddot over
+    r = 0..t, so each value at t <= n is the float a dot of that row alone
+    gives.
     """
     return next(ack_curves(params.epsilon, [(params.k, params.n)]))
 

@@ -33,8 +33,9 @@ from .codes import (
     overhead_moment,
 )
 from .channel import Schedule, ack_curve, ack_curves, round_length_law
-from .sdo import (CdfModel, OptimizerReport, _check_m, _feasible, exhaustive_search, optimize,
-                  optimize_row)
+from .sdo import CdfModel, _check_m, _feasible, optimize, optimize_row
+# unused here; perfbench traces it by this name
+from .sdo import exhaustive_search  # noqa: F401
 from .simulate import _first_dependent, estimate, rescore
 
 __all__ = ["RunConfig", "main", "run_validate"]
@@ -176,12 +177,6 @@ def _methods(model: str) -> list[str]:
     return [model]
 
 
-def _solve(params: CodeParams, m: int, method: str) -> OptimizerReport:
-    if method == "es":
-        return exhaustive_search(params, m)
-    return optimize(params, m, _MODEL_KIND[method])
-
-
 def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
                  skip: bool = True) -> list[dict]:
     """Rows of every (k, n, m) cell of cfg, k slowest and m fastest.
@@ -271,7 +266,9 @@ def run_simulate(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     k, n, m = cfg.scalar("k"), cfg.scalar("n"), cfg.scalar("m")
     eps = cfg.scalar("epsilon")
     params = CodeParams(k, n, eps)
-    solved = [(method, _solve(params, m, method)) for method in _methods(cfg.model)]
+    kinds = {method: _MODEL_KIND[method] for method in _methods(cfg.model)}
+    [(_, by_kind)] = optimize_row(k, eps, [(n, (m,))], kinds.values())  # one solve, every method
+    solved = [(method, by_kind[kind][m]) for method, kind in kinds.items()]
     # one draw: every row scores the same trials (common random numbers)
     drawn = estimate(params, solved[0][1].schedule, cfg.trials, cfg.seed,
                      matrix_reuse=cfg.matrix_reuse)
@@ -448,12 +445,13 @@ def _verdict_cell(row) -> str:
     return "pass" if row.get("passed") else "FAIL"
 
 
-def _cell_functions(columns: list[str], scheduled: bool) -> list:
+def _cell_functions(columns: list[str]) -> list:
     """Each column's cell as a function of a row, chosen once per table.
 
-    In a row with a schedule key (scheduled), a column nI is the I-th
-    boundary of its schedule, or empty past the last one; in any other row
-    it is a plain value: empty for None, 12 digits for a float.
+    A column nI is the I-th boundary of the row's schedule, or empty past
+    the last one or without a schedule: a table with nI columns holds only
+    rows with a schedule key.  Any other column is a plain value: empty for
+    None, 12 digits for a float.
     """
     def slot(idx: int):
         def cell(row) -> str:
@@ -475,7 +473,7 @@ def _cell_functions(columns: list[str], scheduled: bool) -> list:
 
     cells = []
     for col in columns:
-        if scheduled and col.startswith("n") and col[1:].isdigit():
+        if col.startswith("n") and col[1:].isdigit():
             cells.append(slot(int(col[1:]) - 1))
         elif col == "schedule":
             cells.append(_schedule_cell)
@@ -493,10 +491,9 @@ def _rows_to_csv(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
     buf.write(f"# harq-sdo {__version__} {cfg.param_summary()}\n")
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    scheduled = _cell_functions(columns, True)
-    plain = _cell_functions(columns, False)
+    cells = _cell_functions(columns)
     for row in rows:
-        writer.writerow([cell(row) for cell in (scheduled if "schedule" in row else plain)])
+        writer.writerow([cell(row) for cell in cells])
     return buf.getvalue()
 
 

@@ -25,9 +25,8 @@ segmented reduction per block takes each group's first minimum.  Nothing
 is kept between calls; optimize is the row's one-cell case.  The dynamic
 program's recurrence does not depend on m, so _exhaustive fills the tails
 once, as deep as the largest m, and backtracks each m from its own.  It
-reads the curve the row hands it as it reads it; exhaustive_search_each is
-the row's one-cell case with kind "exhaustive", and exhaustive_search its
-one-m case.
+reads the curve the row hands it as it reads it; exhaustive_search is the
+row's one-cell, one-m case with kind "exhaustive".
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ __all__ = [
     "optimize",
     "optimize_row",
     "exhaustive_search",
-    "exhaustive_search_each",
 ]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -349,20 +347,9 @@ def _steps(x: np.ndarray, c: np.ndarray, start: int, stop: int) -> np.ndarray:
     return np.where(b > a, (a - b) * c[start:stop, None], np.inf)
 
 
-def exhaustive_search_each(params: CodeParams, ms) -> dict[int, OptimizerReport]:
-    """exhaustive_search's report for every m in ms, keyed by m, from one backward pass.
-
-    The pass fills the tails of the largest m; every smaller m backtracks
-    from its own tail, as the recurrence does not depend on m.  This is
-    optimize_row's one-cell case with kind "exhaustive".
-    """
-    [(_, by_kind)] = optimize_row(params.k, params.epsilon, [(params.n, ms)], ("exhaustive",))
-    return by_kind["exhaustive"]
-
-
 def _exhaustive(params: CodeParams, ms: tuple[int, ...],
                 curve: np.ndarray) -> dict[int, OptimizerReport]:
-    """exhaustive_search_each's reports for the checked ms, each at least 2, from the ACK curve."""
+    """exhaustive_search's reports for the checked ms, each at least 2, from the ACK curve."""
     n = params.n
     x = np.arange(params.k, n)
     c = curve[params.k : n]
@@ -399,10 +386,11 @@ def exhaustive_search(params: CodeParams, m: int) -> OptimizerReport:
     min over y > x of (x - y) P_ack(x) + F[i+1][y].  The recurrence does
     not depend on m: the tail with j boundaries left serves every m, so
     one backward pass, as deep as the largest m, serves every m of a
-    design point (exhaustive_search_each).  Interior boundaries range over
-    k..n-1.  Ties break lexicographically toward smaller boundaries, as a
-    full enumeration in lexicographic order would.  The step costs are
-    formed in blocks of at most _BLOCK_CELLS, so memory stays O(m n) plus
-    one block.
+    design point (optimize_row, kind "exhaustive").  Interior boundaries
+    range over k..n-1.  Ties break lexicographically toward smaller
+    boundaries, as a full enumeration in lexicographic order would.  The
+    step costs are formed in blocks of at most _BLOCK_CELLS, so memory
+    stays O(m n) plus one block.
     """
-    return exhaustive_search_each(params, (m,))[m]
+    [(_, by_kind)] = optimize_row(params.k, params.epsilon, [(params.n, (m,))], ("exhaustive",))
+    return by_kind["exhaustive"][m]

@@ -203,7 +203,7 @@ def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 
                 base = code[rows[-1:]]
             at = (order * w + rows[:, None] * code.shape[1]).T  # word 0 of each column
             for p in range(w):
-                np.take(code, at + p, out=cols[p, :, a:b], mode="clip")
+                np.take(code, at + p, out=cols[p, :, a:b], mode="raise")
             cols[w - 1, :, a:b] &= last
             inserted[a:b] = order
             erasures[a:b] = erased.sum(axis=1)

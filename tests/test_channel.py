@@ -47,7 +47,7 @@ class TestSchedule:
     def test_properties(self):
         s = Schedule((3, 7, 12))
         assert s.m == 3
-        assert s.lengths == (3, 4, 5)
+        assert s.boundaries == (3, 7, 12)
         assert s.final == 12
 
     def test_rejects_non_increasing(self):
@@ -271,6 +271,29 @@ class TestAckCurves:
             assert len(chunk) == 1 or len(chunk) * (max(n for _, n in chunk) + 1) <= 200
         for (k, n), curve in zip(_BATCH, got):
             assert curve.tobytes() == ack_curve_loop(CodeParams(k, n, 0.5)).tobytes(), (k, n)
+
+    @pytest.mark.parametrize("cells", [None, (400, 3)], ids=["default-cells", "small-cells"])
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "repeated",
+                                       "mixed-k"])
+    def test_any_point_order_matches_loop(self, monkeypatch, order, cells):
+        # one table in point order, each row run to the chunk's largest n:
+        # a curve is the one computed alone wherever its n falls; small
+        # cells split the points into chunks of mixed n, one weight row a block
+        if cells:
+            monkeypatch.setattr(channel, "_CURVE_CELLS", cells[0])
+            monkeypatch.setattr(channel, "_BLOCK_CELLS", cells[1])
+        ns = [9, 20, 33, 47, 161]
+        points = {"ascending": [(8, n) for n in ns],
+                  "descending": [(8, n) for n in ns[::-1]],
+                  "shuffled": [(8, n) for n in random.Random(5).sample(ns, len(ns))],
+                  "repeated": [(8, 47), (8, 9), (8, 47), (8, 161), (8, 9), (8, 161)],
+                  "mixed-k": [(17, 47), (1, 1), (8, 161), (20, 20), (3, 9), (33, 33)]}[order]
+        for eps in (0.0, 0.3, 0.5, 0.999):
+            got = list(channel.ack_curves(eps, points))
+            assert len(got) == len(points)
+            for (k, n), curve in zip(points, got):
+                want = ack_curve_loop(CodeParams(k, n, eps))
+                assert curve.tobytes() == want.tobytes(), (order, eps, k, n)
 
     def test_reads_points_as_it_needs_them(self):
         # a stream over many rows computes only the chunks read so far

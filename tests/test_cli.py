@@ -260,6 +260,26 @@ class TestSimulateCommand:
             assert code == 0
             assert table(single) == (columns, [row])
 
+    @pytest.mark.parametrize("method", ["es", "na", "lna"])
+    def test_model_all_row_is_the_single_method_row(self, method, capsys):
+        # one optimize_row solves every method of a run: at the benchmark's
+        # design point each --model all row is the method's own run's row,
+        # and its schedule is the one-method solver's
+        base = ["simulate", "--k", "32", "--n", "88", "--m", "4", "--eps", "0.5",
+                "--trials", "600", "--seed", "11"]
+        code, out = run_cli(base + ["--model", "all"], capsys)
+        assert code == 0
+        [row] = [line for line in out.splitlines()[2:] if line.split(",")[4] == method]
+        code, single = run_cli(base + ["--model", method], capsys)
+        assert code == 0
+        assert single.splitlines()[2:] == [row]
+        params = CodeParams(32, 88, 0.5)
+        report = (exhaustive_search(params, 4) if method == "es"
+                  else optimize(params, 4, cli._MODEL_KIND[method]))
+        [fields] = read_csv(single)
+        assert tuple(int(fields[f"n{i}"]) for i in range(1, 5)) == report.schedule.boundaries
+        assert fields["analytic_expected_symbols"] == cli._fmt(report.objective)
+
     def test_model_all_draws_once(self, philox_builds, capsys):
         code, out = run_cli(["simulate", "--k", "32", "--n", "88", "--m", "4", "--eps", "0.5",
                              "--trials", "600", "--model", "all"], capsys)

@@ -15,7 +15,6 @@ from harqsdo import (
     ack_curve,
     asymptotic_round_moments,
     exhaustive_search,
-    exhaustive_search_each,
     expected_round_symbols,
     objective,
     optimize,
@@ -554,7 +553,7 @@ def _ms_in(order, ms):
 
 
 def _optimize_each(params, ms, kind):
-    """optimize's report for every m in ms, keyed by m, from a one-cell optimize_row."""
+    """kind's report for every m in ms, keyed by m, from a one-cell optimize_row."""
     [(_, by_kind)] = sdo.optimize_row(params.k, params.epsilon, [(params.n, ms)], (kind,))
     return by_kind[kind]
 
@@ -578,7 +577,7 @@ class TestSolveEach:
                     assert rep.schedule.boundaries == schedule, (kind, k, eps, n, m)
                     assert rep.objective == obj, (kind, k, eps, n, m)
                     assert rep.n1_searched == (k, n - m + 1)
-            reports = exhaustive_search_each(p, ms)
+            reports = _optimize_each(p, ms, "exhaustive")
             assert sorted(reports) == sorted(set(ms))
             for m, rep in reports.items():
                 want = Schedule((n,) if m == 1 else dp_best_interior(ack_curve(p), k, n, m) + (n,))
@@ -601,9 +600,10 @@ class TestSolveEach:
         # m = 2 reads tails[0] only; tails[m - 3::-1] would read all of them
         for k, eps, n in EACH_GRID:
             p = CodeParams(k, n, eps)
-            rep = exhaustive_search_each(p, (2,))[2]
+            rep = _optimize_each(p, (2,), "exhaustive")[2]
             assert rep.schedule.boundaries == dp_best_interior(ack_curve(p), k, n, 2) + (n,)
-            assert rep == exhaustive_search_each(p, range(1, 9) if k + 7 <= n else (2,))[2]
+            ms = range(1, 9) if k + 7 <= n else (2,)
+            assert rep == _optimize_each(p, ms, "exhaustive")[2]
             for kind in ("normal", "lognormal"):
                 assert _optimize_each(p, (2,), kind)[2].schedule.boundaries == (
                     _oracle_optimize(kind, k, eps, n, 2)[0])
@@ -626,11 +626,11 @@ class TestSolveEach:
         assert np.concatenate([totals for _, totals in scored]).tolist() == want
 
     def test_infeasible_m_raises_before_any_solve(self):
-        for solve in (lambda p, ms: _optimize_each(p, ms, "normal"), exhaustive_search_each):
+        for kind in ("normal", "exhaustive"):
             with pytest.raises(ValueError, match=r"got k=8, m=18, n=24$"):
-                solve(CodeParams(8, 24, 0.5), (2, 18, 3))
+                _optimize_each(CodeParams(8, 24, 0.5), (2, 18, 3), kind)
             with pytest.raises(ValueError, match="m must be >= 1, got 0"):
-                solve(CodeParams(8, 24, 0.5), (2, 0))
+                _optimize_each(CodeParams(8, 24, 0.5), (2, 0), kind)
 
     def test_duplicate_m_prints_its_rows_twice(self, capsys):
         for model in ("na", "es"):
@@ -669,7 +669,7 @@ class TestSolveEach:
         capsys.readouterr()
 
     @pytest.mark.parametrize("params, solve", [
-        (CodeParams(32, 2000, 0.5), lambda p: exhaustive_search_each(p, range(1, 9))),
+        (CodeParams(32, 2000, 0.5), lambda p: _optimize_each(p, range(1, 9), "exhaustive")),
         (CodeParams(32, 4000, 0.5), lambda p: _optimize_each(p, (2, 1000, 3000), "normal")),
     ], ids=["dp", "sdo"])
     def test_traced_peak_under_8mb(self, params, solve):
@@ -722,7 +722,7 @@ class TestSweepRow:
             assert list(by_kind) == ["lognormal", "exhaustive", "normal"]
             for kind in ("normal", "lognormal"):
                 assert by_kind[kind] == _optimize_each(CodeParams(8, n, 0.4), ms, kind)
-            assert by_kind["exhaustive"] == exhaustive_search_each(CodeParams(8, n, 0.4), ms)
+            assert by_kind["exhaustive"] == _optimize_each(CodeParams(8, n, 0.4), ms, "exhaustive")
         # the dynamic program alone reads the ACK curve alone: no model is
         # built, and each n's curve is still computed once, in cell order
         built = []

@@ -529,12 +529,14 @@ def test_full_size_simulate_output_is_pinned(argv, monkeypatch):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == FULL_SIZE_DIGESTS[argv]
 
 
-def _law_z(counts: list[int], params: CodeParams) -> float:
-    """Wilson-Hilferty z of a chi-square of decode-time counts 0..n+1 against the law.
+def _law_z(counts: list[int], params: CodeParams) -> tuple[float, float]:
+    """Two z of decode-time counts 0..n+1 against the law: a chi-square's and the mean's.
 
     L = t with probability ACK(t) - ACK(t - 1), and L = n + 1 with 1 - ACK(n).
-    The times are binned in order, a bin closing once its expected count
-    reaches 5; a short run left at the end joins the last bin.
+    For the chi-square (its Wilson-Hilferty z) the times are binned in
+    order, a bin closing once its expected count reaches 5; a short run left
+    at the end joins the last bin.  The mean decode time is held to the
+    law's mean, in standard errors of the law's variance.
     """
     ack = ack_curve(params).tolist()
     probs = [b - a for a, b in zip([0.0] + ack, ack)] + [1.0 - ack[-1]]
@@ -550,7 +552,16 @@ def _law_z(counts: list[int], params: CodeParams) -> float:
     chi2 = sum((o - e) ** 2 / e for o, e in bins)
     dof = len(bins) - 1
     h = 2 / (9 * dof)
-    return ((chi2 / dof) ** (1 / 3) - (1 - h)) / math.sqrt(h)
+    mean = sum(t * p for t, p in enumerate(probs))
+    variance = sum((t - mean) ** 2 * p for t, p in enumerate(probs))
+    seen = sum(t * count for t, count in enumerate(counts)) / trials
+    return (((chi2 / dof) ** (1 / 3) - (1 - h)) / math.sqrt(h),
+            (seen - mean) / math.sqrt(variance / trials))
+
+
+def _law_holds(counts: list[int], params: CodeParams) -> bool:
+    """Whether both of _law_z's z lie within 5: a 5.7e-7 false alarm each."""
+    return max(map(abs, _law_z(counts, params))) <= 5
 
 
 def _shifted(counts: list[int], by: int) -> list[int]:
@@ -561,28 +572,51 @@ def _shifted(counts: list[int], by: int) -> list[int]:
     return [counts[0] + counts[1]] + counts[2 : n + 1] + [0, counts[n + 1]]
 
 
-@pytest.mark.parametrize("argv", sorted(FULL_SIZE_DIGESTS))
-def test_full_size_decode_times_follow_the_law(argv):
-    # with matrix_reuse r, trials 0, r, 2 r, ... each have a code of their
-    # own, so they are independent rounds; |z| <= 5 is a 5.7e-7 false alarm
+def _pinned_counts(argv: str) -> tuple[list[int], CodeParams]:
+    """The decode-time counts 0..n+1 of a pinned run, of every r-th trial under matrix_reuse r."""
     cfg = build_config(argv.split())
     params = CodeParams(cfg.scalar("k"), cfg.scalar("n"), cfg.scalar("epsilon"))
     times = np.concatenate(list(_span_times(params, cfg.seed, cfg.trials, cfg.matrix_reuse)))
-    counts = np.bincount(times[:: cfg.matrix_reuse], minlength=params.n + 2).tolist()
-    assert abs(_law_z(counts, params)) <= 5
+    return np.bincount(times[:: cfg.matrix_reuse], minlength=params.n + 2).tolist(), params
+
+
+@pytest.mark.parametrize("argv", sorted(FULL_SIZE_DIGESTS))
+def test_full_size_decode_times_follow_the_law(argv):
+    # with matrix_reuse r, trials 0, r, 2 r, ... each have a code of their
+    # own, so they are independent rounds
+    assert _law_holds(*_pinned_counts(argv))
 
 
 @pytest.mark.parametrize("eps, trials", [(0.0, 3000), (0.5, 30000)])
 def test_law_check_fails_a_shifted_histogram(eps, trials):
     # at eps 0.5 a decode time spreads over about 8 symbols, so a shift by
-    # one stands out only past 3000 trials; lossless, it spreads over 2
+    # one stands out clearly only past 3000 trials; lossless, it spreads over 2
     params = CodeParams(32, 88, eps)
     counts = np.bincount(np.concatenate(list(_span_times(params, 11, trials))),
                          minlength=params.n + 2).tolist()
-    assert abs(_law_z(counts, params)) <= 5
+    assert _law_holds(counts, params)
     for by in (1, -1):
         assert sum(_shifted(counts, by)) == trials
-        assert abs(_law_z(_shifted(counts, by), params)) > 5
+        assert not _law_holds(_shifted(counts, by), params)
+
+
+_ONE_CODE_A_TRIAL = sorted(argv for argv in FULL_SIZE_DIGESTS if "--matrix-reuse" not in argv)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, marks=pytest.mark.xfail(strict=True, reason=(
+        "the run's own mean z is +1.86 and a shift moves it by 6.2, so a shift down "
+        "reads -4.34 (chi-square 1.68)")))
+    if "--n 120" in argv else argv
+    for argv in _ONE_CODE_A_TRIAL])
+def test_pinned_runs_fail_the_law_shifted(argv):
+    # at 3000 trials a shift by one moves the mean's z by 6.2-7.4, where the
+    # chi-square moves by less than 5.2; under matrix_reuse 3 only every
+    # third trial is an independent round, too few to see the shift
+    counts, params = _pinned_counts(argv)
+    assert _law_holds(counts, params)
+    for by in (1, -1):
+        assert not _law_holds(_shifted(counts, by), params), by
 
 
 class TestRunArguments:

@@ -13,20 +13,20 @@ optimize_row, for each SDO model and for the dynamic program, "exhaustive".
 m = 1 has one schedule, (n), of objective n, reported for every kind.  The
 model depends on (k, epsilon, kind) only, not on n or m, so the row builds
 it once per kind, and _trajectories steps the recursion from each first
-boundary n1 once, without caps, as far as the largest n and its m read it;
-F and F' are evaluated once per boundary.  The ACK values come from the
-curves the row is handed, one per n, gathered a chunk of n at a time.
-_score_chunk stacks the candidates of one m at a time, over every model
-and n that asks for it: slot i < m is min(b_i, n - (m - i)) and slot m is
-n, so each block channel.objective, the package's one telescoped sum,
-scores is exactly m wide.  A candidate's float does not depend on its
-block, as objective sums every schedule left to right from n_m; one
-segmented reduction per block takes each group's first minimum.  Nothing
-is kept between calls; optimize is the row's one-cell case.  The dynamic
-program's recurrence does not depend on m, so _exhaustive fills the tails
-once, as deep as the largest m, and backtracks each m from its own.  It
-reads the curve the row hands it as it reads it; exhaustive_search is the
-row's one-cell, one-m case with kind "exhaustive".
+boundary n1 once, without caps, up to the largest m and until the largest n
+and the smallest m cap it; F and F' are evaluated once per boundary.  The
+ACK values come from the curves the row is handed, one per n, gathered a
+chunk of n at a time.  _score_chunk stacks the candidates of one m at a
+time, over every model and n that asks for it: slot i < m is
+min(b_i, n - (m - i)) and slot m is n, so each block channel.objective, the
+package's one telescoped sum, scores is exactly m wide.  A candidate's float
+does not depend on its block, as objective sums every schedule left to
+right from n_m; one segmented reduction over the totals of m takes each
+group's first minimum.  Nothing is kept between calls; optimize is the row's
+one-cell case.  The dynamic program's recurrence does not depend on m, so
+_exhaustive fills the tails once, as deep as the largest m, and backtracks
+each m from its own.  It reads the curve the row hands it as it reads it;
+exhaustive_search is the row's one-cell, one-m case with kind "exhaustive".
 """
 
 from __future__ import annotations
@@ -136,29 +136,23 @@ def _trajectories(models, n: int, ms: tuple[int, ...], lo: int, hi: int) -> np.n
     ceil(r)) with r = (F(b_i) - F(b_{i-1})) / F'(b_i) and F(b_0) = 0,
     ended (+inf) once r is infinite, an underflowed density included.
     ms is ascending, every m at least 2, and may be empty.  An (n, m)
-    schedule reads slots 1..m-1: each step is at least 1 and each cap
-    n - (m - i) grows by 1 per slot, so b_i - i never falls, and once the
-    last boundary reaches its cap every later slot takes its cap.  So a row
-    of s cells steps while its last boundary b_s has b_s - s < n - m' for
-    m', the smallest m in ms with m - 1 > s: a smaller m has more room
-    under its caps, and a larger one reads the same slots later.  A row
-    that m' does not read, n1 > n - m' + 1, takes no step, as b_s - s >=
-    n1 - 1; and a smaller n reads no more of a row than n does.  F and F'
-    come from one cdf_pdf call per model and boundary, however many rows
-    step from it.
+    schedule reads slots 1..m-1, slot i capped at n - (m - i): each step
+    is at least 1 and each cap grows by 1 per slot, so b_i - i never falls,
+    and once the last boundary reaches its cap every later slot takes its
+    cap.  So a row of s cells steps while s < max(ms) - 1 and its last
+    boundary b_s has b_s - s < n - min(ms); any m that reads slot s + 1
+    caps it once b_s - s >= n - min(ms) >= n - m.  A smaller n reads no
+    more of a row than n does.  F and F' come from one cdf_pdf call per
+    model and boundary, however many rows step from it.
     """
-    # room[s]: n - m' for a row of s cells; -1 from max(ms) - 1 on, as b_s - s >= 0
-    room: list[int] = []
-    for m in ms:
-        room += [n - m] * (m - 1 - len(room))
-    room += [-1, -1]  # a row of one cell reads room[1], also where ms is empty
+    width, room = max(ms, default=2) - 1, n - min(ms, default=0)
     cells, lens = [], []
     for model in models:
         known, evaluate = {}, model.cdf_pdf
         for n1 in range(lo, hi + 1):
             cur, f_prev, size = float(n1), 0.0, 1
             cells.append(cur)
-            while cur - size < room[size]:
+            while size < width and cur - size < room:
                 pair = known.get(cur)
                 if pair is None:
                     pair = known[cur] = evaluate(cur)
@@ -229,14 +223,14 @@ def optimize_row(k: int, epsilon: float, cells, kinds, curves=None):
     that runs on into later rows.  Without one, each cell's curve comes
     from channel.ack_curve, its cached one-point case.  It yields a chunk
     of cells at a time, so a caller holds only the reports it keeps.
-    Every cell is checked before any work, and so before any curve is
-    read.  m = 1 has one schedule, (n), of objective n, reported for every
-    kind as its cell is read.  For m > 1, each model's trajectories are
-    grown once, as far as the largest n and its m read them; a row with
-    no m > 1 grows none and builds no model.  A chunk is a run of cells
-    whose ACK values at k..n fit one table of at most _BLOCK_CELLS cells
-    (one cell at least); the dynamic program runs on each curve as it is
-    read, and _score_chunk scores the SDO candidates one m at a time.
+    Every cell is checked before any work, and so before any curve is read.
+    m = 1 has one schedule, (n), of objective n, reported for every kind as
+    its cell is read.  For m > 1, each model's trajectories are grown once,
+    up to the largest m and until the largest n and the smallest m cap them;
+    a row with no m > 1 grows none and builds no model.  A chunk is a run of
+    cells whose ACK values at k..n fit one table of at most _BLOCK_CELLS
+    cells (one cell at least); the dynamic program runs on each curve as it
+    is read, and _score_chunk scores the SDO candidates one m at a time.
     """
     points = [(params, _checked(params, ms))
               for params, ms in ((CodeParams(k, n, epsilon), ms) for n, ms in cells)]
@@ -268,10 +262,10 @@ def _score_chunk(k: int, chunk, kinds, models, rows, curves) -> list:
     min(b_i, n - (m - i)) over its trajectory b, and slot m is n, so every
     block channel.objective scores is exactly m wide, of _BLOCK_CELLS // m
     rows (one at least).  A candidate's total never depends on the block
-    it lands in: objective sums it left to right from n_m either way.  One
-    segmented reduction per block gives each group's first minimum, and an
-    earlier block keeps a tie, so ties break toward the smaller first
-    boundary.
+    it lands in: objective sums it left to right from n_m either way.  The
+    totals of one m are kept, one float per candidate, and one segmented
+    reduction takes each group's first minimum, so ties break toward the
+    smaller first boundary; only the winners' schedules are built again.
     """
     solved = [(params.n, {kind: {} for kind in kinds}) for params, _ in chunk]
     acks = np.empty(sum(params.n - k + 1 for params, _ in chunk))
@@ -301,30 +295,29 @@ def _score_chunk(k: int, chunk, kinds, models, rows, curves) -> list:
         shift = np.array([offsets[i] for _, i in groups])
         to_m = m - np.arange(1, m + 1)  # m - i for slots 1..m
         read = min(m - 1, rows.shape[1])
-        # each group's least total so far, and its schedule
-        least_of, best_of = [math.inf] * len(groups), [None] * len(groups)
+
+        def capped(p):  # the schedules of candidates p; slot m, +inf until here, is n
+            g = group_of[p]
+            b = np.full((len(p), m), np.inf)
+            b[:, :read] = rows[p + origin[g], :read]
+            return np.minimum(b, ns[g][:, None] - to_m, out=b)
+
+        totals = np.empty(len(group_of))
         per_block = max(1, _BLOCK_CELLS // m)
         for lo in range(0, len(group_of), per_block):
-            g = group_of[lo : lo + per_block]
-            b = np.full((len(g), m), np.inf)
-            b[:, :read] = rows[np.arange(lo, lo + len(g)) + origin[g], :read]
-            np.minimum(b, ns[g][:, None] - to_m, out=b)  # slot m, +inf until here, is n
+            p = np.arange(lo, min(lo + per_block, len(group_of)))
+            b = capped(p)
             index = b[:, :-1].astype(np.intp)
-            index += shift[g][:, None]
-            totals = objective(b, acks[index])
-            first = int(g[0])
-            seams = np.maximum(starts[first : g[-1] + 1] - lo, 0)
-            least = np.minimum.reduceat(totals, seams)
-            hits = np.flatnonzero(totals == least[g - first])
-            chosen = b[hits[np.searchsorted(hits, seams)]].astype(np.intp)
-            for j, value in enumerate(least.tolist(), first):
-                if value < least_of[j]:  # an earlier block keeps a tie
-                    least_of[j], best_of[j] = value, chosen[j - first]
-        for (j, i), value, best in zip(groups, least_of, best_of):
+            index += shift[group_of[p]][:, None]
+            totals[lo : lo + len(p)] = objective(b, acks[index])
+        least = np.minimum.reduceat(totals, starts)
+        hits = np.flatnonzero(totals == least[group_of])  # a group's first hit is its first minimum
+        best = capped(hits[np.searchsorted(hits, starts)]).astype(np.intp).tolist()
+        for (j, i), value, schedule in zip(groups, least.tolist(), best):
             params = chunk[i][0]
             n = params.n
             solved[i][1][models[j].kind][m] = _report(
-                params, Schedule(best.tolist()), models[j].kind, (k, n - m + 1), value,
+                params, Schedule(schedule), models[j].kind, (k, n - m + 1), value,
                 float(acks[offsets[i] + n]))
     return solved
 

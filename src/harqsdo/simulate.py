@@ -181,7 +181,7 @@ def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 
     block = min(_BLOCK, trials)
     chunk = max(1, min(block, _DRAW_WORDS // (wn + n)))
     last = np.uint64((1 << (d - 64 * (w - 1))) - 1)  # the rows of the last word; 0 at d = 0
-    j = np.arange(n)
+    j = np.arange(n, dtype=np.min_scalar_type(2 * n))  # keys up to 2n, radix-sortable
     base = np.zeros((1, wn), dtype=np.uint64)  # the columns of the group in progress
     cols = np.empty((w, d + 1, block), dtype=np.uint64)
     inserted = np.empty((block, d + 1), dtype=np.min_scalar_type(n + 1))
@@ -192,7 +192,7 @@ def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 
             b = min(a + chunk, t)
             raw = bitgen.random_raw((b - a) * (wn + n)).reshape(b - a, wn + n)
             erased = (raw[:, wn:] >> np.uint64(11)) * 2.0 ** -53 < params.epsilon
-            order = np.argsort(np.where(erased, j, 2 * n - j), axis=1)[:, : d + 1]
+            order = np.argsort(np.where(erased, j, 2 * n - j), axis=1, kind="stable")[:, : d + 1]
             if matrix_reuse == 1:
                 code, rows = raw, np.arange(b - a)
             else:

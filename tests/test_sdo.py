@@ -311,6 +311,25 @@ class TestTrajectories:
             assert sdo._trajectories(models, n, ms, k, n).tolist() == got.tolist()
             assert [model.at for model in models] == before
 
+    @pytest.mark.parametrize("ms", [(2, 40, 300), (2, 90)], ids=["m2-40-300", "m2-90"])
+    def test_capped_rows_match_the_oracle_with_m_far_apart(self, ms):
+        # rows step until the smallest m caps them, further than a larger m
+        # reads uncapped: each slot a row holds past that is at its cap.  At
+        # eps = 0.9 (not 0.5) m = 40 reads steps taken past n - 300
+        k, eps, top = 32, 0.9, 400
+        for kind in ("normal", "lognormal"):
+            model = CdfModel.for_params(CodeParams(k, k, eps), kind)
+            rows = sdo._trajectories([model], top, ms, k, top - ms[0] + 1)
+            for n in (top, top - 1, 333, k + ms[-1] - 1):
+                for m in ms:
+                    caps = [n - (m - i) for i in range(1, m)]
+                    for n1 in range(k, n - m + 2):
+                        row = rows[n1 - k, : m - 1].tolist()
+                        row += [math.inf] * (m - 1 - len(row))
+                        got = tuple(int(min(b, cap)) for b, cap in zip(row, caps)) + (n,)
+                        assert got == schedule_from_model(model, n, m, n1), (kind, n, m, n1)
+                        assert got == sdo_recursion(model.cdf, model.pdf, n, m, n1)
+
     def test_no_m_reads_past_the_first_boundary(self):
         model = _Counted(CdfModel.for_params(FIG1_PARAMS, "normal"))
         got = sdo._trajectories([model], 88, (), 32, 88)
@@ -394,6 +413,36 @@ class TestSharedTrajectories:
         # one or two candidates per block, so every block edge is crossed
         monkeypatch.setattr(sdo, "_BLOCK_CELLS", 3)
         self._assert_matches_oracle("normal", [g for g in OPTIMIZE_GRID if g[0] in (8, 32)])
+
+    def test_exact_ties_break_first_across_block_edges(self, monkeypatch):
+        # at eps = 0 the dyadic ACK curve ties first boundaries exactly (k = 2,
+        # n = 7, m = 2 ties n1 = 3 and 4); each report is the loop's first
+        # minimum wherever the blocks that score the tied candidates end
+        k, eps, kind = 2, 0.0, "normal"
+        cells = [(n, [m for m in range(2, 9) if k + m - 1 <= n]) for n in range(k + 1, k + 40)]
+        model = CdfModel.for_params(CodeParams(k, k, eps), kind)
+        want = {(n, m): sdo_optimize(model.cdf, model.pdf, ack_curve(CodeParams(k, n, eps)),
+                                     k, n, m) for n, ms in cells for m in ms}
+        blocks = []
+        score = sdo.objective
+        monkeypatch.setattr(sdo, "objective", lambda b, acks: (
+            blocks.append((b.tolist(), score(b, acks).tolist())) or np.array(blocks[-1][1])))
+        spanning = 0
+        for block_cells in (2, 3, 5, 16, sdo._BLOCK_CELLS):
+            monkeypatch.setattr(sdo, "_BLOCK_CELLS", block_cells)
+            blocks.clear()
+            for n, by_kind in sdo.optimize_row(k, eps, cells, [kind]):
+                for m, rep in by_kind[kind].items():
+                    assert (rep.schedule.boundaries, rep.objective) == want[n, m], (n, m)
+            # the blocks that scored each (n, m)'s least total
+            scored = {}
+            for block, (schedules, totals) in enumerate(blocks):
+                for b, total in zip(schedules, totals):
+                    scored.setdefault((b[-1], len(b)), []).append((total, block))
+            for (n, m), pairs in scored.items():
+                assert min(pairs)[0] == want[n, m][1]
+                spanning += len({block for total, block in pairs if total == want[n, m][1]}) > 1
+        assert spanning > 0
 
     def test_cdf_evaluations_per_cli_call(self, monkeypatch, capsys):
         # sweep-n-fig2 grew 44,594 steps when every (n, m, n1) regrew its

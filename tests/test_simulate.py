@@ -358,7 +358,8 @@ class TestDecodeTimeKernel:
         assert _times(CodeParams(k, n, eps), seed, trials, matrix_reuse) == want
 
     @pytest.mark.parametrize("matrix_reuse", [1, 3])
-    @pytest.mark.parametrize("d, n", [(0, 5), (1, 6), (8, 13), (56, 88), (65, 70), (131, 151)])
+    @pytest.mark.parametrize("d, n", [(0, 5), (1, 6), (8, 13), (56, 88), (65, 70), (95, 127),
+                                      (96, 128), (131, 151)])
     @pytest.mark.parametrize("eps", [0.0, 0.5, 0.99], ids=["none-erased", "half", "most-erased"])
     @pytest.mark.parametrize("trials", [7, 64])
     def test_decode_times_match_reference_in_small_chunks(self, trials, eps, d, n, matrix_reuse,
@@ -366,7 +367,8 @@ class TestDecodeTimeKernel:
         # blocks of 5 trials drawn 2 at a time: a chunk starts inside a
         # reuse group of 3, whose columns come from an earlier chunk or
         # block, and a chunk's columns land mid-block; 7 trials end part-way
-        # through a chunk, a block and a group
+        # through a chunk, a block and a group.  The insertion keys run up
+        # to 2n: one byte each at n = 127, two at n = 128
         monkeypatch.setattr(simulate_module, "_BLOCK", 5)
         monkeypatch.setattr(simulate_module, "_DRAW_WORDS", 2 * (max(1, -(-d // 64)) + 1) * n)
         seed = 2 * trials + d

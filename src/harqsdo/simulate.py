@@ -49,14 +49,17 @@ its raw 64-bit words front to back, trials in order, so trial i owns words
 i P..(i + 1) P - 1, with P = W n + n.  Column j is the trial's next W words,
 bit b of word p being row 64 p + b, masked to the low d bits; then come n
 uniforms, each a word's top 53 bits times 2**-53, and symbol j is erased
-when its uniform is below eps.  With matrix_reuse r the columns of trial i
-are those of trial i - i % r, and its uniforms its own.  So trial i depends
-on (seed, i) alone, at any block or chunk size, and is the same round in
-every entry point.  The words arrive row-packed already: one take per word,
-with each trial's insertion order, puts a draw chunk's inserted columns
-straight into the block, and one mask clears the rows past d.  A decode time
-is a property of the columns alone, so neither the pivoting nor the block
-and chunk sizes move any output byte.
+when its uniform is below eps.  The kernel makes that test on the raw word
+itself, x < ceil(eps 2**53) 2**11: scaling both sides by 2**53 is exact, and
+an integer is below a real number exactly when it is below its ceiling, so
+the two rules erase the same symbols.  With matrix_reuse r the columns of
+trial i are those of trial i - i % r, and its uniforms its own.  So trial i
+depends on (seed, i) alone, at any block or chunk size, and is the same
+round in every entry point.  The words arrive row-packed already: one take
+per word, with each trial's insertion order, puts a draw chunk's inserted
+columns straight into the block, and one mask clears the rows past d.  A
+decode time is a property of the columns alone, so neither the pivoting nor
+the block and chunk sizes move any output byte.
 """
 
 from __future__ import annotations
@@ -101,6 +104,16 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     target.
     """
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
+
+
+def _erasure_threshold(epsilon: float) -> int:
+    """The raw word below which a symbol is erased: ceil(epsilon 2**53) << 11.
+
+    x >> 11 < c exactly when x < c 2**11; see _span_times for why this is
+    the float rule.  For epsilon in [0, 1), c = ceil(epsilon 2**53) is at
+    most 2**53 - 1, so the threshold fits 64 bits.
+    """
+    return math.ceil(epsilon * 2 ** 53) << 11
 
 
 def _first_dependent(cols: np.ndarray) -> np.ndarray:
@@ -173,6 +186,14 @@ def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 
     whose first dependent column is erased (the erased ones go first) never
     decodes, n + 1; otherwise the column's index + 1 is the first time its
     symbols decode.
+
+    A symbol is erased when its raw word is below _erasure_threshold(eps),
+    the integer form of "its uniform is below eps": the uniform is the
+    word's top 53 bits scaled exactly by 2**-53, and an integer is below a
+    real number exactly when it is below its ceiling, so both forms erase
+    the same symbols.  Its insertion key, j if erased and 2n - j if not, is
+    rev ^ (erased * (j ^ rev)) with rev = 2n - j, and the stable argsort of
+    the keys gives each trial's insertion order.
     """
     d, n = params.n - params.k, params.n
     w = max(1, -(-d // 64))
@@ -181,7 +202,11 @@ def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 
     block = min(_BLOCK, trials)
     chunk = max(1, min(block, _DRAW_WORDS // (wn + n)))
     last = np.uint64((1 << (d - 64 * (w - 1))) - 1)  # the rows of the last word; 0 at d = 0
-    j = np.arange(n, dtype=np.min_scalar_type(2 * n))  # keys up to 2n, radix-sortable
+    below = np.uint64(_erasure_threshold(params.epsilon))
+    # the keys are at most 2n: one or two bytes, which argsort radix-sorts
+    j = np.arange(n, dtype=np.min_scalar_type(2 * n))
+    rev = 2 * n - j
+    flip = j ^ rev
     base = np.zeros((1, wn), dtype=np.uint64)  # the columns of the group in progress
     cols = np.empty((w, d + 1, block), dtype=np.uint64)
     inserted = np.empty((block, d + 1), dtype=np.min_scalar_type(n + 1))
@@ -191,8 +216,10 @@ def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 
         for a in range(0, t, chunk):
             b = min(a + chunk, t)
             raw = bitgen.random_raw((b - a) * (wn + n)).reshape(b - a, wn + n)
-            erased = (raw[:, wn:] >> np.uint64(11)) * 2.0 ** -53 < params.epsilon
-            order = np.argsort(np.where(erased, j, 2 * n - j), axis=1, kind="stable")[:, : d + 1]
+            erased = raw[:, wn:] < below
+            keys = erased.view(np.uint8) * flip  # j ^ rev where erased, else 0
+            keys ^= rev
+            order = np.argsort(keys, axis=1, kind="stable")[:, : d + 1]
             if matrix_reuse == 1:
                 code, rows = raw, np.arange(b - a)
             else:
@@ -201,13 +228,16 @@ def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 
                 # row 0, base, serves the trials whose group began before this chunk
                 rows = np.maximum(i - i % matrix_reuse - (lo + a) + 1, 0)
                 base = code[rows[-1:]]
-            at = (order * w + rows[:, None] * code.shape[1]).T  # word 0 of each column
+            at = np.empty((d + 1, b - a), dtype=np.intp)  # word p of each inserted column
+            np.multiply(order.T, w, out=at)
+            at += rows * code.shape[1]
             for p in range(w):
-                np.take(code, at + p, out=cols[p, :, a:b], mode="raise")
+                np.take(code, at, out=cols[p, :, a:b], mode="raise")
+                at += 1
             cols[w - 1, :, a:b] &= last
             inserted[a:b] = order
             erasures[a:b] = erased.sum(axis=1)
-            del raw, code, order, at  # one chunk's draw alive at a time
+            del raw, erased, keys, code, order, at  # one chunk's draw alive at a time
         first = _first_dependent(cols[:, :, :t])
         yield np.where(first < erasures[:t], n + 1, inserted[np.arange(t), first] + 1)
 

@@ -32,7 +32,7 @@ from harqsdo import (
 
 import harqsdo.simulate as simulate_module
 from harqsdo.cli import build_config, main
-from harqsdo.simulate import _BLOCK, _first_dependent, _span_times
+from harqsdo.simulate import _BLOCK, _erasure_threshold, _first_dependent, _span_times
 
 from oracles import (
     decode_time,
@@ -43,7 +43,9 @@ from oracles import (
 )
 
 # stdout sha256 of simulate at the benchmark's design point and trial count,
-# and at d = 88 (two words a column) and d = 131 (three, with n % 8 = 7)
+# and at d = 88 (two words a column) and d = 131 (three, with n % 8 = 7); and
+# at n = 160, eps 0.3, where the insertion keys take two bytes and eps is no
+# dyadic fraction, so the erasure threshold is a rounded-up one
 FULL_SIZE_DIGESTS = {
     "simulate --k 32 --n 88 --m 4 --eps 0.5 --trials 3000 --seed 11 --model all":
         "6ef720780170b517769c8375d081f08c4c9e5339f3aedfc89771b12675b3d61c",
@@ -57,6 +59,8 @@ FULL_SIZE_DIGESTS = {
         "168b79cd298db1f9380e025c60e9a40350ae1feb5529b038c9ab0a9cd890cef9",
     "simulate --k 20 --n 151 --m 4 --eps 0.5 --trials 3000 --seed 11 --model all":
         "9617f8a264da78ceb6fcdee50b7cb13da5ee2e13d6947ae2cc658832b72d58fd",
+    "simulate --k 100 --n 160 --m 4 --eps 0.3 --trials 3000 --seed 11 --model all":
+        "1c16ff34644ae884f3575b990dfbe3c0054e183bd0db84ea2753580d798d575b",
 }
 
 
@@ -347,11 +351,12 @@ class TestDecodeTimeKernel:
     """The batched kernel against the per-trial reference loop in oracles.py."""
 
     @pytest.mark.parametrize("matrix_reuse", [1, 3])
-    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("eps", [0.0, 5e-324, 0.3, 0.5, 0.9, 1 - 2 ** -53])
     @pytest.mark.parametrize("d", [0, 1, 56, 63, 64, 65, 88, 131])
     def test_decode_times_match_reference(self, d, eps, matrix_reuse):
         # one, two and three words a column, each full or masked; 40 trials
-        # end part-way through a reuse group of 3
+        # end part-way through a reuse group of 3; the smallest and largest
+        # eps above 0 and below 1 put the erasure threshold at its ends
         k, trials, seed = 6, 40, 1000 + d
         n = k + d
         want = reference_times(k, n, eps, trials, seed, matrix_reuse)
@@ -374,6 +379,26 @@ class TestDecodeTimeKernel:
         seed = 2 * trials + d
         want = reference_times(n - d, n, eps, trials, seed, matrix_reuse)
         assert _times(CodeParams(n - d, n, eps), seed, trials, matrix_reuse) == want
+
+    @pytest.mark.parametrize("eps", [0.0, 5e-324, 2 ** -53, 0.1, 0.5, 1 - 2 ** -53])
+    def test_erasure_threshold_is_the_float_rule(self, eps):
+        # the kernel erases a raw word below the threshold; the stream's rule
+        # erases it when its top 53 bits times 2**-53 are below eps
+        below = _erasure_threshold(eps)
+        assert 0 <= below < 2 ** 64
+        words = [x for x in (0, below - 1, below, below + 1, 2 ** 64 - 1) if 0 <= x < 2 ** 64]
+        erased = np.array(words, dtype=np.uint64) < np.uint64(below)
+        assert erased.tolist() == [(x >> 11) * 2.0 ** -53 < eps for x in words]
+
+    @pytest.mark.parametrize("matrix_reuse", [1, 3])
+    @pytest.mark.parametrize("n, key", [(32767, np.uint16), (32768, np.uint32)])
+    def test_decode_times_where_the_keys_widen(self, n, key, matrix_reuse):
+        # the insertion keys run up to 2n: two bytes at n = 32767, four at
+        # n = 32768; a few erasures leave the times varied and below n + 1
+        assert np.min_scalar_type(2 * n) == key
+        want = reference_times(n - 8, n, 1e-4, 3, 5, matrix_reuse)
+        assert len(set(want)) > 1 and max(want) <= n
+        assert _times(CodeParams(n - 8, n, 1e-4), 5, 3, matrix_reuse) == want
 
     @pytest.mark.parametrize("k, n", [(250, 255), (250, 256), (251, 257)])
     def test_decode_times_near_a_byte_of_columns(self, k, n):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -202,11 +203,12 @@ def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
         return {n: ms for n in cfg.n
                 if (ms := [m for m in cfg.m if not skip or _feasible(k, n, m)])}
 
-    # read lazily, so only the rows at hand are held, whatever the k range
-    curves = ack_curves(eps, ((k, n) for k in cfg.k for n in cells_of(k)))
+    # read lazily, so only the rows at hand are held, whatever the k range; the
+    # curve stream reads ahead of the rows, and tee keeps the cells in between
+    plan_curves, plan_rows = itertools.tee((k, cells_of(k)) for k in cfg.k)
+    curves = ack_curves(eps, ((k, n) for k, cells in plan_curves for n in cells))
     rows: list[dict] = []
-    for k in cfg.k:
-        cells = cells_of(k)
+    for k, cells in plan_rows:
 
         def cell_rows(n: int, by_kind: dict) -> list[dict]:
             out = []

@@ -22,12 +22,13 @@ thing the kernel computes, and everything else is a view of it:
 The kernel finds L by inserting each trial's columns in a fixed order, the
 erased ones first and then the received ones from right to left: the first
 insertion that depends on the earlier ones gives L, n + 1 for an erased
-column and its index + 1 for a received one, and at most d + 1 insertions
-are needed for d = n - k parity checks.
+column and its index + 1 for a received one.  With d = n - k parity checks
+only the first d insertions need elimination: when they are independent the
+(d + 1)-th depends on them, as d + 1 columns of d rows always do.
 
 Columns are row-packed.  A trial's column is W = max(1, ceil(d / 64)) uint64
 words, word p holding rows 64 p..64 p + 63, and a block of 512 trials is one
-(W, d + 1, 512) array.  The elimination takes the columns in turn; with b the
+(W, d, 512) array.  The elimination takes the columns in turn; with b the
 current column, every later column x becomes min(x, x ^ b), which adds b to
 exactly the columns that have b's top bit and clears that bit in them.  It
 is exact: adding an earlier column to a later one keeps the span of every
@@ -55,11 +56,13 @@ an integer is below a real number exactly when it is below its ceiling, so
 the two rules erase the same symbols.  With matrix_reuse r the columns of
 trial i are those of trial i - i % r, and its uniforms its own.  So trial i
 depends on (seed, i) alone, at any block or chunk size, and is the same
-round in every entry point.  The words arrive row-packed already: one take
-per word, with each trial's insertion order, puts a draw chunk's inserted
-columns straight into the block, and one mask clears the rows past d.  A
-decode time is a property of the columns alone, so neither the pivoting nor
-the block and chunk sizes move any output byte.
+round in every entry point.  A trial's insertion order is its sorted
+insertion keys, j for an erased symbol and 2n - j for a received one.  The
+words arrive row-packed already: one take per word, with each trial's
+insertion order, puts a draw chunk's inserted columns straight into the
+block, and one mask clears the rows past d.  A decode time is a property of
+the columns alone, so neither the pivoting nor the block and chunk sizes
+move any output byte.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ GENERATOR_NAME = "philox4x64(key=seed), dense: trial i from word i*(W*n+n), W=ma
 
 # Trials decoded together: each numpy step of the elimination serves all of
 # them, so its fixed cost is shared by more trials as the block grows; at
-# k = 32, n = 88 a block's columns take 233 kB.
+# k = 32, n = 88 a block's columns take 229 kB.
 _BLOCK = 512
 # Raw words drawn and packed together, 256 kB: 186 trials at k = 32, n = 88,
 # and at least one trial at any size, so a chunk's draw and its packing
@@ -174,26 +177,51 @@ def _first_dependent(cols: np.ndarray) -> np.ndarray:
     return free.argmax(axis=0)
 
 
+def _insertion_order(erased: np.ndarray, count: int) -> np.ndarray:
+    """Each trial's first count insertions: erased symbols, then received ones from the right.
+
+    erased is (T, n) bool.  Symbol j's insertion key is j if erased and 2n - j
+    if not, computed branch-free as rev ^ (erased * (j ^ rev)) with rev =
+    2n - j.  The keys of a trial are distinct, so their sorted values are its
+    insertion order, the order a stable argsort gives, and each sorted key
+    holds its symbol, j = min(key, 2n - key).  The keys are two bytes wide,
+    which numpy sorts with SIMD where the CPU has it, or four from n = 32768
+    on.  Returns a (T, count) view of the sorted keys.
+    """
+    n = erased.shape[1]
+    j = np.arange(n, dtype=np.promote_types(np.uint16, np.min_scalar_type(2 * n)))
+    rev = 2 * n - j
+    keys = erased.view(np.uint8) * (j ^ rev)  # j ^ rev where erased, else 0
+    keys ^= rev
+    keys.sort(axis=1)
+    order = keys[:, :count]
+    np.minimum(order, 2 * n - order, out=order)
+    return order
+
+
 def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 1):
     """Decode times of trials 0..trials-1, one array per block of _BLOCK.
 
     One Philox(key=seed) is read front to back, a draw chunk at a time (see
-    the module docstring for the layout).  Each chunk's inserted columns are
-    taken straight into one block array, and their indices and the trials'
-    erasure counts into two more, all reused block to block.  With
-    matrix_reuse > 1 a trial's columns are its group's first trial's, and the
-    columns of a group begun in an earlier chunk are carried over.  A trial
-    whose first dependent column is erased (the erased ones go first) never
-    decodes, n + 1; otherwise the column's index + 1 is the first time its
-    symbols decode.
+    the module docstring for the layout).  Each chunk's first d inserted
+    columns are taken straight into one block array, and the indices of its
+    first d + 1 and the trials' erasure counts into two more, all reused
+    block to block.  With matrix_reuse > 1 a trial's columns are its group's
+    first trial's, and the columns of a group begun in an earlier chunk are
+    carried over; the rows that pick them are checked to lie in the chunk, as
+    the take would read a negative word index from the end.  A trial's first
+    dependent column is the first of its d columns that _first_dependent
+    finds, or its (d + 1)-th insertion when those d are independent.  A
+    trial whose first dependent column is erased (the erased ones go first)
+    never decodes, n + 1; otherwise the column's index + 1 is the first time
+    its symbols decode.
 
     A symbol is erased when its raw word is below _erasure_threshold(eps),
     the integer form of "its uniform is below eps": the uniform is the
     word's top 53 bits scaled exactly by 2**-53, and an integer is below a
     real number exactly when it is below its ceiling, so both forms erase
-    the same symbols.  Its insertion key, j if erased and 2n - j if not, is
-    rev ^ (erased * (j ^ rev)) with rev = 2n - j, and the stable argsort of
-    the keys gives each trial's insertion order.
+    the same symbols.  _insertion_order sorts each trial's symbols into
+    their insertion order.
     """
     d, n = params.n - params.k, params.n
     w = max(1, -(-d // 64))
@@ -203,12 +231,8 @@ def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 
     chunk = max(1, min(block, _DRAW_WORDS // (wn + n)))
     last = np.uint64((1 << (d - 64 * (w - 1))) - 1)  # the rows of the last word; 0 at d = 0
     below = np.uint64(_erasure_threshold(params.epsilon))
-    # the keys are at most 2n: one or two bytes, which argsort radix-sorts
-    j = np.arange(n, dtype=np.min_scalar_type(2 * n))
-    rev = 2 * n - j
-    flip = j ^ rev
     base = np.zeros((1, wn), dtype=np.uint64)  # the columns of the group in progress
-    cols = np.empty((w, d + 1, block), dtype=np.uint64)
+    cols = np.empty((w, d, block), dtype=np.uint64)
     inserted = np.empty((block, d + 1), dtype=np.min_scalar_type(n + 1))
     erasures = np.empty(block, dtype=np.intp)
     for lo in range(0, trials, block):
@@ -217,9 +241,7 @@ def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 
             b = min(a + chunk, t)
             raw = bitgen.random_raw((b - a) * (wn + n)).reshape(b - a, wn + n)
             erased = raw[:, wn:] < below
-            keys = erased.view(np.uint8) * flip  # j ^ rev where erased, else 0
-            keys ^= rev
-            order = np.argsort(keys, axis=1, kind="stable")[:, : d + 1]
+            order = _insertion_order(erased, d + 1)
             if matrix_reuse == 1:
                 code, rows = raw, np.arange(b - a)
             else:
@@ -227,17 +249,20 @@ def _span_times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 
                 code = np.concatenate([base, raw[:, :wn]])
                 # row 0, base, serves the trials whose group began before this chunk
                 rows = np.maximum(i - i % matrix_reuse - (lo + a) + 1, 0)
+                if rows.min() < 0 or rows.max() >= len(code):
+                    raise IndexError(f"reuse-group rows {rows.min()}..{rows.max()} leave the"
+                                     f" chunk's rows 0..{len(code) - 1}")
                 base = code[rows[-1:]]
-            at = np.empty((d + 1, b - a), dtype=np.intp)  # word p of each inserted column
-            np.multiply(order.T, w, out=at)
+            at = np.empty((d, b - a), dtype=np.intp)  # word p of each inserted column
+            np.multiply(order[:, :d].T, w, out=at, dtype=np.intp)
             at += rows * code.shape[1]
             for p in range(w):
                 np.take(code, at, out=cols[p, :, a:b], mode="raise")
                 at += 1
             cols[w - 1, :, a:b] &= last
             inserted[a:b] = order
-            erasures[a:b] = erased.sum(axis=1)
-            del raw, erased, keys, code, order, at  # one chunk's draw alive at a time
+            erasures[a:b] = np.count_nonzero(erased, axis=1)
+            del raw, erased, code, order, at  # one chunk's draw alive at a time
         first = _first_dependent(cols[:, :, :t])
         yield np.where(first < erasures[:t], n + 1, inserted[np.arange(t), first] + 1)
 

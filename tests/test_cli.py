@@ -148,6 +148,30 @@ class TestSweepKCommand:
         )
         assert read_csv(sweep) == read_csv(single)
 
+    def test_cells_found_once_per_k_and_read_a_chunk_ahead(self, monkeypatch, capsys):
+        # each (k, n, m) is checked for a schedule once, and with curve
+        # chunks of two 89-point curves the stream reads at most two k past
+        # the row being solved, so a long k range never holds its rows' cells
+        monkeypatch.setattr("harqsdo.channel._CURVE_CELLS", 2 * 89)
+        checked, ahead = [], []
+        feasible, optimize_row = cli._feasible, cli.optimize_row
+
+        def counted(k, n, m):
+            checked.append((k, n, m))
+            return feasible(k, n, m)
+
+        def watched(k, *args):
+            ahead.append(max(seen for seen, _, _ in checked) - k)
+            return optimize_row(k, *args)
+
+        monkeypatch.setattr(cli, "_feasible", counted)
+        monkeypatch.setattr(cli, "optimize_row", watched)
+        _, out = run_cli(["sweep-k", "--k", "1:84", "--n", "88", "--m", "5", "--eps", "0.5",
+                          "--model", "na"], capsys)
+        assert [row["method"] for row in read_csv(out)] == ["na"] * 84
+        assert sorted(checked) == [(k, 88, 5) for k in range(1, 85)]
+        assert len(ahead) == 84 and max(ahead) <= 2
+
     def test_infeasible_rows_marked_skipped(self, capsys):
         _, out = run_cli(
             ["sweep-k", "--k", "22,23,26", "--n", "24", "--m", "3", "--eps", "0.5",

@@ -11,13 +11,12 @@ from harqsdo import (
     CodeParams,
     ack_prob,
     asymptotic_round_moments,
+    decode_times,
     dst_constant,
     erdos_borwein_constant,
     estimate,
     exhaustive_search,
     expected_round_symbols,
-    sample_decode_counts,
-    sample_round_lengths,
 )
 
 params = CodeParams(k=8, n=24, epsilon=0.5)
@@ -25,9 +24,10 @@ schedule = exhaustive_search(params, 3).schedule
 print(f"schedule under test: {schedule.boundaries} (seeded, reproducible)")
 
 print("\nfirst three simulated rounds (seed 2026):")
-lengths, success = sample_round_lengths(params, 3, 2026)
-for i, (length, ok) in enumerate(zip(lengths.tolist(), success.tolist())):
+for i, time in enumerate(decode_times(params, 3, 2026).tolist()):
+    # a round that never decodes (time n + 1) sends all n symbols and fails;
     # the round stops at the first boundary that reaches its length
+    length, ok = min(time, params.n), time <= params.n
     block = bisect_left(schedule.boundaries, length)
     print(f"  trial {i}: round length {length}, stopped at block {block + 1} "
           f"({schedule.boundaries[block]} symbols), success={ok}")
@@ -44,7 +44,7 @@ for i, b in enumerate(schedule.boundaries):
           f"   (analytic {a:.4f})")
 print(f"  throughput   : {report.empirical_throughput:.4f}")
 
-counts = sample_decode_counts(8, 48, 20000, 2026)
+counts = decode_times(CodeParams(8, 48), 20000, 2026)  # eps = 0: a lossless feed
 c0, c1 = erdos_borwein_constant(), dst_constant()
 print("\nsymbol-by-symbol decode times over a lossless feed (k=8, n=48):")
 print(f"  empirical mean {counts.mean():.4f} vs limit {8 + c0:.4f}")

@@ -34,10 +34,9 @@ from .sdo import (
 from .simulate import (
     EstimateReport,
     GENERATOR_NAME,
+    decode_times,
     estimate,
     rescore,
-    sample_decode_counts,
-    sample_round_lengths,
 )
 
 __version__ = "0.1.0"

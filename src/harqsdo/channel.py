@@ -226,6 +226,7 @@ def ack_curve(params: CodeParams) -> np.ndarray:
 
 def ack_prob(params: CodeParams, t: int) -> float:
     """Probability the destination has ACKed by time t (defined for t <= n only)."""
+    t = _integral("t", t)
     if t > params.n:
         raise ValueError(f"ack_prob is defined only for t <= n, got t={t} > n={params.n}")
     if t < params.k:

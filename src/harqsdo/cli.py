@@ -276,7 +276,7 @@ def run_simulate(cfg: RunConfig) -> tuple[list[str], list[dict]]:
                      matrix_reuse=cfg.matrix_reuse)
     rows = []
     for method, report in solved:
-        est = rescore(drawn, params, report.schedule)
+        est = rescore(drawn, report.schedule)
         row = {
             "k": k, "n": n, "m": m, "epsilon": eps, "method": method,
             "schedule": report.schedule,

@@ -100,6 +100,7 @@ def decode_success_prob(k: int, n: int, r: int) -> float:
     any integer r, including negatives, so callers need no special-casing.
     """
     _check_kn(k, n)
+    r = _integral("r", r)
     if r < k:
         return 0.0
     if r > n:
@@ -130,6 +131,7 @@ def decodable_count_pmf(k: int, n: int, r: int) -> float:
     probability there, which is also its forward difference in r.
     """
     _check_kn(k, n)
+    r = _integral("r", r)
     if r < k or r > n:
         return 0.0
     return 2.0 ** (k - r) * decode_success_prob(k, n, r)

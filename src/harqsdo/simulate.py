@@ -16,8 +16,8 @@ thing the kernel computes, and everything else is a view of it:
   histogram of L over 0..n+1.
 - rescore: the same trials under another schedule, scored from that
   histogram without drawing a trial.
-- sample_round_lengths: (min(L, n), L <= n).
-- sample_decode_counts: L on a lossless channel.
+- decode_times: L per trial.  A round's length is min(L, n), its success
+  L <= n, and at eps = 0 L counts the leading symbols that decode.
 
 The kernel finds L by inserting each trial's columns in a fixed order, the
 erased ones first and then the received ones from right to left: the first
@@ -80,10 +80,9 @@ from .channel import Schedule, _check_schedule
 __all__ = [
     "EstimateReport",
     "GENERATOR_NAME",
+    "decode_times",
     "estimate",
     "rescore",
-    "sample_decode_counts",
-    "sample_round_lengths",
 ]
 
 GENERATOR_NAME = "philox4x64(key=seed), dense: trial i from word i*(W*n+n), W=max(1,ceil(d/64))"
@@ -284,7 +283,7 @@ class EstimateReport:
     matrix_reuse: int = 1
 
 
-def _check_run(trials, seed, matrix_reuse=1) -> tuple[int, int, int]:
+def _check_run(trials, seed, matrix_reuse) -> tuple[int, int, int]:
     """(trials, seed, matrix_reuse) as ints, or ValueError before any trial is drawn."""
     trials = _integral("trials", trials)
     seed = _integral("seed", seed)
@@ -296,6 +295,19 @@ def _check_run(trials, seed, matrix_reuse=1) -> tuple[int, int, int]:
     if matrix_reuse < 1:
         raise ValueError(f"matrix_reuse must be >= 1, got {matrix_reuse}")
     return trials, seed, matrix_reuse
+
+
+def decode_times(params: CodeParams, trials: int, seed: int, *,
+                 matrix_reuse: int = 1) -> np.ndarray:
+    """The decode time L of each of trials rounds, 0..n + 1, as one intp array.
+
+    Trial i is trial i of estimate with the same seed and matrix_reuse: the
+    same code and erasure pattern, so its round stops at its schedule's first
+    boundary n_j >= L, and fails at n when L = n + 1.
+    """
+    trials, seed, matrix_reuse = _check_run(trials, seed, matrix_reuse)
+    # a block's times are as narrow as n + 1 allows; the samples are intp
+    return np.concatenate(list(_span_times(params, seed, trials, matrix_reuse)), dtype=np.intp)
 
 
 def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
@@ -312,28 +324,22 @@ def estimate(params: CodeParams, schedule: Schedule, trials: int, seed: int, *,
     counts = np.zeros(params.n + 2, dtype=np.int64)  # trials per decode time 0..n+1
     for times in _span_times(params, seed, trials, matrix_reuse):
         counts += np.bincount(times, minlength=params.n + 2)
-    return _scored(params, params, schedule, tuple(counts.tolist()), seed, matrix_reuse)
+    return _scored(params, schedule, tuple(counts.tolist()), seed, matrix_reuse)
 
 
-def rescore(report: EstimateReport, params: CodeParams, schedule: Schedule) -> EstimateReport:
-    """estimate of report's trials, seed and matrix_reuse under schedule, drawing none.
-
-    params must be the design point the report was drawn at: the decode
-    times of one (k, n, eps) say nothing about another's.
-    """
-    return _scored(report.params, params, schedule, report.decode_time_counts, report.seed,
+def rescore(report: EstimateReport, schedule: Schedule) -> EstimateReport:
+    """estimate at report's params, trials, seed and matrix_reuse under schedule, drawing none."""
+    return _scored(report.params, schedule, report.decode_time_counts, report.seed,
                    report.matrix_reuse)
 
 
-def _scored(drawn_at: CodeParams, params: CodeParams, schedule: Schedule,
-            counts: tuple[int, ...], seed: int, matrix_reuse: int) -> EstimateReport:
-    """The report at params of the trials that counts holds per decode time 0..n+1."""
+def _scored(params: CodeParams, schedule: Schedule, counts: tuple[int, ...], seed: int,
+            matrix_reuse: int) -> EstimateReport:
+    """The report of the trials drawn at params that counts holds per decode time 0..n+1."""
     trials = sum(counts)
     if len(counts) != params.n + 2 or trials < 1:
         raise ValueError(f"cannot score {trials} trials of decode times 0..{len(counts) - 1}"
                          f" at n={params.n}, which needs 0..{params.n + 1} and >= 1 trial")
-    if drawn_at != params:
-        raise ValueError(f"cannot score trials drawn at {drawn_at} at another point, {params}")
     _check_schedule(params, schedule)
     b = schedule.boundaries
     m = schedule.m
@@ -367,32 +373,3 @@ def _scored(drawn_at: CodeParams, params: CodeParams, schedule: Schedule,
         decode_time_counts=counts,
         matrix_reuse=matrix_reuse,
     )
-
-
-def _sample_times(params: CodeParams, trials: int, seed: int) -> np.ndarray:
-    trials, seed, _ = _check_run(trials, seed)
-    # a block's times are as narrow as n + 1 allows; the samples are intp
-    return np.concatenate(list(_span_times(params, seed, trials)), dtype=np.intp)
-
-
-def sample_decode_counts(k: int, n: int, trials: int, seed: int) -> np.ndarray:
-    """Symbol-by-symbol decode times over a lossless in-order feed.
-
-    One sample per trial of how many leading symbols make the message
-    decodable: the decode time L with no erasures.  Trial i uses the same
-    code as in sample_round_lengths and estimate.
-    """
-    return _sample_times(CodeParams(k, n), trials, seed)
-
-
-def sample_round_lengths(params: CodeParams, trials: int,
-                         seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Symbol-by-symbol round lengths over the lossy channel.
-
-    Returns (lengths, success flags); a round that cannot decode even with
-    everything received ends at n with success False.  Trial i is trial i of
-    estimate with the same seed: the same code and erasure pattern, so its
-    first boundary n_j >= length is the block at which that round stops.
-    """
-    times = _sample_times(params, trials, seed)
-    return np.minimum(times, params.n), times <= params.n

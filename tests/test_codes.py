@@ -2,14 +2,17 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import harqsdo
 from harqsdo import (
     CodeParams,
     MomentPair,
+    ack_prob,
     asymptotic_round_moments,
     decodable_count_moments,
     decodable_count_pmf,
@@ -19,6 +22,7 @@ from harqsdo import (
     erdos_borwein_constant,
     overhead_moment,
 )
+from harqsdo import channel, codes, sdo, simulate
 
 from oracles import (
     _columns_independent,
@@ -243,3 +247,31 @@ class TestParamTypes:
     def test_moment_pair_validation(self):
         with pytest.raises(ValueError):
             MomentPair(1.0, -0.5)
+
+    @pytest.mark.parametrize("value", [10.5, True, "10", None],
+                             ids=["fraction", "bool", "str", "none"])
+    @pytest.mark.parametrize("name, call", [
+        ("t", lambda v: ack_prob(CodeParams(8, 24, 0.5), v)),
+        ("r", lambda v: decode_success_prob(8, 24, v)),
+        ("r", lambda v: decodable_count_pmf(8, 24, v)),
+    ], ids=["ack_prob", "decode_success_prob", "decodable_count_pmf"])
+    def test_time_arguments_must_be_integers(self, name, call, value):
+        # a fraction once indexed the curve (numpy's IndexError), and True read as 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "
+                                             f"{re.escape(repr(value))}$"):
+            call(value)
+        assert call(np.int64(10)) == call(10.0) == call(10)
+
+
+@pytest.mark.parametrize("module", [codes, channel, sdo, simulate],
+                         ids=lambda m: m.__name__.rsplit(".", 1)[1])
+def test_module_exports_are_package_exports(module):
+    assert [name for name in module.__all__
+            if getattr(harqsdo, name, None) is not getattr(module, name)] == []
+
+
+def test_package_exports_only_module_exports():
+    # a name that a module's __all__ no longer lists is a stale re-export
+    exported = {name for name, value in vars(harqsdo).items()
+                if not name.startswith("_") and not isinstance(value, type(harqsdo))}
+    assert exported == {name for m in (codes, channel, sdo, simulate) for name in m.__all__}

@@ -19,6 +19,7 @@ from harqsdo import (
     ack_prob,
     asymptotic_round_moments,
     decode_success_prob,
+    decode_times,
     dst_constant,
     erdos_borwein_constant,
     estimate,
@@ -26,8 +27,6 @@ from harqsdo import (
     expected_round_symbols,
     optimize,
     rescore,
-    sample_decode_counts,
-    sample_round_lengths,
 )
 
 import harqsdo.simulate as simulate_module
@@ -37,7 +36,6 @@ from harqsdo.simulate import (
     _erasure_threshold,
     _first_dependent,
     _insertion_order,
-    _span_times,
 )
 
 from oracles import (
@@ -89,7 +87,7 @@ def _no_draws(*args, **kwargs):
 
 
 def _times(params: CodeParams, seed: int, trials: int, matrix_reuse: int = 1) -> list[int]:
-    return np.concatenate(list(_span_times(params, seed, trials, matrix_reuse))).tolist()
+    return decode_times(params, trials, seed, matrix_reuse=matrix_reuse).tolist()
 
 
 def _first_dependent_by_rank(m: np.ndarray) -> int:
@@ -243,7 +241,7 @@ class TestRescore:
         k, n, trials = self.K, self.N, self.TRIALS
         rounds = reference_rounds(k, n, self.EPS, schedule, trials, self.SEED)
         monkeypatch.setattr(np.random, "Philox", _no_draws)  # the oracle builds its own
-        rep = rescore(drawn, CodeParams(k, n, self.EPS), Schedule(schedule))
+        rep = rescore(drawn, Schedule(schedule))
         sent = [r[1] for r in rounds]
         mean = sum(sent) / trials
         var = (sum(x * x for x in sent) - trials * mean * mean) / (trials - 1)
@@ -260,36 +258,37 @@ class TestRescore:
         }
         assert sum(rep.decode_time_counts) == rep.trials == trials
 
-    @pytest.mark.parametrize("params, counts, schedule, match", [
-        (CodeParams(8, 30, 0.5), None, (16, 30), r"needs 0\.\.31"),
-        (CodeParams(8, 24, 0.5), (0,) * 26, (16, 24), "cannot score 0 trials"),
-        (CodeParams(8, 24, 0.5), None, (16, 20), "schedule must end at n=24"),
+    @pytest.mark.parametrize("counts, schedule, match", [
+        ((50,) + (0,) * 31, (16, 24), r"^cannot score 50 trials of decode times 0\.\.31 at n=24,"
+                                      r" which needs 0\.\.25 and >= 1 trial$"),
+        ((0,) * 26, (16, 24), "cannot score 0 trials"),
+        (None, (16, 20), "schedule must end at n=24"),
     ], ids=["other-n", "no-trials", "schedule-short-of-n"])
-    def test_mismatched_histogram_rejected(self, params, counts, schedule, match):
+    def test_mismatched_histogram_rejected(self, counts, schedule, match):
+        # other-n: the histogram of an n = 30 run on a report drawn at n = 24
         rep = estimate(CodeParams(8, 24, 0.5), Schedule((24,)), 50, 1)
         if counts is not None:
             rep = dataclasses.replace(rep, decode_time_counts=counts)
         with pytest.raises(ValueError, match=match) as err:
-            rescore(rep, params, Schedule(schedule))
+            rescore(rep, Schedule(schedule))
         assert "\n" not in str(err.value)
 
     @pytest.mark.parametrize("params", [CodeParams(20, 24, 0.5), CodeParams(8, 24, 0.5),
                                         CodeParams(9, 24, 0.3)], ids=["k-and-eps", "eps", "k"])
-    def test_other_design_point_rejected(self, params):
-        # the same n, so the histogram fits, but at k = 20 it would hold
-        # decode times below k, which cannot occur
-        rep = estimate(CodeParams(8, 24, 0.3), Schedule((24,)), 100, 1)
-        assert rep.params == CodeParams(8, 24, 0.3)
-        with pytest.raises(ValueError) as err:
-            rescore(rep, params, Schedule((22, 24)))
-        assert str(err.value) == ("cannot score trials drawn at CodeParams(k=8, n=24, "
-                                  f"epsilon=0.3) at another point, {params}")
+    def test_scores_at_the_drawn_design_point(self, params, monkeypatch):
+        # the report carries the (k, n, eps) its trials were drawn at, and
+        # rescore scores them there, as a fresh estimate under the schedule would
+        rep = estimate(params, Schedule((24,)), 100, 1)
+        want = estimate(params, Schedule((22, 24)), 100, 1)
+        monkeypatch.setattr(np.random, "Philox", _no_draws)
+        assert rescore(rep, Schedule((22, 24))) == want
+        assert want.params == params
 
 
 class TestPerSymbolSampling:
     def test_decode_counts_dkw_band(self):
         k, n, trials = 8, 48, 100000
-        counts = sample_decode_counts(k, n, trials, 20260810)
+        counts = decode_times(CodeParams(k, n), trials, 20260810)
         band = math.sqrt(math.log(2 / 1e-3) / (2 * trials))
         for r in range(k, n + 1):
             emp = float((counts <= r).mean())
@@ -306,7 +305,8 @@ class TestPerSymbolSampling:
 
     def test_round_lengths_match_asymptote(self):
         p = CodeParams(8, 72, 0.5)
-        lengths, success = sample_round_lengths(p, 60000, 13)
+        times = decode_times(p, 60000, 13)
+        lengths, success = np.minimum(times, p.n), times <= p.n
         am = asymptotic_round_moments(8, 0.5)
         trials = len(lengths)
         mean, var = lengths.mean(), lengths.var(ddof=1)
@@ -320,23 +320,21 @@ class TestPerSymbolSampling:
     def test_trial_is_a_function_of_seed_and_index(self):
         # a shorter run is a prefix of a longer one, across the 512-trial blocks
         p = CodeParams(8, 24, 0.5)
-        lengths, success = sample_round_lengths(p, 1100, 42)
-        short_lengths, short_success = sample_round_lengths(p, 600, 42)
-        assert np.array_equal(lengths[:600], short_lengths)
-        assert np.array_equal(success[:600], short_success)
-        again = sample_round_lengths(p, 1100, 42)
-        assert np.array_equal(again[0], lengths) and np.array_equal(again[1], success)
-        counts = sample_decode_counts(8, 24, 1100, 42)
-        assert np.array_equal(counts[:600], sample_decode_counts(8, 24, 600, 42))
+        times = decode_times(p, 1100, 42)
+        assert np.array_equal(times[:600], decode_times(p, 600, 42))
+        assert np.array_equal(decode_times(p, 1100, 42), times)
+        lossless = CodeParams(8, 24)
+        counts = decode_times(lossless, 1100, 42)
+        assert np.array_equal(counts[:600], decode_times(lossless, 600, 42))
         # and each is the oracle's trial of that index, either side of a block
         for i in (0, 511, 512, 599, 1099):
-            time = decode_time(16, 24, *dense_trial(16, 24, 0.5, 42, i))
-            assert (lengths[i], success[i]) == (min(time, 24), time <= 24)
+            assert times[i] == decode_time(16, 24, *dense_trial(16, 24, 0.5, 42, i))
             assert counts[i] == decode_time(16, 24, *dense_trial(16, 24, 0.0, 42, i))
 
     def test_round_length_invariants(self):
         k, n = 8, 24
-        lengths, success = sample_round_lengths(CodeParams(k, n, 0.5), 2000, 9)
+        times = decode_times(CodeParams(k, n, 0.5), 2000, 9)
+        lengths, success = np.minimum(times, n), times <= n
         assert ((k <= lengths) & (lengths <= n)).all()
         assert (lengths[~success] == n).all()  # a failed round sends every symbol
         assert 0 < success.sum() < len(success)
@@ -344,7 +342,8 @@ class TestPerSymbolSampling:
     def test_modes_agree_per_trial(self):
         # same (seed, index) must induce the same round in both decode modes
         s = Schedule((16, 20, 24))
-        lengths, success = sample_round_lengths(CodeParams(8, 24, 0.5), 500, 42)
+        times = decode_times(CodeParams(8, 24, 0.5), 500, 42)
+        lengths, success = np.minimum(times, 24), times <= 24
         rounds = reference_rounds(8, 24, 0.5, s.boundaries, 500, 42)
         for length, ok, (block, _, want_ok, _) in zip(lengths, success, rounds):
             assert ok == want_ok
@@ -541,9 +540,26 @@ class TestDecodeTimeKernel:
             sum(first_ack[: i + 1]) / trials for i in range(4))
 
     def test_lossless_round_lengths_are_decode_counts(self):
-        lengths, success = sample_round_lengths(CodeParams(8, 48, 0.0), 700, 5)
-        assert success.all()
-        assert np.array_equal(lengths, sample_decode_counts(8, 48, 700, 5))
+        # nothing is erased, so no round fails: each decodes by n, its length
+        # its decode time
+        times = decode_times(CodeParams(8, 48, 0.0), 700, 5)
+        assert times.dtype == np.intp
+        assert (8 <= times).all() and (times <= 48).all()
+
+    @pytest.mark.parametrize("small", [False, True], ids=["blocks-of-512", "small-blocks"])
+    @pytest.mark.parametrize("matrix_reuse", [1, 3])
+    def test_estimate_histogram_is_decode_times_bincount(self, matrix_reuse, small,
+                                                         monkeypatch):
+        # 1100 trials span three blocks of 512; blocks of 100 drawn 13 trials
+        # at a time start chunks inside reuse groups of 3.  The times are
+        # drawn at the default sizes either way
+        p, s = CodeParams(32, 88, 0.5), Schedule((61, 68, 75, 88))
+        times = decode_times(p, 1100, 42, matrix_reuse=matrix_reuse)
+        if small:
+            monkeypatch.setattr(simulate_module, "_BLOCK", 100)
+            monkeypatch.setattr(simulate_module, "_DRAW_WORDS", 13 * 2 * 88)  # W n + n words each
+        rep = estimate(p, s, 1100, 42, matrix_reuse=matrix_reuse)
+        assert rep.decode_time_counts == tuple(np.bincount(times, minlength=p.n + 2).tolist())
 
     def test_traced_memory_peak_under_3mb(self):
         p = CodeParams(32, 88, 0.5)
@@ -627,7 +643,7 @@ def _pinned_counts(argv: str) -> tuple[list[int], CodeParams]:
     """The decode-time counts 0..n+1 of a pinned run, of every r-th trial under matrix_reuse r."""
     cfg = build_config(argv.split())
     params = CodeParams(cfg.scalar("k"), cfg.scalar("n"), cfg.scalar("epsilon"))
-    times = np.concatenate(list(_span_times(params, cfg.seed, cfg.trials, cfg.matrix_reuse)))
+    times = decode_times(params, cfg.trials, cfg.seed, matrix_reuse=cfg.matrix_reuse)
     return np.bincount(times[:: cfg.matrix_reuse], minlength=params.n + 2).tolist(), params
 
 
@@ -646,8 +662,7 @@ def test_law_check_fails_a_shifted_histogram(k, n, eps, trials):
     # 2.  At n = 120 (d = 88, two words a column) 3000 trials miss a shift
     # down (the strict xfail below), and 30,000 see both
     params = CodeParams(k, n, eps)
-    counts = np.bincount(np.concatenate(list(_span_times(params, 11, trials))),
-                         minlength=params.n + 2).tolist()
+    counts = np.bincount(decode_times(params, trials, 11), minlength=params.n + 2).tolist()
     assert _law_holds(counts, params)
     for by in (1, -1):
         assert sum(_shifted(counts, by)) == trials
@@ -676,15 +691,14 @@ def test_pinned_runs_fail_the_law_shifted(argv):
 class TestRunArguments:
     def test_zero_trials_rejected_by_samplers(self):
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            sample_round_lengths(CodeParams(8, 24, 0.5), 0, 1)
-        with pytest.raises(ValueError, match="trials must be >= 1"):
-            sample_decode_counts(8, 24, 0, 1)
+            decode_times(CodeParams(8, 24, 0.5), 0, 1)
+        with pytest.raises(ValueError, match="matrix_reuse must be >= 1, got 0"):
+            decode_times(CodeParams(8, 24, 0.5), 10, 1, matrix_reuse=0)
 
     def test_negative_trials_rejected(self):
         s = Schedule((16, 20, 24))
         for call in (lambda: estimate(CodeParams(8, 24, 0.5), s, -3, 1),
-                     lambda: sample_round_lengths(CodeParams(8, 24, 0.5), -3, 1),
-                     lambda: sample_decode_counts(8, 24, -3, 1)):
+                     lambda: decode_times(CodeParams(8, 24, 0.5), -3, 1)):
             with pytest.raises(ValueError, match="trials must be >= 1, got -3"):
                 call()
 
@@ -696,9 +710,7 @@ class TestRunArguments:
             with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
                 estimate(p, s, 10, seed)
         with pytest.raises(ValueError, match="seed"):
-            sample_round_lengths(p, 10, 2 ** 128)
-        with pytest.raises(ValueError, match="seed"):
-            sample_decode_counts(8, 24, 10, 2 ** 128)
+            decode_times(p, 10, 2 ** 128)
 
     def test_largest_seed_accepted(self):
         rep = estimate(CodeParams(8, 24, 0.5), Schedule((16, 20, 24)), 3, 2 ** 128 - 1)

@@ -5,7 +5,9 @@ its stdout.  This test recomputes them all: the set-up optimize call, and the
 two sweeps at every pinned eps, both reduced and at the benchmark's size.  A
 change that moves any printed digit of a schedule, objective or throughput
 fails here.  validate's CSV and JSON reports are pinned below, so no check's
-value, tolerance or verdict moves unseen either.  So is the stdout of demos
+value, tolerance or verdict moves unseen either.  So are the JSON forms of
+both benchmark sweeps at eps 0.47, of a sweep with skipped rows and of an
+optimize call: a row's schedule prints there as a list.  So is the stdout of demos
 01-04, run as scripts; demo 05 prints the path it writes to, so its bytes
 depend on the checkout.
 """
@@ -37,6 +39,17 @@ BENCHMARK_SIZE = (
 VALIDATE = {
     "validate": "97770204e86411a147e22a46ccf7bae74cbd11a18dbc11467bdd5ee78e89deb6",
     "validate --format json": "4220be79b973ba88ec36bda10dee2d6377b0eae8c6cdeaff40b22a43ba001b5c",
+}
+
+JSON = {
+    "sweep-n --k 32 --n 66:120:2 --m 1:8 --model all --eps 0.47 --format json":
+        "3e4c1af83c0a30ca8c688270fe43db6ab082b2f05ff8e8c7da7e1743d59164e0",
+    "sweep-k --k 24:40:4 --n 88 --m 5 --model all --eps 0.47 --format json":
+        "e18f57532abf0cad219f05901915dbd0d6c7f03ca51f1df9c71c2249c98c94d6",
+    "sweep-k --k 20:26:2 --n 24 --m 3 --model all --format json":
+        "f0dab05722022fe70f3bb71c6a29630d7fea0031fe350389b3e39b02ff613c2c",
+    "optimize --k 8 --n 24 --m 3 --model all --format json":
+        "de0e90691dd79f8f0f6ada04b21f3c448c630fb374d4ca6f5db55bd83038e5d6",
 }
 
 DEMOS = {
@@ -84,6 +97,12 @@ def test_benchmark_size_argument_lists_reproduce(monkeypatch):
 def test_validate_matches_pinned_digest(argv, monkeypatch):
     monkeypatch.delenv("HARQ_SDO_OUT", raising=False)
     assert _stdout_digest(argv) == VALIDATE[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(JSON))
+def test_json_matches_pinned_digest(argv, monkeypatch):
+    monkeypatch.delenv("HARQ_SDO_OUT", raising=False)
+    assert _stdout_digest(argv) == JSON[argv]
 
 
 @pytest.mark.parametrize("demo", sorted(DEMOS))

@@ -33,8 +33,8 @@ from .codes import (
     erdos_borwein_constant,
     overhead_moment,
 )
-from .channel import Schedule, ack_curve, ack_curves, round_length_law
-from .sdo import CdfModel, _check_m, _feasible, optimize, optimize_row
+from .channel import ack_curve, ack_curves, round_length_law
+from .sdo import CdfModel, _check_m, _feasible, _row_entries, optimize, optimize_row
 # unused here; perfbench traces it by this name
 from .sdo import exhaustive_search  # noqa: F401
 from .simulate import _first_dependent, estimate, rescore
@@ -183,15 +183,16 @@ def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
     """Rows of every (k, n, m) cell of cfg, k slowest and m fastest.
 
     eps and every m are checked first, so that skipped rows cannot hide a
-    bad value.  Each k is one sweep row: optimize_row solves all its n, m
-    and methods in one pass, and es solves each n for all its m in one
-    backward pass.  The ACK curves of every (k, n) of the command share
-    eps, so one ack_curves stream computes them together, k by k, a chunk
-    at a time, and hands each row its curves as the row reads them.  A
-    cell has one row per method, or with best_only the row of the first
-    method of highest throughput; an n or m given twice gives its rows
-    twice.  Where no schedule fits, a cell has one skipped row, or with
-    skip False the solver raises.
+    bad value.  Each k is one sweep row: sdo._row_entries solves all its n,
+    m and methods in one pass, and es solves each n for all its m in one
+    backward pass.  Each row dict is built straight from a plain entry, so
+    its schedule is a boundaries tuple; no report is built.  The ACK curves
+    of every (k, n) of the command share eps, so one ack_curves stream
+    computes them together, k by k, a chunk at a time, and hands each row
+    its curves as the row reads them.  A cell has one row per method, or
+    with best_only the row of the first method of highest throughput; an n
+    or m given twice gives its rows twice.  Where no schedule fits, a cell
+    has one skipped row, or with skip False the solver raises.
     """
     eps = cfg.scalar("epsilon")
     _check_epsilon(eps)
@@ -213,24 +214,23 @@ def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
         def cell_rows(n: int, by_kind: dict) -> list[dict]:
             out = []
             for m in cfg.m:
-                row = {"k": k, "n": n, "m": m, "epsilon": eps, "method": "skipped",
-                       "schedule": None, "expected_symbols": None, "throughput": None}
                 if m not in cells.get(n, ()):
-                    out.append(row)
+                    out.append({"k": k, "n": n, "m": m, "epsilon": eps, "method": "skipped",
+                                "schedule": None, "expected_symbols": None,
+                                "throughput": None})
                     continue
-                reports = [(method, by_kind[_MODEL_KIND[method]][m]) for method in methods]
-                if best_only:
-                    reports = [max(reports, key=lambda pair: pair[1].throughput)]
-                out.extend({**row, "method": method, "schedule": report.schedule,
-                            "expected_symbols": report.objective,
-                            "throughput": report.throughput}
-                           for method, report in reports)
+                entries = [(method, by_kind[kind][m]) for method, kind in zip(methods, kinds)]
+                if best_only:  # the first of highest throughput
+                    entries = [max(entries, key=lambda pair: pair[1][2])]
+                out.extend({"k": k, "n": n, "m": m, "epsilon": eps, "method": method,
+                            "schedule": b, "expected_symbols": value, "throughput": rate}
+                           for method, (b, value, rate) in entries)
             return out
 
-        # each n's rows, built as its chunk of the row is solved: only kept reports stay
+        # each n's rows, built as its chunk of the row is solved: only kept entries stay
         solved = {}
         if cells:
-            for n, by_kind in optimize_row(k, eps, cells.items(), kinds, curves):
+            for n, by_kind in _row_entries(k, eps, cells.items(), kinds, curves):
                 solved[n] = cell_rows(n, by_kind)
         for n in cfg.n:
             rows.extend(solved[n] if n in solved else cell_rows(n, {}))
@@ -279,7 +279,7 @@ def run_simulate(cfg: RunConfig) -> tuple[list[str], list[dict]]:
         est = rescore(drawn, report.schedule)
         row = {
             "k": k, "n": n, "m": m, "epsilon": eps, "method": method,
-            "schedule": report.schedule,
+            "schedule": report.schedule.boundaries,
             "trials": est.trials, "seed": est.seed,
             "mean_symbols": est.mean_symbols,
             "stderr_symbols": est.stderr_symbols,
@@ -438,73 +438,39 @@ def run_constants(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     return ["name", "value"], rows
 
 
-def _schedule_cell(row) -> str:
-    sched = row.get("schedule")
-    return " ".join(map(str, sched.boundaries)) if sched else ""
-
-
-def _verdict_cell(row) -> str:
-    return "pass" if row.get("passed") else "FAIL"
-
-
-def _cell_functions(columns: list[str]) -> list:
-    """Each column's cell as a function of a row, chosen once per table.
+def _rows_to_csv(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
+    """The CSV text: a header line naming the run, the columns, then one line per row.
 
     A column nI is the I-th boundary of the row's schedule, or empty past
     the last one or without a schedule: a table with nI columns holds only
-    rows with a schedule key.  Any other column is a plain value: empty for
-    None, 12 digits for a float.
+    rows with a schedule key.  A schedule column is its boundaries joined
+    by spaces, a verdict is pass or FAIL, and any other column is a plain
+    value: empty for None, 12 digits for a float.
     """
-    def slot(idx: int):
-        def cell(row) -> str:
-            sched = row.get("schedule")
-            if sched is not None and idx < len(sched.boundaries):
-                return str(sched.boundaries[idx])
-            return ""
-        return cell
-
-    def plain(col: str):
-        def cell(row) -> str:
-            value = row.get(col)
-            if value is None:
-                return ""
-            if isinstance(value, float):
-                return _fmt(value)
-            return str(value)
-        return cell
-
-    cells = []
-    for col in columns:
-        if col.startswith("n") and col[1:].isdigit():
-            cells.append(slot(int(col[1:]) - 1))
-        elif col == "schedule":
-            cells.append(_schedule_cell)
-        elif col == "verdict":
-            cells.append(_verdict_cell)
-        else:
-            cells.append(plain(col))
-    return cells
-
-
-def _rows_to_csv(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
     import csv as _csv
 
     buf = io.StringIO()
     buf.write(f"# harq-sdo {__version__} {cfg.param_summary()}\n")
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    cells = _cell_functions(columns)
+    slots = [int(col[1:]) - 1 if col[:1] == "n" and col[1:].isdigit() else -1
+             for col in columns]
     for row in rows:
-        writer.writerow([cell(row) for cell in cells])
+        sched = row.get("schedule") or ()
+        cells = []
+        for col, slot in zip(columns, slots):
+            if slot >= 0:
+                value = sched[slot] if slot < len(sched) else None
+            elif col == "schedule":
+                value = " ".join(map(str, sched))
+            elif col == "verdict":
+                value = "pass" if row.get("passed") else "FAIL"
+            else:
+                value = row.get(col)
+            cells.append("" if value is None else _fmt(value) if isinstance(value, float)
+                         else str(value))
+        writer.writerow(cells)
     return buf.getvalue()
-
-
-def _json_ready(value):
-    if isinstance(value, float):
-        return _round12(value)
-    if isinstance(value, Schedule):
-        return list(value.boundaries)
-    return value
 
 
 def _rows_to_json(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
@@ -513,7 +479,9 @@ def _rows_to_json(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
         "version": __version__,
         "parameters": cfg.param_summary(),
         "columns": columns,
-        "rows": [{k: _json_ready(v) for k, v in r.items()} for r in rows],
+        # a schedule tuple is written as a list
+        "rows": [{k: _round12(v) if isinstance(v, float) else v for k, v in r.items()}
+                 for r in rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 

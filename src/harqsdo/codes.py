@@ -87,9 +87,12 @@ class MomentPair:
             raise ValueError(f"variance must be >= 0, got {self.variance}")
 
 
-def _check_kn(k: int, n: int) -> None:
+def _check_kn(k: int, n: int) -> tuple[int, int]:
+    """k and n as ints, checked as CodeParams checks them: integral, 1 <= k <= n."""
+    k, n = _integral("k", k), _integral("n", n)
     if k < 1 or n < k:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return k, n
 
 
 def decode_success_prob(k: int, n: int, r: int) -> float:
@@ -99,7 +102,7 @@ def decode_success_prob(k: int, n: int, r: int) -> float:
     (empty product, i.e. 1, at r = n), and 1 by extension for r > n.  Accepts
     any integer r, including negatives, so callers need no special-casing.
     """
-    _check_kn(k, n)
+    k, n = _check_kn(k, n)
     r = _integral("r", r)
     if r < k:
         return 0.0
@@ -118,7 +121,7 @@ def _tail_products(d: int) -> list[float]:
 
 def decode_success_curve(k: int, n: int) -> np.ndarray:
     """decode_success_prob(k, n, r) for every r in 0..n; P_s(k + i) is _tail_products(n - k)[i]."""
-    _check_kn(k, n)
+    k, n = _check_kn(k, n)
     ps = np.zeros(n + 1)
     ps[k:] = _tail_products(n - k)
     return ps
@@ -130,7 +133,7 @@ def decodable_count_pmf(k: int, n: int, r: int) -> float:
     Supported on k..n; equals 2**(k-r) times the decoding-success
     probability there, which is also its forward difference in r.
     """
-    _check_kn(k, n)
+    k, n = _check_kn(k, n)
     r = _integral("r", r)
     if r < k or r > n:
         return 0.0
@@ -139,7 +142,7 @@ def decodable_count_pmf(k: int, n: int, r: int) -> float:
 
 def decodable_count_moments(k: int, n: int) -> MomentPair:
     """Exact finite-n mean and variance of the symbols-to-decode count."""
-    _check_kn(k, n)
+    k, n = _check_kn(k, n)
     d = n - k
     tails = _tail_products(d)
     m1 = 0.0
@@ -181,6 +184,7 @@ def overhead_moment(power: int) -> float:
     the zeroth, first and second moments are 1, the Erdos-Borwein constant,
     and c0**2 + c0 + c1 respectively.
     """
+    power = _integral("power", power)
     if power not in (0, 1, 2):
         raise ValueError(f"power must be one of 0, 1, 2, got {power}")
     tails = _tail_products(_PRODUCT_CUTOFF)
@@ -201,6 +205,7 @@ def asymptotic_round_moments(k: int, epsilon: float) -> MomentPair:
     mean = (k + c0)/(1 - eps) and
     variance = ((k + c0) eps + c0 + c1)/(1 - eps)**2.
     """
+    k = _integral("k", k)
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     _check_epsilon(epsilon)

@@ -9,24 +9,28 @@ decides where the interior boundaries land.  An exact dynamic program over
 (slot, boundary) provides the ground-truth optimum SDO is measured against.
 
 A sweep row, every (n, m) of one (k, epsilon), is solved in one pass by
-optimize_row, for each SDO model and for the dynamic program, "exhaustive".
-m = 1 has one schedule, (n), of objective n, reported for every kind.  The
-model depends on (k, epsilon, kind) only, not on n or m, so the row builds
-it once per kind, and _trajectories steps the recursion from each first
-boundary n1 once, without caps, up to the largest m and until the largest n
-and the smallest m cap it; F and F' are evaluated once per boundary.  The
-ACK values come from the curves the row is handed, one per n, gathered a
-chunk of n at a time.  _score_chunk stacks the candidates of one m at a
-time, over every model and n that asks for it: slot i < m is
-min(b_i, n - (m - i)) and slot m is n, so each block channel.objective, the
-package's one telescoped sum, scores is exactly m wide.  A candidate's float
-does not depend on its block, as objective sums every schedule left to
-right from n_m; one segmented reduction over the totals of m takes each
-group's first minimum.  Nothing is kept between calls; optimize is the row's
-one-cell case.  The dynamic program's recurrence does not depend on m, so
-_exhaustive fills the tails once, as deep as the largest m, and backtracks
-each m from its own.  It reads the curve the row hands it as it reads it;
-exhaustive_search is the row's one-cell, one-m case with kind "exhaustive".
+_row_entries, for each SDO model and for the dynamic program, "exhaustive".
+Its winners are plain (boundaries, objective, throughput) entries: a tuple
+of ints and two Python floats.  optimize_row, the public form, turns each
+into an OptimizerReport, while the CLI builds its sweep rows from the
+entries themselves.  m = 1 has one schedule, (n), of objective n, entered
+for every kind.  The model depends on (k, epsilon, kind) only, not on n or
+m, so the row builds it once per kind, and _trajectories steps the
+recursion from each first boundary n1 once, without caps, up to the
+largest m and until the largest n and the smallest m cap it; F and F' are
+evaluated once per boundary.  The ACK values come from the curves the row
+is handed, one per n, gathered a chunk of n at a time.  _score_chunk stacks
+the candidates of one m at a time, over every model and n that asks for
+it: slot i < m is min(b_i, n - (m - i)) and slot m is n, so each block
+channel.objective, the package's one telescoped sum, scores is exactly m
+wide.  A candidate's float does not depend on its block, as objective sums
+every schedule left to right from n_m; one segmented reduction over the
+totals of m takes each group's first minimum.  Nothing is kept between
+calls; optimize is the row's one-cell case.  The dynamic program's
+recurrence does not depend on m, so _exhaustive fills the tails once, as
+deep as the largest m, and backtracks each m from its own.  It reads the
+curve the row hands it as it reads it; exhaustive_search is the row's
+one-cell, one-m case with kind "exhaustive".
 """
 
 from __future__ import annotations
@@ -176,18 +180,6 @@ def _trajectories(models, n: int, ms: tuple[int, ...], lo: int, hi: int) -> np.n
 _BLOCK_CELLS = 1 << 14
 
 
-def _report(params: CodeParams, schedule: Schedule, model_used: str,
-            n1_searched: tuple[int, int] | None, value: float, ack_n: float) -> OptimizerReport:
-    """The schedule's report, from its exact objective and the ACK probability at n."""
-    return OptimizerReport(
-        schedule=schedule,
-        objective=value,
-        throughput=params.k * ack_n / value,  # as throughput()
-        model_used=model_used,
-        n1_searched=n1_searched,
-    )
-
-
 def _check_m(m: int) -> None:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -221,10 +213,28 @@ def optimize_row(k: int, epsilon: float, cells, kinds, curves=None):
     cell's ACK curve, in cell order, as channel.ack_curves does; the row
     takes one per cell as it reaches it, so a caller may hand it a stream
     that runs on into later rows.  Without one, each cell's curve comes
-    from channel.ack_curve, its cached one-point case.  It yields a chunk
-    of cells at a time, so a caller holds only the reports it keeps.
+    from channel.ack_curve, its cached one-point case.  The solving is
+    _row_entries's; this is the one place its plain entries become
+    reports, a chunk of cells at a time, so a caller holds only the
+    reports it keeps.  n1_searched is (k, n - m + 1) for m > 1, the
+    first boundaries SDO sweeps and the dynamic program's range alike.
+    """
+    for n, by_kind in _row_entries(k, epsilon, cells, kinds, curves):
+        yield n, {kind: {m: OptimizerReport(Schedule(b), value, rate, kind,
+                                            None if m == 1 else (k, n - m + 1))
+                         for m, (b, value, rate) in entries.items()}
+                  for kind, entries in by_kind.items()}
+
+
+def _row_entries(k: int, epsilon: float, cells, kinds, curves=None):
+    """optimize_row's cells, each as n and {kind: {m: (boundaries, objective, throughput)}}.
+
+    An entry is plain: the schedule's boundaries, a tuple of ints, its
+    exact objective and its throughput k ACK(n) / objective, both Python
+    floats, as throughput() computes them.  The CLI's sweep rows are built
+    from these entries directly, with no report or Schedule per cell.
     Every cell is checked before any work, and so before any curve is read.
-    m = 1 has one schedule, (n), of objective n, reported for every kind as
+    m = 1 has one schedule, (n), of objective n, entered for every kind as
     its cell is read.  For m > 1, each model's trajectories are grown once,
     up to the largest m and until the largest n and the smallest m cap them;
     a row with no m > 1 grows none and builds no model.  A chunk is a run of
@@ -252,7 +262,7 @@ def optimize_row(k: int, epsilon: float, cells, kinds, curves=None):
 
 
 def _score_chunk(k: int, chunk, kinds, models, rows, curves) -> list:
-    """optimize_row's (n, {kind: {m: report}}) for each design point of chunk.
+    """_row_entries's (n, {kind: {m: entry}}) for each design point of chunk.
 
     rows is _trajectories's matrix of models from first boundaries k on,
     or None without an SDO model or an m > 1; curves yields the ACK curve
@@ -265,7 +275,8 @@ def _score_chunk(k: int, chunk, kinds, models, rows, curves) -> list:
     it lands in: objective sums it left to right from n_m either way.  The
     totals of one m are kept, one float per candidate, and one segmented
     reduction takes each group's first minimum, so ties break toward the
-    smaller first boundary; only the winners' schedules are built again.
+    smaller first boundary; only the winners' schedules are built again,
+    and one gather reads the ACK(n) of every group for its throughput.
     """
     solved = [(params.n, {kind: {} for kind in kinds}) for params, _ in chunk]
     acks = np.empty(sum(params.n - k + 1 for params, _ in chunk))
@@ -274,8 +285,10 @@ def _score_chunk(k: int, chunk, kinds, models, rows, curves) -> list:
         curve = next(curves)
         acks[start : start + n - k + 1] = curve[k:]
         if ms[0] == 1:  # the one schedule (n): objective n, no terms added
-            for kind, reports in by_kind.items():
-                reports[1] = _report(params, Schedule((n,)), kind, None, float(n), float(curve[n]))
+            value = float(n)
+            entry = (n,), value, k * float(curve[n]) / value
+            for entries in by_kind.values():
+                entries[1] = entry
         if "exhaustive" in by_kind and ms[-1] > 1:
             by_kind["exhaustive"].update(_exhaustive(params, ms[1:] if ms[0] == 1 else ms, curve))
         offsets.append(start - k)
@@ -313,12 +326,9 @@ def _score_chunk(k: int, chunk, kinds, models, rows, curves) -> list:
         least = np.minimum.reduceat(totals, starts)
         hits = np.flatnonzero(totals == least[group_of])  # a group's first hit is its first minimum
         best = capped(hits[np.searchsorted(hits, starts)]).astype(np.intp).tolist()
-        for (j, i), value, schedule in zip(groups, least.tolist(), best):
-            params = chunk[i][0]
-            n = params.n
-            solved[i][1][models[j].kind][m] = _report(
-                params, Schedule(schedule), models[j].kind, (k, n - m + 1), value,
-                float(acks[offsets[i] + n]))
+        for (j, i), value, schedule, ack_n in zip(groups, least.tolist(), best,
+                                                  acks[shift + ns].tolist()):
+            solved[i][1][models[j].kind][m] = tuple(schedule), value, k * ack_n / value
     return solved
 
 
@@ -340,9 +350,8 @@ def _steps(x: np.ndarray, c: np.ndarray, start: int, stop: int) -> np.ndarray:
     return np.where(b > a, (a - b) * c[start:stop, None], np.inf)
 
 
-def _exhaustive(params: CodeParams, ms: tuple[int, ...],
-                curve: np.ndarray) -> dict[int, OptimizerReport]:
-    """exhaustive_search's reports for the checked ms, each at least 2, from the ACK curve."""
+def _exhaustive(params: CodeParams, ms: tuple[int, ...], curve: np.ndarray) -> dict:
+    """exhaustive_search's entries for the checked ms, each at least 2, from the ACK curve."""
     n = params.n
     x = np.arange(params.k, n)
     c = curve[params.k : n]
@@ -357,7 +366,7 @@ def _exhaustive(params: CodeParams, ms: tuple[int, ...],
             step = _steps(x, c, start, stop)
             for j in range(len(tails) - 1):
                 tails[j + 1, start:stop] = (step + tails[j, start:]).min(axis=1)
-    reports = {}
+    entries = {}
     for m in ms:
         picks = [int(np.argmin(tails[m - 2]))]
         for tail in tails[: m - 2][::-1]:  # not tails[m - 3::-1], all of tails at m = 2
@@ -365,9 +374,9 @@ def _exhaustive(params: CodeParams, ms: tuple[int, ...],
             a = picks[-1] + 1
             picks.append(a + int(np.argmin((x[a - 1] - x[a:]) * c[a - 1] + tail[a:])))
         b = tuple(int(x[a]) for a in picks) + (n,)  # scored as expected_round_symbols scores it
-        reports[m] = _report(params, Schedule(b), "exhaustive", (params.k, n - m + 1),
-                             objective(b, curve[list(b)]), float(curve[n]))
-    return reports
+        value = objective(b, curve[list(b)])
+        entries[m] = b, value, params.k * float(curve[n]) / value
+    return entries
 
 
 def exhaustive_search(params: CodeParams, m: int) -> OptimizerReport:

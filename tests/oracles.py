@@ -98,6 +98,24 @@ def ack_fraction(k: int, n: int, t: int, epsilon: Fraction) -> Fraction:
     return acc
 
 
+def ack_curve_exact(k: int, n: int, eps: float) -> list[Fraction]:
+    """P(ACK by time t) for t = 0..n in exact rationals, at the float eps read exactly.
+
+    ACK(t) = sum_r C(t, r) (1 - eps)**r eps**(t - r) P_s(r), with the success
+    law P_s(r) = prod_{j=r-k+1}^{n-k} (1 - 2**-j) for k <= r <= n and 0
+    below k: every product, power and binomial weight is exact.
+    """
+    e = Fraction(eps)
+    ps = [Fraction(0)] * k
+    for r in range(k, n + 1):
+        ps.append(math.prod((1 - Fraction(1, 2 ** j) for j in range(r - k + 1, n - k + 1)),
+                            start=Fraction(1)))
+    keep = [(1 - e) ** i for i in range(n + 1)]
+    lose = [e ** i for i in range(n + 1)]
+    return [sum((math.comb(t, r) * keep[r] * lose[t - r] * ps[r] for r in range(k, t + 1)),
+                Fraction(0)) for t in range(n + 1)]
+
+
 def observed_pmf(t: int, r: int, epsilon: float) -> float:
     """Binomial chance of r unerased symbols among t transmitted ones."""
     if t < 0:
@@ -458,7 +476,7 @@ def rows_to_csv_loop(cfg, columns, rows) -> str:
 
     The header line reads cfg's own summary; a float cell has 12 significant
     digits, a schedule slot nI is the I-th boundary of a row that has a
-    schedule key, and a verdict is pass or FAIL.
+    schedule key (a boundaries tuple), and a verdict is pass or FAIL.
     """
     import csv
     import io
@@ -475,13 +493,13 @@ def rows_to_csv_loop(cfg, columns, rows) -> str:
             if col.startswith("n") and col[1:].isdigit() and "schedule" in row:
                 sched = row.get("schedule")
                 idx = int(col[1:]) - 1
-                if sched is not None and idx < len(sched.boundaries):
-                    cells.append(str(sched.boundaries[idx]))
+                if sched is not None and idx < len(sched):
+                    cells.append(str(sched[idx]))
                 else:
                     cells.append("")
             elif col == "schedule":
                 sched = row.get("schedule")
-                cells.append(" ".join(str(b) for b in sched.boundaries) if sched else "")
+                cells.append(" ".join(str(b) for b in sched) if sched else "")
             elif col == "verdict":
                 cells.append("pass" if row.get("passed") else "FAIL")
             else:

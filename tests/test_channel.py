@@ -33,6 +33,7 @@ from harqsdo import (
 from harqsdo import channel
 
 from oracles import (
+    ack_curve_exact,
     ack_curve_loop,
     ack_fraction,
     erasures_pmf,
@@ -154,6 +155,21 @@ class TestAckProb:
     def test_rejects_extrapolation(self):
         with pytest.raises(ValueError):
             ack_prob(CodeParams(4, 8, 0.3), 9)
+
+    def test_curve_within_absolute_error_of_exact_rationals(self):
+        # the float curve against exact sums at the float eps itself.  Only
+        # the absolute error is bounded: where ACK is tiny, 1 - dot is
+        # rounding noise, so its relative error is unbounded near eps 1
+        worst = Fraction(0)
+        for k, n in [(1, 1), (1, 12), (2, 6), (4, 12), (8, 24), (17, 19), (8, 40),
+                     (32, 56), (32, 88)]:
+            for eps in (0.0, 0.3, 0.5, 0.9, 0.99, 0.999):
+                curve = ack_curve(CodeParams(k, n, eps)).tolist()
+                exact = ack_curve_exact(k, n, eps)
+                assert len(curve) == len(exact) == n + 1
+                worst = max(worst, max(abs(Fraction(got) - want)
+                                       for got, want in zip(curve, exact)))
+        assert worst <= Fraction(2e-13)
 
     def test_monotone_and_bounded_by_success_prob(self):
         for k, n, eps in [(2, 6, 0.3), (4, 12, 0.5), (8, 24, 0.25)]:

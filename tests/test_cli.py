@@ -154,7 +154,7 @@ class TestSweepKCommand:
         # the row being solved, so a long k range never holds its rows' cells
         monkeypatch.setattr("harqsdo.channel._CURVE_CELLS", 2 * 89)
         checked, ahead = [], []
-        feasible, optimize_row = cli._feasible, cli.optimize_row
+        feasible, row_entries = cli._feasible, cli._row_entries
 
         def counted(k, n, m):
             checked.append((k, n, m))
@@ -162,10 +162,10 @@ class TestSweepKCommand:
 
         def watched(k, *args):
             ahead.append(max(seen for seen, _, _ in checked) - k)
-            return optimize_row(k, *args)
+            return row_entries(k, *args)
 
         monkeypatch.setattr(cli, "_feasible", counted)
-        monkeypatch.setattr(cli, "optimize_row", watched)
+        monkeypatch.setattr(cli, "_row_entries", watched)
         _, out = run_cli(["sweep-k", "--k", "1:84", "--n", "88", "--m", "5", "--eps", "0.5",
                           "--model", "na"], capsys)
         assert [row["method"] for row in read_csv(out)] == ["na"] * 84

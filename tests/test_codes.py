@@ -262,6 +262,32 @@ class TestParamTypes:
             call(value)
         assert call(np.int64(10)) == call(10.0) == call(10)
 
+    @pytest.mark.parametrize("name, value, call", [
+        ("n", 24.5, lambda: decode_success_curve(8, 24.5)),
+        ("k", True, lambda: decode_success_curve(True, 24)),
+        ("k", 8.5, lambda: decode_success_prob(8.5, 24, 10)),
+        ("n", True, lambda: decodable_count_pmf(8, True, 9)),
+        ("k", 8.5, lambda: decodable_count_moments(8.5, 24)),
+        ("k", 8.5, lambda: asymptotic_round_moments(8.5, 0.5)),
+        ("power", True, lambda: overhead_moment(True)),
+    ], ids=["curve_n", "curve_bool_k", "prob_k", "pmf_bool_n", "moments_k",
+            "asymptotic_k", "overhead_bool_power"])
+    def test_sizes_must_be_integers(self, name, value, call):
+        # these raised numpy's bare TypeError, read True as 1, or returned
+        # moments for k = 8.5; each is now CodeParams's one-line ValueError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "
+                                             f"{re.escape(repr(value))}$"):
+            call()
+
+    def test_integral_sizes_still_pass(self):
+        k, n = np.int64(8), 24.0
+        assert decode_success_curve(k, n).tobytes() == decode_success_curve(8, 24).tobytes()
+        assert decode_success_prob(k, n, 10) == decode_success_prob(8, 24, 10)
+        assert decodable_count_pmf(k, n, 10) == decodable_count_pmf(8, 24, 10)
+        assert decodable_count_moments(k, n) == decodable_count_moments(8, 24)
+        assert asymptotic_round_moments(8.0, 0.5) == asymptotic_round_moments(k, 0.5)
+        assert overhead_moment(np.int64(2)) == overhead_moment(2.0) == overhead_moment(2)
+
 
 @pytest.mark.parametrize("module", [codes, channel, sdo, simulate],
                          ids=lambda m: m.__name__.rsplit(".", 1)[1])

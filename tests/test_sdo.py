@@ -843,6 +843,51 @@ class TestSweepRow:
                     assert rep.n1_searched == (None if m == 1 else (k, n - m + 1))
                     assert rep.model_used == kind
 
+    @pytest.mark.parametrize("k, cells, kinds", [
+        (8, [(40, [3, 1]), (24, [2]), (33, [8, 2, 2])], ["lognormal", "exhaustive", "normal"]),
+        (8, [(n, [m for m in (40, 90, 1, 2, 40, 1, 90) if 8 + m - 1 <= n])
+             for n in (100, 9, 20, 30, 130, 50)], ["normal", "exhaustive", "lognormal"]),
+        (32, [(n, range(1, 9)) for n in range(66, 121, 9)], ["normal", "lognormal"]),
+    ], ids=["mixed", "sparse-wide", "fig2"])
+    def test_reports_are_the_plain_entries(self, k, cells, kinds):
+        # optimize_row builds each report from _row_entries's tuple, and only
+        # from it: the CLI's sweep rows read the tuples with no report built
+        entries = list(sdo._row_entries(k, 0.4, cells, kinds))
+        got = list(sdo.optimize_row(k, 0.4, cells, kinds))
+        assert [n for n, _ in got] == [n for n, _ in entries] == [n for n, _ in cells]
+        for (n, by_kind), (_, want) in zip(got, entries):
+            assert list(by_kind) == list(want) == kinds
+            for kind, reports in by_kind.items():
+                assert reports.keys() == want[kind].keys()
+                for m, rep in reports.items():
+                    b, value, rate = want[kind][m]
+                    assert type(b) is tuple and {type(x) for x in b} == {int}
+                    assert type(value) is float and type(rate) is float
+                    assert rep == sdo.OptimizerReport(Schedule(b), value, rate, kind,
+                                                      None if m == 1 else (k, n - m + 1))
+
+    @pytest.mark.parametrize("argv", [
+        "sweep-n --k 32 --n 66:120:2 --m 1:8 --model all --eps 0.47",
+        "sweep-k --k 24:40:4 --n 88 --m 5 --model all --eps 0.47",
+    ], ids=["sweep-n", "sweep-k"])
+    def test_sweep_builds_no_schedule_or_report(self, argv, monkeypatch, capsys):
+        # a sweep row's dict is built from its plain entry, so a sweep makes
+        # neither the Schedule nor the OptimizerReport of any cell
+        built = []
+
+        def counted(name, original):
+            return lambda obj, *args, **kwargs: built.append(name) or original(obj, *args, **kwargs)
+
+        monkeypatch.setattr(Schedule, "__post_init__", counted("Schedule", Schedule.__post_init__))
+        monkeypatch.setattr(sdo.OptimizerReport, "__init__",
+                            counted("OptimizerReport", sdo.OptimizerReport.__init__))
+        optimize(CodeParams(8, 24, 0.5), 2)  # the counters count: one of each
+        assert built == ["Schedule", "OptimizerReport"]
+        built.clear()
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out.count("\n") > 2
+        assert built == []
+
     def test_infeasible_cell_raises_before_any_curve(self, computed):
         with pytest.raises(ValueError, match=r"got k=8, m=18, n=24$"):
             list(sdo.optimize_row(8, 0.5, [(30, [2]), (24, [18])], ["normal"]))

@@ -244,8 +244,10 @@ def objective(boundaries, acks) -> float | np.ndarray:
     An (R, m) block of schedules, with acks (R, m) or (R, m - 1), gives R
     values.  Every value is summed left to right from n_m, one term at a
     time, as np.add.accumulate sums along a schedule; a block with at least
-    as many rows as columns makes these same additions column by column,
-    one vector addition per slot.  So each value is one schedule's float.
+    as many rows as columns makes these same additions one vector addition
+    per slot, which reads contiguous slots when the block is F-ordered (the
+    transpose of a slot-major array).  No layout changes a float: each value
+    is one schedule's float.
     """
     b = np.asarray(boundaries, dtype=float)
     gaps = (b[..., :-1] - b[..., 1:]) * np.asarray(acks)[..., : b.shape[-1] - 1]

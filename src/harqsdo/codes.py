@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ def _integral(name: str, value) -> int:
 
 
 def _check_epsilon(epsilon: float) -> None:
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):  # np.bool_ is no Real
+        raise ValueError(f"epsilon must be a number, got {epsilon!r}")
     if not 0.0 <= epsilon < 1.0:  # nan fails too
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
 

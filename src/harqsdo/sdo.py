@@ -9,28 +9,19 @@ decides where the interior boundaries land.  An exact dynamic program over
 (slot, boundary) provides the ground-truth optimum SDO is measured against.
 
 A sweep row, every (n, m) of one (k, epsilon), is solved in one pass by
-_row_entries, for each SDO model and for the dynamic program, "exhaustive".
-Its winners are plain (boundaries, objective, throughput) entries: a tuple
-of ints and two Python floats.  optimize_row, the public form, turns each
-into an OptimizerReport, while the CLI builds its sweep rows from the
-entries themselves.  m = 1 has one schedule, (n), of objective n, entered
-for every kind.  The model depends on (k, epsilon, kind) only, not on n or
-m, so the row builds it once per kind, and _trajectories steps the
-recursion from each first boundary n1 once, without caps, up to the
-largest m and until the largest n and the smallest m cap it; F and F' are
-evaluated once per boundary.  The ACK values come from the curves the row
-is handed, one per n, gathered a chunk of n at a time.  _score_chunk stacks
-the candidates of one m at a time, over every model and n that asks for
-it: slot i < m is min(b_i, n - (m - i)) and slot m is n, so each block
-channel.objective, the package's one telescoped sum, scores is exactly m
-wide.  A candidate's float does not depend on its block, as objective sums
-every schedule left to right from n_m; one segmented reduction over the
-totals of m takes each group's first minimum.  Nothing is kept between
-calls; optimize is the row's one-cell case.  The dynamic program's
-recurrence does not depend on m, so _exhaustive fills the tails once, as
-deep as the largest m, and backtracks each m from its own.  It reads the
-curve the row hands it as it reads it; exhaustive_search is the row's
-one-cell, one-m case with kind "exhaustive".
+_row_entries, for each SDO model and for the dynamic program,
+"exhaustive"; its winners are plain (boundaries, objective, throughput)
+entries, which optimize_row turns into reports and the CLI into rows.  The
+row steps each model's trajectories once, from every first boundary, with
+F and F' evaluated once per boundary.  _score_chunk stacks the candidates
+of one m at a time, over every model and n that asks for it, in blocks
+exactly m wide, gathered from one slot-major copy of the trajectories and
+scored by channel.objective, the package's one telescoped sum.  A block of
+at least m candidates is slot-major in memory too, so that sum adds
+contiguous slots; a candidate's float depends on neither its block nor
+its layout.  The dynamic program fills its tails once per design point, as
+deep as the largest m, and backtracks each m from them.  Nothing is kept
+between calls: optimize and exhaustive_search are the row's one-cell cases.
 """
 
 from __future__ import annotations
@@ -46,13 +37,7 @@ from .channel import Schedule, ack_curve, objective
 # unused here; perfbench traces them by these names
 from .channel import expected_round_symbols, throughput  # noqa: F401
 
-__all__ = [
-    "CdfModel",
-    "OptimizerReport",
-    "optimize",
-    "optimize_row",
-    "exhaustive_search",
-]
+__all__ = ["CdfModel", "OptimizerReport", "optimize", "optimize_row", "exhaustive_search"]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
@@ -271,12 +256,16 @@ def _score_chunk(k: int, chunk, kinds, models, rows, curves) -> list:
     each (model, n) group that asks for m.  Slot i < m of a candidate is
     min(b_i, n - (m - i)) over its trajectory b, and slot m is n, so every
     block channel.objective scores is exactly m wide, of _BLOCK_CELLS // m
-    rows (one at least).  A candidate's total never depends on the block
-    it lands in: objective sums it left to right from n_m either way.  The
-    totals of one m are kept, one float per candidate, and one segmented
-    reduction takes each group's first minimum, so ties break toward the
-    smaller first boundary; only the winners' schedules are built again,
-    and one gather reads the ACK(n) of every group for its throughput.
+    rows (one at least), taken from slots, one slot-major copy of rows per
+    chunk.  A block of at least m rows, which objective sums one slot at a
+    time, is slot-major (F-ordered) too, so each addition reads contiguous
+    slots; a thinner one is candidate-major, so the caps and ACK offsets of
+    its few candidates broadcast along rows m long.  A candidate's total
+    depends on neither its block nor its layout: objective sums it left to
+    right from n_m either way.  One segmented reduction over the totals of
+    one m takes each group's first minimum, so ties break toward the smaller
+    first boundary; only the winners' schedules are built again, and one
+    gather reads every group's ACK(n) for its throughput.
     """
     solved = [(params.n, {kind: {} for kind in kinds}) for params, _ in chunk]
     acks = np.empty(sum(params.n - k + 1 for params, _ in chunk))
@@ -296,6 +285,7 @@ def _score_chunk(k: int, chunk, kinds, models, rows, curves) -> list:
     if not models:
         return solved
     per_model = len(rows) // len(models)
+    slots = np.ascontiguousarray(rows.T)  # slots[i] holds slot i + 1 of every trajectory
     for m in sorted({m for _, ms in chunk for m in ms if m > 1}):
         groups = [(j, i) for j in range(len(models))
                   for i, (_, ms) in enumerate(chunk) if m in ms]
@@ -303,17 +293,18 @@ def _score_chunk(k: int, chunk, kinds, models, rows, curves) -> list:
         counts = ns - (k + m - 2)
         starts = np.cumsum(counts) - counts
         group_of = np.repeat(np.arange(len(groups)), counts)
-        # candidate p of group g has first boundary k + p - starts[g], read from row p + origin[g]
+        # candidate p of group g has first boundary k + p - starts[g]: column p + origin[g] of slots
         origin = np.array([j * per_model for j, _ in groups]) - starts
         shift = np.array([offsets[i] for _, i in groups])
-        to_m = m - np.arange(1, m + 1)  # m - i for slots 1..m
-        read = min(m - 1, rows.shape[1])
+        lag = np.arange(1 - m, 1)  # i - m for slots 1..m
+        read = min(m - 1, len(slots))
 
         def capped(p):  # the schedules of candidates p; slot m, +inf until here, is n
             g = group_of[p]
-            b = np.full((len(p), m), np.inf)
-            b[:, :read] = rows[p + origin[g], :read]
-            return np.minimum(b, ns[g][:, None] - to_m, out=b)
+            b = np.empty((len(p), m), order="F" if len(p) >= m else "C")
+            b.T[:read] = slots[:read].take(p + origin[g], axis=1)
+            b[:, read:] = np.inf
+            return np.minimum(b, np.add(ns[g][:, None], lag, out=np.empty_like(b, int)), out=b)
 
         totals = np.empty(len(group_of))
         per_block = max(1, _BLOCK_CELLS // m)

@@ -467,12 +467,18 @@ class TestObjective:
     @pytest.mark.parametrize("rows, m", [(500, 6), (1, 6), (500, 1), (1, 1), (3, 40)],
                              ids=["tall", "one-row", "m1", "one-cell", "wide"])
     @pytest.mark.parametrize("dropped", [0, 1], ids=["acks-m", "acks-m-1"])
-    def test_block_matches_the_loop_row_by_row(self, dropped, rows, m):
-        # a tall block is summed column by column, a wide one along each row
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_block_matches_the_loop_row_by_row(self, order, dropped, rows, m):
+        # a tall block is summed column by column, a wide one along each row;
+        # an F-ordered block, the .T of a slot-major (m, rows) array as sdo
+        # scores its tall blocks, adds contiguous slots and gives the same floats
         gen = np.random.default_rng(7)
         block = np.sort(gen.random((rows, m)) * 300.0, axis=1)
         block[::2] = np.ceil(block[::2])  # every other row integer-valued
         acks = gen.random((rows, m - dropped))
+        if order == "F":
+            block, acks = np.ascontiguousarray(block.T).T, np.ascontiguousarray(acks.T).T
+            assert block.flags.f_contiguous and acks.flags.f_contiguous
         got = objective(block, acks)
         assert got.shape == (rows,)
         assert all(got[i] == objective_loop(block[i].tolist(), acks[i].tolist())

@@ -244,6 +244,25 @@ class TestParamTypes:
         assert (p.k, p.n) == (8, 24)
         assert type(p.k) is int and type(p.n) is int
 
+    @pytest.mark.parametrize("value", [False, True, np.bool_(False), "0.5", None],
+                             ids=["false", "true", "numpy-bool", "str", "none"])
+    @pytest.mark.parametrize("call", [
+        lambda v: CodeParams(8, 24, v),
+        lambda v: asymptotic_round_moments(8, v),
+    ], ids=["CodeParams", "asymptotic_round_moments"])
+    def test_epsilon_must_be_a_number(self, call, value):
+        # False was the eps = 0 design point, printed as epsilon=False, and a
+        # string raised a bare TypeError from the range comparison
+        with pytest.raises(ValueError, match=f"^epsilon must be a number, got "
+                                             f"{re.escape(repr(value))}$"):
+            call(value)
+
+    def test_numeric_epsilon_still_passes(self):
+        assert CodeParams(8, 24, 0).epsilon == 0
+        assert CodeParams(8, 24, np.float64(0.5)) == CodeParams(8, 24, 0.5)
+        assert asymptotic_round_moments(8, np.float64(0.5)) == asymptotic_round_moments(8, 0.5)
+        assert asymptotic_round_moments(8, 0) == asymptotic_round_moments(8, 0.0)
+
     def test_moment_pair_validation(self):
         with pytest.raises(ValueError):
             MomentPair(1.0, -0.5)

@@ -7,9 +7,10 @@ change that moves any printed digit of a schedule, objective or throughput
 fails here.  validate's CSV and JSON reports are pinned below, so no check's
 value, tolerance or verdict moves unseen either.  So are the JSON forms of
 both benchmark sweeps at eps 0.47, of a sweep with skipped rows and of an
-optimize call: a row's schedule prints there as a list.  So is the stdout of demos
-01-04, run as scripts; demo 05 prints the path it writes to, so its bytes
-depend on the checkout.
+optimize call: a row's schedule prints there as a list.  So are three runs
+whose scoring blocks are thinner than m, or whose m lie far apart.  So is
+the stdout of demos 01-04, run as scripts; demo 05 prints the path it
+writes to, so its bytes depend on the checkout.
 """
 
 import contextlib
@@ -50,6 +51,17 @@ JSON = {
         "f0dab05722022fe70f3bb71c6a29630d7fea0031fe350389b3e39b02ff613c2c",
     "optimize --k 8 --n 24 --m 3 --model all --format json":
         "de0e90691dd79f8f0f6ada04b21f3c448c630fb374d4ca6f5db55bd83038e5d6",
+}
+
+# sdo scores blocks of _BLOCK_CELLS // m candidates: fewer than m at m = 300
+# and 3000, many at m = 2; and a k sweep of 13 rows, each stacking two models
+WIDE = {
+    "sweep-n --k 32 --n 340:400:20 --m 2,40,300 --model all --eps 0.9":
+        "ae4e23b7053517cec167a77b1dc906b8d7caaa02926d335e61515d83e06b273b",
+    "sweep-k --k 4:40:3 --n 120 --m 12 --model all --eps 0.7":
+        "ffeda5fe7b9f490cac0f7f07ce1206273317092e0250daa067eb9873ac529c3a",
+    "optimize --k 32 --n 4000 --m 3000 --model lna --eps 0.5":
+        "8566e37bbc1939a83f2172ea9f3f0a0ab3e107fe8554ca6dfd5356ab1ef15469",
 }
 
 DEMOS = {
@@ -103,6 +115,12 @@ def test_validate_matches_pinned_digest(argv, monkeypatch):
 def test_json_matches_pinned_digest(argv, monkeypatch):
     monkeypatch.delenv("HARQ_SDO_OUT", raising=False)
     assert _stdout_digest(argv) == JSON[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(WIDE))
+def test_wide_block_matches_pinned_digest(argv, monkeypatch):
+    monkeypatch.delenv("HARQ_SDO_OUT", raising=False)
+    assert _stdout_digest(argv) == WIDE[argv]
 
 
 @pytest.mark.parametrize("demo", sorted(DEMOS))

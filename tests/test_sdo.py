@@ -705,6 +705,35 @@ class TestSolveEach:
         assert sum(rows * wide for rows, wide in shapes) == 112_112
         capsys.readouterr()
 
+    def test_tall_blocks_are_slot_major(self, monkeypatch, capsys):
+        # the blocks of test_one_scoring_call_per_n_and_model, each at least m
+        # rows, reach objective F-ordered, acks too: every slot is contiguous
+        shapes = []
+        score = sdo.objective
+
+        def spy(b, acks):
+            assert b.flags.f_contiguous and acks.flags.f_contiguous
+            shapes.append(b.shape)
+            return score(b, acks)
+
+        monkeypatch.setattr(sdo, "objective", spy)
+        argv = "sweep-n --k 32 --n 66:120:2 --m 1:8 --model all --eps 0.47".split()
+        assert main(argv) == 0
+        assert len(shapes) == 10 and all(rows >= m for rows, m in shapes)
+        assert sum(rows * m for rows, m in shapes) == 112_112
+        capsys.readouterr()
+
+    def test_thin_blocks_are_candidate_major(self, monkeypatch):
+        # at m = 200 a block holds 81 of the 194 candidates, and so its caps
+        # and ACK offsets broadcast along C-ordered rows 200 long
+        shapes = []
+        score = sdo.objective
+        monkeypatch.setattr(sdo, "objective", lambda b, acks: (
+            shapes.append((b.shape, b.flags.c_contiguous, acks.flags.c_contiguous))
+            or score(b, acks)))
+        optimize(CodeParams(8, 400, 0.5), 200, "lognormal")
+        assert shapes == [((81, 200), True, True)] * 2 + [((32, 200), True, True)]
+
     def test_one_backward_pass_per_design_point(self, monkeypatch, capsys):
         # every (k, n) here fits one row block, so each pass forms one block
         # of step costs, and its last block starts at row 0

@@ -2,6 +2,9 @@
 
 Every command emits CSV or JSON with floats fixed at 12 significant digits
 and no timestamps, so identical configurations produce byte-identical files.
+The design commands (optimize, sweep-k, sweep-n) build each row as a plain
+record of DESIGN_FIELDS and print its CSV line with one string format; their
+JSON rows, and every row of simulate, validate and constants, are dicts.
 The default output directory can be set with the HARQ_SDO_OUT environment
 variable; without it (and without --out) results go to stdout.  validate
 passes a check when its value is at most its tolerance; four checks state
@@ -42,6 +45,7 @@ from .simulate import _first_dependent, estimate, rescore
 __all__ = ["RunConfig", "main", "run_validate"]
 
 COMMANDS = ("optimize", "sweep-k", "sweep-n", "simulate", "validate", "constants")
+DESIGN_COMMANDS = ("optimize", "sweep-k", "sweep-n")
 MODELS = ("na", "lna", "es", "all")
 ENV_OUT_DIR = "HARQ_SDO_OUT"
 
@@ -97,10 +101,13 @@ def parse_int_range(text, name: str = "range") -> list[int]:
 
 
 def _float_value(name: str, value) -> float:
-    """value, or the number a string spells, as a float; a bool is no number."""
+    """value, or the number a string spells, as a float; a bool is no number.
+
+    -0.0 reads as 0.0, so it prints as the 0 it runs as.
+    """
     if not isinstance(value, bool):
         try:
-            return float(value)
+            return float(value) + 0.0
         except (TypeError, ValueError):
             pass
     raise ValueError(f"{name} must be a number, got {value!r}")
@@ -178,21 +185,29 @@ def _methods(model: str) -> list[str]:
     return [model]
 
 
+# the fields of a design row (optimize, sweep-k, sweep-n), in the order of its
+# JSON keys; schedule is the boundaries tuple, or None in a skipped row
+DESIGN_FIELDS = ("k", "n", "m", "epsilon", "method", "schedule", "expected_symbols",
+                 "throughput")
+
+
 def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
-                 skip: bool = True) -> list[dict]:
-    """Rows of every (k, n, m) cell of cfg, k slowest and m fastest.
+                 skip: bool = True) -> list[tuple]:
+    """Records of every (k, n, m) cell of cfg, k slowest and m fastest.
 
     eps and every m are checked first, so that skipped rows cannot hide a
     bad value.  Each k is one sweep row: sdo._row_entries solves all its n,
     m and methods in one pass, and es solves each n for all its m in one
-    backward pass.  Each row dict is built straight from a plain entry, so
-    its schedule is a boundaries tuple; no report is built.  The ACK curves
+    backward pass.  A row is a plain record, DESIGN_FIELDS in order, built
+    straight from a plain entry, so its schedule is a boundaries tuple; no
+    report and no dict is built.  The ACK curves
     of every (k, n) of the command share eps, so one ack_curves stream
     computes them together, k by k, a chunk at a time, and hands each row
     its curves as the row reads them.  A cell has one row per method, or
     with best_only the row of the first method of highest throughput; an n
     or m given twice gives its rows twice.  Where no schedule fits, a cell
-    has one skipped row, or with skip False the solver raises.
+    has one skipped row, its method "skipped" and its last three fields None,
+    or with skip False the solver raises.
     """
     eps = cfg.scalar("epsilon")
     _check_epsilon(eps)
@@ -208,22 +223,19 @@ def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
     # curve stream reads ahead of the rows, and tee keeps the cells in between
     plan_curves, plan_rows = itertools.tee((k, cells_of(k)) for k in cfg.k)
     curves = ack_curves(eps, ((k, n) for k, cells in plan_curves for n in cells))
-    rows: list[dict] = []
+    rows: list[tuple] = []
     for k, cells in plan_rows:
 
-        def cell_rows(n: int, by_kind: dict) -> list[dict]:
+        def cell_rows(n: int, by_kind: dict) -> list[tuple]:
             out = []
             for m in cfg.m:
                 if m not in cells.get(n, ()):
-                    out.append({"k": k, "n": n, "m": m, "epsilon": eps, "method": "skipped",
-                                "schedule": None, "expected_symbols": None,
-                                "throughput": None})
+                    out.append((k, n, m, eps, "skipped", None, None, None))
                     continue
                 entries = [(method, by_kind[kind][m]) for method, kind in zip(methods, kinds)]
                 if best_only:  # the first of highest throughput
                     entries = [max(entries, key=lambda pair: pair[1][2])]
-                out.extend({"k": k, "n": n, "m": m, "epsilon": eps, "method": method,
-                            "schedule": b, "expected_symbols": value, "throughput": rate}
+                out.extend((k, n, m, eps, method, b, value, rate)
                            for method, (b, value, rate) in entries)
             return out
 
@@ -237,7 +249,7 @@ def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
     return rows
 
 
-def run_optimize(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def run_optimize(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
     _, _, m = cfg.scalar("k"), cfg.scalar("n"), cfg.scalar("m")
     rows = _design_rows(cfg, _methods(cfg.model), skip=False)  # raises if m fits no schedule
     return _sweep_columns(m), rows
@@ -248,14 +260,14 @@ def _sweep_columns(m: int) -> list[str]:
             + ["expected_symbols", "throughput"])
 
 
-def run_sweep_k(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def run_sweep_k(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
     n, m = cfg.scalar("n"), cfg.scalar("m")
     if m > n:  # no k >= 1 fits, and m would size the columns of an all-skipped table
         raise ValueError(f"sweep-k needs m <= n, got m={m}, n={n}")
     return _sweep_columns(m), _design_rows(cfg, _methods(cfg.model))
 
 
-def run_sweep_n(cfg: RunConfig) -> tuple[list[str], list[dict]]:
+def run_sweep_n(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
     cfg.scalar("k")
     # `all` keeps the better SDO model per cell, as in the blocklength figure
     methods = ["na", "lna"] if cfg.model == "all" else [cfg.model]
@@ -438,31 +450,55 @@ def run_constants(cfg: RunConfig) -> tuple[list[str], list[dict]]:
     return ["name", "value"], rows
 
 
-def _rows_to_csv(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
-    """The CSV text: a header line naming the run, the columns, then one line per row.
+def _csv_header(cfg: RunConfig) -> str:
+    return f"# harq-sdo {__version__} {cfg.param_summary()}\n"
 
-    A column nI is the I-th boundary of the row's schedule, or empty past
-    the last one or without a schedule: a table with nI columns holds only
-    rows with a schedule key.  A schedule column is its boundaries joined
-    by spaces, a verdict is pass or FAIL, and any other column is a plain
-    value: empty for None, 12 digits for a float.
+
+def _design_csv(cfg: RunConfig, columns: list[str], rows: list[tuple]) -> str:
+    """The CSV text of _design_rows's records, one string format per row.
+
+    No cell of a design row can hold a comma, a quote or a newline: they
+    are ints, 12-digit floats and method names, so no cell is quoted and
+    the text is what csv.writer writes.  eps is formatted once.  The
+    boundaries fill the nI columns, one each, or are joined by spaces in
+    sweep-n's schedule column; a skipped row ends in a fixed run of empty
+    cells.
+    """
+    eps = _fmt(cfg.scalar("epsilon"))
+    sep = " " if cfg.command == "sweep-n" else ","
+    skipped = "," * (len(columns) - 5) + "\n"
+    lines = [_csv_header(cfg), ",".join(columns) + "\n"]
+    for k, n, m, _, method, b, value, rate in rows:
+        if b is None:
+            lines.append(f"{k},{n},{m},{eps},{method}{skipped}")
+        else:
+            lines.append(f"{k},{n},{m},{eps},{method},{sep.join(map(str, b))},"
+                         f"{value:.12g},{rate:.12g}\n")
+    return "".join(lines)
+
+
+def _rows_to_csv(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
+    """The CSV text of simulate, validate and constants: a header line naming
+    the run, the columns, then one line per row.
+
+    A column nI is the I-th boundary of the row's schedule: only simulate
+    has nI columns, one per boundary.  A verdict is pass or FAIL, and any
+    other column is a plain value: empty for None, 12 digits for a float.
+    csv.writer quotes a cell that needs it, as simulate's generator does.
     """
     import csv as _csv
 
     buf = io.StringIO()
-    buf.write(f"# harq-sdo {__version__} {cfg.param_summary()}\n")
+    buf.write(_csv_header(cfg))
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     slots = [int(col[1:]) - 1 if col[:1] == "n" and col[1:].isdigit() else -1
              for col in columns]
     for row in rows:
-        sched = row.get("schedule") or ()
         cells = []
         for col, slot in zip(columns, slots):
             if slot >= 0:
-                value = sched[slot] if slot < len(sched) else None
-            elif col == "schedule":
-                value = " ".join(map(str, sched))
+                value = row["schedule"][slot]
             elif col == "verdict":
                 value = "pass" if row.get("passed") else "FAIL"
             else:
@@ -496,10 +532,13 @@ plot "{csv}" using {xcol}:{ycol} with linespoints
 """
 
 
-def _emit(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
+def _emit(cfg: RunConfig, columns: list[str], rows: list) -> str:
+    design = cfg.command in DESIGN_COMMANDS  # rows are records, not dicts
     if cfg.format == "csv":
-        text = _rows_to_csv(cfg, columns, rows)
+        text = (_design_csv if design else _rows_to_csv)(cfg, columns, rows)
     else:
+        if design:
+            rows = [dict(zip(DESIGN_FIELDS, record)) for record in rows]
         text = _rows_to_json(cfg, columns, rows)
     out = cfg.out
     if out is None and os.environ.get(ENV_OUT_DIR):

@@ -47,6 +47,21 @@ class TestParsing:
         assert parse_float_range(" 0.3, 0.5 ") == parse_float_range([0.3, "0.5"]) == [0.3, 0.5]
         assert parse_float_range(1) == [1.0]
 
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--k", "8", "--n", "24", "--m", "3", "--model", "all"],
+        ["sweep-k", "--k", "20:26:2", "--n", "24", "--m", "3", "--model", "all"],
+        ["sweep-k", "--k", "20:26:2", "--n", "24", "--m", "3", "--model", "all",
+         "--format", "json"],
+    ], ids=["optimize", "sweep-k", "json"])
+    def test_negative_zero_eps_prints_the_zero_run(self, argv, tmp_path, capsys):
+        assert [math.copysign(1.0, x) for x in parse_float_range("-0.0,0")] == [1.0, 1.0]
+        path = tmp_path / "run.json"
+        path.write_text('{"epsilon": -0.0}')
+        code, zero = run_cli(argv + ["--eps", "0"], capsys)
+        assert code == 0 and "epsilon=0 " in zero
+        assert run_cli(argv + ["--eps", "-0.0"], capsys) == (0, zero)
+        assert run_cli(argv + ["--config", str(path)], capsys) == (0, zero)
+
     def test_bad_float_range(self):
         for text, shown in [("abc", "'abc'"), ("0.3, abc", "'abc'"), (None, "None"),
                             ([0.3, None], "None"), ({}, "{}"), (False, "False")]:
@@ -581,10 +596,17 @@ class TestOutputPlumbing:
     def test_csv_matches_per_cell_loop(self, argv):
         cfg = build_config(argv)
         columns, rows = cli._RUNNERS[cfg.command](cfg)
-        if cfg.command == "validate":
-            rows[1] = {**rows[1], "passed": False}
-        text = cli._rows_to_csv(cfg, columns, rows)
+        if cfg.command in cli.DESIGN_COMMANDS:
+            # records, rendered a line per row; the oracle reads them by field name
+            text = cli._design_csv(cfg, columns, rows)
+            rows = [dict(zip(cli.DESIGN_FIELDS, record)) for record in rows]
+        else:
+            if cfg.command == "validate":
+                rows[1] = {**rows[1], "passed": False}
+            text = cli._rows_to_csv(cfg, columns, rows)
         assert text == oracles.rows_to_csv_loop(cfg, columns, rows)
+        if cfg.command == "sweep-k":
+            assert text.count(",skipped,,,,,\n") == 2  # k = 24 and 26, one row a cell
         if cfg.command == "validate":
             assert text.count(",FAIL\n") == 1
         if cfg.command == "simulate":

@@ -8,9 +8,10 @@ fails here.  validate's CSV and JSON reports are pinned below, so no check's
 value, tolerance or verdict moves unseen either.  So are the JSON forms of
 both benchmark sweeps at eps 0.47, of a sweep with skipped rows and of an
 optimize call: a row's schedule prints there as a list.  So are three runs
-whose scoring blocks are thinner than m, or whose m lie far apart.  So is
-the stdout of demos 01-04, run as scripts; demo 05 prints the path it
-writes to, so its bytes depend on the checkout.
+whose scoring blocks are thinner than m, or whose m lie far apart, and the
+CSV of four sweeps with skipped rows.  So is the stdout of demos 01-04, run
+as scripts; demo 05 prints the path it writes to, so its bytes depend on
+the checkout.
 """
 
 import contextlib
@@ -62,6 +63,20 @@ WIDE = {
         "ffeda5fe7b9f490cac0f7f07ce1206273317092e0250daa067eb9873ac529c3a",
     "optimize --k 32 --n 4000 --m 3000 --model lna --eps 0.5":
         "8566e37bbc1939a83f2172ea9f3f0a0ab3e107fe8554ca6dfd5356ab1ef15469",
+}
+
+# skipped rows in CSV, a fixed tail of empty cells after the method: under nI
+# columns in the k sweeps and under a schedule column in the first n sweep; the
+# last run skips no row, but gives an n and an m twice
+SKIPPED = {
+    "sweep-k --k 20:26:2 --n 24 --m 3 --model all":
+        "bfe743995793b153060281e79d39ffa45a9dde4583bdc4629bd839af8257d7c0",
+    "sweep-k --k 1:30 --n 24 --m 6 --model all --eps 0.9":
+        "f4ea6e1d6c8a81f9b635a1a4be1aa9fa7b2f3bf69de44cdb295d22035b1f07ad",
+    "sweep-n --k 8 --n 8:12 --m 1:6 --model es":
+        "ff6e4bc396df9d81f01c1674a4bfe14f7f86ccf02ddd7d98ae78a254e82e2ef2",
+    "sweep-n --k 32 --n 66,66,70 --m 3,1,3 --model lna --eps 0.3":
+        "d329954a6382a051389e8abd49225b311abde0a66324f8c72569d1afca64147c",
 }
 
 DEMOS = {
@@ -121,6 +136,12 @@ def test_json_matches_pinned_digest(argv, monkeypatch):
 def test_wide_block_matches_pinned_digest(argv, monkeypatch):
     monkeypatch.delenv("HARQ_SDO_OUT", raising=False)
     assert _stdout_digest(argv) == WIDE[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(SKIPPED))
+def test_skipped_rows_match_pinned_digest(argv, monkeypatch):
+    monkeypatch.delenv("HARQ_SDO_OUT", raising=False)
+    assert _stdout_digest(argv) == SKIPPED[argv]
 
 
 @pytest.mark.parametrize("demo", sorted(DEMOS))

@@ -1,5 +1,9 @@
 """Property tests over random small design points (k, n, eps, m)."""
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -11,13 +15,14 @@ from harqsdo import (
     CodeParams,
     Schedule,
     ack_curve,
+    cli,
     exhaustive_search,
     expected_round_symbols,
     optimize,
     round_length_law,
     sdo,
 )
-from oracles import schedule_from_model, sdo_optimize, sdo_recursion
+from oracles import rows_to_csv_loop, schedule_from_model, sdo_optimize, sdo_recursion
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -119,5 +124,54 @@ def test_sweep_row_matches_optimize_and_oracle(block_cells):
                     want = ((n,), float(n)) if m == 1 else sdo_optimize(
                         model.cdf, model.pdf, ack_curve(p), k, n, m)
                     assert (rep.schedule.boundaries, rep.objective) == want, (kind, n, m)
+
+    check()
+
+
+@st.composite
+def design_argvs(draw):
+    """A small sweep-n or sweep-k argument list, as a user may type it.
+
+    sweep-n takes sweep_rows's n and m lists (skipped cells, m = 1, an n
+    and an m given twice); sweep-k takes a k list that may repeat a k and
+    hold k too large for n and m, with m = 1 among the m it may draw.
+    """
+    k, eps, ns, ms = draw(sweep_rows())
+    if draw(st.booleans()):
+        model = draw(st.sampled_from(["na", "lna", "all"]))
+        argv = ["sweep-n", "--k", str(k), "--n", ",".join(map(str, ns)),
+                "--m", ",".join(map(str, ms)), "--model", model]
+    else:
+        n = draw(st.integers(1, 16))
+        m = draw(st.integers(1, min(n, 4)))
+        ks = draw(st.lists(st.integers(1, n + 2), min_size=1, max_size=5))
+        argv = ["sweep-k", "--k", ",".join(map(str, ks)), "--n", str(n), "--m", str(m),
+                "--model", "all"]
+    return argv + ["--eps", repr(eps)]
+
+
+def test_design_output_matches_per_cell_oracle(monkeypatch):
+    # the CSV a line per record equals the per-cell loop over dicts rebuilt
+    # by field name, and the JSON rows are those dicts with 12-digit floats
+    monkeypatch.delenv("HARQ_SDO_OUT", raising=False)
+
+    def stdout(argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv) == 0
+        return buf.getvalue()
+
+    @settings(SETTINGS, max_examples=40)
+    @given(design_argvs())
+    def check(argv):
+        cfg = cli.build_config(argv)
+        columns, records = cli._RUNNERS[cfg.command](cfg)
+        rows = [dict(zip(cli.DESIGN_FIELDS, record)) for record in records]
+        assert stdout(argv) == rows_to_csv_loop(cfg, columns, rows)
+        payload = json.loads(stdout(argv + ["--format", "json"]))
+        assert payload["columns"] == columns
+        assert payload["rows"] == [
+            {key: cli._round12(v) if isinstance(v, float) else list(v)
+             if isinstance(v, tuple) else v for key, v in row.items()} for row in rows]
 
     check()

@@ -9,9 +9,9 @@ value, tolerance or verdict moves unseen either.  So are the JSON forms of
 both benchmark sweeps at eps 0.47, of a sweep with skipped rows and of an
 optimize call: a row's schedule prints there as a list.  So are three runs
 whose scoring blocks are thinner than m, or whose m lie far apart, and the
-CSV of four sweeps with skipped rows.  So is the stdout of demos 01-04, run
-as scripts; demo 05 prints the path it writes to, so its bytes depend on
-the checkout.
+CSV of four sweeps with skipped rows, and the dict rows of constants and
+simulate.  So is the stdout of demos 01-04, run as scripts; demo 05 prints
+the path it writes to, so its bytes depend on the checkout.
 """
 
 import contextlib
@@ -79,6 +79,19 @@ SKIPPED = {
         "d329954a6382a051389e8abd49225b311abde0a66324f8c72569d1afca64147c",
 }
 
+# the dict rows of constants, as CSV and as JSON, and of simulate as JSON: its
+# boundaries fill the nI columns of its CSV and print as a list in its JSON
+DICT_ROWS = {
+    "constants": "8768c5b984a9059a981e9e40e58578f302f9f2f00699127c25b959ac8797b925",
+    "constants --format json":
+        "6ba7dfc5ca31979df46d34aaea3c2569a5c4ee9dbbdea79e20d08493c39b994f",
+    "simulate --k 8 --n 24 --m 3 --trials 200 --seed 3 --model all --format json":
+        "52f7646d0df0a332bc395e3b03459a8fc656eb51e2da4a465a0654ccfa07b886",
+    "simulate --k 8 --n 24 --m 3 --trials 200 --seed 3 --model all --format json"
+    " --matrix-reuse 3":
+        "55dd7157edc1ed83d33a6c588a5c8d0c35f2fbdaeb7b30d30b2fba6f59d85a22",
+}
+
 DEMOS = {
     "01_decoding_law.py": "34e5517db4f23f4af99b9856a7d0885c61ca5c1879cc7094e5814cc7a310c9e7",
     "02_ack_and_round_length.py":
@@ -142,6 +155,12 @@ def test_wide_block_matches_pinned_digest(argv, monkeypatch):
 def test_skipped_rows_match_pinned_digest(argv, monkeypatch):
     monkeypatch.delenv("HARQ_SDO_OUT", raising=False)
     assert _stdout_digest(argv) == SKIPPED[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(DICT_ROWS))
+def test_dict_rows_match_pinned_digest(argv, monkeypatch):
+    monkeypatch.delenv("HARQ_SDO_OUT", raising=False)
+    assert _stdout_digest(argv) == DICT_ROWS[argv]
 
 
 @pytest.mark.parametrize("demo", sorted(DEMOS))

@@ -42,14 +42,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Schedule:
-    """Cumulative sub-block boundaries n_1 < n_2 < ... < n_m."""
+    """Cumulative sub-block boundaries n_1 < n_2 < ... < n_m, each made an int by _integral."""
 
     boundaries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        b = tuple(self.boundaries)
-        if not set(map(type, b)) <= {int}:  # the solvers' plain ints skip the per-value check
-            b = tuple(_integral("boundary", x) for x in b)
+        b = tuple(_integral("boundary", x) for x in self.boundaries)
         object.__setattr__(self, "boundaries", b)
         if not b:
             raise ValueError("schedule needs at least one boundary")

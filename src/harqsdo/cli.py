@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -200,52 +201,41 @@ def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
     m and methods in one pass, and es solves each n for all its m in one
     backward pass.  A row is a plain record, DESIGN_FIELDS in order, built
     straight from a plain entry, so its schedule is a boundaries tuple; no
-    report and no dict is built.  The ACK curves
-    of every (k, n) of the command share eps, so one ack_curves stream
-    computes them together, k by k, a chunk at a time, and hands each row
-    its curves as the row reads them.  A cell has one row per method, or
-    with best_only the row of the first method of highest throughput; an n
-    or m given twice gives its rows twice.  Where no schedule fits, a cell
-    has one skipped row, its method "skipped" and its last three fields None,
-    or with skip False the solver raises.
+    report and no dict is built.  The ACK curves of every (k, n) of the
+    command share eps, so one ack_curves stream computes them together, k
+    by k, a chunk at a time, and hands each row its curves as the row reads
+    them.  A k's entries are held until its records are built.  A cell has
+    one record per method, or with best_only the record of the first method
+    of highest throughput; an n or m given twice gives its records twice.
+    Where no schedule fits, a cell has one skipped record, its method
+    "skipped" and its last three fields None, or with skip False the solver
+    raises.
     """
     eps = cfg.scalar("epsilon")
     _check_epsilon(eps)
     for m in cfg.m:
         _check_m(m)
     kinds = [_MODEL_KIND[method] for method in methods]
-
-    def cells_of(k: int) -> dict:
-        return {n: ms for n in cfg.n
-                if (ms := [m for m in cfg.m if not skip or _feasible(k, n, m)])}
-
     # read lazily, so only the rows at hand are held, whatever the k range; the
     # curve stream reads ahead of the rows, and tee keeps the cells in between
-    plan_curves, plan_rows = itertools.tee((k, cells_of(k)) for k in cfg.k)
+    plan_curves, plan_rows = itertools.tee(
+        (k, {n: ms for n in cfg.n
+             if (ms := [m for m in cfg.m if not skip or _feasible(k, n, m)])})
+        for k in cfg.k)
     curves = ack_curves(eps, ((k, n) for k, cells in plan_curves for n in cells))
     rows: list[tuple] = []
     for k, cells in plan_rows:
-
-        def cell_rows(n: int, by_kind: dict) -> list[tuple]:
-            out = []
+        solved = dict(_row_entries(k, eps, cells.items(), kinds, curves))
+        for n in cfg.n:
             for m in cfg.m:
                 if m not in cells.get(n, ()):
-                    out.append((k, n, m, eps, "skipped", None, None, None))
+                    rows.append((k, n, m, eps, "skipped", None, None, None))
                     continue
-                entries = [(method, by_kind[kind][m]) for method, kind in zip(methods, kinds)]
+                records = [(k, n, m, eps, method, *solved[n][kind][m])
+                           for method, kind in zip(methods, kinds)]
                 if best_only:  # the first of highest throughput
-                    entries = [max(entries, key=lambda pair: pair[1][2])]
-                out.extend((k, n, m, eps, method, b, value, rate)
-                           for method, (b, value, rate) in entries)
-            return out
-
-        # each n's rows, built as its chunk of the row is solved: only kept entries stay
-        solved = {}
-        if cells:
-            for n, by_kind in _row_entries(k, eps, cells.items(), kinds, curves):
-                solved[n] = cell_rows(n, by_kind)
-        for n in cfg.n:
-            rows.extend(solved[n] if n in solved else cell_rows(n, {}))
+                    records = [max(records, key=operator.itemgetter(7))]
+                rows.extend(records)
     return rows
 
 
@@ -271,9 +261,7 @@ def run_sweep_n(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
     cfg.scalar("k")
     # `all` keeps the better SDO model per cell, as in the blocklength figure
     methods = ["na", "lna"] if cfg.model == "all" else [cfg.model]
-    columns = ["k", "n", "m", "epsilon", "method", "schedule",
-               "expected_symbols", "throughput"]
-    return columns, _design_rows(cfg, methods, best_only=True)
+    return list(DESIGN_FIELDS), _design_rows(cfg, methods, best_only=True)
 
 
 def run_simulate(cfg: RunConfig) -> tuple[list[str], list[dict]]:
@@ -481,10 +469,11 @@ def _rows_to_csv(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
     """The CSV text of simulate, validate and constants: a header line naming
     the run, the columns, then one line per row.
 
-    A column nI is the I-th boundary of the row's schedule: only simulate
-    has nI columns, one per boundary.  A verdict is pass or FAIL, and any
-    other column is a plain value: empty for None, 12 digits for a float.
-    csv.writer quotes a cell that needs it, as simulate's generator does.
+    A row's cells come from its values, in key order; columns only names
+    them.  A tuple fills consecutive cells, as simulate's schedule fills its
+    nI columns; a bool is a verdict, pass or FAIL; None is an empty cell
+    and a float prints 12 digits.  csv.writer quotes a cell that needs it,
+    as simulate's generator does.
     """
     import csv as _csv
 
@@ -492,19 +481,16 @@ def _rows_to_csv(cfg: RunConfig, columns: list[str], rows: list[dict]) -> str:
     buf.write(_csv_header(cfg))
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    slots = [int(col[1:]) - 1 if col[:1] == "n" and col[1:].isdigit() else -1
-             for col in columns]
     for row in rows:
         cells = []
-        for col, slot in zip(columns, slots):
-            if slot >= 0:
-                value = row["schedule"][slot]
-            elif col == "verdict":
-                value = "pass" if row.get("passed") else "FAIL"
+        for value in row.values():
+            if isinstance(value, tuple):
+                cells.extend(map(str, value))
+            elif isinstance(value, bool):
+                cells.append("pass" if value else "FAIL")
             else:
-                value = row.get(col)
-            cells.append("" if value is None else _fmt(value) if isinstance(value, float)
-                         else str(value))
+                cells.append("" if value is None else _fmt(value) if isinstance(value, float)
+                             else str(value))
         writer.writerow(cells)
     return buf.getvalue()
 

@@ -42,7 +42,7 @@ def _integral(name: str, value) -> int:
 
     A bool raises too: True == 1, but a config's true is no count.
     """
-    if type(value) is int:  # the common case, kept cheap for per-candidate schedules
+    if type(value) is int:  # the common case, returned as it is
         return value
     try:
         as_int = int(value)

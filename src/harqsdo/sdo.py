@@ -187,24 +187,21 @@ def _checked(params: CodeParams, ms) -> tuple[int, ...]:
     return ms
 
 
-def optimize_row(k: int, epsilon: float, cells, kinds, curves=None):
+def optimize_row(k: int, epsilon: float, cells, kinds):
     """The reports of every (n, m, kind) of one sweep row (k, epsilon), from one pass.
 
     cells holds (n, ms) pairs, each n once.  kinds names SDO models,
     "normal" and "lognormal", and "exhaustive", the dynamic program.  For
     each cell, in order, this yields n and {kind: {m: report}} over the m
     of ms: an SDO model's report is optimize(CodeParams(k, n, epsilon), m,
-    kind), and "exhaustive"'s is exhaustive_search's.  curves yields each
-    cell's ACK curve, in cell order, as channel.ack_curves does; the row
-    takes one per cell as it reaches it, so a caller may hand it a stream
-    that runs on into later rows.  Without one, each cell's curve comes
-    from channel.ack_curve, its cached one-point case.  The solving is
-    _row_entries's; this is the one place its plain entries become
+    kind), and "exhaustive"'s is exhaustive_search's.  Each cell's curve
+    comes from channel.ack_curve, its cached one-point case.  The solving
+    is _row_entries's; this is the one place its plain entries become
     reports, a chunk of cells at a time, so a caller holds only the
     reports it keeps.  n1_searched is (k, n - m + 1) for m > 1, the
     first boundaries SDO sweeps and the dynamic program's range alike.
     """
-    for n, by_kind in _row_entries(k, epsilon, cells, kinds, curves):
+    for n, by_kind in _row_entries(k, epsilon, cells, kinds):
         yield n, {kind: {m: OptimizerReport(Schedule(b), value, rate, kind,
                                             None if m == 1 else (k, n - m + 1))
                          for m, (b, value, rate) in entries.items()}
@@ -218,15 +215,24 @@ def _row_entries(k: int, epsilon: float, cells, kinds, curves=None):
     exact objective and its throughput k ACK(n) / objective, both Python
     floats, as throughput() computes them.  The CLI's sweep rows are built
     from these entries directly, with no report or Schedule per cell.
-    Every cell is checked before any work, and so before any curve is read.
-    m = 1 has one schedule, (n), of objective n, entered for every kind as
-    its cell is read.  For m > 1, each model's trajectories are grown once,
-    up to the largest m and until the largest n and the smallest m cap them;
-    a row with no m > 1 grows none and builds no model.  A chunk is a run of
-    cells whose ACK values at k..n fit one table of at most _BLOCK_CELLS
-    cells (one cell at least); the dynamic program runs on each curve as it
-    is read, and _score_chunk scores the SDO candidates one m at a time.
+    curves yields each cell's ACK curve, in cell order, as ack_curves does;
+    the row takes one per cell as it reaches it, so the CLI hands it a
+    stream that runs on into later rows.  Without one, each cell's curve
+    comes from ack_curve.  Every kind, then every cell, is checked before
+    any work, and so before any curve is read; a row of no cells yields
+    nothing.  m = 1 has one schedule, (n), of objective n, entered for
+    every kind as its cell is read.  For m > 1, each model's trajectories
+    are grown once, up to the largest m and until the largest n and the
+    smallest m cap them; a row with no m > 1 grows none and builds no
+    model.  A chunk is a run of cells whose ACK values at k..n fit one table
+    of at most _BLOCK_CELLS cells (one cell at least); the dynamic program
+    runs on each curve as it is read, and _score_chunk scores the SDO
+    candidates one m at a time.
     """
+    for kind in kinds:
+        if kind not in ("normal", "lognormal", "exhaustive"):
+            raise ValueError(
+                f"kind must be 'normal', 'lognormal' or 'exhaustive', got {kind!r}")
     points = [(params, _checked(params, ms))
               for params, ms in ((CodeParams(k, n, epsilon), ms) for n, ms in cells)]
     curves = iter((ack_curve(params) for params, _ in points) if curves is None else curves)
@@ -234,7 +240,7 @@ def _row_entries(k: int, epsilon: float, cells, kinds, curves=None):
     # the model reads k and epsilon alone, so n = k serves for every n
     models = [CdfModel.for_params(CodeParams(k, k, epsilon), kind)
               for kind in kinds if kind != "exhaustive"] if inner else []
-    top = max(params.n for params, _ in points)
+    top = max((params.n for params, _ in points), default=k)
     rows = _trajectories(models, top, inner, k, top - inner[0] + 1) if models else None
     chunk, cells_held = [], 0
     for params, ms in points:

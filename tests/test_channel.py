@@ -80,8 +80,7 @@ class TestSchedule:
         ((3.0, 2), r"boundaries must be strictly increasing, got \(3, 2\)"),
     ])
     def test_each_rejection_has_its_message(self, boundaries, match):
-        # a plain-int tuple skips the per-value check; one other type sends
-        # every value through it
+        # every value goes through the per-value check, plain ints included
         with pytest.raises(ValueError, match=match):
             Schedule(boundaries)
 

@@ -12,13 +12,20 @@ whose scoring blocks are thinner than m, or whose m lie far apart, and the
 CSV of four sweeps with skipped rows, and the dict rows of constants and
 simulate.  So is the stdout of demos 01-04, run as scripts; demo 05 prints
 the path it writes to, so its bytes depend on the checkout.
+
+Every pinned argument list is also run in a child process under another
+kernel, OpenBLAS's Haswell one and numpy without its AVX-512 loops, so that
+a pin which holds under one kernel alone shows as such: each list that
+moves there today is a strict xfail with its cause.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -172,3 +179,104 @@ def test_demo_stdout_matches_pinned_digest(demo):
     run = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
                          capture_output=True, env=env, timeout=300, check=True)
     assert hashlib.sha256(run.stdout).hexdigest() == DEMOS[demo]
+
+
+# every argument list pinned above, demos aside
+KERNEL_LISTS = {**ALL_PINNED, **VALIDATE, **JSON, **WIDE, **SKIPPED, **DICT_ROWS}
+
+# channel._ack_table computes each ACK value as 1 - dot, and where ACK is small
+# that keeps only absolute accuracy; a kernel that moves the dot's last bits
+# moves the 12-digit throughputs of these lists
+_HASWELL_MOVES = frozenset({
+    "sweep-k --k 1:30 --n 24 --m 6 --model all --eps 0.9",
+    *(f"sweep-k --k 36:40:2 --n 56 --m 4 --model all --eps {eps}"
+      for eps in ["0.50", "0.57"] + [f"0.{i}" for i in range(59, 70)]),
+    "sweep-n --k 32 --n 66:120:2 --m 1:8 --model all --eps 0.69",
+})
+_NO_AVX512_MOVES = frozenset({"sweep-n --k 32 --n 66:120:2 --m 1:8 --model all --eps 0.68"})
+_KERNELS = {
+    "haswell": (_HASWELL_MOVES, "the Haswell ddot sums the ACK dot in another order, and "
+                "1 - dot moves a 12-digit throughput"),
+    "no-avx512": (_NO_AVX512_MOVES, "numpy's AVX2 exp rounds some binomial log-weights of "
+                  "the ACK curve apart from its AVX-512 exp, and a 12-digit throughput moves"),
+}
+
+# prints the OpenBLAS core name (read as CI's runtime-only step reads it), the
+# numpy dispatch targets still on, and the digest of each argument list's stdout
+_CHILD = """
+import contextlib, ctypes, glob, hashlib, io, json, os, sys
+import numpy
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as umath
+from harqsdo.cli import main
+
+core = "unknown"
+libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+for path in glob.glob(os.path.join(libs, "*openblas*")):
+    for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                   "openblas_get_corename"):
+        try:
+            get = getattr(ctypes.CDLL(path), symbol)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_char_p
+        core = get().decode()
+digests = {}
+for argv in json.load(sys.stdin):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv.split())
+    digests[argv] = hashlib.sha256(buf.getvalue().encode()).hexdigest() if code == 0 else code
+on = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+json.dump({"core": core, "dispatch": on, "digests": digests}, sys.stdout)
+"""
+
+
+def _past_avx2() -> list[str]:
+    """numpy's dispatch targets past AVX2 that this CPU runs: its AVX-512 groups."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)
+            and (name.startswith("AVX512") or name == "X86_V4")]
+
+
+@functools.cache
+def _kernel_digests(kernel: str) -> tuple[str | None, dict]:
+    """(why kernel cannot be switched here, or None; each list's digest under it)."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return f"both kernels are x86-64 ones, and this is {platform.machine()}", {}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))))}
+    env.pop("HARQ_SDO_OUT", None)
+    if kernel == "haswell":
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        env["OPENBLAS_CORETYPE"] = "Haswell"
+    else:
+        env.pop("OPENBLAS_CORETYPE", None)
+        past = _past_avx2()
+        if not past:
+            return "numpy runs no AVX-512 loop on this CPU", {}
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(past)
+    run = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(sorted(KERNEL_LISTS)),
+                         capture_output=True, text=True, env=env, timeout=600, check=True)
+    child = json.loads(run.stdout)
+    if kernel == "haswell" and child["core"] != "Haswell":
+        return f"OpenBLAS runs core {child['core']!r} under OPENBLAS_CORETYPE=Haswell", {}
+    if kernel == "no-avx512" and set(child["dispatch"]) & set(past):
+        return f"numpy kept {sorted(set(child['dispatch']) & set(past))} switched on", {}
+    return None, child["digests"]
+
+
+@pytest.mark.parametrize("kernel, argv", [
+    pytest.param(kernel, argv, id=f"{kernel}-{argv}", marks=[
+        pytest.mark.xfail(strict=True, reason=cause)] if argv in moves else [])
+    for kernel, (moves, cause) in _KERNELS.items() for argv in sorted(KERNEL_LISTS)])
+def test_output_holds_under_another_kernel(kernel, argv):
+    skipped, digests = _kernel_digests(kernel)
+    if skipped:
+        pytest.skip(skipped)
+    assert digests[argv] == KERNEL_LISTS[argv]

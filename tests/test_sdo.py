@@ -820,9 +820,9 @@ class TestSweepRow:
         # stays in the stream for the next row
         cells = [(40, [3, 1]), (24, [2])]
         stream = channel.ack_curves(0.4, [(8, 40), (8, 24), (9, 30)])
-        got = list(sdo.optimize_row(8, 0.4, cells, ["normal", "exhaustive"], stream))
+        got = list(sdo._row_entries(8, 0.4, cells, ["normal", "exhaustive"], stream))
         assert computed == ([(8, 40, 0.4), (8, 24, 0.4), (9, 30, 0.4)], [3])
-        assert got == list(sdo.optimize_row(8, 0.4, cells, ["normal", "exhaustive"]))
+        assert got == list(sdo._row_entries(8, 0.4, cells, ["normal", "exhaustive"]))
         assert next(stream).tobytes() == ack_curve(CodeParams(9, 30, 0.4)).tobytes()
 
     def test_every_block_is_exactly_its_m_wide(self, monkeypatch):
@@ -921,6 +921,26 @@ class TestSweepRow:
         with pytest.raises(ValueError, match=r"got k=8, m=18, n=24$"):
             list(sdo.optimize_row(8, 0.5, [(30, [2]), (24, [18])], ["normal"]))
         assert computed == ([], [])
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_unknown_kind_raises_naming_every_kind(self, m):
+        # at m = 1 no model is built, so only the row's own check sees the kind
+        kinds = r"kind must be 'normal', 'lognormal' or 'exhaustive', got 'foo'$"
+        with pytest.raises(ValueError, match=kinds):
+            optimize(CodeParams(8, 24, 0.5), m, "foo")
+        with pytest.raises(ValueError, match=kinds):
+            list(sdo.optimize_row(8, 0.5, [(24, (m,))], ["normal", "foo"]))
+
+    def test_unknown_kind_raises_before_any_cell_or_curve(self, computed):
+        with pytest.raises(ValueError, match="got 'bogus'$"):
+            list(sdo._row_entries(8, 0.5, [(30, [1]), (24, [18])], ["exhaustive", "bogus"]))
+        assert computed == ([], [])
+
+    def test_empty_row_yields_nothing(self, computed):
+        stream = channel.ack_curves(0.5, [(8, 24)])
+        assert list(sdo.optimize_row(8, 0.5, [], ["normal", "exhaustive"])) == []
+        assert list(sdo._row_entries(8, 0.5, [], ["lognormal"], stream)) == []
+        assert computed == ([], [])  # the stream is not read
 
     def test_long_sweep_traced_peak(self, computed, capsys):
         # the ACK tables of the curves computed together, the ACK rows of a

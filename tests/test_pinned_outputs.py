@@ -9,9 +9,10 @@ value, tolerance or verdict moves unseen either.  So are the JSON forms of
 both benchmark sweeps at eps 0.47, of a sweep with skipped rows and of an
 optimize call: a row's schedule prints there as a list.  So are three runs
 whose scoring blocks are thinner than m, or whose m lie far apart, and the
-CSV of four sweeps with skipped rows, and the dict rows of constants and
-simulate.  So is the stdout of demos 01-04, run as scripts; demo 05 prints
-the path it writes to, so its bytes depend on the checkout.
+CSV of four sweeps with skipped rows, the dict rows of constants and
+simulate, and two k sweeps whose k share the solver's chunks.  So is the
+stdout of demos 01-04, run as scripts; demo 05 prints the path it writes
+to, so its bytes depend on the checkout.
 
 Every pinned argument list is also run in a child process under another
 kernel, OpenBLAS's Haswell one and numpy without its AVX-512 loops, so that
@@ -99,6 +100,16 @@ DICT_ROWS = {
         "55dd7157edc1ed83d33a6c588a5c8d0c35f2fbdaeb7b30d30b2fba6f59d85a22",
 }
 
+# k sweeps whose k share the solver's chunks: the first skips its top four
+# k, and the 29 k of the second (one chunk of ACK values) share scoring
+# blocks of 409 candidates of m = 40 across k
+CROSS_K = {
+    "sweep-k --k 1:60 --n 64 --m 9 --model all --eps 0.3":
+        "6cc88a481c6b5cb33e64ee1b0ca7f27e3ca66186e0ef5977b1f96b5fb033ce58",
+    "sweep-k --k 1:200:7 --n 400 --m 40 --model all --eps 0.45":
+        "3a380eacdcc9b50e34dfa885be28f24e6253257ab9d13d916c64fd2ecf15c062",
+}
+
 DEMOS = {
     "01_decoding_law.py": "34e5517db4f23f4af99b9856a7d0885c61ca5c1879cc7094e5814cc7a310c9e7",
     "02_ack_and_round_length.py":
@@ -170,6 +181,12 @@ def test_dict_rows_match_pinned_digest(argv, monkeypatch):
     assert _stdout_digest(argv) == DICT_ROWS[argv]
 
 
+@pytest.mark.parametrize("argv", sorted(CROSS_K))
+def test_cross_k_sweep_matches_pinned_digest(argv, monkeypatch):
+    monkeypatch.delenv("HARQ_SDO_OUT", raising=False)
+    assert _stdout_digest(argv) == CROSS_K[argv]
+
+
 @pytest.mark.parametrize("demo", sorted(DEMOS))
 def test_demo_stdout_matches_pinned_digest(demo):
     src = os.path.join(ROOT, "src")
@@ -182,7 +199,8 @@ def test_demo_stdout_matches_pinned_digest(demo):
 
 
 # every argument list pinned above, demos aside
-KERNEL_LISTS = {**ALL_PINNED, **VALIDATE, **JSON, **WIDE, **SKIPPED, **DICT_ROWS}
+KERNEL_LISTS = {**ALL_PINNED, **VALIDATE, **JSON, **WIDE, **SKIPPED, **DICT_ROWS,
+                **CROSS_K}
 
 # channel._ack_table computes each ACK value as 1 - dot, and where ACK is small
 # that keeps only absolute accuracy; a kernel that moves the dot's last bits

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import itertools
 import json
 import math
 import operator
@@ -197,45 +196,38 @@ def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
     """Records of every (k, n, m) cell of cfg, k slowest and m fastest.
 
     eps and every m are checked first, so that skipped rows cannot hide a
-    bad value.  Each k is one sweep row: sdo._row_entries solves all its n,
-    m and methods in one pass, and es solves each n for all its m in one
-    backward pass.  A row is a plain record, DESIGN_FIELDS in order, built
-    straight from a plain entry, so its schedule is a boundaries tuple; no
-    report and no dict is built.  The ACK curves of every (k, n) of the
-    command share eps, so one ack_curves stream computes them together, k
-    by k, a chunk at a time, and hands each row its curves as the row reads
-    them.  A k's entries are held until its records are built.  A cell has
-    one record per method, or with best_only the record of the first method
-    of highest throughput; an n or m given twice gives its records twice.
-    Where no schedule fits, a cell has one skipped record, its method
-    "skipped" and its last three fields None, or with skip False the solver
-    raises.
+    bad value.  sdo._row_entries solves every (k, n) of the command in one
+    pass, reading the cells lazily, each (k, n, m) checked for a schedule
+    once: its chunks span k, its SDO models step every k of a chunk
+    together, and es solves each n for all its m in one backward pass.
+    The ACK curves of every (k, n) share eps, so one ack_curves stream
+    computes them together, a chunk at a time, as the solver reads its
+    cells.  A row is a plain record, DESIGN_FIELDS in order, built straight
+    from a plain entry, so its schedule is a boundaries tuple; no report
+    and no dict is built.  A cell has one record per method, or with
+    best_only the record of the first method of highest throughput; an n
+    or m given twice gives its records twice.  Where no schedule fits, a
+    cell has one skipped record, its method "skipped" and its last three
+    fields None, or with skip False the solver raises.
     """
     eps = cfg.scalar("epsilon")
     _check_epsilon(eps)
     for m in cfg.m:
         _check_m(m)
     kinds = [_MODEL_KIND[method] for method in methods]
-    # read lazily, so only the rows at hand are held, whatever the k range; the
-    # curve stream reads ahead of the rows, and tee keeps the cells in between
-    plan_curves, plan_rows = itertools.tee(
-        (k, {n: ms for n in cfg.n
-             if (ms := [m for m in cfg.m if not skip or _feasible(k, n, m)])})
-        for k in cfg.k)
-    curves = ack_curves(eps, ((k, n) for k, cells in plan_curves for n in cells))
+    cells = ((k, n, [m for m in cfg.m if not skip or _feasible(k, n, m)])
+             for k in cfg.k for n in cfg.n)
     rows: list[tuple] = []
-    for k, cells in plan_rows:
-        solved = dict(_row_entries(k, eps, cells.items(), kinds, curves))
-        for n in cfg.n:
-            for m in cfg.m:
-                if m not in cells.get(n, ()):
-                    rows.append((k, n, m, eps, "skipped", None, None, None))
-                    continue
-                records = [(k, n, m, eps, method, *solved[n][kind][m])
-                           for method, kind in zip(methods, kinds)]
-                if best_only:  # the first of highest throughput
-                    records = [max(records, key=operator.itemgetter(7))]
-                rows.extend(records)
+    for k, n, by_kind in _row_entries(eps, cells, kinds, ack_curves):
+        for m in cfg.m:
+            if m not in by_kind[kinds[0]]:
+                rows.append((k, n, m, eps, "skipped", None, None, None))
+                continue
+            records = [(k, n, m, eps, method, *by_kind[kind][m])
+                       for method, kind in zip(methods, kinds)]
+            if best_only:  # the first of highest throughput
+                records = [max(records, key=operator.itemgetter(7))]
+            rows.extend(records)
     return rows
 
 

@@ -26,7 +26,9 @@ between calls: optimize and exhaustive_search are the row's one-cell cases.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -115,49 +117,93 @@ class OptimizerReport:
     n1_searched: tuple[int, int] | None
 
 
-def _trajectories(models, n: int, ms: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
-    """The uncapped trajectories of models from first boundaries lo..hi, stepped from scratch.
+def _reach(k: int, top: int, inner) -> int:
+    """The farthest boundary any step of _trajectories evaluates, k - 1 if none.
 
-    Row j (hi - lo + 1) + n1 - lo of the result is the trajectory of
-    models[j] from n1, as far as any (n, m), m in ms, reads it, and +inf
-    past its end; the matrix is as wide as its longest row, at most
-    max(ms) - 1 cells and at least 1.  The trajectory is b_1 = n1, b_{i+1} = b_i + max(1,
-    ceil(r)) with r = (F(b_i) - F(b_{i-1})) / F'(b_i) and F(b_0) = 0,
-    ended (+inf) once r is infinite, an underflowed density included.
-    ms is ascending, every m at least 2, and may be empty.  An (n, m)
-    schedule reads slots 1..m-1, slot i capped at n - (m - i): each step
-    is at least 1 and each cap grows by 1 per slot, so b_i - i never falls,
-    and once the last boundary reaches its cap every later slot takes its
-    cap.  So a row of s cells steps while s < max(ms) - 1 and its last
-    boundary b_s has b_s - s < n - min(ms); any m that reads slot s + 1
-    caps it once b_s - s >= n - min(ms) >= n - m.  A smaller n reads no
-    more of a row than n does.  F and F' come from one cdf_pdf call per
-    model and boundary, however many rows step from it.
+    A row steps from its cell s, at boundary b_s, only while s < max(inner) - 1
+    and b_s - s < top - min(inner); b_s is an integer, so
+    b_s <= top - min(inner) + max(inner) - 3.  inner is ascending; an empty
+    inner, or inner = (2,), steps nowhere.
     """
-    width, room = max(ms, default=2) - 1, n - min(ms, default=0)
-    cells, lens = [], []
-    for model in models:
-        known, evaluate = {}, model.cdf_pdf
-        for n1 in range(lo, hi + 1):
-            cur, f_prev, size = float(n1), 0.0, 1
-            cells.append(cur)
-            while size < width and cur - size < room:
-                pair = known.get(cur)
-                if pair is None:
-                    pair = known[cur] = evaluate(cur)
-                f_cur, density = pair
-                ratio = (f_cur - f_prev) / density if density > 0.0 else math.inf
-                if ratio == math.inf:
-                    cur = math.inf
-                else:
-                    cur += math.ceil(ratio) if ratio > 1.0 else 1  # max(1, ceil(r))
-                f_prev = f_cur
-                cells.append(cur)
-                size += 1
-            lens.append(size)
-    b = np.full((len(lens), max(lens, default=1)), np.inf)
-    b[np.arange(b.shape[1]) < np.array(lens)[:, None]] = cells  # row by row, as cells holds them
-    return b
+    if not inner or inner[-1] < 3:
+        return k - 1
+    return top - inner[0] + inner[-1] - 3
+
+
+def _tabulated(model, k: int, reach: int, held=()) -> list:
+    """(F(x), F'(x)) of model at each integer boundary x = k..reach, in a list.
+
+    Each pair is one model.cdf_pdf call, the scalar expressions of F and F'
+    kept there alone.  held, the same list to an earlier reach, is
+    extended, so no boundary is evaluated twice.
+    """
+    return [*held, *map(model.cdf_pdf, map(float, range(k + len(held), reach + 1)))]
+
+
+def _trajectories(groups) -> np.ndarray:
+    """The uncapped trajectories of every group, stepped together, slot-major.
+
+    A group is (k, top, inner, tables): inner is ascending, every m at least
+    2, and may be empty; tables[j] is _tabulated's table of model j from k
+    to _reach(k, top, inner) at least.  Its rows, model by model, are the
+    trajectories of model j from first boundaries k..top - min(inner) + 1
+    (inner's least m taken as 1 when empty), and the groups' rows follow
+    one another.  Column r of the result holds row r's trajectory, as far
+    as any (n, m), n <= top, m in inner, reads it, and +inf past its end;
+    the result is as tall as its longest row, at most max(inner) - 1 cells
+    and at least 1.  The trajectory is b_1 = n1, b_{i+1} = b_i + max(1,
+    ceil(r)) with r = (F(b_i) - F(b_{i-1})) / F'(b_i) and F(b_0) = 0,
+    ended (+inf) once r is infinite, an underflowed density included.  An
+    (n, m) schedule reads slots 1..m-1, slot i capped at n - (m - i): each
+    step is at least 1 and each cap grows by 1 per slot, so b_i - i never
+    falls, and once the last boundary reaches its cap every later slot
+    takes its cap.  So a row of s cells steps while s < max(inner) - 1 and
+    its last boundary b_s has b_s - s < top - min(inner); any m that reads
+    slot s + 1 caps it once b_s - s >= n - min(inner) >= n - m.  A smaller
+    n reads no more of a row than top does.  Every live row takes step s
+    at once, reading F and F' from the tables by a gather; a row leaves
+    the live set once it ends.  A step is a subtraction, a division, a
+    ceil and an addition, each exactly rounded, so every cell is the float
+    a scalar loop over the same table values gives.
+    """
+    rows = [(k, top - min(inner, default=1) + 2 - k, max(inner, default=2) - 1,
+             top - min(inner, default=0), table[: max(0, _reach(k, top, inner) + 1 - k)])
+            for k, top, inner, tables in groups for table in tables]
+    if not rows:
+        return np.full((1, 0), np.inf)
+    ks, counts, widths, rooms, tables = zip(*rows)
+    seg = np.repeat(np.arange(len(rows)), counts)  # the (group, model) of each row
+    n1 = np.arange(len(seg)) - (np.cumsum(counts) - counts)[seg] + np.array(ks)[seg]
+    cur = n1.astype(float)
+    steps = [(slice(None), cur)]  # (the rows live at step s, their cells), s = 0, 1, ...
+    sizes = [len(table) for table in tables]
+    pairs = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(tables)),
+                        float, 2 * sum(sizes)).reshape(-1, 2)
+    off = (np.cumsum(sizes) - sizes - ks)[seg]  # (F(x), F'(x)) of a row's model is pairs[x + off]
+    at, width, room = np.arange(len(seg)), np.array(widths)[seg], np.array(rooms)[seg]
+    f_prev = np.zeros(len(seg))
+    with np.errstate(over="ignore"):
+        for s in range(1, max(widths)):
+            live = cur - s < room
+            if s in widths:  # the rows of some group are as long as any m reads
+                live &= width > s
+            if not live.all():
+                at, cur, f_prev, off, width, room = (
+                    a[live] for a in (at, cur, f_prev, off, width, room))
+                if not len(at):
+                    break
+            index = cur.astype(np.intp)
+            index += off
+            f_cur, density = pairs[index].T
+            ratio = np.full(len(at), np.inf)
+            np.divide(f_cur - f_prev, density, out=ratio, where=density > 0.0)
+            cur = cur + np.maximum(np.ceil(ratio, out=ratio), 1.0, out=ratio)  # max(1, ceil(r))
+            f_prev = f_cur
+            steps.append((at, cur))
+    slots = np.full((len(steps), len(seg)), np.inf)
+    for s, (at, cells) in enumerate(steps):
+        slots[s, at] = cells
+    return slots
 
 
 # Cells held per block: candidate schedules scored, DP step costs formed,
@@ -195,113 +241,157 @@ def optimize_row(k: int, epsilon: float, cells, kinds):
     each cell, in order, this yields n and {kind: {m: report}} over the m
     of ms: an SDO model's report is optimize(CodeParams(k, n, epsilon), m,
     kind), and "exhaustive"'s is exhaustive_search's.  Each cell's curve
-    comes from channel.ack_curve, its cached one-point case.  The solving
-    is _row_entries's; this is the one place its plain entries become
+    comes from channel.ack_curve, its cached one-point case, and every
+    cell is read, and checked, before the first.  The solving is
+    _row_entries's; this is the one place its plain entries become
     reports, a chunk of cells at a time, so a caller holds only the
     reports it keeps.  n1_searched is (k, n - m + 1) for m > 1, the
     first boundaries SDO sweeps and the dynamic program's range alike.
     """
-    for n, by_kind in _row_entries(k, epsilon, cells, kinds):
+    cells = ((k, n, ms) for n, ms in cells)
+    for _, n, by_kind in _row_entries(epsilon, cells, kinds, _each_curve):
         yield n, {kind: {m: OptimizerReport(Schedule(b), value, rate, kind,
                                             None if m == 1 else (k, n - m + 1))
                          for m, (b, value, rate) in entries.items()}
                   for kind, entries in by_kind.items()}
 
 
-def _row_entries(k: int, epsilon: float, cells, kinds, curves=None):
-    """optimize_row's cells, each as n and {kind: {m: (boundaries, objective, throughput)}}.
+def _each_curve(epsilon: float, points):
+    """ack_curve's cached curve of each (k, n) of points, in order, every point read first."""
+    points = list(points)
+    return (ack_curve(CodeParams(k, n, epsilon)) for k, n in points)
+
+
+def _row_entries(epsilon: float, cells, kinds, curves):
+    """Each (k, n, ms) of cells as k, n and {kind: {m: (boundaries, objective, throughput)}}.
 
     An entry is plain: the schedule's boundaries, a tuple of ints, its
     exact objective and its throughput k ACK(n) / objective, both Python
     floats, as throughput() computes them.  The CLI's sweep rows are built
     from these entries directly, with no report or Schedule per cell.
-    curves yields each cell's ACK curve, in cell order, as ack_curves does;
-    the row takes one per cell as it reaches it, so the CLI hands it a
-    stream that runs on into later rows.  Without one, each cell's curve
-    comes from ack_curve.  Every kind, then every cell, is checked before
-    any work, and so before any curve is read; a row of no cells yields
-    nothing.  m = 1 has one schedule, (n), of objective n, entered for
-    every kind as its cell is read.  For m > 1, each model's trajectories
-    are grown once, up to the largest m and until the largest n and the
-    smallest m cap them; a row with no m > 1 grows none and builds no
-    model.  A chunk is a run of cells whose ACK values at k..n fit one table
-    of at most _BLOCK_CELLS cells (one cell at least); the dynamic program
-    runs on each curve as it is read, and _score_chunk scores the SDO
-    candidates one m at a time.
+    cells may hold many k, in any order, and is read lazily; a cell whose
+    ms is empty is yielded in its place with no entries, and nothing is
+    computed for it.  curves(epsilon, points) yields the ACK curve of each
+    (k, n) of points in order, as ack_curves does: it reads the other
+    cells, each checked as it is read, and every kind is checked before
+    any cell.  m = 1 has one schedule, (n), of objective n, entered for
+    every kind.  A chunk is a run of cells whose ACK values at k..n fit one
+    table of at most _BLOCK_CELLS cells (one cell at least), and may span
+    k; the dynamic program runs on each curve as its cell joins the chunk,
+    and _score_chunk solves the SDO models of every k of the chunk
+    together.  Each k's models and their F and F' tables are held while
+    its cells run on from chunk to chunk, so each boundary is evaluated
+    once per (k, model) there; a k with no m > 1 in a chunk builds no
+    model for it.  Nothing is kept between calls.
     """
     for kind in kinds:
         if kind not in ("normal", "lognormal", "exhaustive"):
             raise ValueError(
                 f"kind must be 'normal', 'lognormal' or 'exhaustive', got {kind!r}")
-    points = [(params, _checked(params, ms))
-              for params, ms in ((CodeParams(k, n, epsilon), ms) for n, ms in cells)]
-    curves = iter((ack_curve(params) for params, _ in points) if curves is None else curves)
-    inner = tuple(sorted({m for _, ms in points for m in ms if m > 1}))
-    # the model reads k and epsilon alone, so n = k serves for every n
-    models = [CdfModel.for_params(CodeParams(k, k, epsilon), kind)
-              for kind in kinds if kind != "exhaustive"] if inner else []
-    top = max((params.n for params, _ in points), default=k)
-    rows = _trajectories(models, top, inner, k, top - inner[0] + 1) if models else None
-    chunk, cells_held = [], 0
-    for params, ms in points:
-        if chunk and cells_held + params.n - k + 1 > _BLOCK_CELLS:
-            yield from _score_chunk(k, chunk, kinds, models, rows, curves)
+    read = collections.deque()  # cells read by the curve stream, not yet chunked
+
+    def points():
+        for k, n, ms in cells:
+            ms = _checked(CodeParams(k, n, epsilon), ms) if ms else ()
+            read.append((k, n, ms))
+            if ms:
+                yield k, n
+
+    chunk, cells_held, held = [], 0, {}
+    for curve in curves(epsilon, points()):
+        while not read[0][2]:
+            chunk.append((*read.popleft(), None))
+        k, n, ms = read.popleft()
+        if cells_held and cells_held + n - k + 1 > _BLOCK_CELLS:
+            yield from _score_chunk(epsilon, chunk, kinds, held)
             chunk, cells_held = [], 0
-        chunk.append((params, ms))
-        cells_held += params.n - k + 1
-    yield from _score_chunk(k, chunk, kinds, models, rows, curves)
+        chunk.append((k, n, ms, curve))
+        cells_held += n - k + 1
+    chunk.extend((*cell, None) for cell in read)
+    yield from _score_chunk(epsilon, chunk, kinds, held)
 
 
-def _score_chunk(k: int, chunk, kinds, models, rows, curves) -> list:
-    """_row_entries's (n, {kind: {m: entry}}) for each design point of chunk.
+def _score_chunk(epsilon: float, chunk, kinds, held: dict) -> list:
+    """_row_entries's (k, n, {kind: {m: entry}}) for each cell of chunk.
 
-    rows is _trajectories's matrix of models from first boundaries k on,
-    or None without an SDO model or an m > 1; curves yields the ACK curve
-    of each design point of chunk, in order.  The candidates of one m at a
-    time are stacked, model by model, n by n: first boundaries k..n-m+1 of
-    each (model, n) group that asks for m.  Slot i < m of a candidate is
-    min(b_i, n - (m - i)) over its trajectory b, and slot m is n, so every
-    block channel.objective scores is exactly m wide, of _BLOCK_CELLS // m
-    rows (one at least), taken from slots, one slot-major copy of rows per
-    chunk.  A block of at least m rows, which objective sums one slot at a
-    time, is slot-major (F-ordered) too, so each addition reads contiguous
-    slots; a thinner one is candidate-major, so the caps and ACK offsets of
-    its few candidates broadcast along rows m long.  A candidate's total
-    depends on neither its block nor its layout: objective sums it left to
-    right from n_m either way.  One segmented reduction over the totals of
-    one m takes each group's first minimum, so ties break toward the smaller
+    chunk holds (k, n, ms, curve), with curve None where ms is empty.  held
+    maps each k of the chunk before to its models and their F and F'
+    tables, and is left holding this chunk's.  Each k with an m > 1 is one
+    group of _trajectories, up to its largest n, largest m and smallest m
+    in the chunk, with tables extended to that reach, and every group
+    steps together.  The candidates of one m at a time are stacked, model
+    by model, cell by cell: first boundaries k..n-m+1 of each (model, k, n)
+    group that asks for m.  Slot i < m of a candidate is min(b_i, n - (m -
+    i)) over its trajectory b, and slot m is n, so every block
+    channel.objective scores is exactly m wide, of _BLOCK_CELLS // m rows
+    (one at least), taken from the slot-major trajectories.  A block of at
+    least m rows, which objective sums one slot at a time, is slot-major
+    (F-ordered) too, so each addition reads contiguous slots; a thinner
+    one is candidate-major, so the caps and ACK offsets of its few
+    candidates broadcast along rows m long.  A candidate's total depends on
+    neither its block nor its layout: objective sums it left to right from
+    n_m either way.  One segmented reduction over the totals of one m
+    takes each group's first minimum, so ties break toward the smaller
     first boundary; only the winners' schedules are built again, and one
     gather reads every group's ACK(n) for its throughput.
     """
-    solved = [(params.n, {kind: {} for kind in kinds}) for params, _ in chunk]
-    acks = np.empty(sum(params.n - k + 1 for params, _ in chunk))
+    solved = [(k, n, {kind: {} for kind in kinds}) for k, n, _, _ in chunk]
+    acks = np.empty(sum(n - k + 1 for k, n, ms, _ in chunk if ms))
     offsets, start = [], 0  # ack(t) of chunk[i] is acks[offsets[i] + t]
-    for (params, ms), (n, by_kind) in zip(chunk, solved):
-        curve = next(curves)
+    plan = {}  # k: (largest n, the m > 1) of its cells
+    for (k, n, ms, curve), (_, _, by_kind) in zip(chunk, solved):
+        offsets.append(start - k)
+        if not ms:
+            continue
         acks[start : start + n - k + 1] = curve[k:]
+        start += n - k + 1
         if ms[0] == 1:  # the one schedule (n): objective n, no terms added
             value = float(n)
             entry = (n,), value, k * float(curve[n]) / value
             for entries in by_kind.values():
                 entries[1] = entry
         if "exhaustive" in by_kind and ms[-1] > 1:
-            by_kind["exhaustive"].update(_exhaustive(params, ms[1:] if ms[0] == 1 else ms, curve))
-        offsets.append(start - k)
-        start += n - k + 1
-    if not models:
+            by_kind["exhaustive"].update(
+                _exhaustive(CodeParams(k, n, epsilon), ms[1:] if ms[0] == 1 else ms, curve))
+        if ms[-1] > 1:
+            top, inner = plan.get(k, (n, set()))
+            plan[k] = max(top, n), inner.union(ms[1:] if ms[0] == 1 else ms)
+    sdo_kinds = [kind for kind in kinds if kind != "exhaustive"]
+    # k's rows start at column first[k] of slots, per_model[k] of them per model
+    groups, first, per_model, kept = [], {}, {}, {}
+    for k, (top, inner) in plan.items() if sdo_kinds else ():
+        inner = tuple(sorted(inner))
+        models, tables = held.get(k) or (
+            [CdfModel.for_params(CodeParams(k, k, epsilon), kind) for kind in sdo_kinds],
+            [()] * len(sdo_kinds))  # the model reads k and epsilon alone
+        reach = _reach(k, top, inner)
+        kept[k] = models, [_tabulated(model, k, reach, table)
+                           for model, table in zip(models, tables)]
+        first[k] = sum(per_model.values()) * len(sdo_kinds)
+        per_model[k] = top - inner[0] + 2 - k
+        groups.append((k, top, inner, kept[k][1]))
+    held.clear()
+    held.update(kept)
+    if not groups:
         return solved
-    per_model = len(rows) // len(models)
-    slots = np.ascontiguousarray(rows.T)  # slots[i] holds slot i + 1 of every trajectory
-    for m in sorted({m for _, ms in chunk for m in ms if m > 1}):
-        groups = [(j, i) for j in range(len(models))
-                  for i, (_, ms) in enumerate(chunk) if m in ms]
-        ns = np.array([chunk[i][0].n for _, i in groups])
-        counts = ns - (k + m - 2)
+    slots = _trajectories(groups)  # slots[i] holds slot i + 1 of every trajectory
+    # each cell's k, n, ACK offset, and the columns of slots its k's rows start at
+    cell_k, cell_n = np.array([(k, n) for k, n, _, _ in chunk]).T
+    cell_shift = np.array(offsets)
+    col = np.array([first.get(k, 0) for k, _, _, _ in chunk])
+    stride = np.array([per_model.get(k, 0) for k, _, _, _ in chunk])
+    for m in sorted({m for _, _, ms, _ in chunk for m in ms if m > 1}):
+        # the (model, cell) groups that ask for m, model by model
+        cells = [i for i, (_, _, ms, _) in enumerate(chunk) if m in ms]
+        cell = np.array(cells * len(sdo_kinds))
+        model = np.arange(len(sdo_kinds)).repeat(len(cells))
+        ks, ns = cell_k[cell], cell_n[cell]
+        counts = ns - (ks + m - 2)
         starts = np.cumsum(counts) - counts
-        group_of = np.repeat(np.arange(len(groups)), counts)
+        group_of = np.repeat(np.arange(len(cell)), counts)
         # candidate p of group g has first boundary k + p - starts[g]: column p + origin[g] of slots
-        origin = np.array([j * per_model for j, _ in groups]) - starts
-        shift = np.array([offsets[i] for _, i in groups])
+        origin = col[cell] + model * stride[cell] - starts
+        shift = cell_shift[cell]
         lag = np.arange(1 - m, 1)  # i - m for slots 1..m
         read = min(m - 1, len(slots))
 
@@ -323,9 +413,9 @@ def _score_chunk(k: int, chunk, kinds, models, rows, curves) -> list:
         least = np.minimum.reduceat(totals, starts)
         hits = np.flatnonzero(totals == least[group_of])  # a group's first hit is its first minimum
         best = capped(hits[np.searchsorted(hits, starts)]).astype(np.intp).tolist()
-        for (j, i), value, schedule, ack_n in zip(groups, least.tolist(), best,
-                                                  acks[shift + ns].tolist()):
-            solved[i][1][models[j].kind][m] = tuple(schedule), value, k * ack_n / value
+        for j, i, k, value, schedule, ack_n in zip(model.tolist(), cell.tolist(), ks.tolist(),
+                                                   least.tolist(), best, acks[shift + ns].tolist()):
+            solved[i][2][sdo_kinds[j]][m] = tuple(schedule), value, k * ack_n / value
     return solved
 
 

@@ -6,10 +6,13 @@ quadrature for the Gaussian tail, the channel laws term by term, and the
 SDO recursion one explicit step at a time.  None of it shares code with the
 package, except ack_curve_loop, which reads the package's success curve so
 that it can pin the ACK curve's arithmetic bit for bit, and
-schedule_from_model, which is no oracle but the package's own uncapped SDO
-trajectory for one first boundary, capped here by its own rule, the one
-the tests hold against sdo_recursion, and rows_to_csv_loop, which writes the
-header line from the package's version and the config's own summary.
+rows_to_csv_loop, which writes the header line from the package's version
+and the config's own summary.  trajectories_loop is the package's former
+scalar trajectory loop, kept verbatim: one model's F and F' evaluated at
+each boundary a row steps from, one boundary at a time; the package's
+stepped matrix must equal it bit for bit.  schedule_from_model caps its
+trajectory for one first boundary by its own rule, the one the tests hold
+against sdo_recursion.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-from harqsdo import decode_success_curve, sdo
+from harqsdo import decode_success_curve
 
 
 def dense_rank_mod2(a: np.ndarray) -> int:
@@ -297,6 +300,52 @@ def sdo_recursion(cdf, pdf, n: int, m: int, n1: int) -> tuple[int, ...]:
     return tuple(bounds)
 
 
+def trajectories_loop(models, n: int, ms: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
+    """The uncapped trajectories of models from first boundaries lo..hi, stepped from scratch.
+
+    Row j (hi - lo + 1) + n1 - lo of the result is the trajectory of
+    models[j] from n1, as far as any (n, m), m in ms, reads it, and +inf
+    past its end; the matrix is as wide as its longest row, at most
+    max(ms) - 1 cells and at least 1.  The trajectory is b_1 = n1, b_{i+1} = b_i + max(1,
+    ceil(r)) with r = (F(b_i) - F(b_{i-1})) / F'(b_i) and F(b_0) = 0,
+    ended (+inf) once r is infinite, an underflowed density included.
+    ms is ascending, every m at least 2, and may be empty.  An (n, m)
+    schedule reads slots 1..m-1, slot i capped at n - (m - i): each step
+    is at least 1 and each cap grows by 1 per slot, so b_i - i never falls,
+    and once the last boundary reaches its cap every later slot takes its
+    cap.  So a row of s cells steps while s < max(ms) - 1 and its last
+    boundary b_s has b_s - s < n - min(ms); any m that reads slot s + 1
+    caps it once b_s - s >= n - min(ms) >= n - m.  A smaller n reads no
+    more of a row than n does.  F and F' come from one cdf_pdf call per
+    model and boundary, however many rows step from it.
+    """
+    width, room = max(ms, default=2) - 1, n - min(ms, default=0)
+    cells, lens = [], []
+    for model in models:
+        known, evaluate = {}, model.cdf_pdf
+        for n1 in range(lo, hi + 1):
+            cur, f_prev, size = float(n1), 0.0, 1
+            cells.append(cur)
+            while size < width and cur - size < room:
+                pair = known.get(cur)
+                if pair is None:
+                    pair = known[cur] = evaluate(cur)
+                f_cur, density = pair
+                ratio = (f_cur - f_prev) / density if density > 0.0 else math.inf
+                if ratio == math.inf:
+                    cur = math.inf
+                else:
+                    cur += math.ceil(ratio) if ratio > 1.0 else 1  # max(1, ceil(r))
+                f_prev = f_cur
+                cells.append(cur)
+                size += 1
+            lens.append(size)
+    b = np.full((len(lens), max(lens, default=1)), np.inf)
+    b[np.arange(b.shape[1]) < np.array(lens)[:, None]] = cells  # row by row, as cells holds them
+    return b
+
+
+
 def schedule_from_model(model, n: int, m: int, n1: int) -> tuple[int, ...]:
     """The m boundaries the package grows from a first boundary n1 <= n - m + 1.
 
@@ -308,7 +357,7 @@ def schedule_from_model(model, n: int, m: int, n1: int) -> tuple[int, ...]:
     increment reaches it exactly when the uncapped boundary reaches the
     cap, and every later boundary takes its cap, as each step is at least 1.
     """
-    grown = sdo._trajectories([model], n, (m,), n1, n1)[0].tolist()
+    grown = trajectories_loop([model], n, (m,), n1, n1)[0].tolist()
     grown += [math.inf] * (m - 1 - len(grown))
     return tuple(int(min(grown[i - 1], n - (m - i))) for i in range(1, m)) + (n,)
 

@@ -14,7 +14,7 @@ import pytest
 
 import harqsdo
 import oracles
-from harqsdo import CodeParams, cli, estimate, exhaustive_search, optimize
+from harqsdo import CodeParams, cli, estimate, exhaustive_search, optimize, sdo
 from harqsdo.cli import COMMANDS, build_config, main, parse_int_range, parse_float_range
 
 
@@ -164,28 +164,34 @@ class TestSweepKCommand:
         assert read_csv(sweep) == read_csv(single)
 
     def test_cells_found_once_per_k_and_read_a_chunk_ahead(self, monkeypatch, capsys):
-        # each (k, n, m) is checked for a schedule once, and with curve
-        # chunks of two 89-point curves the stream reads at most two k past
-        # the row being solved, so a long k range never holds its rows' cells
+        # each (k, n, m) is checked for a schedule once, and the cells stream
+        # into one solver pass, so a long k range never holds its rows'
+        # cells.  With curve chunks of two 89-point curves and solver chunks
+        # of at most 178 ACK values (two k here), the solver reads the curve
+        # of the cell after a chunk before it solves the chunk: the plan is
+        # then read through that cell's curve chunk, and the one point that
+        # closed it, three k past the chunk's last
         monkeypatch.setattr("harqsdo.channel._CURVE_CELLS", 2 * 89)
+        monkeypatch.setattr("harqsdo.sdo._BLOCK_CELLS", 2 * 89)
         checked, ahead = [], []
-        feasible, row_entries = cli._feasible, cli._row_entries
+        feasible, score = cli._feasible, sdo._score_chunk
 
         def counted(k, n, m):
             checked.append((k, n, m))
             return feasible(k, n, m)
 
-        def watched(k, *args):
-            ahead.append(max(seen for seen, _, _ in checked) - k)
-            return row_entries(k, *args)
+        def watched(eps, chunk, *args):
+            ahead.append(max(seen for seen, _, _ in checked) - chunk[-1][0])
+            return score(eps, chunk, *args)
 
         monkeypatch.setattr(cli, "_feasible", counted)
-        monkeypatch.setattr(cli, "_row_entries", watched)
+        monkeypatch.setattr(sdo, "_score_chunk", watched)
         _, out = run_cli(["sweep-k", "--k", "1:84", "--n", "88", "--m", "5", "--eps", "0.5",
                           "--model", "na"], capsys)
         assert [row["method"] for row in read_csv(out)] == ["na"] * 84
         assert sorted(checked) == [(k, 88, 5) for k in range(1, 85)]
-        assert len(ahead) == 84 and max(ahead) <= 2
+        # 26 chunks: two k each at first, more as k rises and the rows shorten
+        assert len(ahead) == 26 and max(ahead) <= 3
 
     def test_infeasible_rows_marked_skipped(self, capsys):
         _, out = run_cli(

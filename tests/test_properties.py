@@ -22,7 +22,8 @@ from harqsdo import (
     round_length_law,
     sdo,
 )
-from oracles import rows_to_csv_loop, schedule_from_model, sdo_optimize, sdo_recursion
+from oracles import (rows_to_csv_loop, schedule_from_model, sdo_optimize, sdo_recursion,
+                     trajectories_loop)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -82,6 +83,44 @@ def test_sdo_recursion_matches_oracle(p, m, kind, data):
     model = CdfModel.for_params(p, kind)
     want = sdo_recursion(model.cdf, model.pdf, p.n, m, n1)
     assert schedule_from_model(model, p.n, m, n1) == want
+
+
+@st.composite
+def trajectory_groups(draw):
+    """Groups of many k at one eps, as sdo._trajectories takes them, untabulated.
+
+    k runs to 60 and n to 200; the m sets run wide, to 300, and may be
+    empty or hold 2 alone.  eps 0 and 0.999999 put a model's mean far from
+    its boundaries, where its density underflows to 0 and rows end.
+    """
+    eps = draw(st.sampled_from([0.0, 1e-9, 0.3, 0.4, 0.5, 0.6, 0.7, 0.99, 0.999999]))
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 60))
+        least = draw(st.integers(2, 12))
+        ms = draw(st.one_of(st.just(()), st.sets(st.integers(least, 300), max_size=3).map(
+            lambda more: tuple(sorted({least} | more)))))
+        top = draw(st.integers(k + min(ms, default=1) - 1, 200))
+        kinds = draw(st.sampled_from([("normal",), ("lognormal",), ("normal", "lognormal")]))
+        groups.append((k, top, ms, [CdfModel.for_params(CodeParams(k, k, eps), kind)
+                                    for kind in kinds]))
+    return groups
+
+
+@settings(SETTINGS, max_examples=40)
+@given(trajectory_groups())
+def test_trajectories_equal_the_loop_across_k(groups):
+    # the stepped matrix of many k is the scalar loop's, group by group, bit
+    # for bit, each row padded with +inf to the tallest
+    tabled = [(k, top, ms, [sdo._tabulated(model, k, sdo._reach(k, top, ms)) for model in models])
+              for k, top, ms, models in groups]
+    got = sdo._trajectories(tabled)
+    want = [trajectories_loop(models, top, ms, k, top - min(ms, default=1) + 1)
+            for k, top, ms, models in groups]
+    assert len(got) == max(rows.shape[1] for rows in want)
+    want = np.concatenate([np.pad(rows, ((0, 0), (0, len(got) - rows.shape[1])),
+                                  constant_values=np.inf) for rows in want])
+    assert got.T.tobytes() == want.tobytes()
 
 
 @st.composite

@@ -36,6 +36,7 @@ from oracles import (
     smoothed_objective,
     std_normal_ccdf,
     std_normal_ccdf_prime,
+    trajectories_loop,
 )
 
 FIG1_PARAMS = CodeParams(32, 88, 0.5)
@@ -255,22 +256,22 @@ class TestSdoRecursion:
         assert count == 12765
 
 
-class _Counted:
-    """A model that records every boundary its F and F' are evaluated at."""
-
-    def __init__(self, model):
-        self.model, self.at = model, []
-
-    def cdf_pdf(self, x):
-        self.at.append(x)
-        return self.model.cdf_pdf(x)
-
-
 TRAJECTORY_POINTS = [(1, 0.0, 9), (8, 0.99, 31), (32, 0.5, 88)]
 
 
+def _group(k, top, ms, models):
+    """A _trajectories group: each model tabulated from k to the group's reach."""
+    return k, top, ms, [sdo._tabulated(model, k, sdo._reach(k, top, ms)) for model in models]
+
+
+def _loop_rows(k, top, ms, models, height):
+    """trajectories_loop's rows of one group, each padded with +inf to height cells."""
+    rows = trajectories_loop(models, top, ms, k, top - min(ms, default=1) + 1)
+    return np.pad(rows, ((0, 0), (0, height - rows.shape[1])), constant_values=np.inf)
+
+
 class TestTrajectories:
-    """sdo._trajectories: every model's rows stepped from scratch in one stacked matrix."""
+    """sdo._trajectories: every group's rows stepped together in one slot-major matrix."""
 
     @pytest.mark.parametrize("ms", [(), (2,), (2, 5, 8), (8,)],
                              ids=["no-m", "m2", "m2-5-8", "m8"])
@@ -278,38 +279,58 @@ class TestTrajectories:
         for k, eps, n in TRAJECTORY_POINTS:
             models = [CdfModel.for_params(CodeParams(k, n, eps), kind)
                       for kind in ("normal", "lognormal")]
-            got = sdo._trajectories(models, n, ms, k, n)
-            alone = [sdo._trajectories([model], n, ms, n1, n1)
-                     for model in models for n1 in range(k, n + 1)]
-            # a row per (model, n1), as wide as its longest row and no wider
-            assert got.shape == (len(alone), max(row.shape[1] for row in alone))
-            assert got.shape[1] <= max(max(ms, default=2) - 1, 1)
+            got = sdo._trajectories([_group(k, n, ms, models)])
+            alone = [trajectories_loop([model], n, ms, n1, n1)
+                     for model in models for n1 in range(k, n - min(ms, default=1) + 2)]
+            # a column per (model, n1), as tall as its longest row and no taller
+            assert got.shape == (max(row.shape[1] for row in alone), len(alone))
+            assert got.shape[0] <= max(max(ms, default=2) - 1, 1)
             # the longest row's last cell follows a finite one; padding would not
-            assert got.shape[1] == 1 or np.isfinite(got[:, -2]).any()
-            for row, one in zip(got, alone):
+            assert got.shape[0] == 1 or np.isfinite(got[-2]).any()
+            for column, one in zip(got.T, alone):
                 assert one.shape[0] == 1 and np.isfinite(one[0, 0])
-                assert row[: one.shape[1]].tolist() == one[0].tolist(), (k, eps, n, ms)
-                assert np.all(row[one.shape[1]:] == np.inf)
+                assert column[: one.shape[1]].tolist() == one[0].tolist(), (k, eps, n, ms)
+                assert np.all(column[one.shape[1]:] == np.inf)
 
-    def test_each_boundary_evaluated_once_per_model_and_call(self):
-        ms = (2, 5, 8)
-        for k, eps, n in TRAJECTORY_POINTS:
-            models = [_Counted(CdfModel.for_params(CodeParams(k, n, eps), kind))
-                      for kind in ("normal", "lognormal")]
-            got = sdo._trajectories(models, n, ms, k, n)
-            for model in models:
-                # a row stepped alone is as wide as it is long, and steps
-                # from every cell but its last
-                stepped = set()
-                for n1 in range(k, n + 1):
-                    stepped.update(sdo._trajectories([model.model], n, ms, n1, n1)[0, :-1].tolist())
-                assert sorted(model.at) == sorted(stepped), (k, eps, n)
-            # nothing is kept between calls: the same call evaluates the same boundaries
-            before = [list(model.at) for model in models]
-            for model in models:
-                model.at.clear()
-            assert sdo._trajectories(models, n, ms, k, n).tolist() == got.tolist()
-            assert [model.at for model in models] == before
+    def test_groups_of_many_k_stack_as_stepped_alone(self):
+        # each group's rows are its own, wherever it sits among other k
+        groups = [(k, top, ms, [CdfModel.for_params(CodeParams(k, k, eps), kind)
+                                for kind in ("normal", "lognormal")])
+                  for k, top, ms, eps in [(1, 9, (2, 5), 0.0), (8, 31, (3,), 0.99),
+                                          (32, 88, (2, 5, 8), 0.5), (5, 20, (), 0.5)]]
+        got = sdo._trajectories([_group(*group) for group in groups])
+        want = np.concatenate([_loop_rows(*group, len(got)) for group in groups])
+        assert got.T.tobytes() == want.tobytes()
+
+    def test_each_boundary_evaluated_once_per_model_and_call(self, monkeypatch):
+        # each (k, model) of a call evaluates F and F' once at every integer
+        # boundary k..reach, however many chunks its cells span: a chunk
+        # steps to n - min(m) + max(m) - 3 over its cells of k, and reach is
+        # the farthest of those.  A k whose m are at most 2 evaluates none,
+        # and nothing is kept between calls
+        eps, kinds = 0.4, ("normal", "lognormal")
+        mu = {CdfModel.for_params(CodeParams(k, k, eps), "normal").mu: k for k in (1, 3, 8, 17)}
+        evaluations, built = [], []
+        cdf_pdf, post_init = CdfModel.cdf_pdf, CdfModel.__post_init__
+        monkeypatch.setattr(CdfModel, "cdf_pdf", lambda model, x: (
+            evaluations.append((model.kind, model.mu, x)) or cdf_pdf(model, x)))
+        monkeypatch.setattr(CdfModel, "__post_init__",
+                            lambda model: built.append(model.kind) or post_init(model))
+        # chunks of 45 ACK values: k = 8's cells take one chunk each, each
+        # reaching further (29, 39, 50), and k = 17's two (37, then 41)
+        monkeypatch.setattr(sdo, "_BLOCK_CELLS", 45)
+        cells = [(1, 12, (2,)), (8, 30, (1, 3, 5)), (8, 40, (3, 5)), (8, 50, (2, 5)),
+                 (3, 20, (1,)), (17, 40, (4,)), (17, 44, (1, 6))]
+        reach = {1: 0, 8: 50 - 2 + 5 - 3, 3: 2, 17: 44 - 6 + 6 - 3}
+        want = sorted((kind, k, float(x)) for k in reach for kind in kinds
+                      for x in range(k, reach[k] + 1))
+        first = list(sdo._row_entries(eps, cells, kinds, sdo._each_curve))
+        assert sorted((kind, mu[m], x) for kind, m, x in evaluations) == want
+        assert sorted(built) == sorted(kinds * 3)  # one per k and kind; k = 3 has no m > 1
+        before = list(evaluations)
+        evaluations.clear()
+        assert list(sdo._row_entries(eps, cells, kinds, sdo._each_curve)) == first
+        assert evaluations == before
 
     @pytest.mark.parametrize("ms", [(2, 40, 300), (2, 90)], ids=["m2-40-300", "m2-90"])
     def test_capped_rows_match_the_oracle_with_m_far_apart(self, ms):
@@ -319,22 +340,27 @@ class TestTrajectories:
         k, eps, top = 32, 0.9, 400
         for kind in ("normal", "lognormal"):
             model = CdfModel.for_params(CodeParams(k, k, eps), kind)
-            rows = sdo._trajectories([model], top, ms, k, top - ms[0] + 1)
+            slots = sdo._trajectories([_group(k, top, ms, [model])])
             for n in (top, top - 1, 333, k + ms[-1] - 1):
                 for m in ms:
                     caps = [n - (m - i) for i in range(1, m)]
                     for n1 in range(k, n - m + 2):
-                        row = rows[n1 - k, : m - 1].tolist()
+                        row = slots[: m - 1, n1 - k].tolist()
                         row += [math.inf] * (m - 1 - len(row))
                         got = tuple(int(min(b, cap)) for b, cap in zip(row, caps)) + (n,)
                         assert got == schedule_from_model(model, n, m, n1), (kind, n, m, n1)
                         assert got == sdo_recursion(model.cdf, model.pdf, n, m, n1)
 
-    def test_no_m_reads_past_the_first_boundary(self):
-        model = _Counted(CdfModel.for_params(FIG1_PARAMS, "normal"))
-        got = sdo._trajectories([model], 88, (), 32, 88)
-        assert got.tolist() == [[float(n1)] for n1 in range(32, 89)]
-        assert model.at == []
+    def test_no_m_reads_past_the_first_boundary(self, monkeypatch):
+        evaluations = []
+        cdf_pdf = CdfModel.cdf_pdf
+        monkeypatch.setattr(CdfModel, "cdf_pdf",
+                            lambda model, x: evaluations.append(x) or cdf_pdf(model, x))
+        model = CdfModel.for_params(FIG1_PARAMS, "normal")
+        for ms in ((), (2,)):
+            got = sdo._trajectories([_group(32, 88, ms, [model])])
+            assert got.tolist() == [[float(n1) for n1 in range(32, 90 - max(ms, default=1))]]
+        assert evaluations == []
 
 
 class TestOptimize:
@@ -815,15 +841,27 @@ class TestSweepRow:
         assert alone == [(n, {"exhaustive": by_kind["exhaustive"]}) for n, by_kind in got]
 
     def test_takes_the_curves_it_is_handed(self, computed):
-        # one curve per cell, in order, read from the stream as the row reaches
-        # it: the row and its DP compute none, and the curve after the row's
-        # stays in the stream for the next row
-        cells = [(40, [3, 1]), (24, [2])]
-        stream = channel.ack_curves(0.4, [(8, 40), (8, 24), (9, 30)])
-        got = list(sdo._row_entries(8, 0.4, cells, ["normal", "exhaustive"], stream))
+        # the row reads every cell's curve from the one stream it makes with
+        # the curve source it is handed, across k: given ack_curves, its
+        # cells' curves come from one table, and its entries are those of
+        # ack_curve's one-point route
+        cells = [(8, 40, [3, 1]), (8, 24, [2]), (9, 30, [4])]
+        got = list(sdo._row_entries(0.4, cells, ["normal", "exhaustive"], channel.ack_curves))
         assert computed == ([(8, 40, 0.4), (8, 24, 0.4), (9, 30, 0.4)], [3])
-        assert got == list(sdo._row_entries(8, 0.4, cells, ["normal", "exhaustive"]))
-        assert next(stream).tobytes() == ack_curve(CodeParams(9, 30, 0.4)).tobytes()
+        assert got == list(sdo._row_entries(0.4, cells, ["normal", "exhaustive"],
+                                            sdo._each_curve))
+
+    def test_cells_with_no_m_come_through_in_place(self, computed):
+        # a cell with no m is yielded in its place with no entries, and no
+        # curve is computed for it, not even for k > n
+        cells = [(8, 24, [2]), (30, 20, []), (9, 24, [1, 3]), (9, 9, [])]
+        kinds = ["lognormal", "exhaustive"]
+        got = list(sdo._row_entries(0.5, cells, kinds, channel.ack_curves))
+        assert computed == ([(8, 24, 0.5), (9, 24, 0.5)], [2])
+        assert [(k, n) for k, n, _ in got] == [(k, n) for k, n, _ in cells]
+        assert got[1][2] == got[3][2] == {"lognormal": {}, "exhaustive": {}}
+        for cell, entry in zip(cells[::2], got[::2]):
+            assert [entry] == list(sdo._row_entries(0.5, [cell], kinds, sdo._each_curve))
 
     def test_every_block_is_exactly_its_m_wide(self, monkeypatch):
         # each scoring block holds the candidates of one m, m slots wide: the
@@ -881,10 +919,11 @@ class TestSweepRow:
     def test_reports_are_the_plain_entries(self, k, cells, kinds):
         # optimize_row builds each report from _row_entries's tuple, and only
         # from it: the CLI's sweep rows read the tuples with no report built
-        entries = list(sdo._row_entries(k, 0.4, cells, kinds))
+        entries = list(sdo._row_entries(0.4, [(k, n, ms) for n, ms in cells], kinds,
+                                        sdo._each_curve))
         got = list(sdo.optimize_row(k, 0.4, cells, kinds))
-        assert [n for n, _ in got] == [n for n, _ in entries] == [n for n, _ in cells]
-        for (n, by_kind), (_, want) in zip(got, entries):
+        assert [n for n, _ in got] == [n for _, n, _ in entries] == [n for n, _ in cells]
+        for (n, by_kind), (_, _, want) in zip(got, entries):
             assert list(by_kind) == list(want) == kinds
             for kind, reports in by_kind.items():
                 assert reports.keys() == want[kind].keys()
@@ -933,14 +972,14 @@ class TestSweepRow:
 
     def test_unknown_kind_raises_before_any_cell_or_curve(self, computed):
         with pytest.raises(ValueError, match="got 'bogus'$"):
-            list(sdo._row_entries(8, 0.5, [(30, [1]), (24, [18])], ["exhaustive", "bogus"]))
+            list(sdo._row_entries(0.5, [(8, 30, [1]), (8, 24, [18])], ["exhaustive", "bogus"],
+                                  channel.ack_curves))
         assert computed == ([], [])
 
     def test_empty_row_yields_nothing(self, computed):
-        stream = channel.ack_curves(0.5, [(8, 24)])
         assert list(sdo.optimize_row(8, 0.5, [], ["normal", "exhaustive"])) == []
-        assert list(sdo._row_entries(8, 0.5, [], ["lognormal"], stream)) == []
-        assert computed == ([], [])  # the stream is not read
+        assert list(sdo._row_entries(0.5, [], ["lognormal"], channel.ack_curves)) == []
+        assert computed == ([], [])  # no curve is computed
 
     def test_long_sweep_traced_peak(self, computed, capsys):
         # the ACK tables of the curves computed together, the ACK rows of a

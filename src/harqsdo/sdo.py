@@ -130,77 +130,106 @@ def _reach(k: int, top: int, inner) -> int:
     return top - inner[0] + inner[-1] - 3
 
 
-def _tabulated(model, k: int, reach: int, held=()) -> list:
-    """(F(x), F'(x)) of model at each integer boundary x = k..reach, in a list.
+# Boundaries a model's F and F' table runs past the farthest one its rows are
+# known to step from: top at first, then each boundary a step reaches past it
+_TABLE_RUN = 32
+
+
+def _tabulate(model, k: int, end: int, table: list) -> None:
+    """Extend table, model's (F(x), F'(x)) at x = k, k + 1, ..., in place to x = end.
 
     Each pair is one model.cdf_pdf call, the scalar expressions of F and F'
-    kept there alone.  held, the same list to an earlier reach, is
-    extended, so no boundary is evaluated twice.
+    kept there alone; no boundary is evaluated twice.
     """
-    return [*held, *map(model.cdf_pdf, map(float, range(k + len(held), reach + 1)))]
+    table += map(model.cdf_pdf, map(float, range(k + len(table), end + 1)))
 
 
 def _trajectories(groups) -> np.ndarray:
     """The uncapped trajectories of every group, stepped together, slot-major.
 
-    A group is (k, top, inner, tables): inner is ascending, every m at least
-    2, and may be empty; tables[j] is _tabulated's table of model j from k
-    to _reach(k, top, inner) at least.  Its rows, model by model, are the
-    trajectories of model j from first boundaries k..top - min(inner) + 1
-    (inner's least m taken as 1 when empty), and the groups' rows follow
-    one another.  Column r of the result holds row r's trajectory, as far
-    as any (n, m), n <= top, m in inner, reads it, and +inf past its end;
-    the result is as tall as its longest row, at most max(inner) - 1 cells
-    and at least 1.  The trajectory is b_1 = n1, b_{i+1} = b_i + max(1,
-    ceil(r)) with r = (F(b_i) - F(b_{i-1})) / F'(b_i) and F(b_0) = 0,
-    ended (+inf) once r is infinite, an underflowed density included.  An
-    (n, m) schedule reads slots 1..m-1, slot i capped at n - (m - i): each
-    step is at least 1 and each cap grows by 1 per slot, so b_i - i never
-    falls, and once the last boundary reaches its cap every later slot
-    takes its cap.  So a row of s cells steps while s < max(inner) - 1 and
-    its last boundary b_s has b_s - s < top - min(inner); any m that reads
-    slot s + 1 caps it once b_s - s >= n - min(inner) >= n - m.  A smaller
-    n reads no more of a row than top does.  Every live row takes step s
-    at once, reading F and F' from the tables by a gather; a row leaves
-    the live set once it ends.  A step is a subtraction, a division, a
-    ceil and an addition, each exactly rounded, so every cell is the float
-    a scalar loop over the same table values gives.
+    A group is (k, top, inner, models, tables): inner is ascending, every m
+    at least 2, and may be empty; tables[j] is a list of model j's (F(x),
+    F'(x)) at x = k, k + 1, ..., which this extends in place as far as the
+    rows step, _TABLE_RUN boundaries past the farthest needed (top at
+    first) and never past _reach(k, top, inner).  The group's rows, model
+    by model, are the trajectories of model j from first boundaries
+    k..top - min(inner) + 1 (inner's least m taken as 1 when empty), and
+    the groups' rows follow one another.  Column r of the result holds row
+    r's trajectory, as far as any (n, m), n <= top, m in inner, reads it,
+    and +inf past its end; the result is as tall as its longest row, at
+    most max(inner) - 1 cells and at least 1.  The trajectory is b_1 = n1,
+    b_{i+1} = b_i + max(1, ceil(r)) with r = (F(b_i) - F(b_{i-1})) /
+    F'(b_i) and F(b_0) = 0, ended (+inf) once r is infinite, an underflowed
+    density included.  An (n, m) schedule reads slots 1..m-1, slot i capped
+    at n - (m - i): each step is at least 1 and each cap grows by 1 per
+    slot, so b_i - i never falls, and once the last boundary reaches its
+    cap every later slot takes its cap.  So a row of s cells steps while s
+    < max(inner) - 1 and its last boundary b_s has b_s - s < top -
+    min(inner); any m that reads slot s + 1 caps it once b_s - s >= n -
+    min(inner) >= n - m.  A smaller n reads no more of a row than top
+    does.  Every live row takes step s at once, reading F and F' by one
+    gather from a copy of the tables, where F is +inf wherever F' is 0 so
+    that r is +inf there; a row leaves the live set once it ends.  A step
+    is a subtraction, a division, a ceil and an addition, each exactly
+    rounded, so every cell is the float a scalar loop over the same F and
+    F' gives.
     """
-    rows = [(k, top - min(inner, default=1) + 2 - k, max(inner, default=2) - 1,
-             top - min(inner, default=0), table[: max(0, _reach(k, top, inner) + 1 - k)])
-            for k, top, inner, tables in groups for table in tables]
+    heads, counts, blocks, rows, size = [], [], [], 0, 0  # per (group, model)
+    for k, top, inner, models, tables in groups:
+        lo, hi = min(inner, default=1), max(inner, default=2)
+        reach = _reach(k, top, inner)
+        for model, table in zip(models, tables):
+            _tabulate(model, k, min(reach, top + _TABLE_RUN), table)
+            # row r has n1 = r + k - rows, rows those before its block, and its
+            # model's (F(x), F'(x)) is pairs[x + size - k], size the slots before
+            heads.append((k - rows, hi - 1, top - lo, size - k))
+            blocks.append((size, k, reach, model, table))
+            counts.append(top - lo + 2 - k)
+            rows += counts[-1]
+            size += max(0, reach + 1 - k)
     if not rows:
         return np.full((1, 0), np.inf)
-    ks, counts, widths, rooms, tables = zip(*rows)
-    seg = np.repeat(np.arange(len(rows)), counts)  # the (group, model) of each row
-    n1 = np.arange(len(seg)) - (np.cumsum(counts) - counts)[seg] + np.array(ks)[seg]
-    cur = n1.astype(float)
-    steps = [(slice(None), cur)]  # (the rows live at step s, their cells), s = 0, 1, ...
-    sizes = [len(table) for table in tables]
-    pairs = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(tables)),
-                        float, 2 * sum(sizes)).reshape(-1, 2)
-    off = (np.cumsum(sizes) - sizes - ks)[seg]  # (F(x), F'(x)) of a row's model is pairs[x + off]
-    at, width, room = np.arange(len(seg)), np.array(widths)[seg], np.array(rooms)[seg]
-    f_prev = np.zeros(len(seg))
+    # each block's slots hold its table, then NaN as far as its reach
+    pairs = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
+        itertools.chain(table[: reach + 1 - k],
+                        itertools.repeat((np.nan, np.nan), reach + 1 - k - len(table)))
+        for _, k, reach, _, table in blocks)), float, 2 * size).reshape(-1, 2)
+    pairs[pairs[:, 1] == 0.0, 0] = np.inf
+    # per row: n1 - r, then its width, room and table offset, compacted together
+    per_row = np.array(heads, float).repeat(counts, axis=0)
+    at = np.arange(rows)
+    cur, limits = per_row[:, 0] + at, per_row[:, 1:].T
+    steps = [(at, cur)]  # (the rows live at step s, their cells), s = 0, 1, ...
+    f_prev, widths = np.zeros(rows), {hi for _, hi, _, _ in heads}
     with np.errstate(over="ignore"):
         for s in range(1, max(widths)):
-            live = cur - s < room
-            if s in widths:  # the rows of some group are as long as any m reads
-                live &= width > s
-            if not live.all():
-                at, cur, f_prev, off, width, room = (
-                    a[live] for a in (at, cur, f_prev, off, width, room))
+            live = cur - s < limits[1]
+            if s in widths:  # the rows of some block are as long as any m reads
+                live &= limits[0] > s
+            if np.count_nonzero(live) < len(at):
+                at, cur, f_prev, limits = at[live], cur[live], f_prev[live], limits[:, live]
                 if not len(at):
                     break
-            index = cur.astype(np.intp)
-            index += off
+            index = (cur + limits[2]).astype(np.intp)
             f_cur, density = pairs[index].T
-            ratio = np.full(len(at), np.inf)
-            np.divide(f_cur - f_prev, density, out=ratio, where=density > 0.0)
+            if math.isnan(f_cur.sum()):  # some rows step past their tables: run those on
+                short = np.unique(index[np.isnan(f_cur)])
+                owner = np.searchsorted([base for base, *_ in blocks], short, "right") - 1
+                last = np.flatnonzero(np.diff(owner, append=-1))  # each block's farthest
+                for block, position in zip(owner[last].tolist(), short[last].tolist()):
+                    base, k, reach, model, table = blocks[block]
+                    known = len(table)
+                    _tabulate(model, k, min(reach, position - base + k + _TABLE_RUN), table)
+                    grown = pairs[base + known : base + len(table)]
+                    grown[:] = table[known:]
+                    grown[grown[:, 1] == 0.0, 0] = np.inf
+                f_cur, density = pairs[index].T
+            ratio = np.divide(f_cur - f_prev, density)
             cur = cur + np.maximum(np.ceil(ratio, out=ratio), 1.0, out=ratio)  # max(1, ceil(r))
             f_prev = f_cur
             steps.append((at, cur))
-    slots = np.full((len(steps), len(seg)), np.inf)
+    slots = np.empty((len(steps), rows))
+    slots.fill(np.inf)
     for s, (at, cells) in enumerate(steps):
         slots[s, at] = cells
     return slots
@@ -338,60 +367,61 @@ def _score_chunk(epsilon: float, chunk, kinds, held: dict) -> list:
     solved = [(k, n, {kind: {} for kind in kinds}) for k, n, _, _ in chunk]
     acks = np.empty(sum(n - k + 1 for k, n, ms, _ in chunk if ms))
     offsets, start = [], 0  # ack(t) of chunk[i] is acks[offsets[i] + t]
-    plan = {}  # k: (largest n, the m > 1) of its cells
+    plan = {}  # k: [largest n, the m > 1] of its cells
     for (k, n, ms, curve), (_, _, by_kind) in zip(chunk, solved):
         offsets.append(start - k)
         if not ms:
             continue
         acks[start : start + n - k + 1] = curve[k:]
         start += n - k + 1
+        inner = ms
         if ms[0] == 1:  # the one schedule (n): objective n, no terms added
             value = float(n)
             entry = (n,), value, k * float(curve[n]) / value
             for entries in by_kind.values():
                 entries[1] = entry
-        if "exhaustive" in by_kind and ms[-1] > 1:
-            by_kind["exhaustive"].update(
-                _exhaustive(CodeParams(k, n, epsilon), ms[1:] if ms[0] == 1 else ms, curve))
-        if ms[-1] > 1:
-            top, inner = plan.get(k, (n, set()))
-            plan[k] = max(top, n), inner.union(ms[1:] if ms[0] == 1 else ms)
+            inner = ms[1:]
+        if not inner:
+            continue
+        if "exhaustive" in by_kind:
+            by_kind["exhaustive"].update(_exhaustive(CodeParams(k, n, epsilon), inner, curve))
+        if k in plan:
+            plan[k][0] = max(plan[k][0], n)
+            plan[k][1].update(inner)
+        else:
+            plan[k] = [n, set(inner)]
     sdo_kinds = [kind for kind in kinds if kind != "exhaustive"]
-    # k's rows start at column first[k] of slots, per_model[k] of them per model
-    groups, first, per_model, kept = [], {}, {}, {}
+    # k's rows of model j start at column first[k] + j * per_model of slots
+    groups, first, kept, column = [], {}, {}, 0
     for k, (top, inner) in plan.items() if sdo_kinds else ():
         inner = tuple(sorted(inner))
-        models, tables = held.get(k) or (
+        # the model reads k and epsilon alone; _trajectories extends the tables
+        kept[k] = held.get(k) or (
             [CdfModel.for_params(CodeParams(k, k, epsilon), kind) for kind in sdo_kinds],
-            [()] * len(sdo_kinds))  # the model reads k and epsilon alone
-        reach = _reach(k, top, inner)
-        kept[k] = models, [_tabulated(model, k, reach, table)
-                           for model, table in zip(models, tables)]
-        first[k] = sum(per_model.values()) * len(sdo_kinds)
-        per_model[k] = top - inner[0] + 2 - k
-        groups.append((k, top, inner, kept[k][1]))
+            [[] for _ in sdo_kinds])
+        first[k] = column, top - inner[0] + 2 - k
+        column += len(sdo_kinds) * first[k][1]
+        groups.append((k, top, inner, *kept[k]))
     held.clear()
     held.update(kept)
     if not groups:
         return solved
     slots = _trajectories(groups)  # slots[i] holds slot i + 1 of every trajectory
-    # each cell's k, n, ACK offset, and the columns of slots its k's rows start at
-    cell_k, cell_n = np.array([(k, n) for k, n, _, _ in chunk]).T
-    cell_shift = np.array(offsets)
-    col = np.array([first.get(k, 0) for k, _, _, _ in chunk])
-    stride = np.array([per_model.get(k, 0) for k, _, _, _ in chunk])
-    for m in sorted({m for _, _, ms, _ in chunk for m in ms if m > 1}):
-        # the (model, cell) groups that ask for m, model by model
+    # column p = j * len(chunk) + i is model j on cell i: its k, n, n - k, ACK
+    # offset, and the column of slots that holds its trajectory from k
+    pairs = np.array([(k, n, n - k, shift, first[k][0] + j * first[k][1] if k in first else 0)
+                      for j in range(len(sdo_kinds))
+                      for (k, n, _, _), shift in zip(chunk, offsets)]).T.copy()
+    for m in sorted({m for _, inner in plan.values() for m in inner}):
+        # the pairs that ask for m, model by model
         cells = [i for i, (_, _, ms, _) in enumerate(chunk) if m in ms]
-        cell = np.array(cells * len(sdo_kinds))
-        model = np.arange(len(sdo_kinds)).repeat(len(cells))
-        ks, ns = cell_k[cell], cell_n[cell]
-        counts = ns - (ks + m - 2)
+        groups = [(j, i) for j in range(len(sdo_kinds)) for i in cells]
+        ks, ns, span, shift, column = pairs[:, [j * len(chunk) + i for j, i in groups]]
+        counts = span - (m - 2)
         starts = np.cumsum(counts) - counts
-        group_of = np.repeat(np.arange(len(cell)), counts)
+        group_of = np.repeat(np.arange(len(groups)), counts)
         # candidate p of group g has first boundary k + p - starts[g]: column p + origin[g] of slots
-        origin = col[cell] + model * stride[cell] - starts
-        shift = cell_shift[cell]
+        origin = column - starts
         lag = np.arange(1 - m, 1)  # i - m for slots 1..m
         read = min(m - 1, len(slots))
 
@@ -413,8 +443,8 @@ def _score_chunk(epsilon: float, chunk, kinds, held: dict) -> list:
         least = np.minimum.reduceat(totals, starts)
         hits = np.flatnonzero(totals == least[group_of])  # a group's first hit is its first minimum
         best = capped(hits[np.searchsorted(hits, starts)]).astype(np.intp).tolist()
-        for j, i, k, value, schedule, ack_n in zip(model.tolist(), cell.tolist(), ks.tolist(),
-                                                   least.tolist(), best, acks[shift + ns].tolist()):
+        for (j, i), k, value, schedule, ack_n in zip(groups, ks.tolist(), least.tolist(), best,
+                                                     acks[shift + ns].tolist()):
             solved[i][2][sdo_kinds[j]][m] = tuple(schedule), value, k * ack_n / value
     return solved
 

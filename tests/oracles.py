@@ -346,6 +346,17 @@ def trajectories_loop(models, n: int, ms: tuple[int, ...], lo: int, hi: int) -> 
 
 
 
+class CountedModel:
+    """A model that records every boundary its F and F' are evaluated at."""
+
+    def __init__(self, model):
+        self.model, self.at = model, []
+
+    def cdf_pdf(self, x):
+        self.at.append(x)
+        return self.model.cdf_pdf(x)
+
+
 def schedule_from_model(model, n: int, m: int, n1: int) -> tuple[int, ...]:
     """The m boundaries the package grows from a first boundary n1 <= n - m + 1.
 

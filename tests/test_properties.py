@@ -22,8 +22,8 @@ from harqsdo import (
     round_length_law,
     sdo,
 )
-from oracles import (rows_to_csv_loop, schedule_from_model, sdo_optimize, sdo_recursion,
-                     trajectories_loop)
+from oracles import (CountedModel, rows_to_csv_loop, schedule_from_model, sdo_optimize,
+                     sdo_recursion, trajectories_loop)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -111,16 +111,26 @@ def trajectory_groups(draw):
 @given(trajectory_groups())
 def test_trajectories_equal_the_loop_across_k(groups):
     # the stepped matrix of many k is the scalar loop's, group by group, bit
-    # for bit, each row padded with +inf to the tallest
-    tabled = [(k, top, ms, [sdo._tabulated(model, k, sdo._reach(k, top, ms)) for model in models])
-              for k, top, ms, models in groups]
-    got = sdo._trajectories(tabled)
+    # for bit, each row padded with +inf to the tallest.  Each table is its
+    # model's F and F' from k on, past the farthest boundary the loop steps
+    # from, by at most _TABLE_RUN past that or top, and no further than reach
+    tables = [[[] for _ in models] for _, _, _, models in groups]
+    got = sdo._trajectories([(k, top, ms, models, held)
+                             for (k, top, ms, models), held in zip(groups, tables)])
+    counted = [[CountedModel(model) for model in models] for _, _, _, models in groups]
     want = [trajectories_loop(models, top, ms, k, top - min(ms, default=1) + 1)
-            for k, top, ms, models in groups]
+            for (k, top, ms, _), models in zip(groups, counted)]
     assert len(got) == max(rows.shape[1] for rows in want)
     want = np.concatenate([np.pad(rows, ((0, 0), (0, len(got) - rows.shape[1])),
                                   constant_values=np.inf) for rows in want])
     assert got.T.tobytes() == want.tobytes()
+    for (k, top, ms, models), held, loops in zip(groups, tables, counted):
+        for model, table, loop in zip(models, held, loops):
+            assert table == [model.cdf_pdf(float(x)) for x in range(k, k + len(table))]
+            farthest = max(loop.at, default=k - 1)
+            end = k + len(table) - 1
+            assert farthest <= end <= min(sdo._reach(k, top, ms),
+                                          max(top, farthest) + sdo._TABLE_RUN)
 
 
 @st.composite

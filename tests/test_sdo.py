@@ -25,6 +25,7 @@ from harqsdo import channel, sdo
 from harqsdo.cli import main
 
 from oracles import (
+    CountedModel,
     dp_best_interior,
     enumerate_best_interior,
     gaussian_tail_quad,
@@ -260,8 +261,8 @@ TRAJECTORY_POINTS = [(1, 0.0, 9), (8, 0.99, 31), (32, 0.5, 88)]
 
 
 def _group(k, top, ms, models):
-    """A _trajectories group: each model tabulated from k to the group's reach."""
-    return k, top, ms, [sdo._tabulated(model, k, sdo._reach(k, top, ms)) for model in models]
+    """A _trajectories group whose tables are empty: the stepping fills them."""
+    return k, top, ms, models, [[] for _ in models]
 
 
 def _loop_rows(k, top, ms, models, height):
@@ -331,6 +332,31 @@ class TestTrajectories:
         evaluations.clear()
         assert list(sdo._row_entries(eps, cells, kinds, sdo._each_curve)) == first
         assert evaluations == before
+
+    @pytest.mark.parametrize("eps", [0.9, 0.99])
+    def test_tables_grow_as_far_as_the_rows_step(self, eps):
+        # rows of m far apart step past top + _TABLE_RUN here, at least the
+        # lognormal ones: their tables grow while they step, each time to
+        # _TABLE_RUN past the boundary a step needs (reach at most), and the
+        # rows still equal the loop's
+        grown = 0
+        for k, top, ms in [(32, 400, (2, 40, 300)), (8, 200, (2, 90)), (1, 200, (2, 300))]:
+            models = [CdfModel.for_params(CodeParams(k, k, eps), kind)
+                      for kind in ("normal", "lognormal")]
+            group = _group(k, top, ms, models)
+            got = sdo._trajectories([group])
+            for model, table in zip(models, group[4]):
+                loop = CountedModel(model)
+                want = _loop_rows(k, top, ms, [loop], len(got))
+                rows = got[:, : len(want)].T
+                got = got[:, len(want):]
+                assert rows.tobytes() == want.tobytes()
+                end, farthest = k + len(table) - 1, max(loop.at)
+                assert table == [model.cdf_pdf(float(x)) for x in range(k, end + 1)]
+                assert farthest <= end <= min(sdo._reach(k, top, ms),
+                                              max(top, farthest) + sdo._TABLE_RUN)
+                grown += end > top + sdo._TABLE_RUN
+        assert grown >= 2
 
     @pytest.mark.parametrize("ms", [(2, 40, 300), (2, 90)], ids=["m2-40-300", "m2-90"])
     def test_capped_rows_match_the_oracle_with_m_far_apart(self, ms):

@@ -8,20 +8,24 @@ scored with the exact discrete objective, so the smooth model only ever
 decides where the interior boundaries land.  An exact dynamic program over
 (slot, boundary) provides the ground-truth optimum SDO is measured against.
 
-A sweep row, every (n, m) of one (k, epsilon), is solved in one pass by
-_row_entries, for each SDO model and for the dynamic program,
+Every (k, n, m) cell of a command, at one epsilon, is solved in one pass
+by _row_entries, for each SDO model and for the dynamic program,
 "exhaustive"; its winners are plain (boundaries, objective, throughput)
-entries, which optimize_row turns into reports and the CLI into rows.  The
-row steps each model's trajectories once, from every first boundary, with
-F and F' evaluated once per boundary.  _score_chunk stacks the candidates
-of one m at a time, over every model and n that asks for it, in blocks
-exactly m wide, gathered from one slot-major copy of the trajectories and
-scored by channel.objective, the package's one telescoped sum.  A block of
-at least m candidates is slot-major in memory too, so that sum adds
-contiguous slots; a candidate's float depends on neither its block nor
-its layout.  The dynamic program fills its tails once per design point, as
-deep as the largest m, and backtracks each m from them.  Nothing is kept
-between calls: optimize and exhaustive_search are the row's one-cell cases.
+entries, which optimize_row turns into reports (one k) and the CLI into
+rows (every k).  The cells are read lazily and solved a chunk at a time,
+and a chunk may span k.  F and F' of each (k, model) are tabulated at the
+integer boundaries from k, by the scalar cdf_pdf, each boundary once, as
+far as the rows step; every trajectory of the chunk, over all its k and
+models, then steps together in numpy, by exactly rounded operations, and
+rows leave the live set as they end.  _score_chunk stacks the candidates
+of one m at a time, over every (model, k, n) that asks for it, in blocks
+exactly m wide, gathered from the slot-major trajectories and scored by
+channel.objective, the package's one telescoped sum.  A block of at least
+m candidates is slot-major in memory too, so that sum adds contiguous
+slots; a candidate's float depends on neither its block nor its layout.
+The dynamic program fills its tails once per design point, as deep as the
+largest m, and backtracks each m from them.  Nothing is kept between
+calls: optimize and exhaustive_search are one-cell cases.
 """
 
 from __future__ import annotations
@@ -300,14 +304,15 @@ def _row_entries(epsilon: float, cells, kinds, curves):
     from these entries directly, with no report or Schedule per cell.
     cells may hold many k, in any order, and is read lazily; a cell whose
     ms is empty is yielded in its place with no entries, and nothing is
-    computed for it.  curves(epsilon, points) yields the ACK curve of each
-    (k, n) of points in order, as ack_curves does: it reads the other
-    cells, each checked as it is read, and every kind is checked before
-    any cell.  m = 1 has one schedule, (n), of objective n, entered for
-    every kind.  A chunk is a run of cells whose ACK values at k..n fit one
-    table of at most _BLOCK_CELLS cells (one cell at least), and may span
-    k; the dynamic program runs on each curve as its cell joins the chunk,
-    and _score_chunk solves the SDO models of every k of the chunk
+    computed for it.  curves(epsilon, points), ack_curves or _each_curve,
+    yields the ACK curve of each (k, n) of points in order; points are the
+    cells with an m, read as curves asks for them, so the cells are read no
+    further ahead than its chunks reach.  Each cell is checked as it is
+    read, and every kind before any cell.  m = 1 has one schedule, (n), of
+    objective n, entered for every kind.  A chunk is a run of cells whose
+    ACK values at k..n fit one table of at most _BLOCK_CELLS cells (one
+    cell at least), and may span k; _score_chunk runs the dynamic program
+    on each cell's curve and solves the SDO models of every k of the chunk
     together.  Each k's models and their F and F' tables are held while
     its cells run on from chunk to chunk, so each boundary is evaluated
     once per (k, model) there; a k with no m > 1 in a chunk builds no
@@ -347,8 +352,8 @@ def _score_chunk(epsilon: float, chunk, kinds, held: dict) -> list:
     maps each k of the chunk before to its models and their F and F'
     tables, and is left holding this chunk's.  Each k with an m > 1 is one
     group of _trajectories, up to its largest n, largest m and smallest m
-    in the chunk, with tables extended to that reach, and every group
-    steps together.  The candidates of one m at a time are stacked, model
+    in the chunk, and every group steps together, its tables extended as
+    far as its rows step.  The candidates of one m at a time are stacked, model
     by model, cell by cell: first boundaries k..n-m+1 of each (model, k, n)
     group that asks for m.  Slot i < m of a candidate is min(b_i, n - (m -
     i)) over its trajectory b, and slot m is n, so every block
@@ -391,32 +396,32 @@ def _score_chunk(epsilon: float, chunk, kinds, held: dict) -> list:
         else:
             plan[k] = [n, set(inner)]
     sdo_kinds = [kind for kind in kinds if kind != "exhaustive"]
-    # k's rows of model j start at column first[k] + j * per_model of slots
-    groups, first, kept, column = [], {}, {}, 0
+    # k's rows of model j start at column first[k][0] + j * first[k][1] of slots
+    groups, first, kept, columns = [], {}, {}, 0
     for k, (top, inner) in plan.items() if sdo_kinds else ():
         inner = tuple(sorted(inner))
         # the model reads k and epsilon alone; _trajectories extends the tables
         kept[k] = held.get(k) or (
             [CdfModel.for_params(CodeParams(k, k, epsilon), kind) for kind in sdo_kinds],
             [[] for _ in sdo_kinds])
-        first[k] = column, top - inner[0] + 2 - k
-        column += len(sdo_kinds) * first[k][1]
+        first[k] = columns, top - inner[0] + 2 - k
+        columns += len(sdo_kinds) * first[k][1]
         groups.append((k, top, inner, *kept[k]))
     held.clear()
     held.update(kept)
     if not groups:
         return solved
     slots = _trajectories(groups)  # slots[i] holds slot i + 1 of every trajectory
-    # column p = j * len(chunk) + i is model j on cell i: its k, n, n - k, ACK
+    # column j * len(chunk) + i is model j on cell i: its k, n, n - k, ACK
     # offset, and the column of slots that holds its trajectory from k
-    pairs = np.array([(k, n, n - k, shift, first[k][0] + j * first[k][1] if k in first else 0)
-                      for j in range(len(sdo_kinds))
-                      for (k, n, _, _), shift in zip(chunk, offsets)]).T.copy()
+    info = np.array([(k, n, n - k, shift, first[k][0] + j * first[k][1] if k in first else 0)
+                     for j in range(len(sdo_kinds))
+                     for (k, n, _, _), shift in zip(chunk, offsets)]).T.copy()
     for m in sorted({m for _, inner in plan.values() for m in inner}):
-        # the pairs that ask for m, model by model
+        # the (model, cell) groups that ask for m, model by model
         cells = [i for i, (_, _, ms, _) in enumerate(chunk) if m in ms]
         groups = [(j, i) for j in range(len(sdo_kinds)) for i in cells]
-        ks, ns, span, shift, column = pairs[:, [j * len(chunk) + i for j, i in groups]]
+        ks, ns, span, shift, column = info[:, [j * len(chunk) + i for j, i in groups]]
         counts = span - (m - 2)
         starts = np.cumsum(counts) - counts
         group_of = np.repeat(np.arange(len(groups)), counts)

@@ -90,18 +90,31 @@ class CdfModel:
     def sigma_star(self) -> float:
         return math.sqrt(self.sigma2_star)
 
+    def cdf_pdf_at(self, xs) -> list[tuple[float, float]]:
+        """(F(x), F'(x)) for each x of xs, each pair from one z.
+
+        F is 1 - Q(z) and F' is -Q'(z) / scale, with Q(z) = erfc(z / sqrt(2))
+        / 2 the standard normal tail: z = (x - mu) / sigma and scale sigma
+        for the normal model, z = (log x - mu*) / sigma* and scale x sigma*
+        for the log-normal one, whose F and F' are 0 at x <= 0.  These
+        scalar math expressions are the one definition of F and F':
+        cdf_pdf, cdf and pdf are their one-point cases, and the SDO
+        trajectories tabulate them here, a run of boundaries at a time.
+        """
+        erfc, exp = math.erfc, math.exp
+        if self.kind == "normal":
+            mu, sigma = self.mu, self.sigma
+            zs = [((x - mu) / sigma, sigma) for x in xs]
+        else:
+            log, mu, sigma = math.log, self.mu_star, self.sigma_star
+            zs = [((log(x) - mu) / sigma, x * sigma) if x > 0.0 else (None, 0.0) for x in xs]
+        return [(0.0, 0.0) if z is None else
+                (1.0 - 0.5 * erfc(z / _SQRT2), _INV_SQRT_2PI * exp(-0.5 * z * z) / scale)
+                for z, scale in zs]
+
     def cdf_pdf(self, x: float) -> tuple[float, float]:
         """(F(x), F'(x)) from one z, with cdf's and pdf's expressions bit for bit."""
-        if self.kind == "normal":
-            z = (x - self.mu) / self.sigma
-            scale = self.sigma
-        elif x <= 0.0:
-            return 0.0, 0.0
-        else:
-            z = (math.log(x) - self.mu_star) / self.sigma_star
-            scale = x * self.sigma_star
-        # 1 - Q(z) and -Q'(z) / scale, with Q(z) = erfc(z / sqrt(2)) / 2 the standard normal tail
-        return 1.0 - 0.5 * math.erfc(z / _SQRT2), _INV_SQRT_2PI * math.exp(-0.5 * z * z) / scale
+        return self.cdf_pdf_at((x,))[0]
 
     def cdf(self, x: float) -> float:
         return self.cdf_pdf(x)[0]
@@ -122,7 +135,7 @@ class OptimizerReport:
 
 
 def _reach(k: int, top: int, inner) -> int:
-    """The farthest boundary any step of _trajectories evaluates, k - 1 if none.
+    """The farthest boundary any step of _trajectories can evaluate, k - 1 if none.
 
     A row steps from its cell s, at boundary b_s, only while s < max(inner) - 1
     and b_s - s < top - min(inner); b_s is an integer, so
@@ -142,10 +155,10 @@ _TABLE_RUN = 32
 def _tabulate(model, k: int, end: int, table: list) -> None:
     """Extend table, model's (F(x), F'(x)) at x = k, k + 1, ..., in place to x = end.
 
-    Each pair is one model.cdf_pdf call, the scalar expressions of F and F'
-    kept there alone; no boundary is evaluated twice.
+    The pairs come from model.cdf_pdf_at, the one definition of F and F';
+    no boundary is evaluated twice.
     """
-    table += map(model.cdf_pdf, map(float, range(k + len(table), end + 1)))
+    table += model.cdf_pdf_at(map(float, range(k + len(table), end + 1)))
 
 
 def _trajectories(groups) -> np.ndarray:
@@ -185,14 +198,13 @@ def _trajectories(groups) -> np.ndarray:
         for model, table in zip(models, tables):
             _tabulate(model, k, min(reach, top + _TABLE_RUN), table)
             # row r has n1 = r + k - rows, rows those before its block, and its
-            # model's (F(x), F'(x)) is pairs[x + size - k], size the slots before
+            # model's (F(x), F'(x)) is pairs[x + size - k], size the table
+            # slots before its block
             heads.append((k - rows, hi - 1, top - lo, size - k))
             blocks.append((size, k, reach, model, table))
             counts.append(top - lo + 2 - k)
             rows += counts[-1]
             size += max(0, reach + 1 - k)
-    if not rows:
-        return np.full((1, 0), np.inf)
     # each block's slots hold its table, then NaN as far as its reach
     pairs = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
         itertools.chain(table[: reach + 1 - k],

@@ -117,7 +117,7 @@ def _oracle(model, n, m, n1):
 
 
 class _FlatModel:
-    """A flat CDF, with the cdf_pdf the package's trajectories step through."""
+    """A flat CDF, with the cdf_pdf the oracle loop steps through."""
 
     def cdf(self, x):
         return 0.5
@@ -312,9 +312,14 @@ class TestTrajectories:
         eps, kinds = 0.4, ("normal", "lognormal")
         mu = {CdfModel.for_params(CodeParams(k, k, eps), "normal").mu: k for k in (1, 3, 8, 17)}
         evaluations, built = [], []
-        cdf_pdf, post_init = CdfModel.cdf_pdf, CdfModel.__post_init__
-        monkeypatch.setattr(CdfModel, "cdf_pdf", lambda model, x: (
-            evaluations.append((model.kind, model.mu, x)) or cdf_pdf(model, x)))
+        cdf_pdf_at, post_init = CdfModel.cdf_pdf_at, CdfModel.__post_init__
+
+        def counted(model, xs):
+            xs = list(xs)
+            evaluations.extend((model.kind, model.mu, x) for x in xs)
+            return cdf_pdf_at(model, xs)
+
+        monkeypatch.setattr(CdfModel, "cdf_pdf_at", counted)
         monkeypatch.setattr(CdfModel, "__post_init__",
                             lambda model: built.append(model.kind) or post_init(model))
         # chunks of 45 ACK values: k = 8's cells take one chunk each, each
@@ -379,9 +384,9 @@ class TestTrajectories:
 
     def test_no_m_reads_past_the_first_boundary(self, monkeypatch):
         evaluations = []
-        cdf_pdf = CdfModel.cdf_pdf
-        monkeypatch.setattr(CdfModel, "cdf_pdf",
-                            lambda model, x: evaluations.append(x) or cdf_pdf(model, x))
+        cdf_pdf_at = CdfModel.cdf_pdf_at
+        monkeypatch.setattr(CdfModel, "cdf_pdf_at", lambda model, xs: (
+            evaluations.extend(xs := list(xs)) or cdf_pdf_at(model, xs)))
         model = CdfModel.for_params(FIG1_PARAMS, "normal")
         for ms in ((), (2,)):
             got = sdo._trajectories([_group(32, 88, ms, [model])])
@@ -500,11 +505,12 @@ class TestSharedTrajectories:
         # sweep-n-fig2 grew 44,594 steps when every (n, m, n1) regrew its
         # schedule and 484 with shared rows; sweep-k-es has no (n, m) to
         # share and takes 1,168 steps.  F is evaluated once per boundary and
-        # model, at 172 and 529 boundaries, by one cdf_pdf call each.
+        # model: tabulated from k on, at 184 and 540 boundaries, against the
+        # 172 and 529 the rows step from
         evaluations = []
-        cdf_pdf = CdfModel.cdf_pdf
-        monkeypatch.setattr(CdfModel, "cdf_pdf",
-                            lambda model, x: evaluations.append(x) or cdf_pdf(model, x))
+        cdf_pdf_at = CdfModel.cdf_pdf_at
+        monkeypatch.setattr(CdfModel, "cdf_pdf_at", lambda model, xs: (
+            evaluations.extend(xs := list(xs)) or cdf_pdf_at(model, xs)))
         for argv, limit in [("sweep-n --k 32 --n 66:120:2 --m 1:8 --model all", 200),
                             ("sweep-k --k 24:40:4 --n 88 --m 5 --model all", 600)]:
             evaluations.clear()

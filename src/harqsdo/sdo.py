@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -90,8 +89,8 @@ class CdfModel:
     def sigma_star(self) -> float:
         return math.sqrt(self.sigma2_star)
 
-    def cdf_pdf_at(self, xs) -> list[tuple[float, float]]:
-        """(F(x), F'(x)) for each x of xs, each pair from one z.
+    def cdf_pdf_at(self, xs) -> tuple[list[float], list[float]]:
+        """F(x) and F'(x) for each x of xs, as two lists, each pair from one z.
 
         F is 1 - Q(z) and F' is -Q'(z) / scale, with Q(z) = erfc(z / sqrt(2))
         / 2 the standard normal tail: z = (x - mu) / sigma and scale sigma
@@ -108,13 +107,14 @@ class CdfModel:
         else:
             log, mu, sigma = math.log, self.mu_star, self.sigma_star
             zs = [((log(x) - mu) / sigma, x * sigma) if x > 0.0 else (None, 0.0) for x in xs]
-        return [(0.0, 0.0) if z is None else
-                (1.0 - 0.5 * erfc(z / _SQRT2), _INV_SQRT_2PI * exp(-0.5 * z * z) / scale)
-                for z, scale in zs]
+        return ([0.0 if z is None else 1.0 - 0.5 * erfc(z / _SQRT2) for z, _ in zs],
+                [0.0 if z is None else _INV_SQRT_2PI * exp(-0.5 * z * z) / scale
+                 for z, scale in zs])
 
     def cdf_pdf(self, x: float) -> tuple[float, float]:
         """(F(x), F'(x)) from one z, with cdf's and pdf's expressions bit for bit."""
-        return self.cdf_pdf_at((x,))[0]
+        [f], [density] = self.cdf_pdf_at((x,))
+        return f, density
 
     def cdf(self, x: float) -> float:
         return self.cdf_pdf(x)[0]
@@ -153,20 +153,22 @@ _TABLE_RUN = 32
 
 
 def _tabulate(model, k: int, end: int, table: list) -> None:
-    """Extend table, model's (F(x), F'(x)) at x = k, k + 1, ..., in place to x = end.
+    """Extend table, model's F(x) and F'(x) at x = k, k + 1, ..., in place to x = end.
 
-    The pairs come from model.cdf_pdf_at, the one definition of F and F';
-    no boundary is evaluated twice.
+    table is two lists, F's values and F''s, from model.cdf_pdf_at, the one
+    definition of F and F'; no boundary is evaluated twice.
     """
-    table += model.cdf_pdf_at(map(float, range(k + len(table), end + 1)))
+    fs, densities = model.cdf_pdf_at(map(float, range(k + len(table[0]), end + 1)))
+    table[0].extend(fs)
+    table[1].extend(densities)
 
 
 def _trajectories(groups) -> np.ndarray:
     """The uncapped trajectories of every group, stepped together, slot-major.
 
     A group is (k, top, inner, models, tables): inner is ascending, every m
-    at least 2, and may be empty; tables[j] is a list of model j's (F(x),
-    F'(x)) at x = k, k + 1, ..., which this extends in place as far as the
+    at least 2, and may be empty; tables[j] is model j's F(x) and F'(x) at
+    x = k, k + 1, ..., two lists, which this extends in place as far as the
     rows step, _TABLE_RUN boundaries past the farthest needed (top at
     first) and never past _reach(k, top, inner).  The group's rows, model
     by model, are the trajectories of model j from first boundaries
@@ -198,19 +200,21 @@ def _trajectories(groups) -> np.ndarray:
         for model, table in zip(models, tables):
             _tabulate(model, k, min(reach, top + _TABLE_RUN), table)
             # row r has n1 = r + k - rows, rows those before its block, and its
-            # model's (F(x), F'(x)) is pairs[x + size - k], size the table
-            # slots before its block
+            # model's F(x) and F'(x) are pairs[:, x + size - k], size the
+            # table slots before its block
             heads.append((k - rows, hi - 1, top - lo, size - k))
             blocks.append((size, k, reach, model, table))
             counts.append(top - lo + 2 - k)
             rows += counts[-1]
             size += max(0, reach + 1 - k)
     # each block's slots hold its table, then NaN as far as its reach
-    pairs = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
-        itertools.chain(table[: reach + 1 - k],
-                        itertools.repeat((np.nan, np.nan), reach + 1 - k - len(table)))
-        for _, k, reach, _, table in blocks)), float, 2 * size).reshape(-1, 2)
-    pairs[pairs[:, 1] == 0.0, 0] = np.inf
+    values = [], []
+    for _, k, reach, _, table in blocks:
+        for column, known in zip(values, table):
+            column += known[: reach + 1 - k]
+            column += [np.nan] * (reach + 1 - k - len(known))
+    pairs = np.array(values)
+    pairs[0, pairs[1] == 0.0] = np.inf
     # per row: n1 - r, then its width, room and table offset, compacted together
     per_row = np.array(heads, float).repeat(counts, axis=0)
     at = np.arange(rows)
@@ -227,19 +231,19 @@ def _trajectories(groups) -> np.ndarray:
                 if not len(at):
                     break
             index = (cur + limits[2]).astype(np.intp)
-            f_cur, density = pairs[index].T
+            f_cur, density = pairs[:, index]
             if math.isnan(f_cur.sum()):  # some rows step past their tables: run those on
                 short = np.unique(index[np.isnan(f_cur)])
                 owner = np.searchsorted([base for base, *_ in blocks], short, "right") - 1
                 last = np.flatnonzero(np.diff(owner, append=-1))  # each block's farthest
                 for block, position in zip(owner[last].tolist(), short[last].tolist()):
                     base, k, reach, model, table = blocks[block]
-                    known = len(table)
+                    known = len(table[0])
                     _tabulate(model, k, min(reach, position - base + k + _TABLE_RUN), table)
-                    grown = pairs[base + known : base + len(table)]
-                    grown[:] = table[known:]
-                    grown[grown[:, 1] == 0.0, 0] = np.inf
-                f_cur, density = pairs[index].T
+                    grown = pairs[:, base + known : base + len(table[0])]
+                    grown[:] = [column[known:] for column in table]
+                    grown[0, grown[1] == 0.0] = np.inf
+                f_cur, density = pairs[:, index]
             ratio = np.divide(f_cur - f_prev, density)
             cur = cur + np.maximum(np.ceil(ratio, out=ratio), 1.0, out=ratio)  # max(1, ceil(r))
             f_prev = f_cur
@@ -415,7 +419,7 @@ def _score_chunk(epsilon: float, chunk, kinds, held: dict) -> list:
         # the model reads k and epsilon alone; _trajectories extends the tables
         kept[k] = held.get(k) or (
             [CdfModel.for_params(CodeParams(k, k, epsilon), kind) for kind in sdo_kinds],
-            [[] for _ in sdo_kinds])
+            [([], []) for _ in sdo_kinds])
         first[k] = columns, top - inner[0] + 2 - k
         columns += len(sdo_kinds) * first[k][1]
         groups.append((k, top, inner, *kept[k]))

@@ -114,7 +114,7 @@ def test_trajectories_equal_the_loop_across_k(groups):
     # for bit, each row padded with +inf to the tallest.  Each table is its
     # model's F and F' from k on, past the farthest boundary the loop steps
     # from, by at most _TABLE_RUN past that or top, and no further than reach
-    tables = [[[] for _ in models] for _, _, _, models in groups]
+    tables = [[([], []) for _ in models] for _, _, _, models in groups]
     got = sdo._trajectories([(k, top, ms, models, held)
                              for (k, top, ms, models), held in zip(groups, tables)])
     counted = [[CountedModel(model) for model in models] for _, _, _, models in groups]
@@ -126,9 +126,9 @@ def test_trajectories_equal_the_loop_across_k(groups):
     assert got.T.tobytes() == want.tobytes()
     for (k, top, ms, models), held, loops in zip(groups, tables, counted):
         for model, table, loop in zip(models, held, loops):
-            assert table == [model.cdf_pdf(float(x)) for x in range(k, k + len(table))]
+            end = k + len(table[0]) - 1
+            assert list(zip(*table)) == [model.cdf_pdf(float(x)) for x in range(k, end + 1)]
             farthest = max(loop.at, default=k - 1)
-            end = k + len(table) - 1
             assert farthest <= end <= min(sdo._reach(k, top, ms),
                                           max(top, farthest) + sdo._TABLE_RUN)
 

@@ -262,7 +262,7 @@ TRAJECTORY_POINTS = [(1, 0.0, 9), (8, 0.99, 31), (32, 0.5, 88)]
 
 def _group(k, top, ms, models):
     """A _trajectories group whose tables are empty: the stepping fills them."""
-    return k, top, ms, models, [[] for _ in models]
+    return k, top, ms, models, [([], []) for _ in models]
 
 
 def _loop_rows(k, top, ms, models, height):
@@ -356,8 +356,8 @@ class TestTrajectories:
                 rows = got[:, : len(want)].T
                 got = got[:, len(want):]
                 assert rows.tobytes() == want.tobytes()
-                end, farthest = k + len(table) - 1, max(loop.at)
-                assert table == [model.cdf_pdf(float(x)) for x in range(k, end + 1)]
+                end, farthest = k + len(table[0]) - 1, max(loop.at)
+                assert list(zip(*table)) == [model.cdf_pdf(float(x)) for x in range(k, end + 1)]
                 assert farthest <= end <= min(sdo._reach(k, top, ms),
                                               max(top, farthest) + sdo._TABLE_RUN)
                 grown += end > top + sdo._TABLE_RUN

@@ -11,9 +11,10 @@ each run's stdout, the detail record and the result object (perfbench/
 README.md); a run that exits nonzero, or prints no result, is recorded as
 correct: false with no metrics.  The file holds the machine (from the first
 detail record), each run's gated metrics (the end_to_end names of head's
-BENCHMARK.json), each side's median and quartiles per metric, and per
-metric the number of seeds on which head did better than base, with the
-median ratio head / base.  It imports nothing from harqsdo.
+BENCHMARK.json) and raw wall-time spread, each side's median and quartiles
+per metric, and per metric the number of seeds on which head did better
+than base, with the median ratio head / base.  It imports nothing from
+harqsdo.
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ def main(argv=None) -> int:
                 run[side] = {"correct": done["correct"],
                              "metrics": {name: done["metrics"][name]
                                          for name in gated if name in done["metrics"]},
+                             "wall_s": done["detail"].get("wall_s"),
                              "loadavg": [done["detail"].get("loadavg_start"),
                                          done["detail"].get("loadavg_end")]}
                 if "error" in done:

@@ -15,6 +15,7 @@ from harqsdo import (
     CodeParams,
     Schedule,
     ack_curve,
+    ack_curves,
     cli,
     exhaustive_search,
     expected_round_symbols,
@@ -131,6 +132,44 @@ def test_trajectories_equal_the_loop_across_k(groups):
             farthest = max(loop.at, default=k - 1)
             assert farthest <= end <= min(sdo._reach(k, top, ms),
                                           max(top, farthest) + sdo._TABLE_RUN)
+
+
+@st.composite
+def cross_k_cells(draw):
+    """eps and a few (k, n, ms) cells of up to three k, as _row_entries takes them.
+
+    A k comes back, next to itself or after another k, with a larger or a
+    smaller reach; an ms may be empty, hold 1, or hold an m twice.
+    """
+    eps = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]))
+    ks = draw(st.lists(st.integers(1, 16), min_size=1, max_size=3))
+    cells = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.sampled_from(ks))
+        n = draw(st.integers(k, k + 24))
+        ms = draw(st.lists(st.integers(1, min(8, n - k + 1)), max_size=4))
+        cells.append((k, n, ms))
+    return eps, cells
+
+
+@pytest.mark.parametrize("block_cells", [7, None], ids=["7-cell-chunks", "default-chunks"])
+def test_cross_k_entries_equal_each_cell_alone(block_cells):
+    # cells of many k solved together, chunk by chunk, with a k's models and
+    # tables held across chunks, give each cell the entries it gets alone
+    @settings(SETTINGS, max_examples=40)
+    @given(cross_k_cells())
+    def check(row):
+        eps, cells = row
+        kinds = ["normal", "exhaustive", "lognormal"]
+        with pytest.MonkeyPatch.context() as mp:
+            if block_cells is not None:
+                mp.setattr(sdo, "_BLOCK_CELLS", block_cells)
+            got = list(sdo._row_entries(eps, cells, kinds, ack_curves))
+        assert [(k, n) for k, n, _ in got] == [(k, n) for k, n, _ in cells]
+        for cell, entry in zip(cells, got):
+            assert [entry] == list(sdo._row_entries(eps, [cell], kinds, sdo._each_curve)), cell
+
+    check()
 
 
 @st.composite

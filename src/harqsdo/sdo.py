@@ -14,8 +14,8 @@ by _row_entries, for each SDO model and for the dynamic program,
 entries, which optimize_row turns into reports (one k) and the CLI into
 rows (every k).  The cells are read lazily and solved a chunk at a time,
 and a chunk may span k.  F and F' of each (k, model) are tabulated at the
-integer boundaries from k, by the scalar cdf_pdf, each boundary once, as
-far as the rows step; every trajectory of the chunk, over all its k and
+integer boundaries from k, by CdfModel.cdf_pdf_at, each boundary once,
+as far as the rows step; every trajectory of the chunk, over all its k and
 models, then steps together in numpy, by exactly rounded operations, and
 rows leave the live set as they end.  _score_chunk stacks the candidates
 of one m at a time, over every (model, k, n) that asks for it, in blocks
@@ -152,11 +152,11 @@ def _reach(k: int, top: int, inner) -> int:
 _TABLE_RUN = 32
 
 
-def _tabulate(model, k: int, end: int, table: list) -> None:
+def _tabulate(model, k: int, end: int, table: tuple[list, list]) -> None:
     """Extend table, model's F(x) and F'(x) at x = k, k + 1, ..., in place to x = end.
 
-    table is two lists, F's values and F''s, from model.cdf_pdf_at, the one
-    definition of F and F'; no boundary is evaluated twice.
+    table holds two lists, the values of F and of F', from model.cdf_pdf_at,
+    the one definition of F and F'; no boundary is evaluated twice.
     """
     fs, densities = model.cdf_pdf_at(map(float, range(k + len(table[0]), end + 1)))
     table[0].extend(fs)

@@ -200,15 +200,15 @@ def _design_rows(cfg: RunConfig, methods: list[str], *, best_only: bool = False,
     pass, reading the cells lazily, each (k, n, m) checked for a schedule
     once: its chunks span k, its SDO models step every k of a chunk
     together, and es solves each n for all its m in one backward pass.
-    The ACK curves of every (k, n) share eps, so one ack_curves stream
-    computes them together, a chunk at a time, as the solver reads its
-    cells.  A row is a plain record, DESIGN_FIELDS in order, built straight
-    from a plain entry, so its schedule is a boundaries tuple; no report
-    and no dict is built.  A cell has one record per method, or with
-    best_only the record of the first method of highest throughput; an n
-    or m given twice gives its records twice.  Where no schedule fits, a
-    cell has one skipped record, its method "skipped" and its last three
-    fields None, or with skip False the solver raises.
+    The ACK curves of every (k, n) share eps, so ack_curves computes the
+    curves of each chunk together.  A row is a plain record, DESIGN_FIELDS
+    in order, built straight from a plain entry, so its schedule is a
+    boundaries tuple; no report and no dict is built.  A cell has one
+    record per method, or with best_only the record of the first method of
+    highest throughput; an n or m given twice gives its records twice.
+    Where no schedule fits, a cell has one skipped record, its method
+    "skipped" and its last three fields None, or with skip False the
+    solver raises.
     """
     eps = cfg.scalar("epsilon")
     _check_epsilon(eps)

@@ -30,7 +30,6 @@ calls: optimize and exhaustive_search are one-cell cases.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -306,8 +305,7 @@ def optimize_row(k: int, epsilon: float, cells, kinds):
 
 
 def _each_curve(epsilon: float, points):
-    """ack_curve's cached curve of each (k, n) of points, in order, every point read first."""
-    points = list(points)
+    """ack_curve's cached curve of each (k, n) of points, in order."""
     return (ack_curve(CodeParams(k, n, epsilon)) for k, n in points)
 
 
@@ -318,18 +316,18 @@ def _row_entries(epsilon: float, cells, kinds, curves):
     exact objective and its throughput k ACK(n) / objective, both Python
     floats, as throughput() computes them.  The CLI's sweep rows are built
     from these entries directly, with no report or Schedule per cell.
-    cells may hold many k, in any order, and is read lazily; a cell whose
-    ms is empty is yielded in its place with no entries, and nothing is
-    computed for it.  curves(epsilon, points), ack_curves or _each_curve,
-    yields the ACK curve of each (k, n) of points in order; points are the
-    cells with an m, read as curves asks for them, so the cells are read no
-    further ahead than its chunks reach.  Each cell is checked as it is
-    read, and every kind before any cell.  m = 1 has one schedule, (n), of
-    objective n, entered for every kind.  A chunk is a run of cells whose
-    ACK values at k..n fit one table of at most _BLOCK_CELLS cells (one
-    cell at least), and may span k; _score_chunk runs the dynamic program
-    on each cell's curve and solves the SDO models of every k of the chunk
-    together.  Each k's models and their F and F' tables are held while
+    cells may hold many k, in any order, and is read lazily, one cell past
+    the chunk being solved; a cell whose ms is empty is yielded in its
+    place with no entries, and nothing is computed for it.  Each cell is
+    checked as it is read, and every kind before any cell.  m = 1 has one
+    schedule, (n), of objective n, entered for every kind.  A chunk is a
+    run of cells whose ACK values at k..n fit one table of at most
+    _BLOCK_CELLS cells (one cell at least; a cell with no m takes one),
+    and may span k.  curves(epsilon, points), ack_curves or _each_curve,
+    yields the ACK curve of each (k, n) of points in order: it is called
+    once per chunk, on the chunk's cells with an m.  _score_chunk runs the
+    dynamic program on each cell's curve and solves the SDO models of
+    every k of the chunk together.  Each k's models and their F and F' tables are held while
     its cells run on from chunk to chunk, so each boundary is evaluated
     once per (k, model) there; a k with no m > 1 in a chunk builds no
     model for it.  Nothing is kept between calls.
@@ -338,35 +336,32 @@ def _row_entries(epsilon: float, cells, kinds, curves):
         if kind not in ("normal", "lognormal", "exhaustive"):
             raise ValueError(
                 f"kind must be 'normal', 'lognormal' or 'exhaustive', got {kind!r}")
-    read = collections.deque()  # cells read by the curve stream, not yet chunked
+    held = {}
 
-    def points():
-        for k, n, ms in cells:
-            ms = _checked(CodeParams(k, n, epsilon), ms) if ms else ()
-            read.append((k, n, ms))
-            if ms:
-                yield k, n
+    def solve(chunk):  # a cell with no m gets its empty entries as it is yielded
+        for k, n, by_kind in _score_chunk(epsilon, chunk, kinds, held, curves):
+            yield k, n, {kind: {} for kind in kinds} if by_kind is None else by_kind
 
-    chunk, cells_held, held = [], 0, {}
-    for curve in curves(epsilon, points()):
-        while not read[0][2]:
-            chunk.append((*read.popleft(), None))
-        k, n, ms = read.popleft()
-        if cells_held and cells_held + n - k + 1 > _BLOCK_CELLS:
-            yield from _score_chunk(epsilon, chunk, kinds, held)
+    chunk, cells_held = [], 0
+    for k, n, ms in cells:
+        ms = _checked(CodeParams(k, n, epsilon), ms) if ms else ()
+        size = n - k + 1 if ms else 1  # a cell with no m holds one place
+        if chunk and cells_held + size > _BLOCK_CELLS:
+            yield from solve(chunk)
             chunk, cells_held = [], 0
-        chunk.append((k, n, ms, curve))
-        cells_held += n - k + 1
-    chunk.extend((*cell, None) for cell in read)
-    yield from _score_chunk(epsilon, chunk, kinds, held)
+        chunk.append((k, n, ms))
+        cells_held += size
+    if chunk:
+        yield from solve(chunk)
 
 
-def _score_chunk(epsilon: float, chunk, kinds, held: dict) -> list:
-    """_row_entries's (k, n, {kind: {m: entry}}) for each cell of chunk.
+def _score_chunk(epsilon: float, chunk, kinds, held: dict, curves) -> list:
+    """_row_entries's (k, n, {kind: {m: entry}}) for each cell of chunk, None for a cell with no m.
 
-    chunk holds (k, n, ms, curve), with curve None where ms is empty.  held
-    maps each k of the chunk before to its models and their F and F'
-    tables, and is left holding this chunk's.  Each k with an m > 1 is one
+    chunk holds (k, n, ms) cells, ms checked and maybe empty; one
+    curves(epsilon, points) call gives the ACK curves of the cells with an
+    m, together.  held maps each k of the chunk before to its models and
+    their F and F' tables, and is left holding this chunk's.  Each k with an m > 1 is one
     group of _trajectories, up to its largest n, largest m and smallest m
     in the chunk, and every group steps together, its tables extended as
     far as its rows step.  The candidates of one m at a time are stacked, model
@@ -385,14 +380,16 @@ def _score_chunk(epsilon: float, chunk, kinds, held: dict) -> list:
     first boundary; only the winners' schedules are built again, and one
     gather reads every group's ACK(n) for its throughput.
     """
-    solved = [(k, n, {kind: {} for kind in kinds}) for k, n, _, _ in chunk]
-    acks = np.empty(sum(n - k + 1 for k, n, ms, _ in chunk if ms))
+    solved = [(k, n, {kind: {} for kind in kinds} if ms else None) for k, n, ms in chunk]
+    acks = np.empty(sum(n - k + 1 for k, n, ms in chunk if ms))
     offsets, start = [], 0  # ack(t) of chunk[i] is acks[offsets[i] + t]
     plan = {}  # k: [largest n, the m > 1] of its cells
-    for (k, n, ms, curve), (_, _, by_kind) in zip(chunk, solved):
+    chunk_curves = iter(curves(epsilon, [(k, n) for k, n, ms in chunk if ms]))
+    for (k, n, ms), (_, _, by_kind) in zip(chunk, solved):
         offsets.append(start - k)
         if not ms:
             continue
+        curve = next(chunk_curves)
         acks[start : start + n - k + 1] = curve[k:]
         start += n - k + 1
         inner = ms
@@ -428,16 +425,18 @@ def _score_chunk(epsilon: float, chunk, kinds, held: dict) -> list:
     if not groups:
         return solved
     slots = _trajectories(groups)  # slots[i] holds slot i + 1 of every trajectory
-    # column j * len(chunk) + i is model j on cell i: its k, n, n - k, ACK
-    # offset, and the column of slots that holds its trajectory from k
-    info = np.array([(k, n, n - k, shift, first[k][0] + j * first[k][1] if k in first else 0)
-                     for j in range(len(sdo_kinds))
-                     for (k, n, _, _), shift in zip(chunk, offsets)]).T.copy()
+    scored = [i for i, (_, _, ms) in enumerate(chunk) if ms and ms[-1] > 1]
+    # column j * len(scored) + p is model j on cell scored[p]: its k, n, n - k,
+    # ACK offset, and the column of slots that holds its trajectory from k
+    info = np.array([(k, n, n - k, offsets[i], first[k][0] + j * first[k][1])
+                     for j in range(len(sdo_kinds)) for i in scored
+                     for k, n, _ in (chunk[i],)]).T.copy()
     for m in sorted({m for _, inner in plan.values() for m in inner}):
         # the (model, cell) groups that ask for m, model by model
-        cells = [i for i, (_, _, ms, _) in enumerate(chunk) if m in ms]
-        groups = [(j, i) for j in range(len(sdo_kinds)) for i in cells]
-        ks, ns, span, shift, column = info[:, [j * len(chunk) + i for j, i in groups]]
+        cells = [p for p, i in enumerate(scored) if m in chunk[i][2]]
+        groups = [(j, scored[p]) for j in range(len(sdo_kinds)) for p in cells]
+        ks, ns, span, shift, column = info[:, [j * len(scored) + p for j in range(len(sdo_kinds))
+                                               for p in cells]]
         counts = span - (m - 2)
         starts = np.cumsum(counts) - counts
         group_of = np.repeat(np.arange(len(groups)), counts)

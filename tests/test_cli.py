@@ -166,11 +166,9 @@ class TestSweepKCommand:
     def test_cells_found_once_per_k_and_read_a_chunk_ahead(self, monkeypatch, capsys):
         # each (k, n, m) is checked for a schedule once, and the cells stream
         # into one solver pass, so a long k range never holds its rows'
-        # cells.  With curve chunks of two 89-point curves and solver chunks
-        # of at most 178 ACK values (two k here), the solver reads the curve
-        # of the cell after a chunk before it solves the chunk: the plan is
-        # then read through that cell's curve chunk, and the one point that
-        # closed it, three k past the chunk's last
+        # cells: with solver chunks of at most 178 ACK values (two k at
+        # first) and curve chunks of two 89-point curves, the plan is read
+        # one k past the chunk being solved, the k that did not fit
         monkeypatch.setattr("harqsdo.channel._CURVE_CELLS", 2 * 89)
         monkeypatch.setattr("harqsdo.sdo._BLOCK_CELLS", 2 * 89)
         checked, ahead = [], []
@@ -191,7 +189,7 @@ class TestSweepKCommand:
         assert [row["method"] for row in read_csv(out)] == ["na"] * 84
         assert sorted(checked) == [(k, 88, 5) for k in range(1, 85)]
         # 26 chunks: two k each at first, more as k rises and the rows shorten
-        assert len(ahead) == 26 and max(ahead) <= 3
+        assert len(ahead) == 26 and max(ahead) == 1
 
     def test_infeasible_rows_marked_skipped(self, capsys):
         _, out = run_cli(

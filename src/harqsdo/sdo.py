@@ -289,8 +289,8 @@ def optimize_row(k: int, epsilon: float, cells, kinds):
     each cell, in order, this yields n and {kind: {m: report}} over the m
     of ms: an SDO model's report is optimize(CodeParams(k, n, epsilon), m,
     kind), and "exhaustive"'s is exhaustive_search's.  Each cell's curve
-    comes from channel.ack_curve, its cached one-point case, and every
-    cell is read, and checked, before the first.  The solving is
+    comes from channel.ack_curve, its cached one-point case, and the cells
+    of a chunk are checked before any of its curves.  The solving is
     _row_entries's; this is the one place its plain entries become
     reports, a chunk of cells at a time, so a caller holds only the
     reports it keeps.  n1_searched is (k, n - m + 1) for m > 1, the
@@ -327,10 +327,10 @@ def _row_entries(epsilon: float, cells, kinds, curves):
     yields the ACK curve of each (k, n) of points in order: it is called
     once per chunk, on the chunk's cells with an m.  _score_chunk runs the
     dynamic program on each cell's curve and solves the SDO models of
-    every k of the chunk together.  Each k's models and their F and F' tables are held while
-    its cells run on from chunk to chunk, so each boundary is evaluated
-    once per (k, model) there; a k with no m > 1 in a chunk builds no
-    model for it.  Nothing is kept between calls.
+    every k of the chunk together.  Each k's models and their F and F'
+    tables are held while its cells run on from chunk to chunk, so each
+    boundary is evaluated once per (k, model) there; a k with no m > 1 in
+    a chunk builds no model for it.  Nothing is kept between calls.
     """
     for kind in kinds:
         if kind not in ("normal", "lognormal", "exhaustive"):
@@ -356,17 +356,17 @@ def _row_entries(epsilon: float, cells, kinds, curves):
 
 
 def _score_chunk(epsilon: float, chunk, kinds, held: dict, curves) -> list:
-    """_row_entries's (k, n, {kind: {m: entry}}) for each cell of chunk, None for a cell with no m.
+    """_row_entries's (k, n, {kind: {m: entry}}) for each cell of chunk; None for no m.
 
     chunk holds (k, n, ms) cells, ms checked and maybe empty; one
     curves(epsilon, points) call gives the ACK curves of the cells with an
     m, together.  held maps each k of the chunk before to its models and
-    their F and F' tables, and is left holding this chunk's.  Each k with an m > 1 is one
-    group of _trajectories, up to its largest n, largest m and smallest m
-    in the chunk, and every group steps together, its tables extended as
-    far as its rows step.  The candidates of one m at a time are stacked, model
-    by model, cell by cell: first boundaries k..n-m+1 of each (model, k, n)
-    group that asks for m.  Slot i < m of a candidate is min(b_i, n - (m -
+    their F and F' tables, and is left holding this chunk's.  Each k with
+    an m > 1 is one group of _trajectories, up to its largest n, largest m
+    and smallest m in the chunk, and every group steps together, its
+    tables extended as far as its rows step.  The candidates of one m at a
+    time are stacked, model by model, cell by cell: first boundaries
+    k..n-m+1 of each (model, k, n) group that asks for m.  Slot i < m of a candidate is min(b_i, n - (m -
     i)) over its trajectory b, and slot m is n, so every block
     channel.objective scores is exactly m wide, of _BLOCK_CELLS // m rows
     (one at least), taken from the slot-major trajectories.  A block of at
